@@ -123,13 +123,9 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
 
 def _grid_of(conf: dict) -> TimeGrid:
     try:
-        t = float(conf["T"])
-        steps = int(conf["steps"])
+        return TimeGrid(float(conf["T"]), int(conf["steps"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grid parameters: {exc}") from exc
-    if t <= 0 or steps < 1:
-        raise ConfigError(f"grid requires T > 0 and steps >= 1, got T={t}, steps={steps}")
-    return TimeGrid(t, steps)
 
 
 def _family_of(conf: dict) -> str:

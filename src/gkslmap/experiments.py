@@ -149,6 +149,7 @@ class GScanResult:
     monotone: bool
     pair: tuple
     failures: tuple  # (g, message) for per-point solver failures
+    local_slopes: tuple  # log-log slope between consecutive kept g values
 
     def to_doc(self) -> dict:
         return {
@@ -160,6 +161,7 @@ class GScanResult:
             "intercept": float(self.intercept),
             "residual": float(self.residual),
             "monotone": bool(self.monotone),
+            "local_slopes": [float(x) for x in self.local_slopes],
             "failures": [[float(g), msg] for g, msg in self.failures],
         }
 
@@ -169,6 +171,9 @@ class GScanResult:
         buf.write("g,distance\n")
         for g, x in zip(self.g_values, self.distances):
             buf.write(f"{float(g)!r},{float(x)!r}\n")
+        buf.write(
+            "# local_slopes=" + ",".join(repr(float(x)) for x in self.local_slopes) + "\n"
+        )
         buf.write(
             f"# slope={self.slope!r} residual={self.residual!r} monotone={self.monotone}\n"
         )
@@ -195,7 +200,9 @@ def g_scan(
     ratio of at least 8 (the widest window the weak regime tolerates in
     practice; a full decade is better when the large-g end still converges).
     Per-point solver failures are recorded and excluded from the fit rather
-    than aborting the scan.
+    than aborting the scan.  ``local_slopes`` holds the log-log slope between
+    each pair of consecutive kept couplings, so a bend the fit averages out
+    stays visible.
 
     Small-g limit: two families discretize their shared O(g^2) term
     differently (local-full on the refined Runge-Kutta lattice, nonlocal-full
@@ -235,6 +242,7 @@ def g_scan(
     ld = np.log10(distances)
     slope, intercept = np.polyfit(lg, ld, 1)
     residual = float(np.max(np.abs(ld - (slope * lg + intercept))))
+    local_slopes = tuple(float(x) for x in np.diff(ld) / np.diff(lg))
     monotone = bool(np.all(np.diff(distances) >= -1e-14))
     return GScanResult(
         g_values=tuple(kept_g),
@@ -245,6 +253,7 @@ def g_scan(
         monotone=monotone,
         pair=tuple(pair),
         failures=tuple(failures),
+        local_slopes=local_slopes,
     )
 
 

@@ -211,7 +211,7 @@ class GKSLKernel:
             (p, _a) = op.terms[0]
             for m in range(1, len(ts)):
                 vals = np.abs(p(ts[m], ts[: m + 1])) ** 2
-                out[i, m] = g2 * np.trapezoid(vals, dx=grid.h)
+                out[i, m] = g2 * 0.5 * grid.h * np.sum(vals[1:] + vals[:-1])
         return out
 
 

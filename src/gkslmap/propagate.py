@@ -15,7 +15,13 @@ into a jump (sandwich) part J and a drift part D:
 
 Numerics: the inner t'-integrals are composite trapezoid sums on a lattice
 refined 4x below the step h, so the drift-frame march (step h/2, stages at
-h/4) and the map march (step h, stages at h/2) draw on one shared table.  ODE
+h/4) and the map march (step h, stages at h/2) draw on one shared table.  The
+tables take O(M) memory.  Every profile of the closed family (constant,
+exponential, gaussian, separable and their products) has the normal form
+c(t - s) f(t) g(s), so its table is one causal discrete convolution of c and
+g on the lattice (a running sum when either is 1), scaled by f.  Tabulated
+profiles, products containing one and foreign Profile subclasses keep the
+per-row trapezoid sums, evaluated in fixed-size blocks of rows.  ODE
 families use the classical 4th-order Runge-Kutta step; nonlocal families use
 an implicit trapezoidal Volterra march whose per-step fixed point is solved
 exactly (one D x D linear solve), which makes the march the literal sum of the
@@ -37,7 +43,14 @@ from .kernel import (
     split_kernel,
 )
 from .linalg import dagger, sandwich_superop
-from .profiles import profile_product
+from .profiles import (
+    ConstantProfile,
+    ExpProfile,
+    GaussianProfile,
+    ProductProfile,
+    SeparableProfile,
+    profile_product,
+)
 from .trajectory import MapTrajectory, OrderedExponential, TimeGrid
 
 __all__ = [
@@ -63,6 +76,9 @@ __all__ = [
 # h/2) and the drift-frame march (step h/2, stages at h/4).
 _REFINE = 4
 
+# Rows per block on the per-row table path (profiles outside the normal form).
+_ROW_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # quadrature tables
@@ -72,12 +88,83 @@ def _fine_nodes(grid: TimeGrid) -> np.ndarray:
     return np.linspace(0.0, grid.T, _REFINE * grid.steps + 1)
 
 
+def _normal_form(profile):
+    """Factor lists (conv, f, g) with profile(t, s) = conv(t - s) * f(t) * g(s).
+
+    ``conv`` holds constant, exponential and gaussian profiles, ``f`` and ``g``
+    hold single-variable factors; a product takes the union of its factors'
+    lists.  Returns None for profiles outside that closed family.
+    """
+    kind = type(profile)
+    if kind in (ConstantProfile, ExpProfile, GaussianProfile):
+        return [profile], [], []
+    if kind is SeparableProfile:
+        # a constant factor depends on neither time, so it rides with f
+        if profile.g.kind == "constant":
+            return [], [profile.f, profile.g], []
+        return [], [profile.f], [profile.g]
+    if kind is ProductProfile:
+        conv, f, g = [], [], []
+        for factor in profile.factors:
+            form = _normal_form(factor)
+            if form is None:
+                return None
+            conv += form[0]
+            f += form[1]
+            g += form[2]
+        return conv, f, g
+    return None
+
+
+def _product(values, n: int) -> np.ndarray:
+    out = np.ones(n, dtype=complex)
+    for v in values:
+        out = out * v
+    return out
+
+
+def _qtable_rows(profile, taus: np.ndarray, hf: float) -> np.ndarray:
+    """Per-row trapezoid sums of the profile on the lattice, a block of rows at a time.
+
+    Each row is the running sum of profile(tau_i, tau_j) over j <= i, so a block
+    needs only the columns up to its last row and memory stays O(N * block).
+    """
+    n = len(taus)
+    q = np.empty(n, dtype=complex)
+    for a in range(0, n, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, n)
+        c = np.asarray(profile(taus[a:b, None], taus[None, :b]), dtype=complex)
+        rows = np.arange(b - a)
+        cols = a + rows
+        csum = np.cumsum(c, axis=1)
+        q[a:b] = hf * (csum[rows, cols] - 0.5 * c[:, 0] - 0.5 * c[rows, cols])
+    q[0] = 0.0
+    return q
+
+
 def _qtable(profile, taus: np.ndarray, hf: float) -> np.ndarray:
-    """q[i] = trapezoid of profile(tau_i, s) over lattice points s <= tau_i."""
-    c = np.asarray(profile(taus[:, None], taus[None, :]), dtype=complex)
-    csum = np.cumsum(c, axis=1)
-    idx = np.arange(len(taus))
-    q = hf * (csum[idx, idx] - 0.5 * c[:, 0] - 0.5 * c[idx, idx])
+    """q[i] = trapezoid of profile(tau_i, s) over lattice points s <= tau_i.
+
+    ``taus`` is a uniform lattice from 0.  For profile(t, s) = c(t - s) f(t) g(s)
+    with c_k = c(tau_k), the row sum over j <= i is the causal convolution
+    f_i (c * g)_i, taken as a direct sum (its rounding stays relative to the
+    terms, where an FFT's is relative to the table's maximum).
+    """
+    form = _normal_form(profile)
+    if form is None:
+        return _qtable_rows(profile, taus, hf)
+    conv, f, g = form
+    n = len(taus)
+    c = _product([p(taus, 0.0) for p in conv], n)
+    gv = _product([fac(taus) for fac in g], n)
+    if not g:
+        csum = np.cumsum(c)
+    elif not conv:
+        csum = np.cumsum(gv)
+    else:
+        csum = np.convolve(c, gv)[:n]
+    fv = _product([fac(taus) for fac in f], n)
+    q = hf * fv * (csum - 0.5 * c * gv[0] - 0.5 * c[0] * gv)
     q[0] = 0.0
     return q
 
@@ -381,6 +468,16 @@ def _trap_weights(steps: int, h: float) -> np.ndarray:
     return w
 
 
+def _final_generator(tables, grid: TimeGrid) -> np.ndarray:
+    """Node-trapezoid generator at t_M: the last row of the weight matrix.
+
+    That row is [h/2, h, ..., h, h/2], so the full matrix is never built.
+    """
+    w_last = np.full(grid.steps + 1, grid.h)
+    w_last[0] = w_last[-1] = 0.5 * grid.h
+    return np.asarray(sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables))
+
+
 def _volterra_march(tables, grid: TimeGrid, dim: int) -> np.ndarray:
     """Implicit trapezoidal march of dX/dt = int_0^t K(t,s) X(s) ds.
 
@@ -426,9 +523,7 @@ def solve_nonlocal(k: GKSLKernel, grid: TimeGrid, part: str = "full") -> MapTraj
     terms = _part_terms(split, part)
     tables = _coarse_tables(terms, grid)
     maps = _volterra_march(tables, grid, k.dim)
-    w_last = _trap_weights(grid.steps, grid.h)[-1]
-    gen_final = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables)
-    meta = _march_meta(np.asarray(gen_final), grid)
+    meta = _march_meta(_final_generator(tables, grid), grid)
     return MapTrajectory(
         grid=grid, dim=k.dim, family=f"nonlocal-{part}", maps=maps, meta=meta
     )
@@ -443,9 +538,7 @@ def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) ->
     terms = [(p, -s) for p, s in drift_superop_terms(drift)]
     tables = _coarse_tables(terms, grid)
     maps = _volterra_march(tables, grid, drift.dim)
-    w_last = _trap_weights(grid.steps, grid.h)[-1]
-    gen_final = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables)
-    meta = _march_meta(np.asarray(gen_final), grid)
+    meta = _march_meta(_final_generator(tables, grid), grid)
     meta["source"] = "drift-operator"
     return MapTrajectory(grid=grid, dim=drift.dim, family="nonlocal-drift", maps=maps, meta=meta)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 

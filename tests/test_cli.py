@@ -227,6 +227,21 @@ def test_horizon_violation_is_config_error(tmp_path, capsys):
     assert "horizon" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_non_finite_horizon_is_config_error(tmp_path, kernel_file, capsys, monkeypatch, horizon):
+    def never(*args, **kwargs):
+        raise AssertionError("solver ran on a non-finite horizon")
+
+    monkeypatch.setattr(cli, "solve_family", never)
+    out = tmp_path / "run"
+    code = main(["solve", "--kernel", kernel_file, "--T", horizon, "--steps", "10",
+                 "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and "finite" in err["message"]
+    assert not out.exists()
+
+
 def test_solver_failure_exit_three(tmp_path, kernel_file, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")

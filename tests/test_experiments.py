@@ -90,6 +90,31 @@ def test_g_scan_slope_on_random_kernel():
     assert lines[-1].startswith("# slope=")
 
 
+def test_g_scan_local_slopes_show_small_g_floor():
+    # Redfield kernel of criterion 8; below g ~ 0.03 at M = 200 the O(h^2 g^2)
+    # discretization floor bends the local slope down from the g^4 order
+    model = RedfieldModel(
+        h_s=0.5 * np.diag([1.0, -1.0]),
+        coupling_op=SIGMA_X,
+        correlation=ExpProfile(-1.0),
+    )
+    res = g_scan(redfield_kernel(model), TimeGrid(2.0, 200), [0.00625, 0.0125, 0.025, 0.05],
+                 pair=("local-full", "nonlocal-full"))
+    # the fitted summary does not flag the floor ...
+    assert res.failures == () and res.monotone
+    assert 3.3 < res.slope < 3.6
+    # ... the per-interval slopes do
+    assert len(res.local_slopes) == 3
+    assert res.local_slopes[0] < 3.0
+    assert res.local_slopes[-1] > 3.7
+    assert list(res.local_slopes) == sorted(res.local_slopes)
+    lg, ld = np.log10(res.g_values), np.log10(res.distances)
+    assert np.allclose(res.local_slopes, np.diff(ld) / np.diff(lg), rtol=0, atol=1e-12)
+    assert res.to_doc()["local_slopes"] == list(res.local_slopes)
+    lines = res.csv_text().strip().split("\n")
+    assert lines[-2] == "# local_slopes=" + ",".join(repr(x) for x in res.local_slopes)
+
+
 def test_redfield_kernel_eigenoperator_profiles():
     model = RedfieldModel(
         h_s=0.5 * np.diag([1.0, -1.0]),

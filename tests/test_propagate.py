@@ -1,20 +1,35 @@
 """Solver families: local, nonlocal, series, transform and weak-coupling routes."""
 
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from gkslmap.cpanalysis import trace_deviation
+from gkslmap.experiments import random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, eval_kernel_superop, split_kernel
 from gkslmap.linalg import SIGMA_X, SIGMA_Z, dagger, random_density, sandwich_superop
 from gkslmap.profiles import (
     ConstantProfile,
     ExpProfile,
+    GaussianProfile,
+    Profile,
+    ProductProfile,
     SeparableProfile,
     SingleVarFactor,
     TabulatedProfile,
+    profile_product,
 )
 from gkslmap.propagate import (
+    _REFINE,
+    _coarse_tables,
+    _final_generator,
+    _fine_nodes,
+    _normal_form,
+    _qtable,
+    _trap_weights,
     effective_generator,
     full_local_series,
     jump_exponential_series,
@@ -251,3 +266,122 @@ def test_series_rejects_nonpositive_order(grid_short):
         jump_series(dephasing_kernel(), grid_short, order=0)
     with pytest.raises(ValueError):
         jump_series(dephasing_kernel(), grid_short, order=4, locality="sideways")
+
+
+# ---------------------------------------------------------------------------
+# quadrature tables against the full-lattice reference
+
+
+def dense_qtable(profile, taus, hf):
+    """Reference q-table: trapezoid rows of the profile on the full (N, N) lattice."""
+    c = np.asarray(profile(taus[:, None], taus[None, :]), dtype=complex)
+    csum = np.cumsum(c, axis=1)
+    idx = np.arange(len(taus))
+    q = hf * (csum[idx, idx] - 0.5 * c[:, 0] - 0.5 * c[idx, idx])
+    q[0] = 0.0
+    return q
+
+
+@dataclass(frozen=True)
+class CosProductProfile(Profile):
+    """A Profile subclass outside the closed family: cos(t * t')."""
+
+    def __call__(self, t, tp):
+        return np.cos(np.asarray(t, float) * np.asarray(tp, float)).astype(complex)
+
+    def conjugate(self):
+        return self
+
+
+SEP = SeparableProfile(SingleVarFactor("exp", rate=-0.5), SingleVarFactor("gaussian", tau=1.3))
+SEP2 = SeparableProfile(
+    SingleVarFactor("exp", rate=-0.3 + 0.4j), SingleVarFactor("gaussian", tau=1.8)
+)
+TAB = TabulatedProfile.from_array(
+    2.0, np.random.default_rng(7).normal(size=(6, 6)) + 0.5j * np.eye(6)
+)
+
+NORMAL_FORM_PROFILES = {
+    "constant": ConstantProfile(0.8 * np.exp(0.7j)),
+    "decay": ExpProfile(-1.2),
+    "oscillatory": ExpProfile(0.9j),
+    "damped-oscillation": ExpProfile(-0.4 + 1.1j),
+    "gaussian": GaussianProfile(1.1),
+    "separable": SEP,
+    "separable-constant-g": SeparableProfile(
+        SingleVarFactor("exp", rate=-1.0), SingleVarFactor("constant", value=0.5 - 0.2j)
+    ),
+    "separable-constant-f": SeparableProfile(
+        SingleVarFactor("constant", value=1.5), SingleVarFactor("exp", rate=0.7j)
+    ),
+    # the pairings split_kernel builds from jump terms: pk * conj(pl)
+    "sep-x-sep": profile_product(SEP, SEP2.conjugate()),
+    "exp-x-sep": profile_product(ExpProfile(-0.8 + 0.5j), SEP.conjugate()),
+    "gauss-x-sep": profile_product(GaussianProfile(1.3), SEP2.conjugate()),
+    "const-x-exp": profile_product(ConstantProfile(0.8j), ExpProfile(-0.9 + 0.2j).conjugate()),
+    "const-x-sep": profile_product(ConstantProfile(0.6 - 0.3j), SEP.conjugate()),
+    "gauss-x-exp": profile_product(GaussianProfile(0.9), ExpProfile(0.6j).conjugate()),
+}
+
+ROW_PATH_PROFILES = {
+    "tabulated": TAB,
+    "tab-x-exp": profile_product(TAB, ExpProfile(-0.7 + 0.4j).conjugate()),
+    "tab-x-gauss": profile_product(GaussianProfile(1.2), TAB.conjugate()),
+    "tab-x-sep": profile_product(SEP, TAB.conjugate()),
+    "const-x-tab": profile_product(ConstantProfile(0.8j), TAB),
+    "foreign-subclass": CosProductProfile(),
+}
+
+QTABLE_STEPS = (1, 2, 3, 400)
+
+
+def table_pair(profile, steps):
+    grid = TimeGrid(2.0, steps)
+    taus = _fine_nodes(grid)
+    hf = grid.h / _REFINE
+    return _qtable(profile, taus, hf), dense_qtable(profile, taus, hf)
+
+
+def test_pairings_are_product_nodes():
+    for name, prof in NORMAL_FORM_PROFILES.items():
+        if "-x-" in name:
+            assert isinstance(prof, ProductProfile), name
+
+
+@pytest.mark.parametrize("steps", QTABLE_STEPS)
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_PROFILES))
+def test_normal_form_qtable_matches_dense_reference(name, steps):
+    assert _normal_form(NORMAL_FORM_PROFILES[name]) is not None
+    q, ref = table_pair(NORMAL_FORM_PROFILES[name], steps)
+    assert q.shape == ref.shape and q[0] == 0.0
+    assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("steps", QTABLE_STEPS)
+@pytest.mark.parametrize("name", sorted(ROW_PATH_PROFILES))
+def test_row_block_qtable_is_bit_identical_to_dense_reference(name, steps):
+    assert _normal_form(ROW_PATH_PROFILES[name]) is None
+    q, ref = table_pair(ROW_PATH_PROFILES[name], steps)
+    assert np.array_equal(q, ref)
+
+
+def test_solve_local_peak_memory_stays_linear():
+    k = random_kernel(105)
+    grid = TimeGrid(2.0, 800)
+    tracemalloc.start()
+    try:
+        solve_local(k, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (4M+1)^2 lattice alone would be 164 MB per profile at M = 800
+    assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("steps", (1, 2, 7))
+def test_final_generator_matches_trapezoid_matrix_row(corpus, steps):
+    grid = TimeGrid(1.3, steps)
+    tables = _coarse_tables(list(split_kernel(corpus[2]).jump_part.terms), grid)
+    w_last = _trap_weights(grid.steps, grid.h)[-1]
+    expected = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables)
+    assert np.array_equal(_final_generator(tables, grid), expected)

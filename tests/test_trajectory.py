@@ -23,6 +23,9 @@ def test_time_grid_validation():
         TimeGrid(0.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    for horizon in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(horizon, 10)
 
 
 def make_trajectory(rng, dim=2, steps=3, family="local-full"):
