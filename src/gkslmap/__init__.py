@@ -57,7 +57,6 @@ from .profiles import (
 )
 from .propagate import (
     effective_generator,
-    full_local_series,
     jump_exponential_series,
     jump_series,
     ordered_exponential,

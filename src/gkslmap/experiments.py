@@ -200,9 +200,10 @@ def g_scan(
     ratio of at least 8 (the widest window the weak regime tolerates in
     practice; a full decade is better when the large-g end still converges).
     Per-point solver failures are recorded and excluded from the fit rather
-    than aborting the scan.  ``local_slopes`` holds the log-log slope between
-    each pair of consecutive kept couplings, so a bend the fit averages out
-    stays visible.
+    than aborting the scan; when they leave fewer than two points the scan
+    raises RuntimeError (a solver failure, not bad input).  ``local_slopes``
+    holds the log-log slope between each pair of consecutive kept couplings,
+    so a bend the fit averages out stays visible.
 
     Small-g limit: two families discretize their shared O(g^2) term
     differently (local-full on the refined Runge-Kutta lattice, nonlocal-full
@@ -236,6 +237,12 @@ def g_scan(
             continue
         distances.append(dist)
         kept_g.append(g)
+    if len(kept_g) < 2 and failures:
+        g, msg = failures[0]
+        raise RuntimeError(
+            f"too few successful scan points for a slope fit: {len(failures)} of "
+            f"{len(gs)} solves failed (first at g = {g!r}: {msg})"
+        )
     if len(kept_g) < 2 or any(x <= 0 for x in distances):
         raise ValueError("too few successful scan points for a slope fit")
     lg = np.log10(kept_g)

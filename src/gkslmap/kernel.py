@@ -161,11 +161,6 @@ class GKSLKernel:
             return False
         return all(op.is_convolution for op in self.jump_ops)
 
-    @property
-    def is_c_number(self) -> bool:
-        """True when each jump operator is a single profile times a constant matrix."""
-        return all(len(op.terms) == 1 for op in self.jump_ops)
-
     def all_profiles(self):
         for p, _ in self.hermitian.terms:
             yield p
@@ -196,24 +191,6 @@ class GKSLKernel:
                     f"asymmetry {asym:.3e}"
                 )
 
-    def damping_rates(self, grid) -> np.ndarray:
-        """Per-jump effective rates gamma_i(t) = g^2 int_0^t |h_i(t,s)|^2 ds.
-
-        Defined for c-number kernels (single-term jump operators); rates are
-        reported per grid node using the composite trapezoid rule.
-        """
-        if not self.is_c_number:
-            raise ValueError("damping rates are defined for c-number kernels only")
-        ts = grid.nodes()
-        out = np.zeros((len(self.jump_ops), len(ts)))
-        g2 = self.coupling**2
-        for i, op in enumerate(self.jump_ops):
-            (p, _a) = op.terms[0]
-            for m in range(1, len(ts)):
-                vals = np.abs(p(ts[m], ts[: m + 1])) ** 2
-                out[i, m] = g2 * 0.5 * grid.h * np.sum(vals[1:] + vals[:-1])
-        return out
-
 
 @dataclass(frozen=True)
 class KernelSplit:
@@ -229,9 +206,6 @@ class KernelSplit:
     jump_part: TwoTimeSuperopFunction
     drift_op: TwoTimeOperatorFunction
     drift_part: TwoTimeSuperopFunction = field(repr=False, default=None)
-
-    def recombined(self, t: float, tp: float) -> np.ndarray:
-        return self.jump_part(t, tp) - self.drift_part(t, tp)
 
 
 def drift_superop_terms(w: TwoTimeOperatorFunction):

@@ -18,7 +18,6 @@ __all__ = [
     "vectorize",
     "unvectorize",
     "sandwich_superop",
-    "identity_superop",
     "frobenius",
     "dagger",
     "hermitian_eig",
@@ -26,7 +25,6 @@ __all__ = [
     "random_operator",
     "random_hermitian",
     "random_density",
-    "random_unit_vector",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -73,10 +71,6 @@ def sandwich_superop(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"operator dimensions differ: {a.shape} vs {b.shape}")
     return np.kron(b.T, a)
-
-
-def identity_superop(dim: int) -> np.ndarray:
-    return np.eye(dim * dim, dtype=complex)
 
 
 def frobenius(a) -> float:
@@ -131,8 +125,3 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T + 1e-3 * np.eye(dim)
     return rho / np.trace(rho).real
-
-
-def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

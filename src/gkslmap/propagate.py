@@ -7,7 +7,8 @@ into a jump (sandwich) part J and a drift part D:
 * local:      dLambda/dt = [ int_0^t K(t,s) ds ] Lambda(t)
 * nonlocal:   dLambda/dt = int_0^t K(t,s) Lambda(s) ds
 * jump / drift variants use J alone (positive sign) or -D alone,
-* series:     truncated iterated-integral expansions of the jump equations,
+* series:     truncated iterated-integral expansions of the jump equations
+              (and, locally, of the full equation),
 * transform:  the local-full equation solved in the drift frame
               Lambda = V . Lambdahat . V^dag,
 * weak:       the mixed equation with a local drift term and a nonlocal jump
@@ -21,11 +22,19 @@ exponential, gaussian, separable and their products) has the normal form
 c(t - s) f(t) g(s), so its table is one causal discrete convolution of c and
 g on the lattice (a running sum when either is 1), scaled by f.  Tabulated
 profiles, products containing one and foreign Profile subclasses keep the
-per-row trapezoid sums, evaluated in fixed-size blocks of rows.  ODE
-families use the classical 4th-order Runge-Kutta step; nonlocal families use
-an implicit trapezoidal Volterra march whose per-step fixed point is solved
-exactly (one D x D linear solve), which makes the march the literal sum of the
-discrete iterated-integral series.
+per-row trapezoid sums, evaluated in fixed-size blocks of rows.
+
+Every ODE family goes through one classical 4th-order Runge-Kutta driver,
+:func:`_rk4`; its state is the map (local families and the transform route),
+the triangular stack of series terms (local series) or the pair (V, Vinv)
+(drift frame).  Every nonlocal family goes through one memory core,
+:func:`_memory_rows`: row i of the nested-trapezoid memory sum, stacked over
+the kernel's terms.  The implicit trapezoidal Volterra march
+(:func:`_volterra`) solves its per-step fixed point exactly (one D x D linear
+solve), in the lab frame or, for the weak family, in the drift frame; the
+nonlocal series applies the same rows to a known history and integrates them
+by a cumulative trapezoid, so the march is the literal sum of the discrete
+iterated-integral series.
 """
 
 from __future__ import annotations
@@ -42,14 +51,13 @@ from .kernel import (
     eval_kernel_superop,
     split_kernel,
 )
-from .linalg import dagger, sandwich_superop
+from .linalg import dagger
 from .profiles import (
     ConstantProfile,
     ExpProfile,
     GaussianProfile,
     ProductProfile,
     SeparableProfile,
-    profile_product,
 )
 from .trajectory import MapTrajectory, OrderedExponential, TimeGrid
 
@@ -66,7 +74,6 @@ __all__ = [
     "weak_coupling_localize",
     "weak_drift_localize",
     "jump_series",
-    "full_local_series",
     "jump_exponential_series",
     "solve_family",
 ]
@@ -180,25 +187,16 @@ def _qtables(profiles, grid: TimeGrid) -> dict:
     return out
 
 
-def _generator_lattice(terms, qmap: dict, dim: int, grid: TimeGrid, stride: int) -> np.ndarray:
-    """Integrated generator G(tau) = sum_k q_k(tau) S_k on a sub-lattice.
+def _lattice(terms, qmap: dict, size: int, grid: TimeGrid, stride: int = 1) -> np.ndarray:
+    """Integrated sum_k q_k(tau) X_k of (profile, size x size matrix) terms.
 
     ``stride`` selects every stride-th refined node (2 -> the h/2 lattice).
     """
-    D = dim * dim
     n = (_REFINE * grid.steps) // stride + 1
-    g = np.zeros((n, D, D), dtype=complex)
-    for p, s in terms:
-        g += qmap[p][::stride, None, None] * s
-    return g
-
-
-def _operator_lattice(fn: TwoTimeOperatorFunction, qmap: dict, grid: TimeGrid) -> np.ndarray:
-    """Integrated operator, e.g. A_int(tau) = int_0^tau A(tau,s) ds, all fine nodes."""
-    w = np.zeros((_REFINE * grid.steps + 1, fn.dim, fn.dim), dtype=complex)
-    for p, a in fn.terms:
-        w += qmap[p][:, None, None] * a
-    return w
+    out = np.zeros((n, size, size), dtype=complex)
+    for p, x in terms:
+        out += qmap[p][::stride, None, None] * x
+    return out
 
 
 def _part_terms(split: KernelSplit, part: str):
@@ -211,6 +209,13 @@ def _part_terms(split: KernelSplit, part: str):
     raise ValueError(f"unknown kernel part {part!r}; expected 'full', 'jump' or 'drift'")
 
 
+def _local_generator(split: KernelSplit, grid: TimeGrid, part: str) -> np.ndarray:
+    """Effective generator of one kernel part on the h/2 lattice."""
+    terms = _part_terms(split, part)
+    qmap = _qtables([p for p, _ in terms], grid)
+    return _lattice(terms, qmap, split.dim * split.dim, grid, stride=2)
+
+
 def _march_meta(gen_final: np.ndarray, grid: TimeGrid) -> dict:
     hg = grid.h * float(np.linalg.norm(gen_final))
     meta = {"h_times_gen_norm": hg}
@@ -219,64 +224,54 @@ def _march_meta(gen_final: np.ndarray, grid: TimeGrid) -> dict:
     return meta
 
 
+def _sandwich_stack(a: np.ndarray) -> np.ndarray:
+    """Superoperators of rho -> a_j rho a_j^dag, i.e. kron(conj(a_j), a_j), per node j."""
+    n, d, _ = a.shape
+    return np.einsum("jcd,jab->jcadb", a.conj(), a).reshape(n, d * d, d * d)
+
+
 # ---------------------------------------------------------------------------
-# Runge-Kutta cores
+# the Runge-Kutta driver
 
 
-def _rk4_march(g_half: np.ndarray, h: float) -> np.ndarray:
-    """March dX/dt = G(t) X from the identity; G given on the h/2 lattice."""
-    n_steps = (g_half.shape[0] - 1) // 2
-    D = g_half.shape[1]
-    maps = np.empty((n_steps + 1, D, D), dtype=complex)
-    x = np.eye(D, dtype=complex)
-    maps[0] = x
-    for m in range(n_steps):
-        g0 = g_half[2 * m]
-        gm = g_half[2 * m + 1]
-        g1 = g_half[2 * m + 2]
-        k1 = g0 @ x
-        k2 = gm @ (x + 0.5 * h * k1)
-        k3 = gm @ (x + 0.5 * h * k2)
-        k4 = g1 @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        maps[m + 1] = x
-    return maps
+def _rk4(coeffs: np.ndarray, y0: np.ndarray, h: float, deriv):
+    """Classical Runge-Kutta march of dy/dt = deriv(c(t), y) from y0.
 
-
-def _rk4_stacked_series(g_half: np.ndarray, h: float, order: int):
-    """March the triangular system dP_n/dt = G(t) P_{n-1}, P_0 = identity.
-
-    Returns the per-node sums sum_n P_n and the Frobenius norm of the order-N
-    term (the truncation diagnostic).  Because the stack is marched by the
-    same Runge-Kutta step as the plain local equation, the full sum telescopes
-    to the plain discrete solution up to the truncated tail.
+    ``coeffs`` holds c on the half-step lattice, so step m draws on
+    coeffs[2m], coeffs[2m + 1] and coeffs[2m + 2].  Yields y0, then the state
+    after every step.
     """
-    n_steps = (g_half.shape[0] - 1) // 2
-    D = g_half.shape[1]
-    y = np.zeros((order + 1, D, D), dtype=complex)
-    y[0] = np.eye(D)
-    sums = np.empty((n_steps + 1, D, D), dtype=complex)
-    tails = np.empty(n_steps + 1)
-    sums[0] = y.sum(axis=0)
-    tails[0] = np.linalg.norm(y[order])
-
-    def deriv(g, stack):
-        d = np.zeros_like(stack)
-        d[1:] = np.matmul(g, stack[:-1])
-        return d
-
-    for m in range(n_steps):
-        g0 = g_half[2 * m]
-        gm = g_half[2 * m + 1]
-        g1 = g_half[2 * m + 2]
-        k1 = deriv(g0, y)
-        k2 = deriv(gm, y + 0.5 * h * k1)
-        k3 = deriv(gm, y + 0.5 * h * k2)
-        k4 = deriv(g1, y + h * k3)
+    y = y0
+    yield y
+    for m in range((len(coeffs) - 1) // 2):
+        c0, cm, c1 = coeffs[2 * m], coeffs[2 * m + 1], coeffs[2 * m + 2]
+        k1 = deriv(c0, y)
+        k2 = deriv(cm, y + 0.5 * h * k1)
+        k3 = deriv(cm, y + 0.5 * h * k2)
+        k4 = deriv(c1, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sums[m + 1] = y.sum(axis=0)
-        tails[m + 1] = np.linalg.norm(y[order])
-    return sums, tails
+        yield y
+
+
+def _local_march(g_half: np.ndarray, h: float) -> np.ndarray:
+    """March dX/dt = G(t) X from the identity; G given on the h/2 lattice."""
+    eye = np.eye(g_half.shape[1], dtype=complex)
+    return np.array(list(_rk4(g_half, eye, h, np.matmul)))
+
+
+def _series_shift(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the triangular stack dP_n/dt = G(t) P_{n-1}."""
+    d = np.zeros_like(y)
+    d[1:] = np.matmul(g, y[:-1])
+    return d
+
+
+def _frame_shift(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of V' = -A_int V and Vinv' = Vinv A_int, stacked as y = (V, Vinv)."""
+    d = np.empty_like(y)
+    d[0] = -w @ y[0]
+    d[1] = y[1] @ w
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +301,8 @@ def effective_generator(k: GKSLKernel, t: float, grid: TimeGrid) -> np.ndarray:
 
 def _solve_local_part(k: GKSLKernel, grid: TimeGrid, part: str) -> MapTrajectory:
     k.check_horizon(grid.T)
-    split = split_kernel(k)
-    terms = _part_terms(split, part)
-    qmap = _qtables([p for p, _ in terms], grid)
-    g_half = _generator_lattice(terms, qmap, k.dim, grid, stride=2)
-    maps = _rk4_march(g_half, grid.h)
+    g_half = _local_generator(split_kernel(k), grid, part)
+    maps = _local_march(g_half, grid.h)
     meta = _march_meta(g_half[-1], grid)
     return MapTrajectory(
         grid=grid, dim=k.dim, family=f"local-{part}", maps=maps, meta=meta
@@ -336,48 +328,17 @@ def solve_local_drift(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
 # ordered exponential of the drift operator
 
 
-def _vh_march(w_fine: np.ndarray, grid: TimeGrid):
+def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid):
     """March V' = -A_int(t) V and Vinv' = +Vinv A_int(t) at step h/2.
 
-    A_int is given on the h/4 lattice so every stage lands on a lattice point.
-    Returns (V, Vinv) on the h/2 lattice.
+    A_int is tabulated on the h/4 lattice so every stage lands on a lattice
+    point.  Returns (V, Vinv) on the h/2 lattice.
     """
-    d = w_fine.shape[1]
-    n_steps = (w_fine.shape[0] - 1) // 2
-    hv = grid.h / 2.0
-    v = np.empty((n_steps + 1, d, d), dtype=complex)
-    vinv = np.empty_like(v)
-    x = np.eye(d, dtype=complex)
-    y = np.eye(d, dtype=complex)
-    v[0] = x
-    vinv[0] = y
-    for j in range(n_steps):
-        w0 = w_fine[2 * j]
-        wm = w_fine[2 * j + 1]
-        w1 = w_fine[2 * j + 2]
-        k1 = -w0 @ x
-        k2 = -wm @ (x + 0.5 * hv * k1)
-        k3 = -wm @ (x + 0.5 * hv * k2)
-        k4 = -w1 @ (x + hv * k3)
-        x = x + (hv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        l1 = y @ w0
-        l2 = (y + 0.5 * hv * l1) @ wm
-        l3 = (y + 0.5 * hv * l2) @ wm
-        l4 = (y + hv * l3) @ w1
-        y = y + (hv / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        v[j + 1] = x
-        vinv[j + 1] = y
-    return v, vinv
-
-
-def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid):
     qmap = _qtables([p for p, _ in drift.terms], grid)
-    if drift.is_zero:
-        n = _REFINE * grid.steps + 1
-        w_fine = np.zeros((n, drift.dim, drift.dim), dtype=complex)
-    else:
-        w_fine = _operator_lattice(drift, qmap, grid)
-    return _vh_march(w_fine, grid)
+    w_fine = _lattice(drift.terms, qmap, drift.dim, grid)
+    eye = np.eye(drift.dim, dtype=complex)
+    vv = np.array(list(_rk4(w_fine, np.stack([eye, eye]), grid.h / 2.0, _frame_shift)))
+    return vv[:, 0], vv[:, 1]
 
 
 def ordered_exponential_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> OrderedExponential:
@@ -399,49 +360,23 @@ def ordered_exponential(k: GKSLKernel, grid: TimeGrid) -> OrderedExponential:
 def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """Local full solve in the drift frame.
 
-    Builds hatted jump operators A~_k(s) = V_s^{-1} A_k V_s on the h/2
-    lattice, marches dLambdahat/dt = the hatted jump generator Lambdahat with the jump
-    q-tables shared with :func:`solve_local`, and conjugates back by the
-    sandwich map of V_t.  Agreement with the direct route is a structural
-    consistency check: both integrate the same equation through different
-    representations.
+    The hatted jump generator is Vinv_s(.)Vinv_s^dag . G_jump(s) . V_s(.)V_s^dag
+    on the h/2 lattice, i.e. the jump generator built from the hatted
+    operators A~_k(s) = V_s^{-1} A_k V_s, with the jump q-tables shared with
+    :func:`solve_local`.  The route marches dLambdahat/dt = that generator
+    times Lambdahat and conjugates back by the sandwich map of V_t.  Agreement
+    with the direct route is a structural consistency check: both integrate
+    the same equation through different representations.
     """
     k.check_horizon(grid.T)
     split = split_kernel(k)
     v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid)
-    n_half = v_half.shape[0]
-    d = k.dim
-    D = d * d
-    g2 = k.coupling**2
-
-    # pair profiles and their q tables on the refined lattice (shared arithmetic
-    # with the direct route: identical Profile objects, identical tables)
-    pair_list = []
-    profs = []
-    for op in k.jump_ops:
-        for pk, ak in op.terms:
-            for pl, al in op.terms:
-                prof = profile_product(pk, pl.conjugate())
-                pair_list.append((prof, ak, al))
-                profs.append(prof)
-    qmap = _qtables(profs, grid)
-
-    g_hat = np.zeros((n_half, D, D), dtype=complex)
-    for prof, ak, al in pair_list:
-        atk = np.einsum("jab,bc,jcd->jad", vinv_half, ak, v_half)
-        atl = np.einsum("jab,bc,jcd->jad", vinv_half, al, v_half)
-        # sandwich(A~_k, A~_l^dag) = kron(conj(A~_l), A~_k), batched over nodes
-        sand = np.einsum("jcd,jab->jcadb", atl.conj(), atk).reshape(n_half, D, D)
-        g_hat += (g2 * qmap[prof][::2])[:, None, None] * sand
-
-    hat_maps = _rk4_march(g_hat, grid.h)
-    maps = np.empty_like(hat_maps)
-    for m in range(grid.steps + 1):
-        vm = v_half[2 * m]
-        maps[m] = np.kron(vm.conj(), vm) @ hat_maps[m]
+    v_sup = _sandwich_stack(v_half)
+    g_hat = _sandwich_stack(vinv_half) @ _local_generator(split, grid, "jump") @ v_sup
+    maps = v_sup[::2] @ _local_march(g_hat, grid.h)
     meta = _march_meta(g_hat[-1], grid)
     meta["engine"] = "transform"
-    return MapTrajectory(grid=grid, dim=d, family="local-full", maps=maps, meta=meta)
+    return MapTrajectory(grid=grid, dim=k.dim, family="local-full", maps=maps, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -458,75 +393,90 @@ def _coarse_tables(terms, grid: TimeGrid):
     return tables
 
 
-def _trap_weights(steps: int, h: float) -> np.ndarray:
-    """Lower-triangular composite-trapezoid weight matrix over grid nodes."""
-    w = np.tril(np.full((steps + 1, steps + 1), h))
-    w[:, 0] = 0.5 * h
-    idx = np.arange(steps + 1)
-    w[idx, idx] = 0.5 * h
-    w[0, 0] = 0.0
-    return w
-
-
 def _final_generator(tables, grid: TimeGrid) -> np.ndarray:
-    """Node-trapezoid generator at t_M: the last row of the weight matrix.
-
-    That row is [h/2, h, ..., h, h/2], so the full matrix is never built.
-    """
+    """Node-trapezoid generator at t_M: sum_k (weights [h/2, h, ..., h, h/2] . c_k[M]) S_k."""
     w_last = np.full(grid.steps + 1, grid.h)
     w_last[0] = w_last[-1] = 0.5 * grid.h
     return np.asarray(sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables))
 
 
-def _volterra_march(tables, grid: TimeGrid, dim: int) -> np.ndarray:
+def _memory_rows(tables, h: float, D: int):
+    """The Volterra memory core: one row of the nested-trapezoid memory sum.
+
+    Returns ``row(i, flat) -> (partial, diag)`` for a history X_0..X_{i-1}
+    given as ``flat = X.reshape(-1, D * D)``:
+
+        partial = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
+        diag    = sum_k c_k(t_i, t_i) S_k
+
+    so the trapezoid memory integral at t_i is partial + (h/2) diag X_i.
+    """
+    if not tables:
+        zero = np.zeros((D, D), dtype=complex)
+        return lambda i, flat: (zero, zero)
+    # Stacking the tables makes each row two BLAS products instead of a
+    # per-table Python loop.
+    n_t = len(tables)
+    c_stack = np.stack([c for c, _ in tables])  # (n_t, M+1, M+1)
+    s_row = np.concatenate([s for _, s in tables], axis=1)  # (D, n_t*D)
+    s_stack = np.stack([s for _, s in tables])
+
+    def row(i, flat):
+        rows = c_stack[:, i, :i].copy()
+        rows[:, 0] *= 0.5
+        y = (rows @ flat[:i]).reshape(n_t * D, D)
+        return s_row @ (h * y), np.einsum("k,kab->ab", c_stack[:, i, i], s_stack)
+
+    return row
+
+
+def _volterra(tables, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
     """Implicit trapezoidal march of dX/dt = int_0^t K(t,s) X(s) ds.
 
     The corrector fixed point is linear in X_{m+1} (only the diagonal
     quadrature weight touches it), so it is solved exactly per step.  The
     resulting discrete solution satisfies X = 1 + Q X with Q the nested
     trapezoid integral operator — the same Q the nonlocal series iterates.
+
+    With ``frame`` = (Vinv_sup, V_sup), the sandwich superoperator stacks of
+    Vinv and V on grid nodes, the march runs in the drift frame on
+    Xhat = Vinv_sup X: the memory sum acts on the lab-frame history
+    X_j = V_sup[j] Xhat_j and is pulled back by Vinv_sup[i].  Returns the
+    lab-frame maps X.
     """
     M, h = grid.steps, grid.h
     D = dim * dim
+    row = _memory_rows(tables, h, D)
     eye = np.eye(D, dtype=complex)
     maps = np.empty((M + 1, D, D), dtype=complex)
     maps[0] = eye
-    if not tables:
-        maps[:] = eye
-        return maps
-    # Stack the tables so each step is two BLAS products instead of a
-    # per-table Python loop; the arithmetic is the per-table sum unchanged.
-    n_t = len(tables)
-    c_stack = np.stack([c for c, _ in tables])  # (n_t, M+1, M+1)
-    s_row = np.concatenate([s for _, s in tables], axis=1)  # (D, n_t*D)
-    s_stack = np.stack([s for _, s in tables])
     flat = maps.reshape(M + 1, D * D)
+    x = eye
     f_prev = np.zeros((D, D), dtype=complex)
-    for m in range(M):
-        i = m + 1
-        rows = c_stack[:, i, :i].copy()
-        rows[:, 0] *= 0.5
-        y = (rows @ flat[:i]).reshape(n_t * D, D)
-        partial = s_row @ (h * y)
-        diag = np.einsum("k,kab->ab", c_stack[:, i, i], s_stack)
-        rhs = maps[m] + 0.5 * h * (f_prev + partial)
+    for i in range(1, M + 1):
+        partial, diag = row(i, flat)
+        if frame is not None:
+            partial = frame[0][i] @ partial
+            diag = frame[0][i] @ diag @ frame[1][i]
+        rhs = x + 0.5 * h * (f_prev + partial)
         x = np.linalg.solve(eye - 0.25 * h * h * diag, rhs)
-        maps[i] = x
+        maps[i] = x if frame is None else frame[1][i] @ x
         f_prev = partial + 0.5 * h * (diag @ x)
     return maps
+
+
+def _solve_nonlocal_terms(terms, grid: TimeGrid, dim: int, family: str) -> MapTrajectory:
+    tables = _coarse_tables(terms, grid)
+    maps = _volterra(tables, grid, dim)
+    meta = _march_meta(_final_generator(tables, grid), grid)
+    return MapTrajectory(grid=grid, dim=dim, family=family, maps=maps, meta=meta)
 
 
 def solve_nonlocal(k: GKSLKernel, grid: TimeGrid, part: str = "full") -> MapTrajectory:
     """Nonlocal trajectory: the memory integral acts on Lambda(s), not Lambda(t)."""
     k.check_horizon(grid.T)
-    split = split_kernel(k)
-    terms = _part_terms(split, part)
-    tables = _coarse_tables(terms, grid)
-    maps = _volterra_march(tables, grid, k.dim)
-    meta = _march_meta(_final_generator(tables, grid), grid)
-    return MapTrajectory(
-        grid=grid, dim=k.dim, family=f"nonlocal-{part}", maps=maps, meta=meta
-    )
+    terms = _part_terms(split_kernel(k), part)
+    return _solve_nonlocal_terms(terms, grid, k.dim, f"nonlocal-{part}")
 
 
 def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> MapTrajectory:
@@ -536,15 +486,80 @@ def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) ->
     -int_0^t [A(t,s) Lambda(s)(.) + Lambda(s)(.) A(t,s)^dag] ds.
     """
     terms = [(p, -s) for p, s in drift_superop_terms(drift)]
-    tables = _coarse_tables(terms, grid)
-    maps = _volterra_march(tables, grid, drift.dim)
-    meta = _march_meta(_final_generator(tables, grid), grid)
-    meta["source"] = "drift-operator"
-    return MapTrajectory(grid=grid, dim=drift.dim, family="nonlocal-drift", maps=maps, meta=meta)
+    traj = _solve_nonlocal_terms(terms, grid, drift.dim, "nonlocal-drift")
+    traj.meta["source"] = "drift-operator"
+    return traj
 
 
 # ---------------------------------------------------------------------------
 # series solutions
+
+
+def _local_series(g_half: np.ndarray, h: float, order: int):
+    """Per-node sums sum_n P_n of the triangular stack dP_n/dt = G(t) P_{n-1}.
+
+    Also returns the Frobenius norm of the order-N term (the truncation
+    diagnostic).  Because the stack is marched by the same Runge-Kutta step as
+    the plain local equation, the full sum telescopes to the plain discrete
+    solution up to the truncated tail.
+    """
+    D = g_half.shape[1]
+    y0 = np.zeros((order + 1, D, D), dtype=complex)
+    y0[0] = np.eye(D)
+    sums, tails = [], []
+    for y in _rk4(g_half, y0, h, _series_shift):
+        sums.append(y.sum(axis=0))
+        tails.append(np.linalg.norm(y[order]))
+    return np.array(sums), tails
+
+
+def _nonlocal_series(tables, grid: TimeGrid, dim: int, order: int):
+    """Iterate the nested-trapezoid integral operator: R_n = Q(R_{n-1}), R_0 = 1.
+
+    Q applies the memory rows to the whole history R_{n-1}, then integrates
+    the result by a cumulative trapezoid.
+    """
+    M, h = grid.steps, grid.h
+    D = dim * dim
+    row = _memory_rows(tables, h, D)
+    r = np.broadcast_to(np.eye(D, dtype=complex), (M + 1, D, D)).copy()
+    total = r.copy()
+    f = np.zeros_like(r)
+    for _ in range(order):
+        flat = r.reshape(M + 1, D * D)
+        for i in range(1, M + 1):
+            partial, diag = row(i, flat)
+            f[i] = partial + 0.5 * h * (diag @ r[i])
+        r = np.zeros_like(f)
+        r[1:] = np.cumsum(0.5 * h * (f[:-1] + f[1:]), axis=0)
+        total += r
+    tails = np.linalg.norm(r.reshape(M + 1, -1), axis=1)
+    return total, tails
+
+
+def _series(k: GKSLKernel, grid: TimeGrid, order: int, family: str) -> MapTrajectory:
+    """Series family ``series-<locality>-<part>`` truncated at ``order``."""
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
+    k.check_horizon(grid.T)
+    split = split_kernel(k)
+    _, locality, part = family.split("-")
+    if locality == "local":
+        g_half = _local_generator(split, grid, part)
+        sums, tails = _local_series(g_half, grid.h, order)
+        meta = _march_meta(g_half[-1], grid)
+    else:
+        tables = _coarse_tables(_part_terms(split, part), grid)
+        sums, tails = _nonlocal_series(tables, grid, k.dim, order)
+        meta = {}
+    meta.update(
+        {
+            "order": int(order),
+            "tail_norm": [float(x) for x in tails],
+            "tail_max": float(np.max(tails)),
+        }
+    )
+    return MapTrajectory(grid=grid, dim=k.dim, family=family, maps=sums, meta=meta)
 
 
 def jump_series(
@@ -558,71 +573,9 @@ def jump_series(
     t_{2n} <= ... <= t_1: each iteration applies the nested-trapezoid Volterra
     integral operator.  meta carries the per-node norm of the order-N term.
     """
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
-    k.check_horizon(grid.T)
-    split = split_kernel(k)
-    terms = list(split.jump_part.terms)
-    if locality == "local":
-        qmap = _qtables([p for p, _ in terms], grid)
-        g_half = _generator_lattice(terms, qmap, k.dim, grid, stride=2)
-        sums, tails = _rk4_stacked_series(g_half, grid.h, order)
-        family = "series-local-jump"
-        meta = _march_meta(g_half[-1], grid)
-    elif locality == "nonlocal":
-        tables = _coarse_tables(terms, grid)
-        sums, tails = _volterra_series(tables, grid, k.dim, order)
-        family = "series-nonlocal-jump"
-        meta = {}
-    else:
+    if locality not in ("local", "nonlocal"):
         raise ValueError(f"unknown locality {locality!r}; expected 'local' or 'nonlocal'")
-    meta.update(
-        {
-            "order": int(order),
-            "tail_norm": [float(x) for x in tails],
-            "tail_max": float(np.max(tails)),
-        }
-    )
-    return MapTrajectory(grid=grid, dim=k.dim, family=family, maps=sums, meta=meta)
-
-
-def full_local_series(k: GKSLKernel, grid: TimeGrid, order: int = 8) -> MapTrajectory:
-    """Local series with the full generator; telescopes to solve_local as N grows."""
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
-    k.check_horizon(grid.T)
-    split = split_kernel(k)
-    terms = _part_terms(split, "full")
-    qmap = _qtables([p for p, _ in terms], grid)
-    g_half = _generator_lattice(terms, qmap, k.dim, grid, stride=2)
-    sums, tails = _rk4_stacked_series(g_half, grid.h, order)
-    meta = _march_meta(g_half[-1], grid)
-    meta.update(
-        {
-            "order": int(order),
-            "tail_norm": [float(x) for x in tails],
-            "tail_max": float(np.max(tails)),
-        }
-    )
-    return MapTrajectory(grid=grid, dim=k.dim, family="series-local-full", maps=sums, meta=meta)
-
-
-def _volterra_series(tables, grid: TimeGrid, dim: int, order: int):
-    """Iterate the nested-trapezoid integral operator: R_n = Q(R_{n-1}), R_0 = 1."""
-    M, h = grid.steps, grid.h
-    D = dim * dim
-    w = _trap_weights(M, h)
-    r = np.broadcast_to(np.eye(D, dtype=complex), (M + 1, D, D)).copy()
-    total = r.copy()
-    for _ in range(order):
-        f = np.zeros((M + 1, D, D), dtype=complex)
-        for c, s in tables:
-            y = np.einsum("ij,jab->iab", w * c, r)
-            f += np.einsum("ab,ibc->iac", s, y)
-        r = np.einsum("mi,iab->mab", w, f)
-        total = total + r
-    tails = np.linalg.norm(r.reshape(M + 1, -1), axis=1)
-    return total, tails
+    return _series(k, grid, order, f"series-{locality}-jump")
 
 
 def jump_exponential_series(l_op: np.ndarray, t: float, rho: np.ndarray, order: int) -> np.ndarray:
@@ -658,52 +611,12 @@ def weak_coupling_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """
     k.check_horizon(grid.T)
     split = split_kernel(k)
-    d = k.dim
-    D = d * d
-    M, h = grid.steps, grid.h
-    g2 = k.coupling**2
-
     v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid)
-    v = v_half[::2]
-    vinv = vinv_half[::2]
-    v_sup = np.einsum("jcd,jab->jcadb", v.conj(), v).reshape(M + 1, D, D)
-    vinv_sup = np.einsum("jcd,jab->jcadb", vinv.conj(), vinv).reshape(M + 1, D, D)
-
-    pair_terms = []
-    for op in k.jump_ops:
-        for pk, ak in op.terms:
-            for pl, al in op.terms:
-                prof = profile_product(pk, pl.conjugate())
-                pair_terms.append((prof, g2 * sandwich_superop(ak, dagger(al))))
-    tables = _coarse_tables(pair_terms, grid)
-
-    eye = np.eye(D, dtype=complex)
-    hat = np.empty((M + 1, D, D), dtype=complex)
-    hat[0] = eye
-    y = np.empty((M + 1, D, D), dtype=complex)  # y[j] = V-frame recombination at node j
-    y[0] = eye
-    f_prev = np.zeros((D, D), dtype=complex)
-    for m in range(M):
-        i = m + 1
-        partial = np.zeros((D, D), dtype=complex)
-        diag = np.zeros((D, D), dtype=complex)
-        for c, s in tables:
-            row = c[i]
-            acc = 0.5 * row[0] * y[0]
-            if i > 1:
-                acc = acc + np.einsum("j,jab->ab", row[1:i], y[1:i])
-            partial += s @ (h * acc)
-            diag += row[i] * s
-        partial = vinv_sup[i] @ partial
-        diag_hat = vinv_sup[i] @ diag @ v_sup[i]
-        rhs = hat[m] + 0.5 * h * (f_prev + partial)
-        x = np.linalg.solve(eye - 0.25 * h * h * diag_hat, rhs)
-        hat[i] = x
-        y[i] = v_sup[i] @ x
-        f_prev = partial + 0.5 * h * (diag_hat @ x)
-
+    frame = (_sandwich_stack(vinv_half[::2]), _sandwich_stack(v_half[::2]))
+    tables = _coarse_tables(split.jump_part.terms, grid)
+    maps = _volterra(tables, grid, k.dim, frame)
     meta = {"engine": "drift-frame"}
-    return MapTrajectory(grid=grid, dim=d, family="weak-nonlocal-full", maps=y, meta=meta)
+    return MapTrajectory(grid=grid, dim=k.dim, family="weak-nonlocal-full", maps=maps, meta=meta)
 
 
 def weak_drift_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
@@ -715,31 +628,33 @@ def weak_drift_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """
     k.check_horizon(grid.T)
     oe = ordered_exponential(k, grid)
-    M = grid.steps
-    D = k.dim * k.dim
-    maps = np.einsum("jcd,jab->jcadb", oe.v.conj(), oe.v).reshape(M + 1, D, D)
     meta = {"inversion_defect": oe.inversion_defect()}
-    return MapTrajectory(grid=grid, dim=k.dim, family="weak-local-drift", maps=maps, meta=meta)
+    return MapTrajectory(
+        grid=grid, dim=k.dim, family="weak-local-drift", maps=_sandwich_stack(oe.v), meta=meta
+    )
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+# One entry per tag of FAMILY_TAGS, in its order: (kernel, grid, order) -> trajectory.
+_FAMILIES = {
+    "local-full": lambda k, grid, order: solve_local(k, grid),
+    "local-jump": lambda k, grid, order: solve_local_jump(k, grid),
+    "local-drift": lambda k, grid, order: solve_local_drift(k, grid),
+    "nonlocal-full": lambda k, grid, order: solve_nonlocal(k, grid, part="full"),
+    "nonlocal-jump": lambda k, grid, order: solve_nonlocal(k, grid, part="jump"),
+    "nonlocal-drift": lambda k, grid, order: solve_nonlocal(k, grid, part="drift"),
+    "series-local-jump": lambda k, grid, order: jump_series(k, grid, order, "local"),
+    "series-nonlocal-jump": lambda k, grid, order: jump_series(k, grid, order, "nonlocal"),
+    "series-local-full": lambda k, grid, order: _series(k, grid, order, "series-local-full"),
+    "weak-local-drift": lambda k, grid, order: weak_drift_localize(k, grid),
+    "weak-nonlocal-full": lambda k, grid, order: weak_coupling_localize(k, grid),
+}
 
 
 def solve_family(k: GKSLKernel, grid: TimeGrid, family: str, order: int = 8) -> MapTrajectory:
     """Dispatch a kernel to the solver for the named trajectory family."""
-    if family == "local-full":
-        return solve_local(k, grid)
-    if family == "local-jump":
-        return solve_local_jump(k, grid)
-    if family == "local-drift":
-        return solve_local_drift(k, grid)
-    if family in ("nonlocal-full", "nonlocal-jump", "nonlocal-drift"):
-        return solve_nonlocal(k, grid, part=family.split("-")[1])
-    if family == "series-local-jump":
-        return jump_series(k, grid, order=order, locality="local")
-    if family == "series-nonlocal-jump":
-        return jump_series(k, grid, order=order, locality="nonlocal")
-    if family == "series-local-full":
-        return full_local_series(k, grid, order=order)
-    if family == "weak-local-drift":
-        return weak_drift_localize(k, grid)
-    if family == "weak-nonlocal-full":
-        return weak_coupling_localize(k, grid)
-    raise ValueError(f"unknown trajectory family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown trajectory family {family!r}")
+    return _FAMILIES[family](k, grid, order)

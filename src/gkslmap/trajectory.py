@@ -48,10 +48,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.steps + 1)
 
-    def refined(self, factor: int) -> "TimeGrid":
-        return TimeGrid(self.T, self.steps * factor)
-
-
 @dataclass(frozen=True)
 class MapTrajectory:
     """A dynamical map Lambda(t_m) at every node of a time grid.

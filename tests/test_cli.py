@@ -12,7 +12,7 @@ from gkslmap.kernel import TwoTimeOperatorFunction, save_drift_spec, save_kernel
 from gkslmap.linalg import SIGMA_X
 from gkslmap.profiles import ConstantProfile
 from gkslmap.serialize import canonical_dumps
-from gkslmap.trajectory import MapTrajectory
+from gkslmap.trajectory import FAMILY_TAGS, MapTrajectory
 
 
 def write_kernel(path, kernel):
@@ -213,6 +213,15 @@ def test_config_paths_resolve_against_config_dir(tmp_path):
     assert (out / "trajectory.json").exists()
 
 
+def test_family_choices_are_tags_plus_aliases():
+    solve = cli._build_parser()._subparsers._group_actions[0].choices["solve"]
+    (family,) = [a for a in solve._actions if a.dest == "family"]
+    assert set(family.choices) == set(FAMILY_TAGS) | set(cli._FAMILY_ALIASES)
+    assert len(family.choices) == len(FAMILY_TAGS) + len(cli._FAMILY_ALIASES)
+    for alias in cli._FAMILY_ALIASES:
+        assert cli._resolve_family(alias) in FAMILY_TAGS
+
+
 def test_bad_family_flag_exits_via_argparse(tmp_path, kernel_file):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--kernel", kernel_file, "--family", "sideways"])
@@ -253,6 +262,28 @@ def test_solver_failure_exit_three(tmp_path, kernel_file, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "solver"
     assert "converge" in err["error"]["message"]
+
+
+def test_non_finite_solve_exits_three(tmp_path, capsys):
+    kernel = write_kernel(tmp_path / "strong.json", dephasing_kernel(g=1e4))
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main(["solve", "--kernel", kernel, "--steps", "40", "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "solver" and "non-finite" in err["message"]
+    assert not (out / "trajectory.json").exists()
+
+
+def test_gscan_with_all_solves_failing_exits_three(tmp_path, kernel_file, capsys):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main(["gscan", "--kernel", kernel_file, "--steps", "40",
+                     "--g-list", "10,100,1000,10000", "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "solver" and "too few successful scan points" in err["message"]
+    assert not (out / "gscan.json").exists()
 
 
 def test_reruns_are_byte_identical(tmp_path, kernel_file):

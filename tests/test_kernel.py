@@ -16,7 +16,6 @@ from gkslmap.kernel import (
 )
 from gkslmap.linalg import SIGMA_MINUS, SIGMA_Z, dagger, random_operator, vectorize
 from gkslmap.profiles import ConstantProfile, ExpProfile, GaussianProfile, TabulatedProfile
-from gkslmap.trajectory import TimeGrid
 
 
 def dephasing(kappa=1.0, g=1.0):
@@ -53,7 +52,8 @@ def test_split_recombines_to_full_kernel(rng):
     k = GKSLKernel.build(3, hermitian=herm, jump_ops=ops, coupling=0.8)
     parts = split_kernel(k)
     for t, tp in [(0.9, 0.2), (1.7, 1.7), (2.4, 0.0)]:
-        assert np.allclose(parts.recombined(t, tp), eval_kernel_superop(k, t, tp), atol=1e-12)
+        recombined = parts.jump_part(t, tp) - parts.drift_part(t, tp)
+        assert np.allclose(recombined, eval_kernel_superop(k, t, tp), atol=1e-12)
 
 
 def test_split_drift_includes_hermitian_part():
@@ -66,27 +66,6 @@ def test_split_drift_includes_hermitian_part():
 def test_eval_rejects_reversed_time_order():
     with pytest.raises(ValueError):
         eval_kernel_superop(dephasing(), 0.3, 0.9)
-
-
-def test_damping_rates_dephasing_oracle():
-    g = 0.6
-    k = dephasing(kappa=1.0, g=g)
-    grid = TimeGrid(2.0, 400)
-    rates = k.damping_rates(grid)
-    assert rates.shape == (1, 401)
-    # |e^{-(t-s)}|^2 integrated over s in [0, t]
-    expected = g * g * (1.0 - np.exp(-2.0 * grid.nodes())) / 2.0
-    assert np.allclose(rates[0], expected, atol=1e-5)
-
-
-def test_damping_rates_need_c_number_kernel(rng):
-    op = TwoTimeOperatorFunction.build(
-        2,
-        [(ConstantProfile(1.0), SIGMA_Z), (ExpProfile(-1.0), random_operator(rng, 2))],
-    )
-    k = GKSLKernel.build(2, jump_ops=[op])
-    with pytest.raises(ValueError):
-        k.damping_rates(TimeGrid(1.0, 10))
 
 
 def test_check_hermiticity_rejects_bad_profile():

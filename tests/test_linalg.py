@@ -12,11 +12,9 @@ from gkslmap.linalg import (
     dagger,
     frobenius,
     hermitian_eig,
-    identity_superop,
     random_density,
     random_hermitian,
     random_operator,
-    random_unit_vector,
     sandwich_superop,
     unvectorize,
     vectorize,
@@ -42,11 +40,6 @@ def test_sandwich_superop_action(rng):
     r = random_operator(rng, 3)
     got = unvectorize(sandwich_superop(a, b) @ vectorize(r), 3)
     assert np.allclose(got, a @ r @ b)
-
-
-def test_identity_superop_is_identity(rng):
-    r = random_operator(rng, 2)
-    assert np.allclose(unvectorize(identity_superop(2) @ vectorize(r), 2), r)
 
 
 def test_dagger_and_frobenius(rng):
@@ -79,11 +72,6 @@ def test_random_density_properties(rng):
 def test_random_operator_norm(rng):
     a = random_operator(rng, 3, norm=0.7)
     assert np.linalg.norm(a, ord=2) == pytest.approx(0.7)
-
-
-def test_random_unit_vector(rng):
-    v = random_unit_vector(rng, 5)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 def test_pauli_matrices():

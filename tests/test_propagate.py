@@ -24,14 +24,13 @@ from gkslmap.profiles import (
 )
 from gkslmap.propagate import (
     _REFINE,
+    _FAMILIES,
     _coarse_tables,
     _final_generator,
     _fine_nodes,
     _normal_form,
     _qtable,
-    _trap_weights,
     effective_generator,
-    full_local_series,
     jump_exponential_series,
     jump_series,
     ordered_exponential,
@@ -43,6 +42,7 @@ from gkslmap.propagate import (
     solve_local_full_via_transform,
     solve_nonlocal,
     solve_nonlocal_from_drift,
+    weak_coupling_localize,
     weak_drift_localize,
 )
 from gkslmap.trajectory import FAMILY_TAGS, TimeGrid
@@ -66,8 +66,13 @@ def zero_kernel(dim=2):
 @pytest.mark.parametrize("family", FAMILY_TAGS)
 def test_zero_kernel_yields_identity_for_every_family(family):
     traj = solve_family(zero_kernel(), TimeGrid(1.0, 20), family, order=4)
+    assert traj.family == family
     eye = np.eye(4)
     assert all(np.allclose(m, eye, atol=1e-14) for m in traj.maps)
+
+
+def test_family_table_is_keyed_by_family_tags():
+    assert tuple(_FAMILIES) == FAMILY_TAGS
 
 
 def test_solve_family_rejects_unknown_tag():
@@ -209,7 +214,7 @@ def test_series_telescope_to_marches():
     march = solve_nonlocal(k, grid, part="jump")
     gap = max(np.linalg.norm(x - y) for x, y in zip(series.maps, march.maps))
     assert gap < 1e-10
-    full_series = full_local_series(k, grid, order=14)
+    full_series = solve_family(k, grid, "series-local-full", order=14)
     full_march = solve_local(k, grid)
     gap = max(np.linalg.norm(x - y) for x, y in zip(full_series.maps, full_march.maps))
     assert gap < 1e-6
@@ -382,6 +387,98 @@ def test_solve_local_peak_memory_stays_linear():
 def test_final_generator_matches_trapezoid_matrix_row(corpus, steps):
     grid = TimeGrid(1.3, steps)
     tables = _coarse_tables(list(split_kernel(corpus[2]).jump_part.terms), grid)
-    w_last = _trap_weights(grid.steps, grid.h)[-1]
+    w_last = trap_weights(grid.steps, grid.h)[-1]
     expected = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables)
     assert np.array_equal(_final_generator(tables, grid), expected)
+
+
+# ---------------------------------------------------------------------------
+# the Volterra memory core against dense and per-table references
+
+
+def trap_weights(steps, h):
+    """Reference lower-triangular composite-trapezoid weight matrix over grid nodes."""
+    w = np.tril(np.full((steps + 1, steps + 1), h))
+    w[:, 0] = 0.5 * h
+    idx = np.arange(steps + 1)
+    w[idx, idx] = 0.5 * h
+    w[0, 0] = 0.0
+    return w
+
+
+def dense_nonlocal_series(k, grid, order):
+    """Reference nonlocal series: R_n = W (sum_k S_k (W * C_k) R_{n-1}) with dense (M+1)^2 weights."""
+    tables = _coarse_tables(split_kernel(k).jump_part.terms, grid)
+    M, h = grid.steps, grid.h
+    D = k.dim * k.dim
+    w = trap_weights(M, h)
+    r = np.broadcast_to(np.eye(D, dtype=complex), (M + 1, D, D)).copy()
+    total = r.copy()
+    for _ in range(order):
+        f = np.zeros((M + 1, D, D), dtype=complex)
+        for c, s in tables:
+            y = np.einsum("ij,jab->iab", w * c, r)
+            f += np.einsum("ab,ibc->iac", s, y)
+        r = np.einsum("mi,iab->mab", w, f)
+        total = total + r
+    tails = np.linalg.norm(r.reshape(M + 1, -1), axis=1)
+    return total, tails
+
+
+def per_table_weak(k, grid):
+    """Reference weak march: the drift-frame Volterra step with one sum per table."""
+    M, h = grid.steps, grid.h
+    D = k.dim * k.dim
+    oe = ordered_exponential(k, grid)
+    v_sup = np.einsum("jcd,jab->jcadb", oe.v.conj(), oe.v).reshape(M + 1, D, D)
+    vinv_sup = np.einsum("jcd,jab->jcadb", oe.vinv.conj(), oe.vinv).reshape(M + 1, D, D)
+    tables = _coarse_tables(split_kernel(k).jump_part.terms, grid)
+    eye = np.eye(D, dtype=complex)
+    hat = np.empty((M + 1, D, D), dtype=complex)
+    hat[0] = eye
+    y = np.empty((M + 1, D, D), dtype=complex)
+    y[0] = eye
+    f_prev = np.zeros((D, D), dtype=complex)
+    for m in range(M):
+        i = m + 1
+        partial = np.zeros((D, D), dtype=complex)
+        diag = np.zeros((D, D), dtype=complex)
+        for c, s in tables:
+            row = c[i]
+            acc = 0.5 * row[0] * y[0]
+            if i > 1:
+                acc = acc + np.einsum("j,jab->ab", row[1:i], y[1:i])
+            partial += s @ (h * acc)
+            diag += row[i] * s
+        partial = vinv_sup[i] @ partial
+        diag_hat = vinv_sup[i] @ diag @ v_sup[i]
+        x = np.linalg.solve(eye - 0.25 * h * h * diag_hat, hat[m] + 0.5 * h * (f_prev + partial))
+        hat[i] = x
+        y[i] = v_sup[i] @ x
+        f_prev = partial + 0.5 * h * (diag_hat @ x)
+    return y
+
+
+def rel_gap(a, ref):
+    return np.max(np.abs(np.asarray(a) - ref)) / np.max(np.abs(ref))
+
+
+CORE_STEPS = (1, 2, 7, 200)
+
+
+@pytest.mark.parametrize("steps", CORE_STEPS)
+def test_nonlocal_series_matches_dense_reference(corpus, steps):
+    grid = TimeGrid(2.0, steps)
+    for k in corpus:
+        traj = jump_series(k, grid, order=6, locality="nonlocal")
+        total, tails = dense_nonlocal_series(k, grid, order=6)
+        assert rel_gap(traj.maps, total) <= 1e-12
+        assert rel_gap(traj.meta["tail_norm"], tails) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", CORE_STEPS)
+def test_framed_weak_core_matches_per_table_reference(corpus, steps):
+    grid = TimeGrid(2.0, steps)
+    for k in corpus:
+        ref = per_table_weak(k, grid)
+        assert rel_gap(weak_coupling_localize(k, grid).maps, ref) <= 1e-12

@@ -1,6 +1,7 @@
 """Canonical JSON, config hashing, atomic writes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -64,3 +65,16 @@ def test_atomic_write_creates_parents_and_replaces(tmp_path):
     assert target.read_text() == "second"
     leftovers = [p for p in (tmp_path / "nested").iterdir() if p.name != "out.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_atomic_write_follows_umask(tmp_path, umask, mode):
+    target = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(target), "{}\n")
+    finally:
+        os.umask(old)
+    assert target.read_text() == "{}\n"
+    assert target.stat().st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

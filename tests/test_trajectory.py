@@ -14,8 +14,6 @@ def test_time_grid_nodes_and_step():
     nodes = grid.nodes()
     assert nodes.shape == (9,)
     assert nodes[0] == 0.0 and nodes[-1] == 2.0
-    fine = grid.refined(4)
-    assert fine.steps == 32 and fine.T == 2.0
 
 
 def test_time_grid_validation():
