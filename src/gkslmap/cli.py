@@ -23,14 +23,12 @@ from .cpanalysis import certify_trajectory, find_drift_cp_witness
 from .experiments import convolution_case, g_scan
 from .kernel import (
     GKSLKernel,
-    TwoTimeOperatorFunction,
     load_drift_spec,
     load_kernel_spec,
     split_kernel,
 )
-from .profiles import ProfileFormatError
 from .propagate import solve_family
-from .serialize import FormatError, atomic_write_text, canonical_dumps, config_hash
+from .serialize import atomic_write_text, canonical_dumps, config_hash
 from .trajectory import FAMILY_TAGS, MapTrajectory, TimeGrid, trajectory_csv
 
 __all__ = ["main"]
@@ -134,14 +132,20 @@ def _resolve_family(name) -> str:
     return fam
 
 
-def _load_kernel(conf: dict) -> GKSLKernel:
+def _load_kernel(conf: dict, grid: TimeGrid) -> GKSLKernel:
+    """The kernel file of ``conf``, checked to cover the grid's horizon."""
     if not conf.get("kernel"):
         raise ConfigError("a kernel file is required (--kernel)")
     doc = _read_json(conf["kernel"])
     try:
-        return load_kernel_spec(doc)
-    except (FormatError, ProfileFormatError, ValueError) as exc:
+        k = load_kernel_spec(doc)
+    except ValueError as exc:
         raise ConfigError(f"{conf['kernel']}: {exc}") from exc
+    try:
+        k.check_horizon(grid.T)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return k
 
 
 def _load_kernel_or_drift(conf: dict):
@@ -153,11 +157,11 @@ def _load_kernel_or_drift(conf: dict):
     if isinstance(doc, dict) and "drift" in doc:
         try:
             return load_drift_spec(doc)
-        except (FormatError, ProfileFormatError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{conf['kernel']}: {exc}") from exc
     try:
         k = load_kernel_spec(doc)
-    except (FormatError, ProfileFormatError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{conf['kernel']}: {exc}") from exc
     return split_kernel(k).drift_op
 
@@ -204,11 +208,7 @@ def _cmd_solve(args) -> int:
     grid = _grid_of(conf)
     family = _resolve_family(conf["family"])
     conf["family"] = family
-    k = _load_kernel(conf)
-    try:
-        k.check_horizon(grid.T)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    k = _load_kernel(conf, grid)
     traj = _run_solver(solve_family, k, grid, family, order=int(conf["order"]))
     finite = np.isfinite(traj.maps).all(axis=(1, 2))
     if not finite.all():
@@ -233,7 +233,7 @@ def _cmd_certify(args) -> int:
     doc = _read_json(conf["trajectory"])
     try:
         traj = MapTrajectory.from_doc(doc)
-    except (FormatError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{conf['trajectory']}: {exc}") from exc
     report = _run_solver(
         certify_trajectory,
@@ -270,7 +270,7 @@ def _cmd_certify(args) -> int:
 def _cmd_gscan(args) -> int:
     conf = _merge_config(args, ["kernel", "T", "steps", "g_list", "pair", "order", "seed", "out"])
     grid = _grid_of(conf)
-    k = _load_kernel(conf)
+    k = _load_kernel(conf, grid)
     raw = conf.get("g_list")
     if isinstance(raw, str):
         try:
@@ -285,10 +285,6 @@ def _cmd_gscan(args) -> int:
     if len(pair) != 2:
         raise ConfigError(f"pair must name two families, got {pair!r}")
     pair = [_resolve_family(p) for p in pair]
-    try:
-        k.check_horizon(grid.T)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     result = _run_solver(g_scan, k, grid, gs, pair=tuple(pair), order=int(conf["order"]))
     prov = _provenance(conf)
     doc = result.to_doc()
@@ -330,13 +326,9 @@ def _cmd_counterexample(args) -> int:
 def _cmd_convolution(args) -> int:
     conf = _merge_config(args, ["kernel", "T", "steps", "eps_cp", "seed", "out"])
     grid = _grid_of(conf)
-    k = _load_kernel(conf)
-    try:
-        k.check_horizon(grid.T)
-        if not k.is_convolution:
-            raise ValueError("kernel profiles are not all convolution-type")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    k = _load_kernel(conf, grid)
+    if not k.is_convolution:
+        raise ConfigError("kernel profiles are not all convolution-type")
     result = _run_solver(convolution_case, k, grid, eps_cp=float(conf["eps_cp"]))
     prov = _provenance(conf)
     doc = result.to_doc()
@@ -374,7 +366,7 @@ def _cmd_validate(args) -> int:
                 "jump_operators": len(k.jump_ops),
                 "convolution": bool(k.is_convolution),
             }
-    except (FormatError, ProfileFormatError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{conf['kernel']}: {exc}") from exc
     sys.stdout.write(canonical_dumps(summary) + "\n")
     return 0

@@ -347,24 +347,27 @@ def drift_strict_condition_check(
     gram = basis.conj().T @ basis
     if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10):
         raise ValueError("basis columns are not orthonormal")
+    n = basis.shape[1]
+    in_basis = TwoTimeOperatorFunction.build(
+        n, [(p, basis.conj().T @ a @ basis) for p, a in drift.terms]
+    )
+    # the drift on the grid triangle t_j <= t_i, pairs ordered row by row
     ts = grid.nodes()
+    i, j = np.tril_indices(grid.steps + 1)
+    m = in_basis(ts[i], ts[j])
+    max_off = float(np.max(np.abs(np.where(np.eye(n, dtype=bool), 0.0, m))))
+    # trapezoid in t' along each row (the pairs of row i start at i(i+1)/2),
+    # then in t across the rows; row 0 spans no interval in t'
     h = grid.h
-    max_off = 0.0
-    diag_rows = np.zeros((grid.steps + 1, basis.shape[1]), dtype=complex)
-    for i in range(grid.steps + 1):
-        for j in range(i + 1):
-            m = basis.conj().T @ drift(ts[i], ts[j]) @ basis
-            off = m - np.diag(np.diag(m))
-            max_off = max(max_off, float(np.max(np.abs(off))))
-            wgt = 0.5 * h if j in (0, i) else h
-            diag_rows[i] += wgt * np.diag(m)
+    inner = np.where((j == 0) | (j == i), 0.5 * h, h)
+    rows = np.arange(grid.steps + 1)
+    diag_rows = np.add.reduceat(
+        inner[:, None] * np.diagonal(m, axis1=1, axis2=2), rows * (rows + 1) // 2, axis=0
+    )
     diag_rows[0] = 0.0
-    integrals = []
-    for n in range(basis.shape[1]):
-        col = diag_rows[:, n]
-        wts = np.full(grid.steps + 1, h)
-        wts[0] = wts[-1] = 0.5 * h
-        integrals.append(complex(np.sum(wts * col)))
+    wts = np.full(grid.steps + 1, h)
+    wts[0] = wts[-1] = 0.5 * h
+    integrals = [complex(z) for z in wts @ diag_rows]
     re = np.array([z.real for z in integrals])
     scale = max(1.0, float(np.max(np.abs(integrals))) if integrals else 1.0)
     nonpos = bool(np.all(re <= tol * scale))
@@ -402,17 +405,15 @@ class DriftCPWitness:
 def _max_offdiagonal_entry(drift: TwoTimeOperatorFunction, grid: TimeGrid):
     """Largest off-diagonal drift entry |A_ln|, sampled on a coarse triangle; None if diagonal."""
     ts = np.linspace(0.0, grid.T, 9)
-    best = (0.0, None, 0.0 + 0.0j)
-    for i, t in enumerate(ts):
-        for tp in ts[: i + 1]:
-            m = drift(t, tp)
-            for a in range(drift.dim):
-                for b in range(drift.dim):
-                    if a != b and abs(m[a, b]) > best[0]:
-                        best = (abs(m[a, b]), (a, b), m[a, b])
-    if best[0] <= 1e-12:
+    i, j = np.tril_indices(len(ts))
+    m = drift(ts[i], ts[j])
+    # hypot rounds as abs() of one complex number does; np.abs on arrays differs
+    mag = np.where(np.eye(drift.dim, dtype=bool), 0.0, np.hypot(m.real, m.imag))
+    # argmax takes the first maximum in (t, t', row, column) order
+    k, a, b = np.unravel_index(np.argmax(mag), mag.shape)
+    if mag[k, a, b] <= 1e-12:
         return None
-    return best
+    return mag[k, a, b], (int(a), int(b)), m[k, a, b]
 
 
 def find_drift_cp_witness(

@@ -9,6 +9,9 @@ where H(t,t') is Hermitian for every admissible (t, t') and each L_i(t,t') is
 an arbitrary operator-valued function.  Both are finite sums of
 profile(t,t') * constant-matrix terms, which keeps every derived object
 (superoperator kernels, drift operators, quadrature tables) in separable form.
+One type, :class:`TwoTimeOperatorFunction`, holds every such sum, d x d
+operators and d^2 x d^2 superoperators alike, and evaluates it on whole
+arrays of (t, t') at once.
 
 The kernel splits as K = J - D with the jump (sandwich) part
 J rho = g^2 sum_i L_i rho L_i^dag and the drift part D rho = A rho + rho A^dag,
@@ -17,7 +20,7 @@ where the drift operator is A = g^2 ( i H + 1/2 sum_i L_i^dag L_i ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .serialize import FormatError, matrix_from_doc, matrix_to_doc
 
 __all__ = [
     "TwoTimeOperatorFunction",
-    "TwoTimeSuperopFunction",
     "GKSLKernel",
     "KernelSplit",
     "split_kernel",
@@ -58,10 +60,15 @@ class KernelFormatError(FormatError):
 
 @dataclass(frozen=True)
 class TwoTimeOperatorFunction:
-    """Finite sum of profile(t, t') * constant d x d matrices."""
+    """Finite sum of profile(t, t') * constant dim x dim matrices.
+
+    The one separable two-time type: it holds d x d operators (Hamiltonian,
+    jump and drift operators) and d^2 x d^2 superoperators (the jump and drift
+    parts of a kernel) alike; ``dim`` is the matrix side.
+    """
 
     dim: int
-    terms: tuple  # tuple of (Profile, ndarray)
+    terms: tuple  # tuple of (Profile, ndarray of shape (dim, dim))
 
     def __post_init__(self):
         for i, (p, a) in enumerate(self.terms):
@@ -78,50 +85,23 @@ class TwoTimeOperatorFunction:
         frozen = tuple((p, np.asarray(a, dtype=complex)) for p, a in terms)
         return TwoTimeOperatorFunction(dim=dim, terms=frozen)
 
-    @staticmethod
-    def zero(dim: int) -> "TwoTimeOperatorFunction":
-        return TwoTimeOperatorFunction(dim=dim, terms=())
+    def __call__(self, t, tp) -> np.ndarray:
+        """The sum at (t, t'), broadcast over arrays: shape (..., dim, dim).
 
-    def __call__(self, t: float, tp: float) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        Profiles are evaluated on arrays of at least one dimension: numpy's
+        scalar arithmetic rounds differently from its array loops, and this
+        way a point gives the same bits alone as inside an array.
+        """
+        shape = np.broadcast_shapes(np.shape(t), np.shape(tp))
+        t, tp = np.broadcast_arrays(*np.atleast_1d(t, tp))
+        out = np.zeros(t.shape + (self.dim, self.dim), dtype=complex)
         for p, a in self.terms:
-            out += complex(p(t, tp)) * a
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.terms) == 0
+            out += np.asarray(p(t, tp), dtype=complex)[..., None, None] * a
+        return out.reshape(shape + (self.dim, self.dim))
 
     @property
     def is_convolution(self) -> bool:
         return all(p.is_convolution for p, _ in self.terms)
-
-    def scaled(self, factor: complex) -> "TwoTimeOperatorFunction":
-        return TwoTimeOperatorFunction.build(
-            self.dim, [(p, factor * a) for p, a in self.terms]
-        )
-
-
-@dataclass(frozen=True)
-class TwoTimeSuperopFunction:
-    """Finite sum of profile(t, t') * constant D x D superoperator matrices."""
-
-    dim: int
-    terms: tuple  # tuple of (Profile, ndarray of shape (d*d, d*d))
-
-    @staticmethod
-    def build(dim: int, terms) -> "TwoTimeSuperopFunction":
-        frozen = tuple((p, np.asarray(s, dtype=complex)) for p, s in terms)
-        for i, (_, s) in enumerate(frozen):
-            if s.shape != (dim * dim, dim * dim):
-                raise ValueError(f"term {i}: superoperator shape {s.shape} for dim {dim}")
-        return TwoTimeSuperopFunction(dim=dim, terms=frozen)
-
-    def __call__(self, t: float, tp: float) -> np.ndarray:
-        out = np.zeros((self.dim * self.dim, self.dim * self.dim), dtype=complex)
-        for p, s in self.terms:
-            out += complex(p(t, tp)) * s
-        return out
 
 
 @dataclass(frozen=True)
@@ -146,7 +126,7 @@ class GKSLKernel:
 
     @staticmethod
     def build(dim, hermitian=None, jump_ops=(), coupling=1.0) -> "GKSLKernel":
-        herm = hermitian if hermitian is not None else TwoTimeOperatorFunction.zero(dim)
+        herm = hermitian if hermitian is not None else TwoTimeOperatorFunction(dim, ())
         return GKSLKernel(
             dim=dim, hermitian=herm, jump_ops=tuple(jump_ops), coupling=float(coupling)
         )
@@ -182,14 +162,16 @@ class GKSLKernel:
         if points is None:
             ts = [0.0, 0.25, 0.5, 1.0, 1.7]
             points = [(t, tp) for t in ts for tp in ts if tp <= t]
-        for t, tp in points:
-            h = self.hermitian(t, tp)
-            asym = np.linalg.norm(h - h.conj().T)
-            if asym > tol * max(1.0, np.linalg.norm(h)):
-                raise ValueError(
-                    f"hermitian part is not Hermitian at (t, t') = ({t}, {tp}); "
-                    f"asymmetry {asym:.3e}"
-                )
+        t, tp = np.asarray(points, dtype=float).T
+        h = self.hermitian(t, tp)
+        asym = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+        bad = asym > tol * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"hermitian part is not Hermitian at (t, t') = {points[i]}; "
+                f"asymmetry {asym[i]:.3e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -199,13 +181,14 @@ class KernelSplit:
     ``jump_part`` is the sandwich map rho -> g^2 sum L rho L^dag;
     ``drift_op`` is W = g^2 (i H + 1/2 sum L^dag L) as an operator function;
     ``drift_part`` is the derived map rho -> A rho + rho A^dag.
-    The full kernel action is jump_part - drift_part.
+    The full kernel action is jump_part - drift_part.  ``dim`` is d, so the
+    two parts have matrix side d^2.
     """
 
     dim: int
-    jump_part: TwoTimeSuperopFunction
+    jump_part: TwoTimeOperatorFunction
     drift_op: TwoTimeOperatorFunction
-    drift_part: TwoTimeSuperopFunction = field(repr=False, default=None)
+    drift_part: TwoTimeOperatorFunction
 
 
 def drift_superop_terms(w: TwoTimeOperatorFunction):
@@ -236,9 +219,9 @@ def split_kernel(k: GKSLKernel) -> KernelSplit:
     w = TwoTimeOperatorFunction.build(k.dim, w_terms)
     return KernelSplit(
         dim=k.dim,
-        jump_part=TwoTimeSuperopFunction.build(k.dim, jump_terms),
+        jump_part=TwoTimeOperatorFunction.build(k.dim * k.dim, jump_terms),
         drift_op=w,
-        drift_part=TwoTimeSuperopFunction.build(k.dim, drift_superop_terms(w)),
+        drift_part=TwoTimeOperatorFunction.build(k.dim * k.dim, drift_superop_terms(w)),
     )
 
 

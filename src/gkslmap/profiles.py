@@ -278,10 +278,12 @@ def profile_product(a: Profile, b: Profile) -> Profile:
 # document (de)serialization
 
 
-def _factor_from_doc(doc, field: str) -> SingleVarFactor:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ProfileFormatError(f"{field}: expected an object with a 'kind'")
-    kind = doc["kind"]
+def _shared_kind_from_doc(doc: dict, kind, field: str) -> SingleVarFactor | None:
+    """Parse the kinds that profiles and separable factors share, as a factor.
+
+    ``constant``, ``exponential-decay``, ``oscillatory`` and ``gaussian`` give
+    a :class:`SingleVarFactor`; any other kind gives None.
+    """
     if kind == "constant":
         return SingleVarFactor("constant", value=_cplx(doc.get("value", 1.0), f"{field}.value"))
     if kind == "exponential-decay":
@@ -302,7 +304,16 @@ def _factor_from_doc(doc, field: str) -> SingleVarFactor:
         if not isinstance(tau, (int, float)) or tau <= 0:
             raise ProfileFormatError(f"{field}.tau: expected a positive number")
         return SingleVarFactor("gaussian", tau=float(tau))
-    raise ProfileFormatError(f"{field}.kind: unknown factor kind {kind!r}")
+    return None
+
+
+def _factor_from_doc(doc, field: str) -> SingleVarFactor:
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ProfileFormatError(f"{field}: expected an object with a 'kind'")
+    fac = _shared_kind_from_doc(doc, doc["kind"], field)
+    if fac is None:
+        raise ProfileFormatError(f"{field}.kind: unknown factor kind {doc['kind']!r}")
+    return fac
 
 
 def _factor_to_doc(fac: SingleVarFactor, field: str):
@@ -326,26 +337,13 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
     kind = doc.get("kind")
     if kind is None:
         raise ProfileFormatError(f"{field}.kind: missing")
-    if kind == "constant":
-        return ConstantProfile(_cplx(doc.get("value", 1.0), f"{field}.value"))
-    if kind == "exponential-decay":
-        kappa = doc.get("kappa")
-        if not isinstance(kappa, (int, float)):
-            raise ProfileFormatError(f"{field}.kappa: expected a number")
-        omega = doc.get("omega", 0.0)
-        if not isinstance(omega, (int, float)):
-            raise ProfileFormatError(f"{field}.omega: expected a number")
-        return ExpProfile(complex(-kappa, omega))
-    if kind == "oscillatory":
-        omega = doc.get("omega")
-        if not isinstance(omega, (int, float)):
-            raise ProfileFormatError(f"{field}.omega: expected a number")
-        return ExpProfile(1j * omega)
-    if kind == "gaussian":
-        tau = doc.get("tau")
-        if not isinstance(tau, (int, float)) or tau <= 0:
-            raise ProfileFormatError(f"{field}.tau: expected a positive number")
-        return GaussianProfile(float(tau))
+    fac = _shared_kind_from_doc(doc, kind, field)
+    if fac is not None:
+        if fac.kind == "constant":
+            return ConstantProfile(fac.value)
+        if fac.kind == "exp":
+            return ExpProfile(fac.rate)
+        return GaussianProfile(fac.tau)
     if kind == "product-separable":
         if "f" not in doc or "g" not in doc:
             raise ProfileFormatError(f"{field}: product-separable needs 'f' and 'g'")

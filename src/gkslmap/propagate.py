@@ -29,12 +29,14 @@ Every ODE family goes through one classical 4th-order Runge-Kutta driver,
 the triangular stack of series terms (local series) or the pair (V, Vinv)
 (drift frame).  Every nonlocal family goes through one memory core,
 :func:`_memory_rows`: row i of the nested-trapezoid memory sum, stacked over
-the kernel's terms.  The implicit trapezoidal Volterra march
-(:func:`_volterra`) solves its per-step fixed point exactly (one D x D linear
-solve), in the lab frame or, for the weak family, in the drift frame; the
-nonlocal series applies the same rows to a known history and integrates them
-by a cumulative trapezoid, so the march is the literal sum of the discrete
-iterated-integral series.
+the kernel's terms.  Its coarse (M + 1)^2 profile tables are built once, as
+one stack over the terms (:func:`_coarse_tables`), and the march, the final
+generator and the series all read that stack.  The implicit trapezoidal
+Volterra march (:func:`_volterra`) solves its per-step fixed point exactly
+(one D x D linear solve), in the lab frame or, for the weak family, in the
+drift frame; the nonlocal series applies the same rows to a known history
+and integrates them by a cumulative trapezoid, so the march is the literal
+sum of the discrete iterated-integral series.
 """
 
 from __future__ import annotations
@@ -383,43 +385,50 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
 # nonlocal (Volterra) families
 
 
-def _coarse_tables(terms, grid: TimeGrid):
-    """Profile value tables C_k[i,j] = c_k(t_i, t_j) on grid nodes, per term."""
+def _coarse_tables(terms, grid: TimeGrid, D: int):
+    """Stacked tables of (profile, D x D matrix) terms on grid nodes.
+
+    Returns (c, s): c[k, i, j] = c_k(t_i, t_j) and s[k] = S_k.  Each profile is
+    written straight into its slice of the stack, so the (M+1)^2 tables exist
+    once.
+    """
     ts = grid.nodes()
-    tables = []
-    for p, s in terms:
-        c = np.asarray(p(ts[:, None], ts[None, :]), dtype=complex)
-        tables.append((c, s))
-    return tables
+    c = np.empty((len(terms), grid.steps + 1, grid.steps + 1), dtype=complex)
+    s = np.empty((len(terms), D, D), dtype=complex)
+    for k, (p, sk) in enumerate(terms):
+        c[k] = p(ts[:, None], ts[None, :])
+        s[k] = sk
+    return c, s
 
 
 def _final_generator(tables, grid: TimeGrid) -> np.ndarray:
     """Node-trapezoid generator at t_M: sum_k (weights [h/2, h, ..., h, h/2] . c_k[M]) S_k."""
     w_last = np.full(grid.steps + 1, grid.h)
     w_last[0] = w_last[-1] = 0.5 * grid.h
-    return np.asarray(sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables))
+    c, s = tables
+    return np.asarray(sum(np.einsum("j,j->", w_last, ck[-1]) * sk for ck, sk in zip(c, s)))
 
 
 def _memory_rows(tables, h: float, D: int):
     """The Volterra memory core: one row of the nested-trapezoid memory sum.
 
-    Returns ``row(i, flat) -> (partial, diag)`` for a history X_0..X_{i-1}
-    given as ``flat = X.reshape(-1, D * D)``:
+    ``tables`` is the stack (c, s) of :func:`_coarse_tables`.  Returns
+    ``row(i, flat) -> (partial, diag)`` for a history X_0..X_{i-1} given as
+    ``flat = X.reshape(-1, D * D)``:
 
         partial = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
         diag    = sum_k c_k(t_i, t_i) S_k
 
     so the trapezoid memory integral at t_i is partial + (h/2) diag X_i.
     """
-    if not tables:
+    c_stack, s_stack = tables
+    n_t = len(s_stack)
+    if not n_t:
         zero = np.zeros((D, D), dtype=complex)
         return lambda i, flat: (zero, zero)
-    # Stacking the tables makes each row two BLAS products instead of a
+    # The stacked tables make each row two BLAS products instead of a
     # per-table Python loop.
-    n_t = len(tables)
-    c_stack = np.stack([c for c, _ in tables])  # (n_t, M+1, M+1)
-    s_row = np.concatenate([s for _, s in tables], axis=1)  # (D, n_t*D)
-    s_stack = np.stack([s for _, s in tables])
+    s_row = s_stack.transpose(1, 0, 2).reshape(D, n_t * D)  # [S_0 S_1 ...]
 
     def row(i, flat):
         rows = c_stack[:, i, :i].copy()
@@ -466,7 +475,7 @@ def _volterra(tables, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
 
 
 def _solve_nonlocal_terms(terms, grid: TimeGrid, dim: int, family: str) -> MapTrajectory:
-    tables = _coarse_tables(terms, grid)
+    tables = _coarse_tables(terms, grid, dim * dim)
     maps = _volterra(tables, grid, dim)
     meta = _march_meta(_final_generator(tables, grid), grid)
     return MapTrajectory(grid=grid, dim=dim, family=family, maps=maps, meta=meta)
@@ -549,7 +558,7 @@ def _series(k: GKSLKernel, grid: TimeGrid, order: int, family: str) -> MapTrajec
         sums, tails = _local_series(g_half, grid.h, order)
         meta = _march_meta(g_half[-1], grid)
     else:
-        tables = _coarse_tables(_part_terms(split, part), grid)
+        tables = _coarse_tables(_part_terms(split, part), grid, k.dim * k.dim)
         sums, tails = _nonlocal_series(tables, grid, k.dim, order)
         meta = {}
     meta.update(
@@ -613,7 +622,7 @@ def weak_coupling_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     split = split_kernel(k)
     v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid)
     frame = (_sandwich_stack(vinv_half[::2]), _sandwich_stack(v_half[::2]))
-    tables = _coarse_tables(split.jump_part.terms, grid)
+    tables = _coarse_tables(split.jump_part.terms, grid, k.dim * k.dim)
     maps = _volterra(tables, grid, k.dim, frame)
     meta = {"engine": "drift-frame"}
     return MapTrajectory(grid=grid, dim=k.dim, family="weak-nonlocal-full", maps=maps, meta=meta)

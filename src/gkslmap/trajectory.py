@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import FormatError, canonical_dumps
+from .serialize import FormatError
 
 __all__ = ["TimeGrid", "MapTrajectory", "OrderedExponential", "FAMILY_TAGS"]
 
@@ -123,9 +123,6 @@ class MapTrajectory:
             maps=maps,
             meta=dict(doc.get("meta", {})),
         )
-
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_doc())
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Choi conversion, CP checks, Kraus machinery, divisibility, drift witnesses."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gkslmap.cpanalysis import (
     CPReport,
+    _max_offdiagonal_entry,
     KrausSet,
     apply_extended,
     certify_trajectory,
@@ -19,7 +23,8 @@ from gkslmap.cpanalysis import (
     measure_sample,
     trace_deviation,
 )
-from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction
+from gkslmap.experiments import random_drift
+from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, load_drift_spec
 from gkslmap.linalg import (
     SIGMA_PLUS,
     SIGMA_X,
@@ -209,6 +214,73 @@ def test_strict_condition_respects_chosen_basis():
     assert report.is_diagonal  # sigma_x is diagonal in the Hadamard basis
     with pytest.raises(ValueError):
         drift_strict_condition_check(const_drift(SIGMA_X), grid, basis=np.ones((2, 2)))
+
+
+def strict_condition_reference(drift, grid, basis):
+    """The point-by-point loop: (max off-diagonal, diagonal integrals) over the grid triangle."""
+    ts = grid.nodes()
+    h = grid.h
+    max_off = 0.0
+    diag_rows = np.zeros((grid.steps + 1, basis.shape[1]), dtype=complex)
+    for i in range(grid.steps + 1):
+        for j in range(i + 1):
+            m = basis.conj().T @ drift(ts[i], ts[j]) @ basis
+            off = m - np.diag(np.diag(m))
+            max_off = max(max_off, float(np.max(np.abs(off))))
+            wgt = 0.5 * h if j in (0, i) else h
+            diag_rows[i] += wgt * np.diag(m)
+    diag_rows[0] = 0.0
+    wts = np.full(grid.steps + 1, h)
+    wts[0] = wts[-1] = 0.5 * h
+    return max_off, [complex(np.sum(wts * diag_rows[:, n])) for n in range(basis.shape[1])]
+
+
+def max_offdiagonal_reference(drift, grid):
+    """The point-by-point search of the largest off-diagonal entry on the coarse triangle."""
+    ts = np.linspace(0.0, grid.T, 9)
+    best = (0.0, None, 0.0 + 0.0j)
+    for i, t in enumerate(ts):
+        for tp in ts[: i + 1]:
+            m = drift(t, tp)
+            for a in range(drift.dim):
+                for b in range(drift.dim):
+                    if a != b and abs(m[a, b]) > best[0]:
+                        best = (abs(m[a, b]), (a, b), m[a, b])
+    if best[0] <= 1e-12:
+        return None
+    return best
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DRIFTS = [("random_drift", seed) for seed in range(1, 6)] + [
+    ("config", name) for name in ("sigma_x_drift", "sigma_plus_drift", "diagonal_drift")
+]
+
+
+def reference_drift(source, key):
+    if source == "random_drift":
+        return random_drift(key)
+    return load_drift_spec(json.loads((CONFIGS / f"{key}.json").read_text()))
+
+
+@pytest.mark.parametrize("source, key", DRIFTS)
+def test_strict_condition_matches_pointwise_reference(source, key, rng):
+    drift = reference_drift(source, key)
+    grid = TimeGrid(1.5, 40)
+    q, _ = np.linalg.qr(random_operator(rng, drift.dim))
+    for basis in (np.eye(drift.dim, dtype=complex), q, q[:, :1]):
+        report = drift_strict_condition_check(drift, grid, basis=basis)
+        max_off, integrals = strict_condition_reference(drift, grid, basis)
+        assert abs(report.max_offdiagonal - max_off) <= 1e-12 * max(1.0, max_off)
+        scale = max(1.0, max(abs(z) for z in integrals))
+        assert np.max(np.abs(np.array(report.diagonal_integrals) - integrals)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("source, key", DRIFTS)
+def test_max_offdiagonal_entry_matches_pointwise_reference(source, key):
+    drift = reference_drift(source, key)
+    grid = TimeGrid(2.0, 10)
+    assert _max_offdiagonal_entry(drift, grid) == max_offdiagonal_reference(drift, grid)
 
 
 def test_witness_found_for_offdiagonal_drift():

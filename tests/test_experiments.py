@@ -132,7 +132,7 @@ def test_redfield_kernel_eigenoperator_profiles():
     # Bohr frequencies +-1 fuse with the kappa = 1 correlation decay
     assert rates == [pytest.approx(-1.0 - 1.0j), pytest.approx(-1.0 + 1.0j)]
     # the hermitian part stays empty: only the dissipator is modeled
-    assert k.hermitian.is_zero
+    assert not k.hermitian.terms
 
 
 def test_redfield_kernel_zero_frequency_keeps_bare_correlation():

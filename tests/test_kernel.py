@@ -15,7 +15,14 @@ from gkslmap.kernel import (
     split_kernel,
 )
 from gkslmap.linalg import SIGMA_MINUS, SIGMA_Z, dagger, random_operator, vectorize
-from gkslmap.profiles import ConstantProfile, ExpProfile, GaussianProfile, TabulatedProfile
+from gkslmap.profiles import (
+    ConstantProfile,
+    ExpProfile,
+    GaussianProfile,
+    SeparableProfile,
+    SingleVarFactor,
+    TabulatedProfile,
+)
 
 
 def dephasing(kappa=1.0, g=1.0):
@@ -54,6 +61,49 @@ def test_split_recombines_to_full_kernel(rng):
     for t, tp in [(0.9, 0.2), (1.7, 1.7), (2.4, 0.0)]:
         recombined = parts.jump_part(t, tp) - parts.drift_part(t, tp)
         assert np.allclose(recombined, eval_kernel_superop(k, t, tp), atol=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+def pointwise(fn, t, tp):
+    """Reference evaluation at one (t, t'): sum_k complex(c_k(t, t')) A_k."""
+    out = np.zeros((fn.dim, fn.dim), dtype=complex)
+    for p, a in fn.terms:
+        out += complex(p(t, tp)) * a
+    return out
+
+
+def test_array_call_equals_pointwise_evaluation(rng):
+    sep = SeparableProfile(
+        SingleVarFactor("exp", rate=-0.4 + 0.2j), SingleVarFactor("gaussian", tau=1.3)
+    )
+    tab = TabulatedProfile.from_array(3.0, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    op = TwoTimeOperatorFunction.build(
+        3,
+        [
+            (ExpProfile(-0.7 + 0.3j), random_operator(rng, 3)),
+            (GaussianProfile(1.1), random_operator(rng, 3)),
+            (sep, random_operator(rng, 3)),
+            (tab, random_operator(rng, 3)),
+            (ConstantProfile(0.4 - 0.2j), random_operator(rng, 3)),
+        ],
+    )
+    superop = split_kernel(GKSLKernel.build(3, jump_ops=[op])).jump_part
+    assert superop.dim == 9
+    ts = np.linspace(0.0, 2.5, 6)
+    for fn in (op, superop):
+        for t, tp in [(ts[:, None], ts[None, :]), (1.7, ts), (ts, 0.3), (ts, ts[::-1])]:
+            got = fn(t, tp)
+            tb, tpb = np.broadcast_arrays(t, tp)
+            assert got.shape == tb.shape + (fn.dim, fn.dim)
+            for idx in np.ndindex(tb.shape):
+                # the same bits as a call at the point; the per-term sum to rounding
+                assert np.array_equal(got[idx], fn(float(tb[idx]), float(tpb[idx])))
+                ref = pointwise(fn, tb[idx], tpb[idx])
+                assert np.max(np.abs(got[idx] - ref)) <= 8 * EPS * np.max(np.abs(ref))
+        assert fn(1.7, 0.3).shape == (fn.dim, fn.dim)
+    assert TwoTimeOperatorFunction(2, ())(ts, 0.0).shape == (6, 2, 2)
 
 
 def test_split_drift_includes_hermitian_part():

@@ -386,14 +386,37 @@ def test_solve_local_peak_memory_stays_linear():
 @pytest.mark.parametrize("steps", (1, 2, 7))
 def test_final_generator_matches_trapezoid_matrix_row(corpus, steps):
     grid = TimeGrid(1.3, steps)
-    tables = _coarse_tables(list(split_kernel(corpus[2]).jump_part.terms), grid)
+    terms = split_kernel(corpus[2]).jump_part.terms
     w_last = trap_weights(grid.steps, grid.h)[-1]
-    expected = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables)
-    assert np.array_equal(_final_generator(tables, grid), expected)
+    expected = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in coarse_tables(terms, grid))
+    got = _final_generator(_coarse_tables(terms, grid, corpus[2].dim ** 2), grid)
+    assert np.array_equal(got, expected)
+
+
+def test_solve_nonlocal_holds_one_copy_of_the_tables():
+    k = random_kernel(105)
+    grid = TimeGrid(2.0, 400)
+    split = split_kernel(k)
+    n_terms = len(split.jump_part.terms) + len(split.drift_part.terms)
+    assert n_terms == 26
+    tables = n_terms * (grid.steps + 1) ** 2 * 16
+    tracemalloc.start()
+    try:
+        solve_nonlocal(k, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tables, f"tracemalloc peak {peak / tables:.2f} x the tables"
 
 
 # ---------------------------------------------------------------------------
 # the Volterra memory core against dense and per-table references
+
+
+def coarse_tables(terms, grid):
+    """Reference profile tables C_k[i,j] = c_k(t_i, t_j) on grid nodes, one (C_k, S_k) per term."""
+    ts = grid.nodes()
+    return [(np.asarray(p(ts[:, None], ts[None, :]), dtype=complex), s) for p, s in terms]
 
 
 def trap_weights(steps, h):
@@ -408,7 +431,7 @@ def trap_weights(steps, h):
 
 def dense_nonlocal_series(k, grid, order):
     """Reference nonlocal series: R_n = W (sum_k S_k (W * C_k) R_{n-1}) with dense (M+1)^2 weights."""
-    tables = _coarse_tables(split_kernel(k).jump_part.terms, grid)
+    tables = coarse_tables(split_kernel(k).jump_part.terms, grid)
     M, h = grid.steps, grid.h
     D = k.dim * k.dim
     w = trap_weights(M, h)
@@ -432,7 +455,7 @@ def per_table_weak(k, grid):
     oe = ordered_exponential(k, grid)
     v_sup = np.einsum("jcd,jab->jcadb", oe.v.conj(), oe.v).reshape(M + 1, D, D)
     vinv_sup = np.einsum("jcd,jab->jcadb", oe.vinv.conj(), oe.vinv).reshape(M + 1, D, D)
-    tables = _coarse_tables(split_kernel(k).jump_part.terms, grid)
+    tables = coarse_tables(split_kernel(k).jump_part.terms, grid)
     eye = np.eye(D, dtype=complex)
     hat = np.empty((M + 1, D, D), dtype=complex)
     hat[0] = eye
