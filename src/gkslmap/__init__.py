@@ -38,7 +38,6 @@ from .kernel import (
     GKSLKernel,
     KernelFormatError,
     TwoTimeOperatorFunction,
-    eval_kernel_superop,
     load_drift_spec,
     load_kernel_spec,
     save_drift_spec,
@@ -56,7 +55,6 @@ from .profiles import (
     profile_to_doc,
 )
 from .propagate import (
-    effective_generator,
     jump_exponential_series,
     jump_series,
     ordered_exponential,

@@ -40,7 +40,6 @@ __all__ = [
     "GKSLKernel",
     "KernelSplit",
     "split_kernel",
-    "eval_kernel_superop",
     "load_kernel_spec",
     "save_kernel_spec",
     "load_drift_spec",
@@ -158,10 +157,24 @@ class GKSLKernel:
                 )
 
     def check_hermiticity(self, points=None, tol: float = 1e-10) -> None:
-        """Sample the Hermitian part on (t, t') pairs, rejecting asymmetry."""
+        """Sample the Hermitian part on (t, t') pairs, rejecting asymmetry.
+
+        By default the samples are t, t' in {0, 0.25, 0.5, 1, 1.7} plus every
+        node pair of each tabulated profile in the Hermitian part, t' <= t
+        throughout, kept to the square that all those tables cover.
+        """
         if points is None:
-            ts = [0.0, 0.25, 0.5, 1.0, 1.7]
-            points = [(t, tp) for t in ts for tp in ts if tp <= t]
+            tables = [p for p, _ in self.hermitian.terms if isinstance(p, TabulatedProfile)]
+            horizon = min((p.t_max for p in tables), default=np.inf)
+            axes = [[0.0, 0.25, 0.5, 1.0, 1.7]]
+            axes += [np.linspace(0.0, p.t_max, len(p.values)) for p in tables]
+            points = [
+                (float(t), float(tp))
+                for ts in axes
+                for t in ts
+                for tp in ts
+                if tp <= t <= horizon
+            ]
         t, tp = np.asarray(points, dtype=float).T
         h = self.hermitian(t, tp)
         asym = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
@@ -223,26 +236,6 @@ def split_kernel(k: GKSLKernel) -> KernelSplit:
         drift_op=w,
         drift_part=TwoTimeOperatorFunction.build(k.dim * k.dim, drift_superop_terms(w)),
     )
-
-
-def eval_kernel_superop(k: GKSLKernel, t: float, tp: float) -> np.ndarray:
-    """Dense superoperator matrix of the kernel at one admissible (t, t').
-
-    This is the direct evaluation used for cross-checks; solvers work from the
-    separable form produced by :func:`split_kernel` instead.
-    """
-    if tp > t:
-        raise ValueError(f"kernel evaluated outside the time-ordered domain: t'={tp} > t={t}")
-    d = k.dim
-    eye = np.eye(d, dtype=complex)
-    h = k.hermitian(t, tp)
-    out = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
-    for op in k.jump_ops:
-        el = op(t, tp)
-        grams = dagger(el) @ el
-        out += sandwich_superop(el, dagger(el))
-        out -= 0.5 * (sandwich_superop(grams, eye) + sandwich_superop(eye, grams))
-    return k.coupling**2 * out
 
 
 # ---------------------------------------------------------------------------

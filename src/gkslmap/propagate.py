@@ -22,21 +22,26 @@ exponential, gaussian, separable and their products) has the normal form
 c(t - s) f(t) g(s), so its table is one causal discrete convolution of c and
 g on the lattice (a running sum when either is 1), scaled by f.  Tabulated
 profiles, products containing one and foreign Profile subclasses keep the
-per-row trapezoid sums, evaluated in fixed-size blocks of rows.
+per-row trapezoid sums, evaluated in fixed-size blocks of rows.  The nonlocal
+memory sums are trapezoid sums over grid nodes, read one row at a time from
+the same normal form, so they too take O(M) memory per profile.
 
 Every ODE family goes through one classical 4th-order Runge-Kutta driver,
 :func:`_rk4`; its state is the map (local families and the transform route),
 the triangular stack of series terms (local series) or the pair (V, Vinv)
 (drift frame).  Every nonlocal family goes through one memory core,
 :func:`_memory_rows`: row i of the nested-trapezoid memory sum, stacked over
-the kernel's terms.  Its coarse (M + 1)^2 profile tables are built once, as
-one stack over the terms (:func:`_coarse_tables`), and the march, the final
-generator and the series all read that stack.  The implicit trapezoidal
-Volterra march (:func:`_volterra`) solves its per-step fixed point exactly
-(one D x D linear solve), in the lab frame or, for the weak family, in the
-drift frame; the nonlocal series applies the same rows to a known history
-and integrates them by a cumulative trapezoid, so the march is the literal
-sum of the discrete iterated-integral series.
+the kernel's distinct profiles.  Terms with equal profiles are merged first,
+their superoperators summed, and each row is formed when the march reaches it
+(:func:`_memory_source`): f_i c_{i-j} g_j from three node vectors for a
+normal-form profile, and from blocks of evaluated rows for the others, so no
+(M + 1)^2 table exists.  The march, the final generator and the series all
+read that source.  The implicit trapezoidal Volterra march
+(:func:`_volterra`) solves its per-step fixed point exactly (one D x D linear
+solve), in the lab frame or, for the weak family, in the drift frame; the
+nonlocal series applies each row to the known histories of all its orders in
+one product and integrates them by a cumulative trapezoid, so the march is the
+literal sum of the discrete iterated-integral series.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .kernel import (
     KernelSplit,
     TwoTimeOperatorFunction,
     drift_superop_terms,
-    eval_kernel_superop,
     split_kernel,
 )
 from .linalg import dagger
@@ -64,7 +68,6 @@ from .profiles import (
 from .trajectory import MapTrajectory, OrderedExponential, TimeGrid
 
 __all__ = [
-    "effective_generator",
     "solve_local",
     "solve_local_jump",
     "solve_local_drift",
@@ -85,7 +88,8 @@ __all__ = [
 # h/2) and the drift-frame march (step h/2, stages at h/4).
 _REFINE = 4
 
-# Rows per block on the per-row table path (profiles outside the normal form).
+# Rows per block where profiles outside the normal form are evaluated row by
+# row: their q-tables and their nonlocal memory rows.
 _ROW_BLOCK = 64
 
 
@@ -132,6 +136,17 @@ def _product(values, n: int) -> np.ndarray:
     return out
 
 
+def _form_vectors(form, taus: np.ndarray):
+    """Node vectors (c, f, g) of a normal form on a uniform lattice from 0: c_k = c(tau_k)."""
+    conv, f, g = form
+    n = len(taus)
+    return (
+        _product([p(taus, 0.0) for p in conv], n),
+        _product([fac(taus) for fac in f], n),
+        _product([fac(taus) for fac in g], n),
+    )
+
+
 def _qtable_rows(profile, taus: np.ndarray, hf: float) -> np.ndarray:
     """Per-row trapezoid sums of the profile on the lattice, a block of rows at a time.
 
@@ -162,17 +177,14 @@ def _qtable(profile, taus: np.ndarray, hf: float) -> np.ndarray:
     form = _normal_form(profile)
     if form is None:
         return _qtable_rows(profile, taus, hf)
-    conv, f, g = form
-    n = len(taus)
-    c = _product([p(taus, 0.0) for p in conv], n)
-    gv = _product([fac(taus) for fac in g], n)
+    conv, _, g = form
+    c, fv, gv = _form_vectors(form, taus)
     if not g:
         csum = np.cumsum(c)
     elif not conv:
         csum = np.cumsum(gv)
     else:
-        csum = np.convolve(c, gv)[:n]
-    fv = _product([fac(taus) for fac in f], n)
+        csum = np.convolve(c, gv)[: len(taus)]
     q = hf * fv * (csum - 0.5 * c * gv[0] - 0.5 * c[0] * gv)
     q[0] = 0.0
     return q
@@ -280,27 +292,6 @@ def _frame_shift(w: np.ndarray, y: np.ndarray) -> np.ndarray:
 # local (effective-generator) families
 
 
-def effective_generator(k: GKSLKernel, t: float, grid: TimeGrid) -> np.ndarray:
-    """Composite-trapezoid generator G_t = int_0^t K(t,s) ds over grid nodes.
-
-    ``t`` must be a grid node.  This is the reference (node-level) quadrature;
-    the solvers below consume the same integral tabulated on a refined
-    lattice.
-    """
-    ts = grid.nodes()
-    m = int(round(t / grid.h))
-    if not (0 <= m <= grid.steps) or abs(ts[m] - t) > 1e-9 * max(1.0, grid.T):
-        raise ValueError(f"t = {t} is not a node of the grid (T={grid.T}, steps={grid.steps})")
-    D = k.dim * k.dim
-    g = np.zeros((D, D), dtype=complex)
-    if m == 0:
-        return g
-    for j in range(m + 1):
-        w = 0.5 * grid.h if j in (0, m) else grid.h
-        g += w * eval_kernel_superop(k, ts[m], ts[j])
-    return g
-
-
 def _solve_local_part(k: GKSLKernel, grid: TimeGrid, part: str) -> MapTrajectory:
     k.check_horizon(grid.T)
     g_half = _local_generator(split_kernel(k), grid, part)
@@ -385,61 +376,91 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
 # nonlocal (Volterra) families
 
 
-def _coarse_tables(terms, grid: TimeGrid, D: int):
-    """Stacked tables of (profile, D x D matrix) terms on grid nodes.
+def _memory_source(terms, grid: TimeGrid, D: int):
+    """Row source of (profile, D x D matrix) terms on grid nodes: (rows, s).
 
-    Returns (c, s): c[k, i, j] = c_k(t_i, t_j) and s[k] = S_k.  Each profile is
-    written straight into its slice of the stack, so the (M+1)^2 tables exist
-    once.
+    Terms with equal profiles are merged, their matrices summed, so s[k] is the
+    summed matrix of the k-th distinct profile and ``rows(i)`` returns a fresh
+    (len(s), i + 1) array with rows(i)[k, j] = c_k(t_i, t_j), j <= i.  A profile
+    with a normal form c(t - s) f(t) g(s) keeps three node vectors and its row
+    is f_i c_{i-j} g_j.  The others are evaluated on blocks of _ROW_BLOCK rows,
+    the block of the last row asked for kept, so rows asked for in increasing
+    order evaluate each point once.  No (M + 1)^2 array is formed.
     """
+    merged = {}
+    for p, sk in terms:
+        prev = merged.get(p)
+        merged[p] = sk if prev is None else prev + sk
+    forms = [(p, _normal_form(p), sk) for p, sk in merged.items()]
+    closed = [(form, sk) for _, form, sk in forms if form is not None]
+    other = [(p, sk) for p, form, sk in forms if form is None]
+    s = np.array([sk for _, sk in closed + other], dtype=complex).reshape(-1, D, D)
     ts = grid.nodes()
-    c = np.empty((len(terms), grid.steps + 1, grid.steps + 1), dtype=complex)
-    s = np.empty((len(terms), D, D), dtype=complex)
-    for k, (p, sk) in enumerate(terms):
-        c[k] = p(ts[:, None], ts[None, :])
-        s[k] = sk
-    return c, s
+    n, nc = len(ts), len(closed)
+    cv = np.empty((nc, n), dtype=complex)
+    fv = np.empty_like(cv)
+    gv = np.empty_like(cv)
+    for r, (form, _) in enumerate(closed):
+        cv[r], fv[r], gv[r] = _form_vectors(form, ts)
+    block = [None, None]  # first row and values of the evaluated block
+
+    def rows(i):
+        out = np.empty((len(s), i + 1), dtype=complex)
+        np.multiply(cv[:, i::-1], gv[:, : i + 1], out=out[:nc])
+        out[:nc] *= fv[:, i, None]
+        if other:
+            a = i - i % _ROW_BLOCK
+            if block[0] != a:
+                b = min(a + _ROW_BLOCK, n)
+                vals = [p(ts[a:b, None], ts[None, :b]) for p, _ in other]
+                block[:] = a, np.array(vals, dtype=complex)
+            out[nc:] = block[1][:, i - a, : i + 1]
+        return out
+
+    return rows, s
 
 
-def _final_generator(tables, grid: TimeGrid) -> np.ndarray:
-    """Node-trapezoid generator at t_M: sum_k (weights [h/2, h, ..., h, h/2] . c_k[M]) S_k."""
+def _final_generator(source, grid: TimeGrid) -> np.ndarray:
+    """Node-trapezoid generator at t_M: sum_k (weights [h/2, h, ..., h, h/2] . c_k(t_M, .)) S_k."""
     w_last = np.full(grid.steps + 1, grid.h)
     w_last[0] = w_last[-1] = 0.5 * grid.h
-    c, s = tables
-    return np.asarray(sum(np.einsum("j,j->", w_last, ck[-1]) * sk for ck, sk in zip(c, s)))
+    rows, s = source
+    return np.einsum("k,kab->ab", rows(grid.steps) @ w_last, s)
 
 
-def _memory_rows(tables, h: float, D: int):
+def _memory_rows(source, h: float, D: int):
     """The Volterra memory core: one row of the nested-trapezoid memory sum.
 
-    ``tables`` is the stack (c, s) of :func:`_coarse_tables`.  Returns
-    ``row(i, flat) -> (partial, diag)`` for a history X_0..X_{i-1} given as
-    ``flat = X.reshape(-1, D * D)``:
+    ``source`` is the pair (rows, s) of :func:`_memory_source`.  Returns
+    ``row(i, flat) -> (partial, diag)`` for histories X_0..X_{i-1} given as
+    ``flat``, whose row j holds w histories' X_j side by side (w * D * D
+    columns):
 
-        partial = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
-        diag    = sum_k c_k(t_i, t_i) S_k
+        partial[n] = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
+        diag       = sum_k c_k(t_i, t_i) S_k
 
-    so the trapezoid memory integral at t_i is partial + (h/2) diag X_i.
+    so the trapezoid memory integral of history n at t_i is
+    partial[n] + (h/2) diag X_i.
     """
-    c_stack, s_stack = tables
-    n_t = len(s_stack)
-    if not n_t:
-        zero = np.zeros((D, D), dtype=complex)
-        return lambda i, flat: (zero, zero)
-    # The stacked tables make each row two BLAS products instead of a
-    # per-table Python loop.
-    s_row = s_stack.transpose(1, 0, 2).reshape(D, n_t * D)  # [S_0 S_1 ...]
+    rows, s = source
+    n_p = len(s)
+    # Row i of every distinct profile at once makes each memory row two BLAS
+    # products instead of a per-profile Python loop.
+    s_row = s.transpose(1, 0, 2).reshape(D, n_p * D)  # [S_0 S_1 ...]
 
     def row(i, flat):
-        rows = c_stack[:, i, :i].copy()
-        rows[:, 0] *= 0.5
-        y = (rows @ flat[:i]).reshape(n_t * D, D)
-        return s_row @ (h * y), np.einsum("k,kab->ab", c_stack[:, i, i], s_stack)
+        c = rows(i)
+        diag = np.einsum("k,kab->ab", c[:, i], s)
+        c[:, 0] *= 0.5
+        w = flat.shape[1] // (D * D)
+        y = (c[:, :i] @ flat[:i]).reshape(n_p, w, D, D).transpose(0, 2, 1, 3)
+        partial = s_row @ (h * y.reshape(n_p * D, w * D))
+        return partial.reshape(D, w, D).transpose(1, 0, 2), diag
 
     return row
 
 
-def _volterra(tables, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
+def _volterra(source, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
     """Implicit trapezoidal march of dX/dt = int_0^t K(t,s) X(s) ds.
 
     The corrector fixed point is linear in X_{m+1} (only the diagonal
@@ -455,7 +476,7 @@ def _volterra(tables, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
     """
     M, h = grid.steps, grid.h
     D = dim * dim
-    row = _memory_rows(tables, h, D)
+    row = _memory_rows(source, h, D)
     eye = np.eye(D, dtype=complex)
     maps = np.empty((M + 1, D, D), dtype=complex)
     maps[0] = eye
@@ -464,6 +485,7 @@ def _volterra(tables, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
     f_prev = np.zeros((D, D), dtype=complex)
     for i in range(1, M + 1):
         partial, diag = row(i, flat)
+        partial = partial[0]
         if frame is not None:
             partial = frame[0][i] @ partial
             diag = frame[0][i] @ diag @ frame[1][i]
@@ -475,9 +497,9 @@ def _volterra(tables, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
 
 
 def _solve_nonlocal_terms(terms, grid: TimeGrid, dim: int, family: str) -> MapTrajectory:
-    tables = _coarse_tables(terms, grid, dim * dim)
-    maps = _volterra(tables, grid, dim)
-    meta = _march_meta(_final_generator(tables, grid), grid)
+    source = _memory_source(terms, grid, dim * dim)
+    maps = _volterra(source, grid, dim)
+    meta = _march_meta(_final_generator(source, grid), grid)
     return MapTrajectory(grid=grid, dim=dim, family=family, maps=maps, meta=meta)
 
 
@@ -522,27 +544,40 @@ def _local_series(g_half: np.ndarray, h: float, order: int):
     return np.array(sums), tails
 
 
-def _nonlocal_series(tables, grid: TimeGrid, dim: int, order: int):
+def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int):
     """Iterate the nested-trapezoid integral operator: R_n = Q(R_{n-1}), R_0 = 1.
 
-    Q applies the memory rows to the whole history R_{n-1}, then integrates
-    the result by a cumulative trapezoid.
+    Q applies the memory rows to the history R_{n-1}, then integrates the
+    result by a cumulative trapezoid.  The march is row-outer: row i is formed
+    once and applied to the histories of R_0..R_{N-1} in one product, then
+    each order steps its trapezoid sum in turn, since R_n(t_i) needs
+    R_{n-1}(t_i).
     """
     M, h = grid.steps, grid.h
     D = dim * dim
-    row = _memory_rows(tables, h, D)
-    r = np.broadcast_to(np.eye(D, dtype=complex), (M + 1, D, D)).copy()
-    total = r.copy()
-    f = np.zeros_like(r)
-    for _ in range(order):
-        flat = r.reshape(M + 1, D * D)
-        for i in range(1, M + 1):
-            partial, diag = row(i, flat)
-            f[i] = partial + 0.5 * h * (diag @ r[i])
-        r = np.zeros_like(f)
-        r[1:] = np.cumsum(0.5 * h * (f[:-1] + f[1:]), axis=0)
-        total += r
-    tails = np.linalg.norm(r.reshape(M + 1, -1), axis=1)
+    row = _memory_rows(source, h, D)
+    eye = np.eye(D, dtype=complex)
+    hist = np.zeros((M + 1, order, D, D), dtype=complex)  # hist[j, n] = R_n(t_j)
+    hist[:, 0] = eye
+    flat = hist.reshape(M + 1, order * D * D)
+    total = np.empty((M + 1, D, D), dtype=complex)
+    total[0] = eye
+    tails = np.zeros(M + 1)
+    f_prev = np.zeros((order, D, D), dtype=complex)  # f_n(t_{i-1}), n = 1..N
+    r_prev = np.zeros((order, D, D), dtype=complex)  # R_n(t_{i-1}), n = 1..N
+    for i in range(1, M + 1):
+        partial, diag = row(i, flat)
+        r = eye
+        acc = eye.copy()
+        for n in range(order):
+            f = partial[n] + 0.5 * h * (diag @ r)
+            r = r_prev[n] + 0.5 * h * (f_prev[n] + f)
+            f_prev[n], r_prev[n] = f, r
+            if n + 1 < order:
+                hist[i, n + 1] = r
+            acc += r
+        total[i] = acc
+        tails[i] = np.linalg.norm(r)
     return total, tails
 
 
@@ -558,8 +593,8 @@ def _series(k: GKSLKernel, grid: TimeGrid, order: int, family: str) -> MapTrajec
         sums, tails = _local_series(g_half, grid.h, order)
         meta = _march_meta(g_half[-1], grid)
     else:
-        tables = _coarse_tables(_part_terms(split, part), grid, k.dim * k.dim)
-        sums, tails = _nonlocal_series(tables, grid, k.dim, order)
+        source = _memory_source(_part_terms(split, part), grid, k.dim * k.dim)
+        sums, tails = _nonlocal_series(source, grid, k.dim, order)
         meta = {}
     meta.update(
         {
@@ -622,8 +657,8 @@ def weak_coupling_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     split = split_kernel(k)
     v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid)
     frame = (_sandwich_stack(vinv_half[::2]), _sandwich_stack(v_half[::2]))
-    tables = _coarse_tables(split.jump_part.terms, grid, k.dim * k.dim)
-    maps = _volterra(tables, grid, k.dim, frame)
+    source = _memory_source(split.jump_part.terms, grid, k.dim * k.dim)
+    maps = _volterra(source, grid, k.dim, frame)
     meta = {"engine": "drift-frame"}
     return MapTrajectory(grid=grid, dim=k.dim, family="weak-nonlocal-full", maps=maps, meta=meta)
 

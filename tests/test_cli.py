@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 import gkslmap.cli as cli
 from gkslmap.cli import main
 from gkslmap.experiments import coherence_revival_kernel, dephasing_kernel, random_kernel
-from gkslmap.kernel import TwoTimeOperatorFunction, save_drift_spec, save_kernel_spec
+from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, save_drift_spec, save_kernel_spec
 from gkslmap.linalg import SIGMA_X
-from gkslmap.profiles import ConstantProfile
+from gkslmap.profiles import ConstantProfile, TabulatedProfile
 from gkslmap.serialize import canonical_dumps
 from gkslmap.trajectory import FAMILY_TAGS, MapTrajectory
 
@@ -186,6 +187,31 @@ def test_validate_rejects_malformed(tmp_path, capsys):
     bad.write_text('{"dim": 99}')
     assert main(["validate", "--kernel", str(bad)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DOCUMENTS = sorted(p.name for p in CONFIGS.glob("*.json") if "dim" in json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_shipped_kernel_and_drift_documents_validate(name):
+    assert main(["validate", "--kernel", str(CONFIGS / name)]) == 0
+
+
+def test_hermitian_part_is_checked_at_every_tabulated_node(tmp_path, capsys):
+    # Hermitian everywhere except at the table node (t, t') = (4, 0)
+    values = np.ones((5, 5), dtype=complex)
+    values[4, 0] = 1 + 1j
+    herm = TwoTimeOperatorFunction.build(2, [(TabulatedProfile.from_array(4.0, values), SIGMA_X)])
+    kernel = write_kernel(tmp_path / "skew.json", GKSLKernel.build(2, hermitian=herm))
+    assert main(["validate", "--kernel", kernel]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and "(4.0, 0.0)" in err["message"]
+    out = tmp_path / "run"
+    code = main(["solve", "--kernel", kernel, "--T", "4", "--steps", "100", "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert not out.exists()
 
 
 def test_missing_kernel_file_is_config_error(tmp_path, capsys):

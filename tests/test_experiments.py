@@ -16,7 +16,7 @@ from gkslmap.experiments import (
     random_kernel,
     redfield_kernel,
 )
-from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, eval_kernel_superop
+from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction
 from gkslmap.linalg import SIGMA_X, SIGMA_Z
 from gkslmap.profiles import (
     ConstantProfile,
@@ -27,6 +27,7 @@ from gkslmap.profiles import (
 )
 from gkslmap.propagate import solve_nonlocal
 from gkslmap.trajectory import TimeGrid
+from oracles import eval_kernel_superop
 
 
 def test_random_kernel_is_seed_reproducible():

@@ -7,14 +7,13 @@ from gkslmap.kernel import (
     GKSLKernel,
     KernelFormatError,
     TwoTimeOperatorFunction,
-    eval_kernel_superop,
     load_drift_spec,
     load_kernel_spec,
     save_drift_spec,
     save_kernel_spec,
     split_kernel,
 )
-from gkslmap.linalg import SIGMA_MINUS, SIGMA_Z, dagger, random_operator, vectorize
+from gkslmap.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z, dagger, random_operator, vectorize
 from gkslmap.profiles import (
     ConstantProfile,
     ExpProfile,
@@ -23,6 +22,7 @@ from gkslmap.profiles import (
     SingleVarFactor,
     TabulatedProfile,
 )
+from oracles import eval_kernel_superop
 
 
 def dephasing(kappa=1.0, g=1.0):
@@ -125,6 +125,20 @@ def test_check_hermiticity_rejects_bad_profile():
     with pytest.raises(ValueError):
         k.check_hermiticity()
     dephasing().check_hermiticity()
+
+
+def test_check_hermiticity_samples_tables_within_their_common_horizon():
+    # real tables are Hermitian as profiles of sigma_x; the short one caps the
+    # samples at t = 1, so neither the long table's far nodes nor t = 1.7 raise
+    short = TabulatedProfile.from_array(1.0, np.ones((3, 3)))
+    bent = np.ones((5, 5), dtype=complex)
+    bent[4, 0] = 1 + 1j  # at (3, 0), past the common horizon
+    long = TabulatedProfile.from_array(3.0, bent)
+    terms = [(short, SIGMA_X), (long, SIGMA_X)]
+    GKSLKernel.build(2, hermitian=TwoTimeOperatorFunction.build(2, terms)).check_hermiticity()
+    alone = GKSLKernel.build(2, hermitian=TwoTimeOperatorFunction.build(2, terms[1:]))
+    with pytest.raises(ValueError, match=r"\(3\.0, 0\.0\)"):
+        alone.check_hermiticity()
 
 
 def test_check_horizon_for_tabulated_profiles():

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from gkslmap.cpanalysis import trace_deviation
 from gkslmap.experiments import random_kernel
-from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, eval_kernel_superop, split_kernel
+from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
 from gkslmap.linalg import SIGMA_X, SIGMA_Z, dagger, random_density, sandwich_superop
 from gkslmap.profiles import (
     ConstantProfile,
@@ -25,12 +25,11 @@ from gkslmap.profiles import (
 from gkslmap.propagate import (
     _REFINE,
     _FAMILIES,
-    _coarse_tables,
     _final_generator,
     _fine_nodes,
+    _memory_source,
     _normal_form,
     _qtable,
-    effective_generator,
     jump_exponential_series,
     jump_series,
     ordered_exponential,
@@ -46,6 +45,7 @@ from gkslmap.propagate import (
     weak_drift_localize,
 )
 from gkslmap.trajectory import FAMILY_TAGS, TimeGrid
+from oracles import effective_generator, eval_kernel_superop
 
 
 def constant_kernel(g=1.0):
@@ -383,30 +383,18 @@ def test_solve_local_peak_memory_stays_linear():
     assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("steps", (1, 2, 7))
-def test_final_generator_matches_trapezoid_matrix_row(corpus, steps):
-    grid = TimeGrid(1.3, steps)
-    terms = split_kernel(corpus[2]).jump_part.terms
-    w_last = trap_weights(grid.steps, grid.h)[-1]
-    expected = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in coarse_tables(terms, grid))
-    got = _final_generator(_coarse_tables(terms, grid, corpus[2].dim ** 2), grid)
-    assert np.array_equal(got, expected)
-
-
-def test_solve_nonlocal_holds_one_copy_of_the_tables():
+@pytest.mark.parametrize("family", ("nonlocal-full", "weak-nonlocal-full", "series-nonlocal-jump"))
+def test_nonlocal_solves_hold_no_square_array(family):
     k = random_kernel(105)
-    grid = TimeGrid(2.0, 400)
-    split = split_kernel(k)
-    n_terms = len(split.jump_part.terms) + len(split.drift_part.terms)
-    assert n_terms == 26
-    tables = n_terms * (grid.steps + 1) ** 2 * 16
+    grid = TimeGrid(2.0, 800)
+    square = (grid.steps + 1) ** 2 * 16  # one (M+1)^2 complex array: 10.3 MB
     tracemalloc.start()
     try:
-        solve_nonlocal(k, grid)
+        solve_family(k, grid, family)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * tables, f"tracemalloc peak {peak / tables:.2f} x the tables"
+    assert peak < square, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -448,51 +436,114 @@ def dense_nonlocal_series(k, grid, order):
     return total, tails
 
 
-def per_table_weak(k, grid):
-    """Reference weak march: the drift-frame Volterra step with one sum per table."""
+def dense_nonlocal(terms, grid, dim, frame=None):
+    """Reference Volterra march: the implicit trapezoid step over one (M+1)^2 table per term.
+
+    Terms are not merged.  With ``frame`` = (Vinv_sup, V_sup) the step runs in
+    the drift frame, as the weak family does; the memory sum always acts on the
+    lab-frame history.  Returns the lab-frame maps.
+    """
+    tables = coarse_tables(terms, grid)
     M, h = grid.steps, grid.h
-    D = k.dim * k.dim
-    oe = ordered_exponential(k, grid)
-    v_sup = np.einsum("jcd,jab->jcadb", oe.v.conj(), oe.v).reshape(M + 1, D, D)
-    vinv_sup = np.einsum("jcd,jab->jcadb", oe.vinv.conj(), oe.vinv).reshape(M + 1, D, D)
-    tables = coarse_tables(split_kernel(k).jump_part.terms, grid)
+    D = dim * dim
     eye = np.eye(D, dtype=complex)
-    hat = np.empty((M + 1, D, D), dtype=complex)
-    hat[0] = eye
+    x = eye
     y = np.empty((M + 1, D, D), dtype=complex)
     y[0] = eye
     f_prev = np.zeros((D, D), dtype=complex)
-    for m in range(M):
-        i = m + 1
+    for i in range(1, M + 1):
         partial = np.zeros((D, D), dtype=complex)
         diag = np.zeros((D, D), dtype=complex)
         for c, s in tables:
             row = c[i]
-            acc = 0.5 * row[0] * y[0]
-            if i > 1:
-                acc = acc + np.einsum("j,jab->ab", row[1:i], y[1:i])
+            acc = 0.5 * row[0] * y[0] + np.einsum("j,jab->ab", row[1:i], y[1:i])
             partial += s @ (h * acc)
             diag += row[i] * s
-        partial = vinv_sup[i] @ partial
-        diag_hat = vinv_sup[i] @ diag @ v_sup[i]
-        x = np.linalg.solve(eye - 0.25 * h * h * diag_hat, hat[m] + 0.5 * h * (f_prev + partial))
-        hat[i] = x
-        y[i] = v_sup[i] @ x
-        f_prev = partial + 0.5 * h * (diag_hat @ x)
+        if frame is not None:
+            partial = frame[0][i] @ partial
+            diag = frame[0][i] @ diag @ frame[1][i]
+        x = np.linalg.solve(eye - 0.25 * h * h * diag, x + 0.5 * h * (f_prev + partial))
+        y[i] = x if frame is None else frame[1][i] @ x
+        f_prev = partial + 0.5 * h * (diag @ x)
     return y
+
+
+def per_table_weak(k, grid):
+    """Reference weak march: the drift-frame Volterra step with one sum per table."""
+    M = grid.steps
+    D = k.dim * k.dim
+    oe = ordered_exponential(k, grid)
+    v_sup = np.einsum("jcd,jab->jcadb", oe.v.conj(), oe.v).reshape(M + 1, D, D)
+    vinv_sup = np.einsum("jcd,jab->jcadb", oe.vinv.conj(), oe.vinv).reshape(M + 1, D, D)
+    return dense_nonlocal(split_kernel(k).jump_part.terms, grid, k.dim, (vinv_sup, v_sup))
 
 
 def rel_gap(a, ref):
     return np.max(np.abs(np.asarray(a) - ref)) / np.max(np.abs(ref))
 
 
+def extra_kernels():
+    """Kernels off the corpus: tabulated terms, and a foreign Profile subclass."""
+    herm_tab = TabulatedProfile.from_array(2.0, np.random.default_rng(11).normal(size=(4, 4)))
+    tabulated = GKSLKernel.build(
+        2,
+        hermitian=TwoTimeOperatorFunction.build(2, [(herm_tab, 0.4 * SIGMA_X)]),
+        jump_ops=[
+            TwoTimeOperatorFunction.build(
+                2, [(TAB, SIGMA_Z), (ExpProfile(-0.6 + 0.3j), 0.5 * SIGMA_X)]
+            )
+        ],
+    )
+    foreign = GKSLKernel.build(
+        2,
+        hermitian=TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), 0.3 * SIGMA_Z)]),
+        jump_ops=[
+            TwoTimeOperatorFunction.build(
+                2, [(CosProductProfile(), SIGMA_X), (GaussianProfile(0.9), 0.7 * SIGMA_Z)]
+            )
+        ],
+    )
+    return [tabulated, foreign]
+
+
+def part_terms(k):
+    """Reference (part, terms) pairs of the kernel split: K = J - D."""
+    split = split_kernel(k)
+    jump = list(split.jump_part.terms)
+    drift = [(p, -s) for p, s in split.drift_part.terms]
+    return {"full": jump + drift, "jump": jump, "drift": drift}
+
+
 CORE_STEPS = (1, 2, 7, 200)
+
+
+@pytest.mark.parametrize("steps", CORE_STEPS)
+def test_nonlocal_march_matches_dense_reference(corpus, steps):
+    grid = TimeGrid(2.0, steps)
+    for k in list(corpus) + extra_kernels():
+        refs = {part: dense_nonlocal(terms, grid, k.dim) for part, terms in part_terms(k).items()}
+        for part, ref in refs.items():
+            assert rel_gap(solve_nonlocal(k, grid, part=part).maps, ref) <= 1e-12, part
+        via_drift = solve_nonlocal_from_drift(split_kernel(k).drift_op, grid)
+        assert rel_gap(via_drift.maps, refs["drift"]) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", (1, 2, 7))
+def test_final_generator_matches_trapezoid_matrix_row(corpus, steps):
+    grid = TimeGrid(1.3, steps)
+    w_last = trap_weights(grid.steps, grid.h)[-1]
+    for k in [corpus[2]] + extra_kernels():
+        terms = part_terms(k)["full"]
+        tables = coarse_tables(terms, grid)
+        expected = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables)
+        got = _final_generator(_memory_source(terms, grid, k.dim**2), grid)
+        assert rel_gap(got, expected) <= 1e-12
 
 
 @pytest.mark.parametrize("steps", CORE_STEPS)
 def test_nonlocal_series_matches_dense_reference(corpus, steps):
     grid = TimeGrid(2.0, steps)
-    for k in corpus:
+    for k in list(corpus) + extra_kernels():
         traj = jump_series(k, grid, order=6, locality="nonlocal")
         total, tails = dense_nonlocal_series(k, grid, order=6)
         assert rel_gap(traj.maps, total) <= 1e-12
@@ -502,6 +553,6 @@ def test_nonlocal_series_matches_dense_reference(corpus, steps):
 @pytest.mark.parametrize("steps", CORE_STEPS)
 def test_framed_weak_core_matches_per_table_reference(corpus, steps):
     grid = TimeGrid(2.0, steps)
-    for k in corpus:
+    for k in list(corpus) + extra_kernels():
         ref = per_table_weak(k, grid)
         assert rel_gap(weak_coupling_localize(k, grid).maps, ref) <= 1e-12
