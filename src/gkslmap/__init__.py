@@ -17,8 +17,6 @@ from .cpanalysis import (
     find_drift_cp_witness,
     kraus_condition_check,
     kraus_extract,
-    kraus_reconstruct,
-    measure_sample,
 )
 from .experiments import (
     GScanResult,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cpanalysis import certify_trajectory, find_drift_cp_witness
+from .cpanalysis import certify_trajectory, find_drift_cp_witness, trace_deviation
 from .experiments import convolution_case, g_scan
 from .kernel import (
     GKSLKernel,
@@ -219,9 +219,7 @@ def _cmd_solve(args) -> int:
     doc["provenance"] = prov
     _write_json(conf["out"], "trajectory.json", doc)
     norms = np.linalg.norm(traj.maps, axis=(1, 2))
-    eye_row = np.eye(traj.dim, dtype=complex).reshape(-1, order="F")
-    devs = np.linalg.norm(traj.maps.conj().transpose(0, 2, 1) @ eye_row - eye_row, axis=1)
-    csv = trajectory_csv(traj, {"map_norm": norms, "trace_dev": devs})
+    csv = trajectory_csv(traj, {"map_norm": norms, "trace_dev": trace_deviation(traj.maps)})
     _write_csv(conf["out"], "trajectory.csv", csv, prov)
     return 0
 

@@ -13,6 +13,11 @@ Conventions fixed here and used by every file format:
   eigenvector reshaped row-major to d x d.  Row-major is forced by the
   system-first Choi layout above; the binding contract is the reconstruction
   identity sum_j K_j rho K_j^dag = Lambda(rho).
+
+Certification is stacked: choi, cp_check, trace_deviation, cond and solve each
+take blocks of _NODE_BLOCK nodes or intervals, with the same bits per matrix
+as one at a time.  Blocks, because a call over all M + 1 nodes holds several
+(M+1, d^2, d^2) temporaries at once and raises the peak memory.
 """
 
 from __future__ import annotations
@@ -24,18 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import TwoTimeOperatorFunction
-from .linalg import hermitian_eig, sandwich_superop, vectorize, unvectorize
+from .linalg import NotHermitianError, frobenius, hermitian_eig, unvectorize, vectorize
 from .propagate import solve_nonlocal_from_drift
 from .trajectory import MapTrajectory, TimeGrid
 
 __all__ = [
     "choi",
     "cp_check",
-    "measure_sample",
-    "MeasureSampleResult",
-    "apply_extended",
     "kraus_extract",
-    "kraus_reconstruct",
     "kraus_condition_check",
     "KrausSet",
     "KrausConditionReport",
@@ -56,80 +57,48 @@ DEFAULT_EPS_CP = 1e-8
 DEFAULT_COND_LIMIT = 1e12
 
 
+_NODE_BLOCK = 64  # nodes or intervals per stacked call; see the module docstring
+
+
 def _dim_of(superop: np.ndarray) -> int:
-    D = superop.shape[0]
+    """d of a (..., d^2, d^2) superoperator or stack of them."""
+    D = superop.shape[-1] if superop.ndim else 0
     d = math.isqrt(D)
-    if superop.shape != (D, D) or d * d != D:
-        raise ValueError(f"superoperator shape {superop.shape} is not (d^2, d^2)")
+    if superop.ndim < 2 or superop.shape[-2:] != (D, D) or d * d != D:
+        raise ValueError(f"superoperator shape {superop.shape} is not (..., d^2, d^2)")
     return d
 
 
 def choi(superop: np.ndarray) -> np.ndarray:
-    """Choi matrix of a superoperator (system factor first, see module docstring)."""
+    """Choi matrix (system factor first, see module docstring); stacks (..., d^2, d^2) too."""
     superop = np.asarray(superop, dtype=complex)
-    d = _dim_of(superop)
-    return superop.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    s4 = superop.reshape(superop.shape[:-2] + (_dim_of(superop),) * 4)
+    return np.einsum("...baji->...aibj", s4).reshape(superop.shape)
 
 
 def cp_check(choi_matrix: np.ndarray, eps_cp: float = DEFAULT_EPS_CP):
-    """(verdict, lambda_min): CP iff the smallest Choi eigenvalue >= -eps_cp*d."""
+    """(verdict, lambda_min): CP iff the smallest Choi eigenvalue >= -eps_cp*d.
+
+    A stack (..., D, D) of Choi matrices gives arrays of both.
+    """
     d = _dim_of(choi_matrix)
-    eig = hermitian_eig(choi_matrix)
-    lam_min = float(eig.eigenvalues[0])
+    lam_min = hermitian_eig(choi_matrix).eigenvalues[..., 0]
     return lam_min >= -eps_cp * d, lam_min
 
 
-def apply_extended(superop: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply Lambda (x) id to an operator x on the doubled space (d*d)^2."""
-    superop = np.asarray(superop, dtype=complex)
-    d = _dim_of(superop)
-    t = superop.reshape(d, d, d, d).transpose(1, 0, 3, 2)
-    x4 = np.asarray(x, dtype=complex).reshape(d, d, d, d)
-    return np.einsum("abxy,xiyj->aibj", t, x4).reshape(d * d, d * d)
-
-
-@dataclass(frozen=True)
-class MeasureSampleResult:
-    """Sampled minimum of the vector-pair CP measure <Psi|(Lambda(x)id)|Phi><Phi||Psi>."""
-
-    value: float
-    phi: np.ndarray = field(repr=False)
-    psi: np.ndarray = field(repr=False)
-    n_samples: int = 0
-    seed: int = 0
-
-
-def measure_sample(
-    superop: np.ndarray, n_samples: int = 200, seed: int = 7
-) -> MeasureSampleResult:
-    """Sample the CP measure over random unit-vector pairs on the doubled space.
-
-    Vectors are drawn complex-normal and normalized (Haar direction); the
-    fixed default seed makes reports reproducible.  A CP map keeps every
-    sample >= 0 up to roundoff; the sample minimum is a cheap falsifier but
-    never a certificate — pair it with :func:`cp_check`.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    superop = np.asarray(superop, dtype=complex)
-    d = _dim_of(superop)
-    D = d * d
-    rng = np.random.default_rng(seed)
-    best = None
-    best_pair = None
-    for _ in range(n_samples):
-        phi = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-        psi = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-        phi /= np.linalg.norm(phi)
-        psi /= np.linalg.norm(psi)
-        out = apply_extended(superop, np.outer(phi, phi.conj()))
-        val = float(np.real(psi.conj() @ out @ psi))
-        if best is None or val < best:
-            best = val
-            best_pair = (phi, psi)
-    return MeasureSampleResult(
-        value=best, phi=best_pair[0], psi=best_pair[1], n_samples=n_samples, seed=seed
-    )
+def _blockwise(fn, count: int, what: str):
+    """Concatenate fn's tuples of arrays over slices of _NODE_BLOCK of range(count);
+    a Choi matrix failing the Hermiticity guard is named by its index in range(count)."""
+    parts = []
+    for start in range(0, count, _NODE_BLOCK):
+        try:
+            parts.append(fn(slice(start, start + _NODE_BLOCK)))
+        except NotHermitianError as exc:
+            raise ValueError(
+                f"{what} {start + exc.index[0]}: the Choi matrix is not Hermitian "
+                f"(the map does not preserve Hermiticity): {exc.detail}"
+            ) from exc
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +125,12 @@ def kraus_extract(
     extract).
     """
     d = _dim_of(choi_matrix)
-    ok, lam_min = cp_check(choi_matrix, eps_cp)
-    if not ok:
+    eig = hermitian_eig(choi_matrix)
+    lam_min = eig.eigenvalues[0]
+    if not lam_min >= -eps_cp * d:  # the cp_check rule
         raise ValueError(
             f"Choi matrix is not CP (lambda_min = {lam_min:.3e}); no Kraus representation"
         )
-    eig = hermitian_eig(choi_matrix)
     tr = float(np.real(np.trace(choi_matrix)))
     ops = []
     weights = []
@@ -170,15 +139,6 @@ def kraus_extract(
             ops.append(np.sqrt(lam) * vec.reshape(d, d))
             weights.append(float(lam))
     return KrausSet(operators=tuple(ops), weights=tuple(weights))
-
-
-def kraus_reconstruct(kraus: KrausSet) -> np.ndarray:
-    """Superoperator sum_j K_j (.) K_j^dag."""
-    d = kraus.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in kraus.operators:
-        out += sandwich_superop(k, k.conj().T)
-    return out
 
 
 @dataclass(frozen=True)
@@ -281,27 +241,25 @@ def divisibility_check(
     linear solve, never an explicit inverse); intervals whose Lambda_m is
     conditioned beyond cond_limit are marked indeterminate, not failed.
     """
-    statuses = []
-    lam_mins = []
-    conds = []
-    for m in range(traj.grid.steps):
-        a = traj.maps[m]
-        b = traj.maps[m + 1]
-        c = float(np.linalg.cond(a))
-        conds.append(c)
-        if not np.isfinite(c) or c > cond_limit:
-            statuses.append("indeterminate")
-            lam_mins.append(None)
-            continue
-        # X a = b  <=>  a^T X^T = b^T
-        x = np.linalg.solve(a.T, b.T).T
-        ok, lam = cp_check(choi(x), eps_cp)
-        statuses.append("CP" if ok else "not-CP")
-        lam_mins.append(lam)
+    a, b = traj.maps[:-1], traj.maps[1:]
+    (conds,) = _blockwise(lambda s: (np.linalg.cond(a[s]),), traj.grid.steps, "interval")
+    solvable = np.isfinite(conds) & (conds <= cond_limit)
+    eye = np.eye(a.shape[-1])
+
+    def intermediate_cp(s):
+        # X a = b  <=>  a^T X^T = b^T; unsolvable intervals get X = 1, discarded below
+        keep = solvable[s, None, None]
+        at = np.where(keep, np.swapaxes(a[s], 1, 2), eye)
+        bt = np.where(keep, np.swapaxes(b[s], 1, 2), eye)
+        return cp_check(choi(np.swapaxes(np.linalg.solve(at, bt), 1, 2)), eps_cp)
+
+    ok, lam = _blockwise(intermediate_cp, traj.grid.steps, "interval")
     return DivisibilityResult(
-        statuses=tuple(statuses),
-        lambda_mins=tuple(lam_mins),
-        condition_numbers=tuple(conds),
+        statuses=tuple(
+            ("CP" if c else "not-CP") if good else "indeterminate" for good, c in zip(solvable, ok)
+        ),
+        lambda_mins=tuple(x if good else None for good, x in zip(solvable, lam.tolist())),
+        condition_numbers=tuple(conds.tolist()),
     )
 
 
@@ -493,11 +451,12 @@ def find_drift_cp_witness(
 # trajectory certification
 
 
-def trace_deviation(superop: np.ndarray) -> float:
-    """Worst-case |trace(Lambda rho) - trace(rho)| over unit-Frobenius rho."""
+def trace_deviation(superop: np.ndarray):
+    """Worst-case |trace(Lambda rho) - trace(rho)| over unit-Frobenius rho; arrays for stacks."""
+    superop = np.asarray(superop, dtype=complex)
     d = _dim_of(superop)
     row = vectorize(np.eye(d, dtype=complex))
-    return float(np.linalg.norm(superop.conj().T @ row - row))
+    return frobenius((np.swapaxes(superop.conj(), -1, -2) @ row - row)[..., None])
 
 
 @dataclass(frozen=True)
@@ -570,23 +529,20 @@ def certify_trajectory(
     divisibility: bool = False,
 ) -> CPReport:
     """Choi-certify every node of a trajectory (optionally every interval too)."""
-    times = traj.grid.nodes()
-    lam_mins = []
-    devs = []
-    verdicts = []
-    for m in range(traj.grid.steps + 1):
-        ok, lam = cp_check(choi(traj.maps[m]), eps_cp)
-        lam_mins.append(lam)
-        devs.append(trace_deviation(traj.maps[m]))
-        verdicts.append("CP" if ok else "not-CP")
+    maps = traj.maps
+
+    def node_block(s):
+        return (*cp_check(choi(maps[s]), eps_cp), trace_deviation(maps[s]))
+
+    ok, lam, devs = _blockwise(node_block, len(maps), "node")
     div = divisibility_check(traj, eps_cp, cond_limit) if divisibility else None
     return CPReport(
         family=traj.family,
         dim=traj.dim,
         eps_cp=eps_cp,
-        times=tuple(float(t) for t in times),
-        lambda_mins=tuple(lam_mins),
-        trace_devs=tuple(devs),
-        verdicts=tuple(verdicts),
+        times=tuple(float(t) for t in traj.grid.nodes()),
+        lambda_mins=tuple(lam.tolist()),
+        trace_devs=tuple(devs.tolist()),
+        verdicts=tuple("CP" if c else "not-CP" for c in ok),
         divisibility=div,
     )

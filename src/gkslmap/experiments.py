@@ -128,7 +128,7 @@ def coherence_revival_kernel(t_max: float = 4.0) -> GKSLKernel:
     ingestion path is exercised end to end (bilinear interpolation of a
     constant table is exact).
     """
-    prof = TabulatedProfile.from_array(float(t_max), np.ones((5, 5)))
+    prof = TabulatedProfile(float(t_max), np.ones((5, 5)))
     fn = TwoTimeOperatorFunction.build(2, [(prof, SIGMA_Z)])
     return GKSLKernel.build(2, jump_ops=(fn,), coupling=1.0)
 

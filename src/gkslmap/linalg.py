@@ -22,6 +22,7 @@ __all__ = [
     "dagger",
     "hermitian_eig",
     "HermitianEigenResult",
+    "NotHermitianError",
     "random_operator",
     "random_hermitian",
     "random_density",
@@ -73,8 +74,13 @@ def sandwich_superop(a, b) -> np.ndarray:
     return np.kron(b.T, a)
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+def frobenius(a):
+    """Frobenius norm over the last two axes, summed by dot products as np.linalg.norm
+    sums one matrix, so a stack rounds as its matrices do one at a time."""
+    a = np.asarray(a)
+    v = a.reshape(a.shape[:-2] + (1, -1))
+    sq = v.real @ np.swapaxes(v.real, -1, -2) + v.imag @ np.swapaxes(v.imag, -1, -2)
+    return np.sqrt(sq)[..., 0, 0]
 
 
 def dagger(a) -> np.ndarray:
@@ -89,22 +95,37 @@ class HermitianEigenResult:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a, rtol: float = 1e-9) -> HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix with an asymmetry guard.
+class NotHermitianError(ValueError):
+    """A :func:`hermitian_eig` input fails the guard; ``index`` is the first such matrix."""
 
-    The input is symmetrized internally; inputs whose anti-Hermitian part
-    exceeds ``rtol * ||a||_F`` are rejected so silent misuse on generic
-    matrices cannot slip through.
+    def __init__(self, index: tuple, detail: str):
+        where = f" {list(index)}" if index else ""
+        super().__init__(f"matrix{where} is not Hermitian: {detail}")
+        self.index, self.detail = index, detail
+
+
+def hermitian_eig(a, rtol: float = 1e-9) -> HermitianEigenResult:
+    """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n) of them.
+
+    The input is symmetrized internally; a matrix whose anti-Hermitian part
+    exceeds ``rtol * ||A||_F`` is rejected with :class:`NotHermitianError`, so
+    silent misuse on generic matrices cannot slip through.
     """
-    a = _as_square(a)
-    asym = float(np.linalg.norm(a - a.conj().T))
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    if asym > rtol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: ||A - A^dag||_F = {asym:.3e} "
-            f"exceeds {rtol:.1e} * ||A||_F = {rtol * scale:.3e}"
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    a_dag = np.swapaxes(a.conj(), -1, -2)
+    asym = frobenius(a - a_dag)
+    scale = np.maximum(frobenius(a), 1e-300)
+    bad = asym > rtol * scale
+    if bad.any():
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise NotHermitianError(
+            idx,
+            f"||A - A^dag||_F = {asym[idx]:.3e} "
+            f"exceeds {rtol:.1e} * ||A||_F = {rtol * scale[idx]:.3e}",
         )
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    w, v = np.linalg.eigh(0.5 * (a + a_dag))
     return HermitianEigenResult(eigenvalues=w, eigenvectors=v)
 
 

@@ -17,7 +17,7 @@ is what lets drift operators and jump-pair coefficients stay in profile form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -177,21 +177,24 @@ class TabulatedProfile(Profile):
 
     ``values[i, j]`` is the sample at (t = i * t_max / (n-1), t' = j * t_max / (n-1)).
     Evaluation outside the covered square raises, so a solve over a horizon the
-    table does not cover fails loudly rather than extrapolating.
+    table does not cover fails loudly rather than extrapolating.  ``values`` is
+    a read-only complex copy of any array-like; equality and hash go through
+    its bytes, whose hash Python computes once.
     """
 
     t_max: float
-    values: tuple  # tuple of row-tuples of complex, kept hashable
+    values: np.ndarray = dataclass_field(compare=False)
+    _key: bytes = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.values)
-        if n < 2 or any(len(row) != n for row in self.values):
+        vals = np.array(self.values, dtype=complex)
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 2:
             raise ProfileFormatError("tabulated-grid values must form a square matrix, n >= 2")
         if not self.t_max > 0:
             raise ProfileFormatError("tabulated-grid t_max must be positive")
-
-    def _array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_key", (vals + 0.0).tobytes())  # + 0.0: -0.0 equals 0.0
 
     def __call__(self, t, tp):
         t = np.asarray(t, float)
@@ -205,7 +208,7 @@ class TabulatedProfile(Profile):
                 f"tabulated profile evaluated outside [0, {self.t_max}]^2; "
                 "re-tabulate with a larger t_max"
             )
-        vals = self._array()
+        vals = self.values
         n = vals.shape[0]
         step = self.t_max / (n - 1)
         x = np.clip(t / step, 0.0, n - 1 - 1e-12)
@@ -226,13 +229,7 @@ class TabulatedProfile(Profile):
         ).astype(complex)
 
     def conjugate(self):
-        conj_vals = tuple(tuple(np.conj(v) for v in row) for row in self.values)
-        return TabulatedProfile(self.t_max, conj_vals)
-
-    @staticmethod
-    def from_array(t_max: float, values) -> "TabulatedProfile":
-        arr = np.asarray(values, dtype=complex)
-        return TabulatedProfile(t_max, tuple(tuple(complex(v) for v in row) for row in arr))
+        return TabulatedProfile(self.t_max, self.values.conj())
 
 
 @dataclass(frozen=True)
@@ -362,8 +359,8 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != len(raw):
                 raise ProfileFormatError(f"{field}.values[{i}]: rows must form a square matrix")
-            rows.append(tuple(_cplx(v, f"{field}.values[{i}]") for v in row))
-        return TabulatedProfile(float(t_max), tuple(rows))
+            rows.append([_cplx(v, f"{field}.values[{i}]") for v in row])
+        return TabulatedProfile(float(t_max), rows)
     raise ProfileFormatError(f"{field}.kind: unknown kind {kind!r}")
 
 

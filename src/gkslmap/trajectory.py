@@ -102,20 +102,26 @@ class MapTrajectory:
         for key in ("family", "dim", "grid", "maps"):
             if key not in doc:
                 raise FormatError(f"{key}: missing")
-        grid = TimeGrid(float(doc["grid"]["T"]), int(doc["grid"]["steps"]))
-        dim = int(doc["dim"])
+        g = doc["grid"]
+        if not isinstance(g, dict) or "T" not in g or "steps" not in g:
+            raise FormatError("grid: expected an object with 'T' and 'steps'")
+        try:
+            grid = TimeGrid(float(g["T"]), int(g["steps"]))
+            dim = int(doc["dim"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"grid/dim: {exc}") from exc
         D = dim * dim
-        raw = doc["maps"]
-        if len(raw) != grid.steps + 1:
+        shape = (grid.steps + 1, D * D, 2)
+        try:
+            raw = np.asarray(doc["maps"])
+        except ValueError:  # ragged
+            raw = np.empty(0)
+        if raw.shape != shape or raw.dtype.kind not in "biuf" or not np.isfinite(raw).all():
             raise FormatError(
-                f"maps: {len(raw)} entries for a grid with {grid.steps + 1} nodes"
+                f"maps: expected {shape[0]} nodes x {D * D} entries x [re, im] finite numbers"
             )
-        maps = np.empty((len(raw), D, D), dtype=complex)
-        for i, entries in enumerate(raw):
-            if len(entries) != D * D:
-                raise FormatError(f"maps[{i}]: expected {D * D} entries, got {len(entries)}")
-            arr = np.array([complex(re, im) for re, im in entries])
-            maps[i] = arr.reshape(D, D)
+        # the pairs viewed as complex keep every bit, signed zeros included
+        maps = np.ascontiguousarray(raw, dtype=float).view(complex).reshape(-1, D, D)
         return MapTrajectory(
             grid=grid,
             dim=dim,

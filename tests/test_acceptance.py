@@ -355,6 +355,8 @@ def test_criterion_11_byte_identical_runs(tmp_path):
         ("solve", ["solve", "--kernel", str(kernel), "--T", "1.0", "--steps", "60"]),
         ("gscan", ["gscan", "--kernel", str(kernel), "--T", "1.0", "--steps", "60",
                    "--g-list", "0.05,0.1,0.2,0.4"]),
+        ("certify", ["certify", "--trajectory", str(tmp_path / "solve-0" / "trajectory.json"),
+                     "--divisibility"]),
     ]:
         outs = [tmp_path / f"{name}-{i}" for i in (0, 1)]
         for out in outs:

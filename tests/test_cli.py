@@ -10,10 +10,10 @@ import gkslmap.cli as cli
 from gkslmap.cli import main
 from gkslmap.experiments import coherence_revival_kernel, dephasing_kernel, random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, save_drift_spec, save_kernel_spec
-from gkslmap.linalg import SIGMA_X
+from gkslmap.linalg import SIGMA_X, SIGMA_Z, sandwich_superop
 from gkslmap.profiles import ConstantProfile, TabulatedProfile
 from gkslmap.serialize import canonical_dumps
-from gkslmap.trajectory import FAMILY_TAGS, MapTrajectory
+from gkslmap.trajectory import FAMILY_TAGS, MapTrajectory, TimeGrid
 
 
 def write_kernel(path, kernel):
@@ -87,6 +87,65 @@ def test_certify_divisibility_violation_exit_one(tmp_path):
     w = report["divisibility_witness"]
     assert w["lambda_min"] < -1e-8
     assert w["t"][0] > 1.0  # revival stretch starts past the coherence zero
+
+
+def test_csvs_report_the_same_trace_deviation(tmp_path):
+    kernel = write_kernel(tmp_path / "k.json", random_kernel(101))
+    out = tmp_path / "run"
+    assert main(["solve", "--kernel", kernel, "--steps", "400", "--out", str(out)]) == 0
+    main(["certify", "--trajectory", str(out / "trajectory.json"), "--out", str(out)])
+
+    def column(name):
+        lines = (out / name).read_text().split("\n")
+        assert lines[2].split(",")[2] == "trace_dev"
+        return [line.split(",")[2] for line in lines[3:] if line]
+
+    assert column("trajectory.csv") == column("cp_report.csv")
+    assert len(column("trajectory.csv")) == 401
+
+
+def three_node_trajectory_doc():
+    maps = np.stack([np.eye(4, dtype=complex)] * 3)
+    return MapTrajectory(grid=TimeGrid(1.0, 2), dim=2, family="local-full", maps=maps).to_doc()
+
+
+def malformed(edit):
+    doc = three_node_trajectory_doc()
+    edit(doc)
+    return doc
+
+
+MALFORMED_TRAJECTORIES = {
+    "scalar-map-entry": malformed(lambda d: d["maps"].__setitem__(1, 0.5)),
+    "grid-not-an-object": malformed(lambda d: d.__setitem__("grid", [1.0, 2])),
+    "string-in-pair": malformed(lambda d: d["maps"][1][0].__setitem__(0, "1.0")),
+    "nan-entry": malformed(lambda d: d["maps"][2][5].__setitem__(1, float("nan"))),
+    "ragged-rows": malformed(lambda d: d["maps"][0].pop()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TRAJECTORIES))
+def test_malformed_trajectory_is_config_error(tmp_path, capsys, name):
+    path = tmp_path / "traj.json"
+    path.write_text(json.dumps(MALFORMED_TRAJECTORIES[name]))
+    out = tmp_path / "run"
+    assert main(["certify", "--trajectory", str(path), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert not (out / "cp_report.json").exists()
+    assert main(["validate", "--kernel", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+
+
+def test_certify_names_a_node_that_breaks_hermiticity(tmp_path, capsys):
+    maps = np.stack([np.eye(4, dtype=complex)] * 2 + [sandwich_superop(SIGMA_X, SIGMA_Z)])
+    traj = MapTrajectory(grid=TimeGrid(1.0, 2), dim=2, family="local-full", maps=maps)
+    path = tmp_path / "traj.json"
+    path.write_text(canonical_dumps(traj.to_doc()))
+    out = tmp_path / "run"
+    assert main(["certify", "--trajectory", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and err["message"].startswith("node 2: ")
+    assert not (out / "cp_report.json").exists()
 
 
 def test_certify_requires_trajectory(tmp_path, capsys):
@@ -202,7 +261,7 @@ def test_hermitian_part_is_checked_at_every_tabulated_node(tmp_path, capsys):
     # Hermitian everywhere except at the table node (t, t') = (4, 0)
     values = np.ones((5, 5), dtype=complex)
     values[4, 0] = 1 + 1j
-    herm = TwoTimeOperatorFunction.build(2, [(TabulatedProfile.from_array(4.0, values), SIGMA_X)])
+    herm = TwoTimeOperatorFunction.build(2, [(TabulatedProfile(4.0, values), SIGMA_X)])
     kernel = write_kernel(tmp_path / "skew.json", GKSLKernel.build(2, hermitian=herm))
     assert main(["validate", "--kernel", kernel]) == 2
     err = json.loads(capsys.readouterr().err)["error"]

@@ -10,7 +10,6 @@ from gkslmap.cpanalysis import (
     CPReport,
     _max_offdiagonal_entry,
     KrausSet,
-    apply_extended,
     certify_trajectory,
     choi,
     cp_check,
@@ -19,11 +18,9 @@ from gkslmap.cpanalysis import (
     find_drift_cp_witness,
     kraus_condition_check,
     kraus_extract,
-    kraus_reconstruct,
-    measure_sample,
     trace_deviation,
 )
-from gkslmap.experiments import random_drift
+from gkslmap.experiments import coherence_revival_kernel, random_drift, random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, load_drift_spec
 from gkslmap.linalg import (
     SIGMA_PLUS,
@@ -36,7 +33,7 @@ from gkslmap.linalg import (
     vectorize,
 )
 from gkslmap.profiles import ConstantProfile, ExpProfile
-from gkslmap.propagate import solve_local
+from gkslmap.propagate import solve_family, solve_local
 from gkslmap.trajectory import MapTrajectory, TimeGrid
 
 
@@ -51,6 +48,19 @@ def transpose_superop(d=2):
 def haar_unitary(rng, d):
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def apply_extended(superop, x):
+    """Apply Lambda (x) id to an operator x on the doubled space (d*d)^2."""
+    d = int(round(np.sqrt(superop.shape[0])))
+    t = np.asarray(superop, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 3, 2)
+    x4 = np.asarray(x, dtype=complex).reshape(d, d, d, d)
+    return np.einsum("abxy,xiyj->aibj", t, x4).reshape(d * d, d * d)
+
+
+def kraus_reconstruct(kraus):
+    """Superoperator sum_j K_j (.) K_j^dag."""
+    return sum(sandwich_superop(k, k.conj().T) for k in kraus.operators)
 
 
 def dephasing_trajectory(steps=50, g=1.0):
@@ -92,16 +102,6 @@ def test_apply_extended_on_sandwich_superop(rng):
     eye = np.eye(d)
     expected = np.kron(a, eye) @ x @ np.kron(b, eye)
     assert np.allclose(apply_extended(s, x), expected, atol=1e-13)
-
-
-def test_measure_sample_detects_transpose_violation():
-    res = measure_sample(transpose_superop(), n_samples=500, seed=3)
-    assert res.value < -0.05
-    again = measure_sample(transpose_superop(), n_samples=500, seed=3)
-    assert again.value == res.value
-    # a CP map stays nonnegative on every sample
-    cp = measure_sample(sandwich_superop(SIGMA_Z, SIGMA_Z), n_samples=200)
-    assert cp.value >= -1e-14
 
 
 def test_kraus_round_trip(rng):
@@ -151,6 +151,82 @@ def test_divisibility_flags_violation_and_indeterminate():
     # the second interval inverts the near-singular map: indeterminate, not failed
     assert res.statuses[1] == "indeterminate"
     assert res.lambda_mins[1] is None
+
+
+def certify_reference(traj, eps_cp=1e-8, cond_limit=1e12):
+    """The per-node loop: one Choi eigh per node, one cond, solve and eigh per interval."""
+    d = traj.dim
+    D = d * d
+    row = np.eye(d, dtype=complex).reshape(-1, order="F")
+
+    def lam_min(s):
+        c = s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(D, D)
+        return float(np.linalg.eigh(0.5 * (c + c.conj().T))[0][0])
+
+    lams = [lam_min(m) for m in traj.maps]
+    devs = [float(np.linalg.norm(m.conj().T @ row - row)) for m in traj.maps]
+    statuses, div_lams, conds = [], [], []
+    for m in range(traj.grid.steps):
+        a, b = traj.maps[m], traj.maps[m + 1]
+        conds.append(float(np.linalg.cond(a)))
+        if not np.isfinite(conds[-1]) or conds[-1] > cond_limit:
+            statuses.append("indeterminate")
+            div_lams.append(None)
+            continue
+        div_lams.append(lam_min(np.linalg.solve(a.T, b.T).T))
+        statuses.append("CP" if div_lams[-1] >= -eps_cp * d else "not-CP")
+    return lams, devs, statuses, div_lams, conds
+
+
+def spliced_trajectory():
+    """A d=2 corpus trajectory of 151 nodes (not a whole number of blocks) with a
+    Schur-multiplier map at node 100: interval 99 is not CP, interval 100 indeterminate."""
+    traj = solve_family(random_kernel(101, dim=2), TimeGrid(1.5, 150), "local-full")
+    maps = traj.maps.copy()
+    maps[100] = np.diag([1.0, 0.9, 0.9, 1e-15])
+    return MapTrajectory(grid=traj.grid, dim=2, family=traj.family, maps=maps)
+
+
+ORACLE_TRAJECTORIES = {
+    "corpus-d2-local": lambda: solve_family(
+        random_kernel(103, dim=2), TimeGrid(2.0, 400), "local-full"
+    ),
+    "corpus-d3-nonlocal": lambda: solve_family(
+        random_kernel(102, dim=3), TimeGrid(2.0, 130), "nonlocal-full"
+    ),
+    "revival": lambda: solve_family(
+        coherence_revival_kernel(), TimeGrid(2.0, 160), "nonlocal-full"
+    ),
+    "spliced": spliced_trajectory,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TRAJECTORIES))
+def test_stacked_certify_matches_per_node_loop(name):
+    traj = ORACLE_TRAJECTORIES[name]()
+    lams, devs, statuses, div_lams, conds = certify_reference(traj)
+    report = certify_trajectory(traj, divisibility=True)
+    div = report.divisibility
+    assert np.array_equal(report.lambda_mins, lams)
+    assert np.array_equal(report.trace_devs, devs)
+    assert np.array_equal(trace_deviation(traj.maps), devs)
+    assert report.verdicts == tuple("CP" if x >= -1e-8 * traj.dim else "not-CP" for x in lams)
+    assert np.array_equal(div.condition_numbers, conds)
+    assert div.statuses == tuple(statuses)
+    assert div.lambda_mins == tuple(div_lams)
+    if name in ("revival", "spliced"):
+        assert "not-CP" in statuses
+    if name == "spliced":
+        assert statuses[99:101] == ["not-CP", "indeterminate"]
+
+
+def test_certify_names_the_node_that_breaks_hermiticity():
+    traj = spliced_trajectory()
+    maps = traj.maps.copy()
+    maps[70] = sandwich_superop(SIGMA_X, SIGMA_Z)  # rho -> X rho Z
+    bad = MapTrajectory(grid=traj.grid, dim=2, family=traj.family, maps=maps)
+    with pytest.raises(ValueError, match="^node 70: .*not Hermitian"):
+        certify_trajectory(bad)
 
 
 def test_trace_deviation(rng):

@@ -78,7 +78,7 @@ def test_array_call_equals_pointwise_evaluation(rng):
     sep = SeparableProfile(
         SingleVarFactor("exp", rate=-0.4 + 0.2j), SingleVarFactor("gaussian", tau=1.3)
     )
-    tab = TabulatedProfile.from_array(3.0, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    tab = TabulatedProfile(3.0, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     op = TwoTimeOperatorFunction.build(
         3,
         [
@@ -130,10 +130,10 @@ def test_check_hermiticity_rejects_bad_profile():
 def test_check_hermiticity_samples_tables_within_their_common_horizon():
     # real tables are Hermitian as profiles of sigma_x; the short one caps the
     # samples at t = 1, so neither the long table's far nodes nor t = 1.7 raise
-    short = TabulatedProfile.from_array(1.0, np.ones((3, 3)))
+    short = TabulatedProfile(1.0, np.ones((3, 3)))
     bent = np.ones((5, 5), dtype=complex)
     bent[4, 0] = 1 + 1j  # at (3, 0), past the common horizon
-    long = TabulatedProfile.from_array(3.0, bent)
+    long = TabulatedProfile(3.0, bent)
     terms = [(short, SIGMA_X), (long, SIGMA_X)]
     GKSLKernel.build(2, hermitian=TwoTimeOperatorFunction.build(2, terms)).check_hermiticity()
     alone = GKSLKernel.build(2, hermitian=TwoTimeOperatorFunction.build(2, terms[1:]))
@@ -142,7 +142,7 @@ def test_check_hermiticity_samples_tables_within_their_common_horizon():
 
 
 def test_check_horizon_for_tabulated_profiles():
-    p = TabulatedProfile.from_array(1.5, np.ones((4, 4)))
+    p = TabulatedProfile(1.5, np.ones((4, 4)))
     op = TwoTimeOperatorFunction.build(2, [(p, SIGMA_Z)])
     k = GKSLKernel.build(2, jump_ops=[op])
     k.check_horizon(1.4)

@@ -9,6 +9,7 @@ from gkslmap.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    NotHermitianError,
     dagger,
     frobenius,
     hermitian_eig,
@@ -60,6 +61,24 @@ def test_hermitian_eig_rejects_asymmetry(rng):
     h = random_hermitian(rng, 3)
     with pytest.raises(ValueError):
         hermitian_eig(h + 0.1 * random_operator(rng, 3))
+
+
+def test_hermitian_eig_on_a_stack_matches_one_at_a_time(rng):
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+    res = hermitian_eig(stack)
+    for h, w, v in zip(stack, res.eigenvalues, res.eigenvectors):
+        one = hermitian_eig(h)
+        assert np.array_equal(w, one.eigenvalues) and np.array_equal(v, one.eigenvectors)
+    stack[3] += 0.1 * random_operator(rng, 3)
+    stack[4] += 0.1 * random_operator(rng, 3)
+    with pytest.raises(NotHermitianError, match=r"^matrix \[3\] is not Hermitian") as err:
+        hermitian_eig(stack)
+    assert err.value.index == (3,)
+
+
+def test_frobenius_of_a_stack_rounds_like_numpy_norm(rng):
+    stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    assert np.array_equal(frobenius(stack), [np.linalg.norm(a) for a in stack])
 
 
 def test_random_density_properties(rng):

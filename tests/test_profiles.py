@@ -87,11 +87,18 @@ def test_profile_product_fuses_exponentials():
 def test_profiles_are_hashable_for_table_sharing():
     assert ExpProfile(-1.0) == ExpProfile(-1.0)
     assert len({ExpProfile(-1.0), ExpProfile(-1.0), ConstantProfile(1.0)}) == 2
+    tab = TabulatedProfile(1.0, np.array([[0.0, 1.0], [-0.0, 2.0 + 1.0j]]))
+    twin = TabulatedProfile(1.0, [[0.0, 1.0], [0.0, 2.0 + 1.0j]])
+    assert tab == twin and hash(tab) == hash(twin)
+    assert len({tab, twin, tab.conjugate()}) == 2
+    assert tab.conjugate().conjugate() == tab
+    assert tab != TabulatedProfile(2.0, tab.values)
+    assert not tab.values.flags.writeable
 
 
 def test_tabulated_profile_bilinear_values():
     values = np.array([[0.0, 1.0], [1.0, 2.0]])
-    p = TabulatedProfile.from_array(2.0, values)
+    p = TabulatedProfile(2.0, values)
     assert p(0.0, 0.0) == 0.0
     assert p(2.0, 2.0) == pytest.approx(2.0)
     assert p(1.0, 1.0) == pytest.approx(1.0)  # bilinear midpoint
@@ -99,7 +106,7 @@ def test_tabulated_profile_bilinear_values():
 
 
 def test_tabulated_profile_rejects_out_of_domain():
-    p = TabulatedProfile.from_array(1.0, np.ones((3, 3)))
+    p = TabulatedProfile(1.0, np.ones((3, 3)))
     with pytest.raises(ValueError):
         p(1.5, 0.0)
 
@@ -115,7 +122,7 @@ def test_tabulated_profile_rejects_out_of_domain():
         SeparableProfile(
             SingleVarFactor("exp", rate=-0.4), SingleVarFactor("gaussian", tau=1.1)
         ),
-        TabulatedProfile.from_array(2.5, np.arange(9.0).reshape(3, 3)),
+        TabulatedProfile(2.5, np.arange(9.0).reshape(3, 3)),
     ],
 )
 def test_profile_doc_round_trip(profile):

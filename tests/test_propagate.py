@@ -257,7 +257,7 @@ def test_stepsize_warning_meta():
 
 
 def test_solvers_enforce_tabulated_horizon():
-    p = TabulatedProfile.from_array(0.5, np.ones((3, 3)))
+    p = TabulatedProfile(0.5, np.ones((3, 3)))
     k = GKSLKernel.build(2, jump_ops=[TwoTimeOperatorFunction.build(2, [(p, SIGMA_Z)])])
     with pytest.raises(ValueError):
         solve_local(k, TimeGrid(1.0, 10))
@@ -302,7 +302,7 @@ SEP = SeparableProfile(SingleVarFactor("exp", rate=-0.5), SingleVarFactor("gauss
 SEP2 = SeparableProfile(
     SingleVarFactor("exp", rate=-0.3 + 0.4j), SingleVarFactor("gaussian", tau=1.8)
 )
-TAB = TabulatedProfile.from_array(
+TAB = TabulatedProfile(
     2.0, np.random.default_rng(7).normal(size=(6, 6)) + 0.5j * np.eye(6)
 )
 
@@ -484,7 +484,7 @@ def rel_gap(a, ref):
 
 def extra_kernels():
     """Kernels off the corpus: tabulated terms, and a foreign Profile subclass."""
-    herm_tab = TabulatedProfile.from_array(2.0, np.random.default_rng(11).normal(size=(4, 4)))
+    herm_tab = TabulatedProfile(2.0, np.random.default_rng(11).normal(size=(4, 4)))
     tabulated = GKSLKernel.build(
         2,
         hermitian=TwoTimeOperatorFunction.build(2, [(herm_tab, 0.4 * SIGMA_X)]),
