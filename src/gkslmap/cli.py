@@ -28,7 +28,13 @@ from .kernel import (
     split_kernel,
 )
 from .propagate import solve_family
-from .serialize import atomic_write_text, canonical_dumps, config_hash
+from .serialize import (
+    atomic_write_text,
+    canonical_dumps,
+    complex_to_doc,
+    config_hash,
+    is_finite_number,
+)
 from .trajectory import FAMILY_TAGS, MapTrajectory, TimeGrid, trajectory_csv
 
 __all__ = ["main"]
@@ -48,19 +54,20 @@ _DEFAULTS = {
     "divisibility": False,
 }
 
+# config-file keys and the JSON types each accepts
 _CONFIG_KEYS = {
-    "kernel",
-    "trajectory",
-    "T",
-    "steps",
-    "family",
-    "order",
-    "eps_cp",
-    "seed",
-    "out",
-    "g_list",
-    "pair",
-    "divisibility",
+    "kernel": (str,),
+    "trajectory": (str,),
+    "T": (int, float),
+    "steps": (int,),
+    "family": (str,),
+    "order": (int,),
+    "eps_cp": (int, float),
+    "seed": (int,),
+    "out": (str,),
+    "g_list": (str, list),
+    "pair": (str, list),
+    "divisibility": (bool,),
 }
 
 
@@ -95,13 +102,16 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
         doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-        unknown = set(doc) - _CONFIG_KEYS
+        unknown = set(doc) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {sorted(unknown)}")
         base = Path(args.config).parent
         for key, val in doc.items():
-            if key in ("kernel", "trajectory", "out") and isinstance(val, str):
-                val = str((base / val)) if not Path(val).is_absolute() else val
+            if type(val) not in _CONFIG_KEYS[key]:  # bool is an int to isinstance
+                names = " or ".join(t.__name__ for t in _CONFIG_KEYS[key])
+                raise ConfigError(f"{args.config}: {key}: expected {names}, got {val!r}")
+            if key in ("kernel", "trajectory", "out") and not Path(val).is_absolute():
+                val = str(base / val)
             file_conf[key] = val
     resolved = {}
     for key in keys:
@@ -114,6 +124,9 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
             resolved[key] = _DEFAULTS[key]
         else:
             resolved[key] = None
+    eps = resolved.get("eps_cp")
+    if eps is not None and not (is_finite_number(eps) and eps >= 0):
+        raise ConfigError(f"eps_cp: expected a finite number >= 0, got {eps!r}")
     return resolved
 
 
@@ -126,7 +139,7 @@ def _grid_of(conf: dict) -> TimeGrid:
 
 def _resolve_family(name) -> str:
     """Family tag for a tag or an alias; anything else is a config error."""
-    fam = _FAMILY_ALIASES.get(name, name)
+    fam = _FAMILY_ALIASES.get(name, name) if isinstance(name, str) else None
     if fam not in FAMILY_TAGS:
         raise ConfigError(f"unknown family {name!r}")
     return fam
@@ -178,18 +191,13 @@ def _provenance(conf: dict) -> dict:
     }
 
 
-def _write_json(out_dir: str, name: str, doc: dict) -> Path:
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(path, canonical_dumps(doc) + "\n")
-    return path
+def _write_json(out_dir: str, name: str, doc: dict) -> None:
+    atomic_write_text(Path(out_dir) / name, canonical_dumps(doc) + "\n")
 
-def _write_csv(out_dir: str, name: str, text: str, prov: dict) -> Path:
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
+
+def _write_csv(out_dir: str, name: str, text: str, prov: dict) -> None:
     header = f"# gkslmap {prov['version']} config_hash={prov['config_hash']}\n"
-    atomic_write_text(path, header + text)
-    return path
+    atomic_write_text(Path(out_dir) / name, header + text)
 
 
 def _run_solver(fn, *args, **kwargs):
@@ -245,20 +253,16 @@ def _cmd_certify(args) -> int:
     violation = not report.all_cp
     if report.first_violation is not None:
         i = report.first_violation
-        rdoc["witness"] = {
-            "node": int(i),
-            "t": float(report.times[i]),
-            "lambda_min": float(report.lambda_mins[i]),
-        }
+        rdoc["witness"] = {"node": i, "t": report.times[i], "lambda_min": report.lambda_mins[i]}
     if report.divisibility is not None and not report.divisibility.all_cp:
         violation = True
         viols = report.divisibility.violations
         if viols:
             i = viols[0]
             rdoc["divisibility_witness"] = {
-                "interval": [int(i), int(i + 1)],
-                "t": [float(report.times[i]), float(report.times[i + 1])],
-                "lambda_min": float(report.divisibility.lambda_mins[i]),
+                "interval": [i, i + 1],
+                "t": list(report.times[i : i + 2]),
+                "lambda_min": report.divisibility.lambda_mins[i],
             }
     _write_json(conf["out"], "cp_report.json", rdoc)
     _write_csv(conf["out"], "cp_report.csv", report.csv_text(), prov)
@@ -276,7 +280,10 @@ def _cmd_gscan(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--g-list: {exc}") from exc
     elif isinstance(raw, list):
-        gs = [float(x) for x in raw]
+        try:
+            gs = [float(x) for x in raw]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"g_list: {exc}") from exc
     else:
         raise ConfigError("a g list is required (--g-list)")
     pair = conf["pair"].split(",") if isinstance(conf["pair"], str) else list(conf["pair"])
@@ -298,27 +305,12 @@ def _cmd_counterexample(args) -> int:
     w = _load_kernel_or_drift(conf)
     witness = _run_solver(find_drift_cp_witness, w, grid, eps_cp=float(conf["eps_cp"]))
     prov = _provenance(conf)
-    if witness is None:
-        doc = {"kind": "cp-witness", "witness": None, "provenance": prov}
-        _write_json(conf["out"], "witness.json", doc)
-        return 0
-    doc = {
-        "kind": "cp-witness",
-        "witness": {
-            "t": float(witness.t),
-            "node": int(witness.node),
-            "measure_value": float(witness.measure_value),
-            "choi_lambda_min": float(witness.choi_lambda_min),
-            "pair": [int(witness.pair[0]), int(witness.pair[1])],
-            "phase": float(witness.phase),
-            "amplitude": float(witness.amplitude),
-            "psi": [[float(z.real), float(z.imag)] for z in witness.psi],
-            "phi": [[float(z.real), float(z.imag)] for z in witness.phi],
-        },
-        "provenance": prov,
-    }
+    doc = {"kind": "cp-witness", "witness": None, "provenance": prov}
+    if witness is not None:
+        psi, phi = complex_to_doc(witness.psi), complex_to_doc(witness.phi)
+        doc["witness"] = {**vars(witness), "psi": psi, "phi": phi}
     _write_json(conf["out"], "witness.json", doc)
-    return 1
+    return 0 if witness is None else 1
 
 
 def _cmd_convolution(args) -> int:

@@ -22,7 +22,6 @@ as one at a time.  Blocks, because a call over all M + 1 nodes holds several
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ import numpy as np
 from .kernel import TwoTimeOperatorFunction
 from .linalg import NotHermitianError, frobenius, hermitian_eig, unvectorize, vectorize
 from .propagate import solve_nonlocal_from_drift
+from .serialize import csv_table
 from .trajectory import MapTrajectory, TimeGrid
 
 __all__ = [
@@ -506,20 +506,15 @@ class CPReport:
         return doc
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# gkslmap cp-report family={self.family} dim={self.dim} eps_cp={self.eps_cp!r}\n")
-        buf.write("t,lambda_min,trace_dev,div_lambda_min,verdict\n")
-        for i, t in enumerate(self.times):
-            if self.divisibility is None or i == 0:
-                div = ""
-            else:
-                val = self.divisibility.lambda_mins[i - 1]
-                div = "" if val is None else repr(float(val))
-            buf.write(
-                f"{float(t)!r},{float(self.lambda_mins[i])!r},"
-                f"{float(self.trace_devs[i])!r},{div},{self.verdicts[i]}\n"
-            )
-        return buf.getvalue()
+        header = f"# gkslmap cp-report family={self.family} dim={self.dim} eps_cp={self.eps_cp!r}\n"
+        div = self.divisibility
+        return header + csv_table({
+            "t": self.times,
+            "lambda_min": self.lambda_mins,
+            "trace_dev": self.trace_devs,
+            "div_lambda_min": [None] * len(self.times) if div is None else [None, *div.lambda_mins],
+            "verdict": self.verdicts,
+        })
 
 
 def certify_trajectory(

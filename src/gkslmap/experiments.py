@@ -13,7 +13,6 @@ corpus the test suite shares:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -39,6 +38,7 @@ from .profiles import (
     profile_product,
 )
 from .propagate import solve_family, solve_nonlocal
+from .serialize import csv_row, csv_table
 from .trajectory import MapTrajectory, TimeGrid
 
 __all__ = [
@@ -166,18 +166,12 @@ class GScanResult:
         }
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# gkslmap gscan pair={self.pair[0]}:{self.pair[1]}\n")
-        buf.write("g,distance\n")
-        for g, x in zip(self.g_values, self.distances):
-            buf.write(f"{float(g)!r},{float(x)!r}\n")
-        buf.write(
-            "# local_slopes=" + ",".join(repr(float(x)) for x in self.local_slopes) + "\n"
+        return (
+            f"# gkslmap gscan pair={self.pair[0]}:{self.pair[1]}\n"
+            + csv_table({"g": self.g_values, "distance": self.distances})
+            + f"# local_slopes={csv_row(self.local_slopes)}\n"
+            + f"# slope={self.slope!r} residual={self.residual!r} monotone={self.monotone}\n"
         )
-        buf.write(
-            f"# slope={self.slope!r} residual={self.residual!r} monotone={self.monotone}\n"
-        )
-        return buf.getvalue()
 
 
 def pair_distance(k: GKSLKernel, grid: TimeGrid, pair, order: int = 8) -> float:
@@ -196,9 +190,10 @@ def g_scan(
 ) -> GScanResult:
     """Distance-vs-coupling scan with a least-squares log-log slope fit.
 
-    Requires at least four strictly increasing positive couplings spanning a
-    ratio of at least 8 (the widest window the weak regime tolerates in
-    practice; a full decade is better when the large-g end still converges).
+    Requires at least four strictly increasing, finite, positive couplings
+    spanning a ratio of at least 8 (the widest window the weak regime
+    tolerates in practice; a full decade is better when the large-g end still
+    converges).
     Per-point solver failures are recorded and excluded from the fit rather
     than aborting the scan; when they leave fewer than two points the scan
     raises RuntimeError (a solver failure, not bad input).  ``local_slopes``
@@ -216,8 +211,8 @@ def g_scan(
     gs = [float(g) for g in g_list]
     if len(gs) < 4:
         raise ValueError(f"g_list needs >= 4 points, got {len(gs)}")
-    if any(g <= 0 for g in gs):
-        raise ValueError("g_list entries must be positive")
+    if not all(0 < g < math.inf for g in gs):
+        raise ValueError("g_list entries must be finite and positive")
     if any(b <= a for a, b in zip(gs, gs[1:])):
         raise ValueError("g_list must be strictly increasing")
     if gs[-1] / gs[0] < 8.0:

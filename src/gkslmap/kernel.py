@@ -33,7 +33,7 @@ from .profiles import (
     profile_product,
     profile_to_doc,
 )
-from .serialize import FormatError, matrix_from_doc, matrix_to_doc
+from .serialize import FormatError, is_finite_number, matrix_from_doc, matrix_to_doc
 
 __all__ = [
     "TwoTimeOperatorFunction",
@@ -289,8 +289,8 @@ def load_kernel_spec(doc) -> GKSLKernel:
     if not isinstance(dim, int) or not (MIN_DIM <= dim <= MAX_DIM):
         raise KernelFormatError(f"dim: expected an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
     g = doc.get("coupling_g", 1.0)
-    if not isinstance(g, (int, float)) or g < 0:
-        raise KernelFormatError(f"coupling_g: expected a number >= 0, got {g!r}")
+    if not is_finite_number(g) or g < 0:
+        raise KernelFormatError(f"coupling_g: expected a finite number >= 0, got {g!r}")
     herm = TwoTimeOperatorFunction.build(dim, _terms_from_doc(doc.get("hermitian", []), dim, "hermitian"))
     raw_jumps = doc.get("lindblad", [])
     if not isinstance(raw_jumps, list):

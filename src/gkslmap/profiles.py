@@ -21,6 +21,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .serialize import is_finite_number
+
 __all__ = [
     "Profile",
     "ConstantProfile",
@@ -42,15 +44,20 @@ class ProfileFormatError(ValueError):
 
 
 def _cplx(value, field: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise ProfileFormatError(f"{field}: expected a number or [re, im] pair, got {value!r}")
+    pair = (value, 0.0) if isinstance(value, (int, float)) else value
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_finite_number, pair)):
+        return complex(pair[0], pair[1])
+    raise ProfileFormatError(f"{field}: expected a finite number or [re, im] pair, got {value!r}")
+
+
+def _number(doc: dict, key: str, field: str, default=None, positive=False) -> float:
+    """The finite number ``doc[key]``, positive if asked; errors name the field."""
+    x = doc.get(key, default)
+    if not is_finite_number(x) or (positive and x <= 0):
+        raise ProfileFormatError(
+            f"{field}.{key}: expected a {'positive' if positive else 'finite'} number"
+        )
+    return x
 
 
 def _cplx_doc(z: complex):
@@ -284,23 +291,12 @@ def _shared_kind_from_doc(doc: dict, kind, field: str) -> SingleVarFactor | None
     if kind == "constant":
         return SingleVarFactor("constant", value=_cplx(doc.get("value", 1.0), f"{field}.value"))
     if kind == "exponential-decay":
-        kappa = doc.get("kappa")
-        if not isinstance(kappa, (int, float)):
-            raise ProfileFormatError(f"{field}.kappa: expected a number")
-        omega = doc.get("omega", 0.0)
-        if not isinstance(omega, (int, float)):
-            raise ProfileFormatError(f"{field}.omega: expected a number")
-        return SingleVarFactor("exp", rate=complex(-kappa, omega))
+        kappa = _number(doc, "kappa", field)
+        return SingleVarFactor("exp", rate=complex(-kappa, _number(doc, "omega", field, 0.0)))
     if kind == "oscillatory":
-        omega = doc.get("omega")
-        if not isinstance(omega, (int, float)):
-            raise ProfileFormatError(f"{field}.omega: expected a number")
-        return SingleVarFactor("exp", rate=1j * omega)
+        return SingleVarFactor("exp", rate=1j * _number(doc, "omega", field))
     if kind == "gaussian":
-        tau = doc.get("tau")
-        if not isinstance(tau, (int, float)) or tau <= 0:
-            raise ProfileFormatError(f"{field}.tau: expected a positive number")
-        return SingleVarFactor("gaussian", tau=float(tau))
+        return SingleVarFactor("gaussian", tau=float(_number(doc, "tau", field, positive=True)))
     return None
 
 
@@ -349,9 +345,7 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
             _factor_from_doc(doc["g"], f"{field}.g"),
         )
     if kind == "tabulated-grid":
-        t_max = doc.get("t_max")
-        if not isinstance(t_max, (int, float)) or t_max <= 0:
-            raise ProfileFormatError(f"{field}.t_max: expected a positive number")
+        t_max = _number(doc, "t_max", field, positive=True)
         raw = doc.get("values")
         if not isinstance(raw, list) or len(raw) < 2:
             raise ProfileFormatError(f"{field}.values: expected a list of >= 2 rows")

@@ -1,22 +1,30 @@
-"""Canonical JSON helpers: matrices, config hashing, atomic writes.
+"""The number format of every document the package writes or reads.
 
-All files the package emits go through :func:`canonical_dumps`, so identical
-inputs produce byte-identical output, and through :func:`atomic_write_text`,
-so readers never observe a half-written file.
+Complex arrays are nested [re, im] pairs (:func:`complex_to_doc` and
+:func:`complex_from_doc`).  JSON text comes from :func:`canonical_dumps` and
+CSV tables from :func:`csv_table`, so identical inputs produce byte-identical
+files, and :func:`atomic_write_text` writes them, so readers never observe a
+half-written file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
 
 __all__ = [
+    "complex_to_doc",
+    "complex_from_doc",
     "matrix_to_doc",
     "matrix_from_doc",
     "canonical_dumps",
+    "csv_row",
+    "csv_table",
+    "is_finite_number",
     "config_hash",
     "atomic_write_text",
     "FormatError",
@@ -27,13 +35,57 @@ class FormatError(ValueError):
     """Malformed document; the message names the offending field."""
 
 
+def is_finite_number(x) -> bool:
+    """True for a JSON number (a Python int or float) that is finite."""
+    return isinstance(x, (int, float)) and abs(x) < math.inf
+
+
+def complex_to_doc(a) -> list:
+    """A complex array as nested lists of [re, im] pairs of Python floats."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
+def complex_from_doc(raw, shape: tuple, field: str) -> np.ndarray:
+    """The complex array of ``shape`` that :func:`complex_to_doc` wrote as ``raw``.
+
+    One ``np.asarray`` parses the whole document, and the pairs viewed as
+    complex keep every bit, signed zeros included.  Entries must be finite;
+    an error names the field and the index of the first bad entry.
+    """
+    try:
+        a = np.asarray(raw)
+    except ValueError:  # ragged
+        a = np.empty(0)
+    if a.shape != shape + (2,) or a.dtype.kind not in "biuf" or not np.isfinite(a).all():
+        where = _first_bad(raw, shape + (2,))
+        raise FormatError(
+            f"{field}: expected {' x '.join(map(str, shape))} [re, im] pairs of finite numbers"
+            + (f"; the first bad entry is {field}{where}" if where else "")
+        )
+    return np.ascontiguousarray(a, dtype=float).view(complex).reshape(shape)
+
+
+def _first_bad(raw, shape, where=""):
+    """Index path of the first place in ``raw`` that breaks ``shape`` or holds
+    something other than a finite number; None if there is none."""
+    if not shape:
+        return None if is_finite_number(raw) else where
+    if not isinstance(raw, (list, tuple)) or len(raw) != shape[0]:
+        return where
+    for i, item in enumerate(raw):
+        bad = _first_bad(item, shape[1:], f"{where}[{i}]")
+        if bad:
+            return bad
+    return None
+
+
 def matrix_to_doc(a) -> dict:
     """Serialize a square complex matrix as row-major [re, im] pairs."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise FormatError(f"matrix must be square, got shape {a.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-    return {"dim": int(a.shape[0]), "entries": entries}
+    return {"dim": int(a.shape[0]), "entries": complex_to_doc(a.reshape(-1))}
 
 
 def matrix_from_doc(doc, field: str = "operator") -> np.ndarray:
@@ -44,41 +96,39 @@ def matrix_from_doc(doc, field: str = "operator") -> np.ndarray:
     d = doc["dim"]
     if not isinstance(d, int) or d < 1:
         raise FormatError(f"{field}.dim: expected a positive integer, got {d!r}")
-    entries = doc.get("entries")
-    if not isinstance(entries, list) or len(entries) != d * d:
-        raise FormatError(f"{field}.entries: expected {d * d} [re, im] pairs")
-    out = np.empty(d * d, dtype=complex)
-    for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
-        ):
-            raise FormatError(f"{field}.entries[{i}]: expected an [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
-    return out.reshape(d, d)
+    return complex_from_doc(doc.get("entries"), (d * d,), f"{field}.entries").reshape(d, d)
 
 
-def _pyfloats(obj):
-    """Recursively convert numpy scalars/arrays so json sees plain Python types."""
-    if isinstance(obj, dict):
-        return {k: _pyfloats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyfloats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+def _numpy_to_json(obj):
+    """``default`` hook of :func:`canonical_dumps`: arrays to lists, other
+    numpy scalars to Python ones (``np.float64`` is a float and never gets here)."""
     if isinstance(obj, np.ndarray):
-        return _pyfloats(obj.tolist())
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_dumps(obj) -> str:
     """Deterministic JSON: sorted keys, fixed separators, shortest-round-trip floats."""
-    return json.dumps(_pyfloats(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_numpy_to_json
+    )
+
+
+def csv_row(cells) -> str:
+    """One CSV row: a float as its shortest round-trip ``repr``, a string as
+    itself and None as an empty cell."""
+    return ",".join(
+        "" if x is None else x if isinstance(x, str) else repr(float(x)) for x in cells
+    )
+
+
+def csv_table(columns: dict) -> str:
+    """CSV text: a header row of the column names, then one row per entry of
+    the equal-length columns, cells rendered by :func:`csv_row`."""
+    rows = [csv_row(columns)] + [csv_row(r) for r in zip(*columns.values())]
+    return "\n".join(rows) + "\n"
 
 
 def config_hash(obj) -> str:

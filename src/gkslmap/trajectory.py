@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import FormatError
+from .linalg import frobenius
+from .serialize import FormatError, complex_from_doc, complex_to_doc, csv_table
 
 __all__ = ["TimeGrid", "MapTrajectory", "OrderedExponential", "FAMILY_TAGS"]
 
@@ -83,15 +83,12 @@ class MapTrajectory:
         return out.reshape(-1, d, d).transpose(0, 2, 1)
 
     def to_doc(self) -> dict:
-        flat = []
-        for m in self.maps:
-            flat.append([[float(z.real), float(z.imag)] for z in m.reshape(-1)])
         return {
             "kind": "map-trajectory",
             "family": self.family,
             "dim": int(self.dim),
             "grid": {"T": float(self.grid.T), "steps": int(self.grid.steps)},
-            "maps": flat,
+            "maps": complex_to_doc(self.maps.reshape(len(self.maps), -1)),
             "meta": dict(self.meta),
         }
 
@@ -105,23 +102,15 @@ class MapTrajectory:
         g = doc["grid"]
         if not isinstance(g, dict) or "T" not in g or "steps" not in g:
             raise FormatError("grid: expected an object with 'T' and 'steps'")
+        if not isinstance(doc.get("meta", {}), dict):
+            raise FormatError("meta: expected an object")
         try:
             grid = TimeGrid(float(g["T"]), int(g["steps"]))
             dim = int(doc["dim"])
         except (TypeError, ValueError) as exc:
             raise FormatError(f"grid/dim: {exc}") from exc
         D = dim * dim
-        shape = (grid.steps + 1, D * D, 2)
-        try:
-            raw = np.asarray(doc["maps"])
-        except ValueError:  # ragged
-            raw = np.empty(0)
-        if raw.shape != shape or raw.dtype.kind not in "biuf" or not np.isfinite(raw).all():
-            raise FormatError(
-                f"maps: expected {shape[0]} nodes x {D * D} entries x [re, im] finite numbers"
-            )
-        # the pairs viewed as complex keep every bit, signed zeros included
-        maps = np.ascontiguousarray(raw, dtype=float).view(complex).reshape(-1, D, D)
+        maps = complex_from_doc(doc["maps"], (grid.steps + 1, D * D), "maps").reshape(-1, D, D)
         return MapTrajectory(
             grid=grid,
             dim=dim,
@@ -154,10 +143,7 @@ class OrderedExponential:
 
     def inversion_defect(self) -> float:
         eye = np.eye(self.dim)
-        return max(
-            float(np.linalg.norm(self.v[m] @ self.vinv[m] - eye))
-            for m in range(self.grid.steps + 1)
-        )
+        return float(np.max(frobenius(self.v @ self.vinv - eye)))
 
 
 def trajectory_csv(traj: MapTrajectory, rows) -> str:
@@ -166,12 +152,5 @@ def trajectory_csv(traj: MapTrajectory, rows) -> str:
     ``rows`` maps column name -> array of length M + 1; the time column is
     always first.
     """
-    names = ["t"] + list(rows.keys())
-    buf = io.StringIO()
-    buf.write(f"# gkslmap trajectory diagnostics family={traj.family} dim={traj.dim}\n")
-    buf.write(",".join(names) + "\n")
-    ts = traj.grid.nodes()
-    cols = [ts] + [np.asarray(rows[k]) for k in rows]
-    for i in range(len(ts)):
-        buf.write(",".join(repr(float(c[i])) for c in cols) + "\n")
-    return buf.getvalue()
+    header = f"# gkslmap trajectory diagnostics family={traj.family} dim={traj.dim}\n"
+    return header + csv_table({"t": traj.grid.nodes(), **rows})

@@ -121,6 +121,7 @@ MALFORMED_TRAJECTORIES = {
     "string-in-pair": malformed(lambda d: d["maps"][1][0].__setitem__(0, "1.0")),
     "nan-entry": malformed(lambda d: d["maps"][2][5].__setitem__(1, float("nan"))),
     "ragged-rows": malformed(lambda d: d["maps"][0].pop()),
+    "meta-not-an-object": malformed(lambda d: d.__setitem__("meta", 5)),
 }
 
 
@@ -193,9 +194,12 @@ def test_gscan_bad_g_list_is_config_error(tmp_path, kernel_file, capsys):
     code = main(["gscan", "--kernel", kernel_file, "--g-list", "", "--out", str(tmp_path)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
-    code = main(["gscan", "--kernel", kernel_file, "--g-list", "0.1,0.2,0.4",
-                 "--out", str(tmp_path)])
-    assert code == 2
+    for g_list in ("0.1,0.2,0.4", "nan,0.1,0.2,0.8", "0.1,0.2,0.8,inf"):
+        code = main(["gscan", "--kernel", kernel_file, "--T", "0.5", "--steps", "10",
+                     "--g-list", g_list, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert not (tmp_path / "run").exists()
 
 
 def test_convolution_cli(tmp_path):
@@ -270,6 +274,86 @@ def test_hermitian_part_is_checked_at_every_tabulated_node(tmp_path, capsys):
     code = main(["solve", "--kernel", kernel, "--T", "4", "--steps", "100", "--out", str(out)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert not out.exists()
+
+
+def non_finite(kernel, edit):
+    doc = save_kernel_spec(kernel)
+    edit(doc)
+    return doc
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_KERNELS = {  # name: (document, the field its error must name)
+    "nan-operator-entry": (
+        non_finite(dephasing_kernel(g=0.8),
+                   lambda d: d["lindblad"][0][0]["operator"]["entries"][3].__setitem__(1, NAN)),
+        "lindblad[0][0].operator.entries[3]",
+    ),
+    "infinite-kappa": (
+        non_finite(dephasing_kernel(g=0.8),
+                   lambda d: d["lindblad"][0][0]["profile"].__setitem__("kappa", INF)),
+        "lindblad[0][0].profile.kappa",
+    ),
+    "nan-coupling": (
+        non_finite(dephasing_kernel(g=0.8), lambda d: d.__setitem__("coupling_g", NAN)),
+        "coupling_g",
+    ),
+    "nan-tabulated-value": (
+        non_finite(coherence_revival_kernel(),
+                   lambda d: d["lindblad"][0][0]["profile"]["values"][2].__setitem__(3, NAN)),
+        "lindblad[0][0].profile.values[2]",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_KERNELS))
+def test_non_finite_kernel_number_is_config_error(tmp_path, capsys, command, name):
+    doc, field = NON_FINITE_KERNELS[name]
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity, which json.loads reads back
+    out = tmp_path / "run"
+    extra = ["--steps", "20", "--out", str(out)] if command == "solve" else []
+    assert main([command, "--kernel", str(path), *extra]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and field in err["message"]
+    assert not (out / "trajectory.json").exists()
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+def test_eps_cp_must_be_finite_and_non_negative(tmp_path, capsys, eps):
+    path = tmp_path / "traj.json"
+    path.write_text(canonical_dumps(three_node_trajectory_doc()))
+    out = tmp_path / "run"
+    assert main(["certify", "--trajectory", str(path), "--eps-cp", eps, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and err["message"].startswith("eps_cp: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, named",
+    [
+        ("solve", "family", [], "family"),
+        ("solve", "order", [1], "order"),
+        ("solve", "steps", True, "steps"),
+        ("solve", "kernel", 5, "kernel"),
+        ("gscan", "pair", 5, "pair"),
+        ("gscan", "pair", [[], "local-full"], "unknown family"),
+        ("gscan", "g_list", [{}], "g_list"),
+    ],
+)
+def test_config_value_of_wrong_type_is_config_error(
+    tmp_path, kernel_file, capsys, command, key, value, named
+):
+    conf = tmp_path / "conf.json"
+    base = {"kernel": kernel_file, "T": 0.5, "steps": 10, "g_list": [0.1, 0.2, 0.4, 0.8]}
+    conf.write_text(json.dumps({**base, key: value}))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and named in err["message"].replace(str(conf), "")
     assert not out.exists()
 
 

@@ -61,6 +61,9 @@ def test_g_scan_input_validation():
         g_scan(k, grid, [0.1, 0.2, 0.8])
     with pytest.raises(ValueError, match="positive"):
         g_scan(k, grid, [0.0, 0.1, 0.2, 0.8])
+    for bad in ([float("nan"), 0.1, 0.2, 0.8], [0.1, 0.2, 0.8, float("inf")]):
+        with pytest.raises(ValueError, match="finite"):
+            g_scan(k, grid, bad)
     with pytest.raises(ValueError, match="increasing"):
         g_scan(k, grid, [0.1, 0.1, 0.2, 0.8])
     with pytest.raises(ValueError, match="ratio"):

@@ -142,6 +142,8 @@ def test_ordered_exponential_time_dependent_oracle(grid_short):
         phase = 1.0 - np.exp(-t) * (1.0 + t)
         assert np.linalg.norm(oe.v[m] - expm(-phase * w0)) < 1e-8
     assert oe.inversion_defect() < 1e-9
+    per_node = [np.linalg.norm(v @ vi - np.eye(2)) for v, vi in zip(oe.v, oe.vinv)]
+    assert oe.inversion_defect() == max(per_node)  # the stacked norm, bit for bit
 
 
 def test_transform_route_agrees_with_direct_local(corpus):

@@ -22,13 +22,26 @@ def test_canonical_dumps_is_sorted_and_compact():
 
 
 def test_canonical_dumps_handles_numpy_scalars():
-    doc = {"x": np.float64(0.1), "n": np.int64(3), "flag": np.bool_(True), "v": np.arange(3)}
-    assert json.loads(canonical_dumps(doc)) == {"x": 0.1, "n": 3, "flag": True, "v": [0, 1, 2]}
+    doc = {
+        "x": np.float64(0.1),
+        "z": np.float64(-0.0),
+        "f": np.float32(0.1),
+        "n": np.int64(3),
+        "flag": np.bool_(True),
+        "v": np.arange(3),
+        "m": np.array([[0.25, -0.0], [1e-300, 2.0]]),
+        "t": (1, np.float64(2.5)),
+    }
+    assert canonical_dumps(doc) == (
+        '{"f":0.10000000149011612,"flag":true,"m":[[0.25,-0.0],[1e-300,2.0]],'
+        '"n":3,"t":[1,2.5],"v":[0,1,2],"x":0.1,"z":-0.0}'
+    )
 
 
 def test_canonical_dumps_rejects_nan():
-    with pytest.raises(ValueError):
-        canonical_dumps({"x": float("nan")})
+    for value in (float("nan"), np.float64("inf"), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            canonical_dumps({"x": value})
 
 
 def test_config_hash_is_stable_and_order_insensitive():
@@ -41,8 +54,9 @@ def test_config_hash_is_stable_and_order_insensitive():
 
 def test_matrix_doc_round_trip(rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    back = matrix_from_doc(matrix_to_doc(a))
-    assert np.array_equal(back, a)
+    a[0, 1], a[2, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    back = matrix_from_doc(json.loads(canonical_dumps(matrix_to_doc(a))))
+    assert back.tobytes() == a.tobytes()  # every bit, signed zeros included
 
 
 def test_matrix_doc_errors_name_the_field():

@@ -1,10 +1,12 @@
 """Time grids, map trajectories, serialization round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from gkslmap.linalg import sandwich_superop, unvectorize, vectorize
-from gkslmap.serialize import FormatError
+from gkslmap.serialize import FormatError, canonical_dumps
 from gkslmap.trajectory import FAMILY_TAGS, MapTrajectory, TimeGrid, trajectory_csv
 
 
@@ -61,11 +63,12 @@ def test_apply_matches_vectorized_action(rng):
 
 def test_doc_round_trip(rng):
     traj = make_trajectory(rng, dim=2, steps=5, family="nonlocal-jump")
-    doc = traj.to_doc()
+    traj.maps[1, 0, 1], traj.maps[2, 3, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    doc = json.loads(canonical_dumps(traj.to_doc()))
     back = MapTrajectory.from_doc(doc)
     assert back.family == "nonlocal-jump"
     assert back.grid == traj.grid
-    assert np.allclose(back.maps, traj.maps, atol=0)
+    assert back.maps.tobytes() == traj.maps.tobytes()  # every bit, signed zeros included
 
 
 def test_from_doc_tolerates_extra_keys(rng):
