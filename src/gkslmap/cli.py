@@ -7,6 +7,15 @@ failure.  Machine-readable error JSON goes to standard error, result files
 are written atomically, and every output embeds the tool version plus a hash
 of the resolved configuration, so identical configs reproduce byte-identical
 files.
+
+Two tables define the surface.  ``_OPTIONS`` declares each option once: its
+argparse keywords, the JSON types a config file may give it, its default and
+its help text.  ``_COMMANDS`` gives each subcommand its function, help text
+and options in ``--help`` order; the parser is built from it, and
+:func:`main` resolves the chosen command's options (flag, else config file,
+else default) into one dict that the command receives.  Input documents are
+read by :func:`_load`, which tells a trajectory, a drift document and a
+kernel apart and rejects a kind the command does not take.
 """
 
 from __future__ import annotations
@@ -15,18 +24,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .cpanalysis import certify_trajectory, find_drift_cp_witness, trace_deviation
 from .experiments import convolution_case, g_scan
-from .kernel import (
-    GKSLKernel,
-    load_drift_spec,
-    load_kernel_spec,
-    split_kernel,
-)
+from .kernel import GKSLKernel, load_drift_spec, load_kernel_spec, split_kernel
 from .propagate import solve_family
 from .serialize import (
     atomic_write_text,
@@ -42,33 +47,34 @@ __all__ = ["main"]
 _FAMILY_ALIASES = {"series": "series-local-jump", "weak": "weak-nonlocal-full"}
 _FAMILY_CHOICES = tuple(sorted(FAMILY_TAGS + tuple(_FAMILY_ALIASES)))
 
-_DEFAULTS = {
-    "T": 2.0,
-    "steps": 400,
-    "family": "local-full",
-    "order": 8,
-    "eps_cp": 1e-8,
-    "seed": 7,
-    "out": ".",
-    "pair": "nonlocal-full,weak-nonlocal-full",
-    "divisibility": False,
-}
 
-# config-file keys and the JSON types each accepts
-_CONFIG_KEYS = {
-    "kernel": (str,),
-    "trajectory": (str,),
-    "T": (int, float),
-    "steps": (int,),
-    "family": (str,),
-    "order": (int,),
-    "eps_cp": (int, float),
-    "seed": (int,),
-    "out": (str,),
-    "g_list": (str, list),
-    "pair": (str, list),
-    "divisibility": (bool,),
+class _Option(NamedTuple):
+    kwargs: dict  # argparse keywords besides the flag, dest, default and help
+    types: tuple  # JSON types a config file may give; () keeps the key out of config files
+    default: object
+    help: str
+
+
+# each option's flag is "--" + its key with "_" as "-"
+_OPTIONS = {
+    "kernel": _Option({}, (str,), None, "kernel (or drift) JSON file"),
+    "trajectory": _Option({}, (str,), None, "trajectory JSON file"),
+    "T": _Option({"type": float}, (int, float), 2.0, "horizon (default 2.0)"),
+    "steps": _Option({"type": int}, (int,), 400, "grid steps (default 400)"),
+    "eps_cp": _Option({"type": float}, (int, float), 1e-8, "CP tolerance (default 1e-8)"),
+    "order": _Option({"type": int}, (int,), 8, "series order (default 8)"),
+    "seed": _Option({"type": int}, (int,), 7, "seed recorded in provenance"),
+    "out": _Option({}, (str,), ".", "output directory (default .)"),
+    "config": _Option({}, (), None, "JSON config file (flags override)"),
+    "family": _Option({"choices": _FAMILY_CHOICES}, (str,), "local-full",
+                      "trajectory family (default local-full)"),
+    "divisibility": _Option({"action": "store_true"}, (bool,), False,
+                            "also certify the intermediate maps"),
+    "g_list": _Option({}, (str, list), None, "comma-separated couplings, e.g. 0.05,0.1,0.2,0.4"),
+    "pair": _Option({}, (str, list), "nonlocal-full,weak-nonlocal-full",
+                    "two families, comma-separated (default nonlocal-full,weak-nonlocal-full)"),
 }
+_PATH_OPTIONS = ("kernel", "trajectory", "out")  # resolved against a config file's directory
 
 
 class ConfigError(Exception):
@@ -95,39 +101,34 @@ def _read_json(path: str):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _merge_config(args: argparse.Namespace, keys) -> dict:
-    """Resolve option values: command line beats config file beats defaults."""
+def _resolve(args: argparse.Namespace, keys) -> dict:
+    """The value of each option in ``keys``: its flag, else the config file, else its default."""
     file_conf = {}
-    if getattr(args, "config", None):
+    if args.config:
         doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-        unknown = set(doc) - set(_CONFIG_KEYS)
+        unknown = [key for key in doc if key not in _OPTIONS or not _OPTIONS[key].types]
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {sorted(unknown)}")
         base = Path(args.config).parent
         for key, val in doc.items():
-            if type(val) not in _CONFIG_KEYS[key]:  # bool is an int to isinstance
-                names = " or ".join(t.__name__ for t in _CONFIG_KEYS[key])
+            types = _OPTIONS[key].types
+            if type(val) not in types:  # bool is an int to isinstance
+                names = " or ".join(t.__name__ for t in types)
                 raise ConfigError(f"{args.config}: {key}: expected {names}, got {val!r}")
-            if key in ("kernel", "trajectory", "out") and not Path(val).is_absolute():
+            if key in _PATH_OPTIONS and not Path(val).is_absolute():
                 val = str(base / val)
             file_conf[key] = val
-    resolved = {}
+    conf = {}
     for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_conf:
-            resolved[key] = file_conf[key]
-        elif key in _DEFAULTS:
-            resolved[key] = _DEFAULTS[key]
-        else:
-            resolved[key] = None
-    eps = resolved.get("eps_cp")
+        if key != "config":
+            flag = getattr(args, key)
+            conf[key] = flag if flag is not None else file_conf.get(key, _OPTIONS[key].default)
+    eps = conf.get("eps_cp")
     if eps is not None and not (is_finite_number(eps) and eps >= 0):
         raise ConfigError(f"eps_cp: expected a finite number >= 0, got {eps!r}")
-    return resolved
+    return conf
 
 
 def _grid_of(conf: dict) -> TimeGrid:
@@ -145,59 +146,59 @@ def _resolve_family(name) -> str:
     return fam
 
 
+_KINDS = {  # document kind: its parser
+    "map-trajectory": MapTrajectory.from_doc,
+    "drift": load_drift_spec,
+    "kernel": load_kernel_spec,
+}
+
+
+def _load(conf: dict, key: str, kinds: tuple, what: str):
+    """The document that option ``key`` names, parsed by its kind.
+
+    A document with ``"kind": "map-trajectory"`` is a trajectory, one with a
+    ``drift`` key a drift document, and anything else a kernel.  A kind
+    outside ``kinds`` is a config error; ``what`` names the file expected.
+    """
+    path = conf.get(key)
+    if not path:
+        raise ConfigError(f"{what} is required (--{key})")
+    doc = _read_json(path)
+    if isinstance(doc, dict) and doc.get("kind") == "map-trajectory":
+        kind = "map-trajectory"
+    elif isinstance(doc, dict) and "drift" in doc:
+        kind = "drift"
+    else:
+        kind = "kernel"
+    if kind not in kinds:
+        raise ConfigError(f"{path}: expected {what}, got a {kind} document")
+    try:
+        return _KINDS[kind](doc)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _load_kernel(conf: dict, grid: TimeGrid) -> GKSLKernel:
     """The kernel file of ``conf``, checked to cover the grid's horizon."""
-    if not conf.get("kernel"):
-        raise ConfigError("a kernel file is required (--kernel)")
-    doc = _read_json(conf["kernel"])
-    try:
-        k = load_kernel_spec(doc)
-    except ValueError as exc:
-        raise ConfigError(f"{conf['kernel']}: {exc}") from exc
-    try:
-        k.check_horizon(grid.T)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    k = _load(conf, "kernel", ("kernel",), "a kernel file")
+    k.check_horizon(grid.T)  # its ValueError is a config error in main
     return k
 
 
-def _load_kernel_or_drift(conf: dict):
-    """Kernel documents and raw drift documents are both accepted where only
-    the drift operator matters; kernels contribute their derived W."""
-    if not conf.get("kernel"):
-        raise ConfigError("a kernel or drift file is required (--kernel)")
-    doc = _read_json(conf["kernel"])
-    if isinstance(doc, dict) and "drift" in doc:
-        try:
-            return load_drift_spec(doc)
-        except ValueError as exc:
-            raise ConfigError(f"{conf['kernel']}: {exc}") from exc
-    try:
-        k = load_kernel_spec(doc)
-    except ValueError as exc:
-        raise ConfigError(f"{conf['kernel']}: {exc}") from exc
-    return split_kernel(k).drift_op
-
-
-def _provenance(conf: dict) -> dict:
+def _write(conf: dict, files: dict) -> None:
+    """Write each ``.json`` document with a provenance block, and each CSV
+    table under a header line with the version and the config hash."""
     # The output directory is plumbing, not configuration: identical runs
     # into different directories must produce byte-identical files.
     clean = {k: v for k, v in conf.items() if v is not None and k != "out"}
-    return {
-        "tool": "gkslmap",
-        "version": __version__,
-        "config_hash": config_hash(clean),
-        "config": clean,
-    }
-
-
-def _write_json(out_dir: str, name: str, doc: dict) -> None:
-    atomic_write_text(Path(out_dir) / name, canonical_dumps(doc) + "\n")
-
-
-def _write_csv(out_dir: str, name: str, text: str, prov: dict) -> None:
-    header = f"# gkslmap {prov['version']} config_hash={prov['config_hash']}\n"
-    atomic_write_text(Path(out_dir) / name, header + text)
+    digest = config_hash(clean)
+    prov = {"tool": "gkslmap", "version": __version__, "config_hash": digest, "config": clean}
+    for name, body in files.items():
+        if name.endswith(".json"):
+            text = canonical_dumps({**body, "provenance": prov}) + "\n"
+        else:
+            text = f"# gkslmap {__version__} config_hash={digest}\n" + body
+        atomic_write_text(Path(conf["out"]) / name, text)
 
 
 def _run_solver(fn, *args, **kwargs):
@@ -211,8 +212,7 @@ def _run_solver(fn, *args, **kwargs):
 # subcommands
 
 
-def _cmd_solve(args) -> int:
-    conf = _merge_config(args, ["kernel", "T", "steps", "family", "order", "eps_cp", "seed", "out"])
+def _cmd_solve(conf: dict) -> int:
     grid = _grid_of(conf)
     family = _resolve_family(conf["family"])
     conf["family"] = family
@@ -222,34 +222,17 @@ def _cmd_solve(args) -> int:
     if not finite.all():
         first = float(traj.grid.nodes()[np.argmin(finite)])
         raise SolverError(f"{family} solve produced non-finite map entries (first at t = {first!r})")
-    prov = _provenance(conf)
-    doc = traj.to_doc()
-    doc["provenance"] = prov
-    _write_json(conf["out"], "trajectory.json", doc)
     norms = np.linalg.norm(traj.maps, axis=(1, 2))
     csv = trajectory_csv(traj, {"map_norm": norms, "trace_dev": trace_deviation(traj.maps)})
-    _write_csv(conf["out"], "trajectory.csv", csv, prov)
+    _write(conf, {"trajectory.json": traj.to_doc(), "trajectory.csv": csv})
     return 0
 
 
-def _cmd_certify(args) -> int:
-    conf = _merge_config(args, ["trajectory", "eps_cp", "divisibility", "seed", "out"])
-    if not conf.get("trajectory"):
-        raise ConfigError("a trajectory file is required (--trajectory)")
-    doc = _read_json(conf["trajectory"])
-    try:
-        traj = MapTrajectory.from_doc(doc)
-    except ValueError as exc:
-        raise ConfigError(f"{conf['trajectory']}: {exc}") from exc
-    report = _run_solver(
-        certify_trajectory,
-        traj,
-        eps_cp=float(conf["eps_cp"]),
-        divisibility=bool(conf["divisibility"]),
-    )
-    prov = _provenance(conf)
+def _cmd_certify(conf: dict) -> int:
+    traj = _load(conf, "trajectory", ("map-trajectory",), "a trajectory file")
+    report = _run_solver(certify_trajectory, traj, eps_cp=float(conf["eps_cp"]),
+                         divisibility=bool(conf["divisibility"]))
     rdoc = report.to_doc()
-    rdoc["provenance"] = prov
     violation = not report.all_cp
     if report.first_violation is not None:
         i = report.first_violation
@@ -264,100 +247,68 @@ def _cmd_certify(args) -> int:
                 "t": list(report.times[i : i + 2]),
                 "lambda_min": report.divisibility.lambda_mins[i],
             }
-    _write_json(conf["out"], "cp_report.json", rdoc)
-    _write_csv(conf["out"], "cp_report.csv", report.csv_text(), prov)
+    _write(conf, {"cp_report.json": rdoc, "cp_report.csv": report.csv_text()})
     return 1 if violation else 0
 
 
-def _cmd_gscan(args) -> int:
-    conf = _merge_config(args, ["kernel", "T", "steps", "g_list", "pair", "order", "seed", "out"])
+def _cmd_gscan(conf: dict) -> int:
     grid = _grid_of(conf)
     k = _load_kernel(conf, grid)
-    raw = conf.get("g_list")
-    if isinstance(raw, str):
-        try:
-            gs = [float(x) for x in raw.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"--g-list: {exc}") from exc
-    elif isinstance(raw, list):
-        try:
-            gs = [float(x) for x in raw]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"g_list: {exc}") from exc
-    else:
+    raw = conf["g_list"]  # a str from the flag or a config file, or a config file's list
+    if raw is None:
         raise ConfigError("a g list is required (--g-list)")
+    field = "--g-list" if isinstance(raw, str) else "g_list"
+    items = [x for x in raw.split(",") if x.strip()] if isinstance(raw, str) else raw
+    if any(isinstance(x, bool) for x in items):
+        raise ConfigError(f"g_list: expected numbers, got {raw!r}")
+    try:
+        gs = [float(x) for x in items]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
     pair = conf["pair"].split(",") if isinstance(conf["pair"], str) else list(conf["pair"])
     if len(pair) != 2:
         raise ConfigError(f"pair must name two families, got {pair!r}")
     pair = [_resolve_family(p) for p in pair]
     result = _run_solver(g_scan, k, grid, gs, pair=tuple(pair), order=int(conf["order"]))
-    prov = _provenance(conf)
-    doc = result.to_doc()
-    doc["provenance"] = prov
-    _write_json(conf["out"], "gscan.json", doc)
-    _write_csv(conf["out"], "gscan.csv", result.csv_text(), prov)
+    _write(conf, {"gscan.json": result.to_doc(), "gscan.csv": result.csv_text()})
     return 0
 
 
-def _cmd_counterexample(args) -> int:
-    conf = _merge_config(args, ["kernel", "T", "steps", "eps_cp", "seed", "out"])
+def _cmd_counterexample(conf: dict) -> int:
     grid = _grid_of(conf)
-    w = _load_kernel_or_drift(conf)
+    w = _load(conf, "kernel", ("kernel", "drift"), "a kernel or drift file")
+    if isinstance(w, GKSLKernel):  # only the drift operator matters here
+        w = split_kernel(w).drift_op
     witness = _run_solver(find_drift_cp_witness, w, grid, eps_cp=float(conf["eps_cp"]))
-    prov = _provenance(conf)
-    doc = {"kind": "cp-witness", "witness": None, "provenance": prov}
+    doc = {"kind": "cp-witness", "witness": None}
     if witness is not None:
         psi, phi = complex_to_doc(witness.psi), complex_to_doc(witness.phi)
         doc["witness"] = {**vars(witness), "psi": psi, "phi": phi}
-    _write_json(conf["out"], "witness.json", doc)
+    _write(conf, {"witness.json": doc})
     return 0 if witness is None else 1
 
 
-def _cmd_convolution(args) -> int:
-    conf = _merge_config(args, ["kernel", "T", "steps", "eps_cp", "seed", "out"])
+def _cmd_convolution(conf: dict) -> int:
     grid = _grid_of(conf)
     k = _load_kernel(conf, grid)
     if not k.is_convolution:
         raise ConfigError("kernel profiles are not all convolution-type")
     result = _run_solver(convolution_case, k, grid, eps_cp=float(conf["eps_cp"]))
-    prov = _provenance(conf)
-    doc = result.to_doc()
-    doc["provenance"] = prov
-    _write_json(conf["out"], "convolution.json", doc)
-    _write_csv(conf["out"], "convolution_full.csv", result.full_report.csv_text(), prov)
+    csv = result.full_report.csv_text()
+    _write(conf, {"convolution.json": result.to_doc(), "convolution_full.csv": csv})
     return 0 if result.full_cp else 1
 
 
-def _cmd_validate(args) -> int:
-    conf = _merge_config(args, ["kernel"])
-    if not conf.get("kernel"):
-        raise ConfigError("a file to validate is required (--kernel)")
-    doc = _read_json(conf["kernel"])
-    try:
-        if isinstance(doc, dict) and doc.get("kind") == "map-trajectory":
-            traj = MapTrajectory.from_doc(doc)
-            summary = {
-                "valid": True,
-                "kind": "map-trajectory",
-                "dim": traj.dim,
-                "family": traj.family,
-                "steps": traj.grid.steps,
-            }
-        elif isinstance(doc, dict) and "drift" in doc:
-            w = load_drift_spec(doc)
-            summary = {"valid": True, "kind": "drift", "dim": w.dim, "terms": len(w.terms)}
-        else:
-            k = load_kernel_spec(doc)
-            summary = {
-                "valid": True,
-                "kind": "kernel",
-                "dim": k.dim,
-                "coupling_g": k.coupling,
-                "jump_operators": len(k.jump_ops),
-                "convolution": bool(k.is_convolution),
-            }
-    except ValueError as exc:
-        raise ConfigError(f"{conf['kernel']}: {exc}") from exc
+def _cmd_validate(conf: dict) -> int:
+    doc = _load(conf, "kernel", tuple(_KINDS), "a file to validate")
+    summary = {"valid": True, "dim": doc.dim}
+    if isinstance(doc, MapTrajectory):
+        summary.update(kind="map-trajectory", family=doc.family, steps=doc.grid.steps)
+    elif isinstance(doc, GKSLKernel):
+        summary.update(kind="kernel", coupling_g=doc.coupling, jump_operators=len(doc.jump_ops),
+                       convolution=bool(doc.is_convolution))
+    else:
+        summary.update(kind="drift", terms=len(doc.terms))
     sys.stdout.write(canonical_dumps(summary) + "\n")
     return 0
 
@@ -365,23 +316,20 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-
-def _add_common(p: argparse.ArgumentParser, *names) -> None:
-    if "kernel" in names:
-        p.add_argument("--kernel", help="kernel (or drift) JSON file")
-    if "trajectory" in names:
-        p.add_argument("--trajectory", help="trajectory JSON file")
-    if "grid" in names:
-        p.add_argument("--T", type=float, default=None, help="horizon (default 2.0)")
-        p.add_argument("--steps", type=int, default=None, help="grid steps (default 400)")
-    if "eps" in names:
-        p.add_argument("--eps-cp", dest="eps_cp", type=float, default=None,
-                       help="CP tolerance (default 1e-8)")
-    if "order" in names:
-        p.add_argument("--order", type=int, default=None, help="series order (default 8)")
-    p.add_argument("--seed", type=int, default=None, help="seed recorded in provenance")
-    p.add_argument("--out", default=None, help="output directory (default .)")
-    p.add_argument("--config", default=None, help="JSON config file (flags override)")
+_COMMANDS = {  # name: (function, help, option keys in --help order)
+    "solve": (_cmd_solve, "solve a kernel and write the trajectory",
+              ("kernel", "T", "steps", "eps_cp", "order", "seed", "out", "config", "family")),
+    "certify": (_cmd_certify, "CP-certify a trajectory file",
+                ("trajectory", "eps_cp", "seed", "out", "config", "divisibility")),
+    "gscan": (_cmd_gscan, "distance-vs-coupling scan",
+              ("kernel", "T", "steps", "order", "seed", "out", "config", "g_list", "pair")),
+    "counterexample": (_cmd_counterexample, "search for a drift CP violation witness",
+                       ("kernel", "T", "steps", "eps_cp", "seed", "out", "config")),
+    "convolution": (_cmd_convolution, "convolution-case hypothesis audit",
+                    ("kernel", "T", "steps", "eps_cp", "seed", "out", "config")),
+    "validate": (_cmd_validate, "validate a kernel/drift/trajectory file", ("kernel", "config")),
+}
+_VALIDATE_HELP = {"kernel": "file to validate", "config": "JSON config file"}  # its own wording
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -391,48 +339,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gkslmap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve a kernel and write the trajectory")
-    _add_common(p, "kernel", "grid", "eps", "order")
-    p.add_argument("--family", choices=_FAMILY_CHOICES, default=None,
-                   help="trajectory family (default local-full)")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("certify", help="CP-certify a trajectory file")
-    _add_common(p, "trajectory", "eps")
-    p.add_argument("--divisibility", action="store_true", default=None,
-                   help="also certify the intermediate maps")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("gscan", help="distance-vs-coupling scan")
-    _add_common(p, "kernel", "grid", "order")
-    p.add_argument("--g-list", dest="g_list", default=None,
-                   help="comma-separated couplings, e.g. 0.05,0.1,0.2,0.4")
-    p.add_argument("--pair", default=None,
-                   help="two families, comma-separated (default nonlocal-full,weak-nonlocal-full)")
-    p.set_defaults(func=_cmd_gscan)
-
-    p = sub.add_parser("counterexample", help="search for a drift CP violation witness")
-    _add_common(p, "kernel", "grid", "eps")
-    p.set_defaults(func=_cmd_counterexample)
-
-    p = sub.add_parser("convolution", help="convolution-case hypothesis audit")
-    _add_common(p, "kernel", "grid", "eps")
-    p.set_defaults(func=_cmd_convolution)
-
-    p = sub.add_parser("validate", help="validate a kernel/drift/trajectory file")
-    p.add_argument("--kernel", help="file to validate")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.set_defaults(func=_cmd_validate)
-
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in keys:
+            opt = _OPTIONS[key]
+            text = _VALIDATE_HELP[key] if name == "validate" else opt.help
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=text,
+                           **opt.kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    func, _, keys = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return func(_resolve(args, keys))
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return 2

@@ -33,7 +33,16 @@ from .profiles import (
     profile_product,
     profile_to_doc,
 )
-from .serialize import FormatError, is_finite_number, matrix_from_doc, matrix_to_doc
+from .serialize import (
+    MAX_DIM,
+    MIN_DIM,
+    FormatError,
+    _header,
+    _object,
+    is_finite_number,
+    matrix_from_doc,
+    matrix_to_doc,
+)
 
 __all__ = [
     "TwoTimeOperatorFunction",
@@ -48,10 +57,6 @@ __all__ = [
     "MIN_DIM",
     "MAX_DIM",
 ]
-
-MIN_DIM = 2
-MAX_DIM = 8
-
 
 class KernelFormatError(FormatError):
     pass
@@ -248,19 +253,11 @@ def _terms_from_doc(raw, dim: int, field_name: str):
     terms = []
     for i, item in enumerate(raw):
         here = f"{field_name}[{i}]"
-        if not isinstance(item, dict):
-            raise KernelFormatError(f"{here}: expected an object")
-        if "profile" not in item:
-            raise KernelFormatError(f"{here}.profile: missing")
-        if "operator" not in item:
-            raise KernelFormatError(f"{here}.operator: missing")
+        _object(item, here, ("profile", "operator"), (), KernelFormatError)
         try:
             prof = profile_from_doc(item["profile"], f"{here}.profile")
-        except ProfileFormatError as exc:
-            raise KernelFormatError(str(exc)) from exc
-        try:
             op = matrix_from_doc(item["operator"], f"{here}.operator")
-        except FormatError as exc:
+        except (ProfileFormatError, FormatError) as exc:
             raise KernelFormatError(str(exc)) from exc
         if op.shape != (dim, dim):
             raise KernelFormatError(
@@ -281,13 +278,7 @@ def load_kernel_spec(doc) -> GKSLKernel:
 
     Field errors raise :class:`KernelFormatError` naming the offending field.
     """
-    if not isinstance(doc, dict):
-        raise KernelFormatError(f"document: expected an object, got {type(doc).__name__}")
-    if "dim" not in doc:
-        raise KernelFormatError("dim: missing")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or not (MIN_DIM <= dim <= MAX_DIM):
-        raise KernelFormatError(f"dim: expected an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
+    dim = _header(doc, (), ("coupling_g", "hermitian", "lindblad"), KernelFormatError)
     g = doc.get("coupling_g", 1.0)
     if not is_finite_number(g) or g < 0:
         raise KernelFormatError(f"coupling_g: expected a finite number >= 0, got {g!r}")
@@ -321,15 +312,7 @@ def load_drift_spec(doc) -> TwoTimeOperatorFunction:
     Hermitian part need not be positive), which is what the counterexample
     machinery operates on.
     """
-    if not isinstance(doc, dict):
-        raise KernelFormatError(f"document: expected an object, got {type(doc).__name__}")
-    if "dim" not in doc:
-        raise KernelFormatError("dim: missing")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or not (MIN_DIM <= dim <= MAX_DIM):
-        raise KernelFormatError(f"dim: expected an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
-    if "drift" not in doc:
-        raise KernelFormatError("drift: missing")
+    dim = _header(doc, ("drift",), (), KernelFormatError)
     return TwoTimeOperatorFunction.build(dim, _terms_from_doc(doc["drift"], dim, "drift"))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .serialize import is_finite_number
+from .serialize import _object, is_finite_number
 
 __all__ = [
     "Profile",
@@ -282,6 +282,28 @@ def profile_product(a: Profile, b: Profile) -> Profile:
 # document (de)serialization
 
 
+# the keys besides "kind" of each profile kind
+_KIND_KEYS = {
+    "constant": ("value",),
+    "exponential-decay": ("kappa", "omega"),
+    "oscillatory": ("omega",),
+    "gaussian": ("tau",),
+    "product-separable": ("f", "g"),
+    "tabulated-grid": ("t_max", "values"),
+}
+_FACTOR_KINDS = ("constant", "exponential-decay", "oscillatory", "gaussian")
+
+
+def _kind_from_doc(doc, field: str, kinds: tuple) -> str:
+    """The ``kind`` of a profile or factor object, one of ``kinds``; the object
+    may hold no key that its kind does not use."""
+    kind = _object(doc, field, ("kind",), error=ProfileFormatError)["kind"]
+    if kind not in kinds:
+        raise ProfileFormatError(f"{field}.kind: unknown kind {kind!r}")
+    _object(doc, field, ("kind",), _KIND_KEYS[kind], ProfileFormatError)
+    return kind
+
+
 def _shared_kind_from_doc(doc: dict, kind, field: str) -> SingleVarFactor | None:
     """Parse the kinds that profiles and separable factors share, as a factor.
 
@@ -301,12 +323,7 @@ def _shared_kind_from_doc(doc: dict, kind, field: str) -> SingleVarFactor | None
 
 
 def _factor_from_doc(doc, field: str) -> SingleVarFactor:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ProfileFormatError(f"{field}: expected an object with a 'kind'")
-    fac = _shared_kind_from_doc(doc, doc["kind"], field)
-    if fac is None:
-        raise ProfileFormatError(f"{field}.kind: unknown factor kind {doc['kind']!r}")
-    return fac
+    return _shared_kind_from_doc(doc, _kind_from_doc(doc, field, _FACTOR_KINDS), field)
 
 
 def _factor_to_doc(fac: SingleVarFactor, field: str):
@@ -325,11 +342,7 @@ def _factor_to_doc(fac: SingleVarFactor, field: str):
 
 def profile_from_doc(doc, field: str = "profile") -> Profile:
     """Parse a profile document; errors name the offending field."""
-    if not isinstance(doc, dict):
-        raise ProfileFormatError(f"{field}: expected an object, got {type(doc).__name__}")
-    kind = doc.get("kind")
-    if kind is None:
-        raise ProfileFormatError(f"{field}.kind: missing")
+    kind = _kind_from_doc(doc, field, tuple(_KIND_KEYS))
     fac = _shared_kind_from_doc(doc, kind, field)
     if fac is not None:
         if fac.kind == "constant":
@@ -344,18 +357,16 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
             _factor_from_doc(doc["f"], f"{field}.f"),
             _factor_from_doc(doc["g"], f"{field}.g"),
         )
-    if kind == "tabulated-grid":
-        t_max = _number(doc, "t_max", field, positive=True)
-        raw = doc.get("values")
-        if not isinstance(raw, list) or len(raw) < 2:
-            raise ProfileFormatError(f"{field}.values: expected a list of >= 2 rows")
-        rows = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != len(raw):
-                raise ProfileFormatError(f"{field}.values[{i}]: rows must form a square matrix")
-            rows.append([_cplx(v, f"{field}.values[{i}]") for v in row])
-        return TabulatedProfile(float(t_max), rows)
-    raise ProfileFormatError(f"{field}.kind: unknown kind {kind!r}")
+    t_max = _number(doc, "t_max", field, positive=True)  # tabulated-grid
+    raw = doc.get("values")
+    if not isinstance(raw, list) or len(raw) < 2:
+        raise ProfileFormatError(f"{field}.values: expected a list of >= 2 rows")
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != len(raw):
+            raise ProfileFormatError(f"{field}.values[{i}]: rows must form a square matrix")
+        rows.append([_cplx(v, f"{field}.values[{i}]") for v in row])
+    return TabulatedProfile(float(t_max), rows)
 
 
 def profile_to_doc(p: Profile, field: str = "profile"):

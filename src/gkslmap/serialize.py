@@ -4,12 +4,15 @@ Complex arrays are nested [re, im] pairs (:func:`complex_to_doc` and
 :func:`complex_from_doc`).  JSON text comes from :func:`canonical_dumps` and
 CSV tables from :func:`csv_table`, so identical inputs produce byte-identical
 files, and :func:`atomic_write_text` writes them, so readers never observe a
-half-written file.
+half-written file.  The document readers share one object check
+(:func:`_object`: required and unknown keys), one integer check
+(:func:`_integer`) and one ``dim`` header check (:func:`_header`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -35,9 +38,53 @@ class FormatError(ValueError):
     """Malformed document; the message names the offending field."""
 
 
+MIN_DIM = 2  # the matrix sides a kernel, drift or trajectory document may give
+MAX_DIM = 8
+
+
+def _member(field: str, key: str) -> str:
+    return f"{field}.{key}" if field else key
+
+
+def _object(doc, field: str, required=(), optional=None, error=FormatError) -> dict:
+    """``doc``, checked to be an object that holds every ``required`` key and,
+    unless ``optional`` is None, no key outside ``required`` and ``optional``.
+
+    Errors are ``error`` and name the field; ``field`` is "" for a whole
+    document.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{field or 'document'}: expected an object, got {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise error(f"{_member(field, key)}: missing")
+    if optional is not None:
+        for key in doc:
+            if key not in required and key not in optional:
+                raise error(f"{_member(field, key)}: unknown key")
+    return doc
+
+
+def _integer(doc: dict, key: str, lo: int, hi=None, field="", error=FormatError) -> int:
+    """``doc[key]``, checked to be a JSON integer (not a bool) in [lo, hi]."""
+    x = doc[key]
+    if type(x) is not int or x < lo or (hi is not None and x > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise error(f"{_member(field, key)}: expected an integer {span}, got {x!r}")
+    return x
+
+
+def _header(doc, required=(), optional=None, error=FormatError) -> int:
+    """The ``dim`` of a kernel, drift or trajectory document: the document is
+    checked by :func:`_object` with ``dim`` required, and ``dim`` must be an
+    integer in [MIN_DIM, MAX_DIM]."""
+    _object(doc, "", ("dim", *required), optional, error)
+    return _integer(doc, "dim", MIN_DIM, MAX_DIM, error=error)
+
+
 def is_finite_number(x) -> bool:
-    """True for a JSON number (a Python int or float) that is finite."""
-    return isinstance(x, (int, float)) and abs(x) < math.inf
+    """True for a JSON number (a Python int or float, not a bool) that is finite."""
+    return type(x) in (int, float) and abs(x) < math.inf
 
 
 def complex_to_doc(a) -> list:
@@ -57,13 +104,26 @@ def complex_from_doc(raw, shape: tuple, field: str) -> np.ndarray:
         a = np.asarray(raw)
     except ValueError:  # ragged
         a = np.empty(0)
-    if a.shape != shape + (2,) or a.dtype.kind not in "biuf" or not np.isfinite(a).all():
+    if (
+        a.shape != shape + (2,)
+        or a.dtype.kind not in "iuf"
+        or not np.isfinite(a).all()
+        or _holds_bool(raw, len(shape) + 1)
+    ):
         where = _first_bad(raw, shape + (2,))
         raise FormatError(
             f"{field}: expected {' x '.join(map(str, shape))} [re, im] pairs of finite numbers"
             + (f"; the first bad entry is {field}{where}" if where else "")
         )
     return np.ascontiguousarray(a, dtype=float).view(complex).reshape(shape)
+
+
+def _holds_bool(raw, depth: int) -> bool:
+    """True if the regular nested list ``raw``, ``depth`` levels deep, holds a
+    bool; ``np.asarray`` casts True to 1.0 when floats sit next to it."""
+    for _ in range(depth - 1):
+        raw = itertools.chain.from_iterable(raw)
+    return bool in set(map(type, raw))
 
 
 def _first_bad(raw, shape, where=""):
@@ -89,13 +149,7 @@ def matrix_to_doc(a) -> dict:
 
 
 def matrix_from_doc(doc, field: str = "operator") -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise FormatError(f"{field}: expected an object with 'dim' and 'entries'")
-    if "dim" not in doc:
-        raise FormatError(f"{field}.dim: missing")
-    d = doc["dim"]
-    if not isinstance(d, int) or d < 1:
-        raise FormatError(f"{field}.dim: expected a positive integer, got {d!r}")
+    d = _integer(_object(doc, field, ("dim",)), "dim", 1, field=field)
     return complex_from_doc(doc.get("entries"), (d * d,), f"{field}.entries").reshape(d, d)
 
 

@@ -8,7 +8,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import frobenius
-from .serialize import FormatError, complex_from_doc, complex_to_doc, csv_table
+from .serialize import (
+    FormatError,
+    _header,
+    _integer,
+    _object,
+    complex_from_doc,
+    complex_to_doc,
+    csv_table,
+    is_finite_number,
+)
 
 __all__ = ["TimeGrid", "MapTrajectory", "OrderedExponential", "FAMILY_TAGS"]
 
@@ -96,19 +105,13 @@ class MapTrajectory:
     def from_doc(doc) -> "MapTrajectory":
         if not isinstance(doc, dict) or doc.get("kind") != "map-trajectory":
             raise FormatError("document: expected kind 'map-trajectory'")
-        for key in ("family", "dim", "grid", "maps"):
-            if key not in doc:
-                raise FormatError(f"{key}: missing")
-        g = doc["grid"]
-        if not isinstance(g, dict) or "T" not in g or "steps" not in g:
-            raise FormatError("grid: expected an object with 'T' and 'steps'")
-        if not isinstance(doc.get("meta", {}), dict):
-            raise FormatError("meta: expected an object")
-        try:
-            grid = TimeGrid(float(g["T"]), int(g["steps"]))
-            dim = int(doc["dim"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"grid/dim: {exc}") from exc
+        dim = _header(doc, ("family", "grid", "maps"))
+        g = _object(doc["grid"], "grid", ("T", "steps"))
+        steps = _integer(g, "steps", 1, field="grid")
+        if not (is_finite_number(g["T"]) and g["T"] > 0):
+            raise FormatError(f"grid.T: expected a finite number > 0, got {g['T']!r}")
+        meta = _object(doc.get("meta", {}), "meta")
+        grid = TimeGrid(float(g["T"]), steps)
         D = dim * dim
         maps = complex_from_doc(doc["maps"], (grid.steps + 1, D * D), "maps").reshape(-1, D, D)
         return MapTrajectory(
@@ -116,7 +119,7 @@ class MapTrajectory:
             dim=dim,
             family=doc["family"],
             maps=maps,
-            meta=dict(doc.get("meta", {})),
+            meta=dict(meta),
         )
 
 

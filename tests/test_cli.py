@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from gkslmap.cli import main
 from gkslmap.experiments import coherence_revival_kernel, dephasing_kernel, random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, save_drift_spec, save_kernel_spec
 from gkslmap.linalg import SIGMA_X, SIGMA_Z, sandwich_superop
-from gkslmap.profiles import ConstantProfile, TabulatedProfile
+from gkslmap.profiles import ConstantProfile, SeparableProfile, SingleVarFactor, TabulatedProfile
 from gkslmap.serialize import canonical_dumps
 from gkslmap.trajectory import FAMILY_TAGS, MapTrajectory, TimeGrid
 
@@ -122,6 +123,12 @@ MALFORMED_TRAJECTORIES = {
     "nan-entry": malformed(lambda d: d["maps"][2][5].__setitem__(1, float("nan"))),
     "ragged-rows": malformed(lambda d: d["maps"][0].pop()),
     "meta-not-an-object": malformed(lambda d: d.__setitem__("meta", 5)),
+    "bool-map-entry": malformed(lambda d: d["maps"][1].__setitem__(0, [True, False])),
+    "dim-not-an-integer": malformed(lambda d: d.__setitem__("dim", 2.7)),
+    "dim-a-string": malformed(lambda d: d.__setitem__("dim", "2")),
+    "steps-not-an-integer": malformed(lambda d: d["grid"].__setitem__("steps", 2.9)),
+    "steps-a-bool": malformed(lambda d: (d["grid"].__setitem__("steps", True), d["maps"].pop())),
+    "T-a-bool": malformed(lambda d: d["grid"].__setitem__("T", True)),
 }
 
 
@@ -214,13 +221,9 @@ def test_convolution_cli(tmp_path):
 
 
 def test_convolution_rejects_general_kernel(tmp_path, capsys):
-    from gkslmap.profiles import SeparableProfile, SingleVarFactor
-
     sep = SeparableProfile(SingleVarFactor("exp", rate=-0.5),
                            SingleVarFactor("gaussian", tau=1.0))
     fn = TwoTimeOperatorFunction.build(2, [(sep, SIGMA_X)])
-    from gkslmap.kernel import GKSLKernel
-
     kernel = write_kernel(tmp_path / "k.json", GKSLKernel.build(2, jump_ops=(fn,)))
     code = main(["convolution", "--kernel", kernel, "--out", str(tmp_path)])
     assert code == 2
@@ -304,6 +307,22 @@ NON_FINITE_KERNELS = {  # name: (document, the field its error must name)
                    lambda d: d["lindblad"][0][0]["profile"]["values"][2].__setitem__(3, NAN)),
         "lindblad[0][0].profile.values[2]",
     ),
+    # booleans are not numbers, although Python's bool is an int
+    "bool-kappa": (
+        non_finite(dephasing_kernel(g=0.8),
+                   lambda d: d["lindblad"][0][0]["profile"].__setitem__("kappa", True)),
+        "lindblad[0][0].profile.kappa",
+    ),
+    "bool-coupling": (
+        non_finite(dephasing_kernel(g=0.8), lambda d: d.__setitem__("coupling_g", True)),
+        "coupling_g",
+    ),
+    "bool-operator-entry": (
+        non_finite(dephasing_kernel(g=0.8),
+                   lambda d: d["lindblad"][0][0]["operator"]["entries"].__setitem__(
+                       1, [True, False])),
+        "lindblad[0][0].operator.entries[1]",
+    ),
 }
 
 
@@ -319,6 +338,81 @@ def test_non_finite_kernel_number_is_config_error(tmp_path, capsys, command, nam
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "config" and field in err["message"]
     assert not (out / "trajectory.json").exists()
+
+
+def sigma_x_drift_doc():
+    w = TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), SIGMA_X)])
+    return save_drift_spec(w)
+
+
+def separable_kernel():
+    sep = SeparableProfile(SingleVarFactor("exp", rate=-0.5), SingleVarFactor("gaussian", tau=1.0))
+    fn = TwoTimeOperatorFunction.build(2, [(sep, SIGMA_X)])
+    return GKSLKernel.build(2, jump_ops=(fn,))
+
+
+UNKNOWN_KEYS = {  # name: (command, document, the field its error must name)
+    "kernel": ("solve", non_finite(
+        dephasing_kernel(), lambda d: d.__setitem__("lindbald", d.pop("lindblad"))), "lindbald"),
+    "term": ("solve", non_finite(
+        dephasing_kernel(), lambda d: d["lindblad"][0][0].__setitem__("weight", 2.0)),
+        "lindblad[0][0].weight"),
+    "profile": ("solve", non_finite(
+        dephasing_kernel(), lambda d: d["lindblad"][0][0]["profile"].__setitem__("omgea", 3.0)),
+        "lindblad[0][0].profile.omgea"),
+    "factor": ("solve", non_finite(
+        separable_kernel(), lambda d: d["lindblad"][0][0]["profile"]["f"].__setitem__("tau", 1.0)),
+        "lindblad[0][0].profile.f.tau"),
+    "drift": ("counterexample", {**sigma_x_drift_doc(), "coupling_g": 1.0}, "coupling_g"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_KEYS))
+def test_unknown_document_key_is_config_error(tmp_path, capsys, name):
+    command, doc, field = UNKNOWN_KEYS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    for argv in (["validate"], [command, "--steps", "20", "--out", str(out)]):
+        assert main([*argv, "--kernel", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config" and f"{field}: unknown key" in err["message"]
+    assert not out.exists()
+
+
+WRONG_KINDS = [  # (command, document kind it does not take)
+    ("solve", "drift"),
+    ("solve", "map-trajectory"),
+    ("gscan", "drift"),
+    ("gscan", "map-trajectory"),
+    ("convolution", "drift"),
+    ("convolution", "map-trajectory"),
+    ("counterexample", "map-trajectory"),
+    ("certify", "kernel"),
+]
+
+
+@pytest.mark.parametrize("command, kind", WRONG_KINDS)
+def test_document_of_a_kind_the_command_does_not_take_is_config_error(
+    tmp_path, capsys, command, kind
+):
+    doc = {
+        "drift": sigma_x_drift_doc(),
+        "map-trajectory": three_node_trajectory_doc(),
+        "kernel": save_kernel_spec(dephasing_kernel()),
+    }[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_dumps(doc))
+    args = {
+        "certify": ["--trajectory", str(path)],
+        "gscan": ["--kernel", str(path), "--g-list", "0.1,0.2,0.4,0.8"],
+    }.get(command, ["--kernel", str(path)])
+    out = tmp_path / "run"
+    grid = [] if command == "certify" else ["--T", "0.5", "--steps", "10"]
+    assert main([command, *args, *grid, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and f"got a {kind} document" in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
@@ -342,6 +436,7 @@ def test_eps_cp_must_be_finite_and_non_negative(tmp_path, capsys, eps):
         ("gscan", "pair", 5, "pair"),
         ("gscan", "pair", [[], "local-full"], "unknown family"),
         ("gscan", "g_list", [{}], "g_list"),
+        ("gscan", "g_list", [True, 2, 4, 8], "g_list"),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(
@@ -383,10 +478,9 @@ def test_config_paths_resolve_against_config_dir(tmp_path):
 
 
 def test_family_choices_are_tags_plus_aliases():
-    solve = cli._build_parser()._subparsers._group_actions[0].choices["solve"]
-    (family,) = [a for a in solve._actions if a.dest == "family"]
-    assert set(family.choices) == set(FAMILY_TAGS) | set(cli._FAMILY_ALIASES)
-    assert len(family.choices) == len(FAMILY_TAGS) + len(cli._FAMILY_ALIASES)
+    choices = cli._OPTIONS["family"].kwargs["choices"]
+    assert set(choices) == set(FAMILY_TAGS) | set(cli._FAMILY_ALIASES)
+    assert len(choices) == len(FAMILY_TAGS) + len(cli._FAMILY_ALIASES)
     for alias in cli._FAMILY_ALIASES:
         assert cli._resolve_family(alias) in FAMILY_TAGS
 
@@ -463,3 +557,61 @@ def test_reruns_are_byte_identical(tmp_path, kernel_file):
         assert code == 0
     for name in ("trajectory.json", "trajectory.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+FAMILY_CHOICES = (
+    "local-drift", "local-full", "local-jump", "nonlocal-drift", "nonlocal-full",
+    "nonlocal-jump", "series", "series-local-full", "series-local-jump", "series-nonlocal-jump",
+    "weak", "weak-local-drift", "weak-nonlocal-full",
+)
+KERNEL = ("--kernel", "kernel", None, None, None, "kernel (or drift) JSON file")
+T = ("--T", "T", None, None, "float", "horizon (default 2.0)")
+STEPS = ("--steps", "steps", None, None, "int", "grid steps (default 400)")
+EPS_CP = ("--eps-cp", "eps_cp", None, None, "float", "CP tolerance (default 1e-8)")
+ORDER = ("--order", "order", None, None, "int", "series order (default 8)")
+SEED = ("--seed", "seed", None, None, "int", "seed recorded in provenance")
+OUT = ("--out", "out", None, None, None, "output directory (default .)")
+CONFIG = ("--config", "config", None, None, None, "JSON config file (flags override)")
+# (flag, dest, default, choices, type, help) of every option, in --help order
+CLI_SURFACE = {
+    "solve": [
+        KERNEL, T, STEPS, EPS_CP, ORDER, SEED, OUT, CONFIG,
+        ("--family", "family", None, FAMILY_CHOICES, None,
+         "trajectory family (default local-full)"),
+    ],
+    "certify": [
+        ("--trajectory", "trajectory", None, None, None, "trajectory JSON file"),
+        EPS_CP, SEED, OUT, CONFIG,
+        ("--divisibility", "divisibility", None, None, None, "also certify the intermediate maps"),
+    ],
+    "gscan": [
+        KERNEL, T, STEPS, ORDER, SEED, OUT, CONFIG,
+        ("--g-list", "g_list", None, None, None,
+         "comma-separated couplings, e.g. 0.05,0.1,0.2,0.4"),
+        ("--pair", "pair", None, None, None,
+         "two families, comma-separated (default nonlocal-full,weak-nonlocal-full)"),
+    ],
+    "counterexample": [KERNEL, T, STEPS, EPS_CP, SEED, OUT, CONFIG],
+    "convolution": [KERNEL, T, STEPS, EPS_CP, SEED, OUT, CONFIG],
+    "validate": [
+        ("--kernel", "kernel", None, None, None, "file to validate"),
+        ("--config", "config", None, None, None, "JSON config file"),
+    ],
+}
+
+
+def test_cli_surface_is_unchanged():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [
+            (*a.option_strings, a.dest, a.default, a.choices and tuple(a.choices),
+             a.type and a.type.__name__, a.help)
+            for a in p._actions if a.dest != "help"
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert list(surface) == list(CLI_SURFACE)
+    assert surface == CLI_SURFACE
+    (divisibility,) = [a for a in sub.choices["certify"]._actions if a.dest == "divisibility"]
+    assert isinstance(divisibility, argparse._StoreTrueAction)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gkslmap.experiments import coherence_revival_kernel, corpus_kernels, random_drift
 from gkslmap.kernel import (
     GKSLKernel,
     KernelFormatError,
@@ -183,6 +184,16 @@ def test_kernel_doc_errors_name_the_field():
         load_kernel_spec({"coupling_g": 1.0})
     with pytest.raises(KernelFormatError, match="coupling_g"):
         load_kernel_spec({"dim": 2, "coupling_g": -2.0})
+    with pytest.raises(KernelFormatError, match="^lindbald: unknown key"):
+        load_kernel_spec({"dim": 2, "lindbald": []})
+
+
+def test_saved_documents_load_under_the_key_check():
+    for k in (*corpus_kernels(20), coherence_revival_kernel()):
+        assert load_kernel_spec(save_kernel_spec(k)).dim == k.dim
+    for seed in range(101, 111):
+        w = random_drift(seed)
+        assert load_drift_spec(save_drift_spec(w)).dim == w.dim
 
 
 def test_drift_spec_round_trip():

@@ -138,3 +138,5 @@ def test_profile_from_doc_reports_offending_field():
     assert "lindblad[0][0].profile" in str(err.value)
     with pytest.raises(ProfileFormatError):
         profile_from_doc({"kind": "no-such-kind"})
+    with pytest.raises(ProfileFormatError, match=r"^profile\.omgea: unknown key"):
+        profile_from_doc({"kind": "oscillatory", "omega": 1.0, "omgea": 1.0})
