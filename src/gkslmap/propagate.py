@@ -26,22 +26,26 @@ per-row trapezoid sums, evaluated in fixed-size blocks of rows.  The nonlocal
 memory sums are trapezoid sums over grid nodes, read one row at a time from
 the same normal form, so they too take O(M) memory per profile.
 
-Every ODE family goes through one classical 4th-order Runge-Kutta driver,
-:func:`_rk4`; its state is the map (local families and the transform route),
-the triangular stack of series terms (local series) or the pair (V, Vinv)
-(drift frame).  Every nonlocal family goes through one memory core,
-:func:`_memory_rows`: row i of the nested-trapezoid memory sum, stacked over
-the kernel's distinct profiles.  Terms with equal profiles are merged first,
-their superoperators summed, and each row is formed when the march reaches it
-(:func:`_memory_source`): f_i c_{i-j} g_j from three node vectors for a
-normal-form profile, and from blocks of evaluated rows for the others, so no
-(M + 1)^2 table exists.  The march, the final generator and the series all
-read that source.  The implicit trapezoidal Volterra march
-(:func:`_volterra`) solves its per-step fixed point exactly (one D x D linear
-solve), in the lab frame or, for the weak family, in the drift frame; the
-nonlocal series applies each row to the known histories of all its orders in
-one product and integrates them by a cumulative trapezoid, so the march is the
-literal sum of the discrete iterated-integral series.
+Every ODE family is linear, dy/dt = B(t) y, so a classical 4th-order
+Runge-Kutta step is a fixed polynomial in B at its three stage nodes.  One
+builder, :func:`_step_blocks`, forms those step matrices for a block of steps
+in a few stacked products, and the march does one product per step.  The state
+is the map (local families and the transform route), the pair (V, Vinv^T)
+(drift frame) or the triangular stack of series terms (local series, stepped
+by the parts of each degree).  Every nonlocal family goes through one memory
+core, :func:`_memory_rows`: the nested-trapezoid memory sum at node i, stacked
+over the kernel's distinct profiles.  Terms with equal profiles are merged
+first, their superoperators summed (:func:`_memory_source`).  A profile whose
+convolution factor is constant or exponential, c(tau) = C e^{a tau}, keeps a
+running history sum stepped exactly by e^{a h}, at O(D^2) per step.  Gaussian,
+tabulated and foreign profiles form row i when the march reaches it, f_i
+c_{i-j} g_j from three node vectors or from blocks of evaluated rows, so no
+(M + 1)^2 table exists.  The implicit trapezoidal Volterra march
+(:func:`_volterra`) solves its per-step fixed point exactly, in the lab frame
+or, for the weak family, in the drift frame; the nonlocal series steps the
+histories of all its orders together and integrates them by a cumulative
+trapezoid, so the march is the literal sum of the discrete iterated-integral
+series.
 """
 
 from __future__ import annotations
@@ -245,47 +249,49 @@ def _sandwich_stack(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the Runge-Kutta driver
+# Runge-Kutta step matrices
 
 
-def _rk4(coeffs: np.ndarray, y0: np.ndarray, h: float, deriv):
-    """Classical Runge-Kutta march of dy/dt = deriv(c(t), y) from y0.
+def _step_blocks(b: np.ndarray, h: float):
+    """Classical Runge-Kutta step matrices of the linear dy/dt = B(t) y, by degree.
 
-    ``coeffs`` holds c on the half-step lattice, so step m draws on
-    coeffs[2m], coeffs[2m + 1] and coeffs[2m + 2].  Yields y0, then the state
-    after every step.
+    ``b`` holds B on the half-step lattice along axis -3, so step m draws on
+    B0, Bm, B1 = b[2m], b[2m + 1], b[2m + 2] and takes y to
+    (1 + R1 + R2 + R3 + R4) y, R_p of degree p in B:
+
+        R1 = h/6 (B0 + 4 Bm + B1)          R3 = h^3/12 (Bm Bm B0 + B1 Bm Bm)
+        R2 = h^2/6 (Bm B0 + Bm Bm + B1 Bm)  R4 = h^4/24 B1 Bm Bm B0
+
+    Yields (first step, (R1, R2, R3, R4)) per block of _ROW_BLOCK steps.
     """
-    y = y0
-    yield y
-    for m in range((len(coeffs) - 1) // 2):
-        c0, cm, c1 = coeffs[2 * m], coeffs[2 * m + 1], coeffs[2 * m + 2]
-        k1 = deriv(c0, y)
-        k2 = deriv(cm, y + 0.5 * h * k1)
-        k3 = deriv(cm, y + 0.5 * h * k2)
-        k4 = deriv(c1, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield y
+    n = (b.shape[-3] - 1) // 2
+    for a in range(0, n, _ROW_BLOCK):
+        blk = b[..., 2 * a : 2 * min(a + _ROW_BLOCK, n) + 1, :, :]
+        b0, bm, b1 = blk[..., :-1:2, :, :], blk[..., 1::2, :, :], blk[..., 2::2, :, :]
+        mb0, b1m = bm @ b0, b1 @ bm
+        yield a, (
+            (h / 6.0) * (b0 + 4.0 * bm + b1),
+            (h * h / 6.0) * (mb0 + bm @ bm + b1m),
+            (h**3 / 12.0) * (bm @ mb0 + b1m @ bm),
+            (h**4 / 24.0) * (b1m @ mb0),
+        )
 
 
-def _local_march(g_half: np.ndarray, h: float) -> np.ndarray:
-    """March dX/dt = G(t) X from the identity; G given on the h/2 lattice."""
-    eye = np.eye(g_half.shape[1], dtype=complex)
-    return np.array(list(_rk4(g_half, eye, h, np.matmul)))
+def _march(b: np.ndarray, h: float) -> np.ndarray:
+    """Runge-Kutta march of dY/dt = B(t) Y from the identity, one product per step.
 
-
-def _series_shift(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the triangular stack dP_n/dt = G(t) P_{n-1}."""
-    d = np.zeros_like(y)
-    d[1:] = np.matmul(g, y[:-1])
-    return d
-
-
-def _frame_shift(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of V' = -A_int V and Vinv' = Vinv A_int, stacked as y = (V, Vinv)."""
-    d = np.empty_like(y)
-    d[0] = -w @ y[0]
-    d[1] = y[1] @ w
-    return d
+    ``b`` is as for :func:`_step_blocks`; its leading axes march side by side.
+    Returns the identity and the state after every step.
+    """
+    n = (b.shape[-3] - 1) // 2
+    eye = np.eye(b.shape[-1], dtype=complex)
+    out = np.empty((n + 1,) + b.shape[:-3] + eye.shape, dtype=complex)
+    out[0] = eye
+    for a, parts in _step_blocks(b, h):
+        r = eye + parts[0] + parts[1] + parts[2] + parts[3]
+        for m in range(a, a + r.shape[-3]):
+            np.matmul(r[..., m - a, :, :], out[m], out=out[m + 1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +301,7 @@ def _frame_shift(w: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _solve_local_part(k: GKSLKernel, grid: TimeGrid, part: str) -> MapTrajectory:
     k.check_horizon(grid.T)
     g_half = _local_generator(split_kernel(k), grid, part)
-    maps = _local_march(g_half, grid.h)
+    maps = _march(g_half, grid.h)
     meta = _march_meta(g_half[-1], grid)
     return MapTrajectory(
         grid=grid, dim=k.dim, family=f"local-{part}", maps=maps, meta=meta
@@ -329,9 +335,9 @@ def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid):
     """
     qmap = _qtables([p for p, _ in drift.terms], grid)
     w_fine = _lattice(drift.terms, qmap, drift.dim, grid)
-    eye = np.eye(drift.dim, dtype=complex)
-    vv = np.array(list(_rk4(w_fine, np.stack([eye, eye]), grid.h / 2.0, _frame_shift)))
-    return vv[:, 0], vv[:, 1]
+    # Vinv is marched as its transpose: (Vinv^T)' = A_int^T Vinv^T
+    vv = _march(np.stack([-w_fine, w_fine.transpose(0, 2, 1)]), grid.h / 2.0)
+    return vv[:, 0], vv[:, 1].transpose(0, 2, 1)
 
 
 def ordered_exponential_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> OrderedExponential:
@@ -366,7 +372,7 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
     v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid)
     v_sup = _sandwich_stack(v_half)
     g_hat = _sandwich_stack(vinv_half) @ _local_generator(split, grid, "jump") @ v_sup
-    maps = v_sup[::2] @ _local_march(g_hat, grid.h)
+    maps = v_sup[::2] @ _march(g_hat, grid.h)
     meta = _march_meta(g_hat[-1], grid)
     meta["engine"] = "transform"
     return MapTrajectory(grid=grid, dim=k.dim, family="local-full", maps=maps, meta=meta)
@@ -377,23 +383,31 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
 
 
 def _memory_source(terms, grid: TimeGrid, D: int):
-    """Row source of (profile, D x D matrix) terms on grid nodes: (rows, s).
+    """Row source of (profile, D x D matrix) terms on grid nodes: (rows, s, rec, cdiag).
 
     Terms with equal profiles are merged, their matrices summed, so s[k] is the
-    summed matrix of the k-th distinct profile and ``rows(i)`` returns a fresh
-    (len(s), i + 1) array with rows(i)[k, j] = c_k(t_i, t_j), j <= i.  A profile
-    with a normal form c(t - s) f(t) g(s) keeps three node vectors and its row
-    is f_i c_{i-j} g_j.  The others are evaluated on blocks of _ROW_BLOCK rows,
-    the block of the last row asked for kept, so rows asked for in increasing
-    order evaluate each point once.  No (M + 1)^2 array is formed.
+    summed matrix of the k-th distinct profile, cdiag[k, i] = c_k(t_i, t_i)
+    and ``rows(i, first)`` returns a fresh array of c_k(t_i, t_j), k >= first,
+    j <= i.  A profile with a normal form c(t - s) f(t) g(s) keeps three node
+    vectors and its row is f_i c_{i-j} g_j.  The others are evaluated on blocks
+    of _ROW_BLOCK rows, the block of the last row asked for kept, so rows asked
+    for in increasing order evaluate each point once.  The normal forms with
+    c(tau) = C e^{a tau} (constant or exponential) come first, and
+    rec = (e^{a h}, C f, g) holds their rates and node vectors.
     """
     merged = {}
     for p, sk in terms:
         prev = merged.get(p)
         merged[p] = sk if prev is None else prev + sk
+
+    def path(form):  # 0: recurrence, 1: normal-form rows, 2: evaluated rows
+        return 2 if form is None else int(GaussianProfile in map(type, form[0]))
+
     forms = [(p, _normal_form(p), sk) for p, sk in merged.items()]
+    forms.sort(key=lambda e: path(e[1]))
     closed = [(form, sk) for _, form, sk in forms if form is not None]
     other = [(p, sk) for p, form, sk in forms if form is None]
+    nr = sum(path(form) == 0 for _, form, _ in forms)
     s = np.array([sk for _, sk in closed + other], dtype=complex).reshape(-1, D, D)
     ts = grid.nodes()
     n, nc = len(ts), len(closed)
@@ -402,71 +416,95 @@ def _memory_source(terms, grid: TimeGrid, D: int):
     gv = np.empty_like(cv)
     for r, (form, _) in enumerate(closed):
         cv[r], fv[r], gv[r] = _form_vectors(form, ts)
+    rates = [sum(c.rate for c in form[0] if type(c) is ExpProfile) for form, _ in closed[:nr]]
+    rec = (np.exp(np.array(rates, dtype=complex) * grid.h), cv[:nr, :1] * fv[:nr], gv[:nr])
+    cdiag = np.concatenate([cv[:, :1] * gv * fv] + [[p(ts, ts)] for p, _ in other])
     block = [None, None]  # first row and values of the evaluated block
 
-    def rows(i):
-        out = np.empty((len(s), i + 1), dtype=complex)
-        np.multiply(cv[:, i::-1], gv[:, : i + 1], out=out[:nc])
-        out[:nc] *= fv[:, i, None]
+    def rows(i, first=0):
+        out = np.empty((len(s) - first, i + 1), dtype=complex)
+        k = nc - first
+        np.multiply(cv[first:, i::-1], gv[first:, : i + 1], out=out[:k])
+        out[:k] *= fv[first:, i, None]
         if other:
             a = i - i % _ROW_BLOCK
             if block[0] != a:
                 b = min(a + _ROW_BLOCK, n)
                 vals = [p(ts[a:b, None], ts[None, :b]) for p, _ in other]
                 block[:] = a, np.array(vals, dtype=complex)
-            out[nc:] = block[1][:, i - a, : i + 1]
+            out[k:] = block[1][:, i - a, : i + 1]
         return out
 
-    return rows, s
+    return rows, s, rec, cdiag
 
 
 def _final_generator(source, grid: TimeGrid) -> np.ndarray:
     """Node-trapezoid generator at t_M: sum_k (weights [h/2, h, ..., h, h/2] . c_k(t_M, .)) S_k."""
     w_last = np.full(grid.steps + 1, grid.h)
     w_last[0] = w_last[-1] = 0.5 * grid.h
-    rows, s = source
+    rows, s = source[:2]
     return np.einsum("k,kab->ab", rows(grid.steps) @ w_last, s)
 
 
-def _memory_rows(source, h: float, D: int):
-    """The Volterra memory core: one row of the nested-trapezoid memory sum.
+def _memory_rows(source, h: float, D: int, width: int):
+    """The Volterra memory core: the nested-trapezoid memory sum, node by node.
 
-    ``source`` is the pair (rows, s) of :func:`_memory_source`.  Returns
-    ``row(i, flat) -> (partial, diag)`` for histories X_0..X_{i-1} given as
-    ``flat``, whose row j holds w histories' X_j side by side (w * D * D
-    columns):
+    ``source`` is the tuple of :func:`_memory_source`.  Returns (diag, row):
+    ``diag(a, b)`` stacks diag_i = sum_k c_k(t_i, t_i) S_k over a <= i < b, and
+    ``row(i, x, past)``, called for i = 1, 2, ... in turn, takes ``width``
+    histories' X_{i-1} side by side in the flat row ``x`` and their rows
+    X_0..X_{i-1} in ``past`` (None when no profile takes rows).  It returns
 
         partial[n] = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
-        diag       = sum_k c_k(t_i, t_i) S_k
 
     so the trapezoid memory integral of history n at t_i is
-    partial[n] + (h/2) diag X_i.
+    partial[n] + (h/2) diag_i X_i.  A profile with c(tau) = C e^{a tau} keeps
+    H = sum_{j<i} w_j e^{a (t_i - t_j)} g_j X_j (w_0 = 1/2, else 1), stepped
+    exactly as H <- e^{a h} (H + w_{i-1} g_{i-1} X_{i-1}) from x alone.
     """
-    rows, s = source
-    n_p = len(s)
-    # Row i of every distinct profile at once makes each memory row two BLAS
-    # products instead of a per-profile Python loop.
-    s_row = s.transpose(1, 0, 2).reshape(D, n_p * D)  # [S_0 S_1 ...]
+    rows, s, (decay, fc, gv), cdiag = source
+    n_p, nr = len(s), len(decay)
+    # Every profile's sum side by side makes the memory row one BLAS product
+    # instead of a per-profile Python loop: y[k, :, n, :] is history n's sum
+    # for profile k.
+    s_row = h * s.transpose(1, 0, 2).reshape(D, n_p * D)  # h [S_0 S_1 ...]
+    y = np.empty((n_p, D, width, D), dtype=complex)
+    y_cols = y.reshape(n_p * D, width * D)
+    hsum = np.zeros((nr, D, width, D), dtype=complex)
+    # per node, one (nr, 1, 1, 1) column: e^{ah} w_j g_j (w_0 = 1/2) and C f_i
+    gw = decay[:, None] * gv
+    gw[:, 0] *= 0.5
+    gw, fc = gw.T[..., None, None, None], fc.T[..., None, None, None]
+    decay = decay[:, None, None, None]
 
-    def row(i, flat):
-        c = rows(i)
-        diag = np.einsum("k,kab->ab", c[:, i], s)
-        c[:, 0] *= 0.5
-        w = flat.shape[1] // (D * D)
-        y = (c[:, :i] @ flat[:i]).reshape(n_p, w, D, D).transpose(0, 2, 1, 3)
-        partial = s_row @ (h * y.reshape(n_p * D, w * D))
-        return partial.reshape(D, w, D).transpose(1, 0, 2), diag
+    def row(i, x, past):
+        hsum[...] *= decay
+        hsum[...] += gw[i - 1] * x.reshape(width, D, D).transpose(1, 0, 2)
+        np.multiply(fc[i], hsum, out=y[:nr])
+        if nr < n_p:
+            c = rows(i, nr)
+            c[:, 0] *= 0.5
+            y[nr:] = (c[:, :i] @ past[:i]).reshape(n_p - nr, width, D, D).transpose(0, 2, 1, 3)
+        return (s_row @ y_cols).reshape(D, width, D).transpose(1, 0, 2)
 
-    return row
+    def diag(a, b):
+        return np.tensordot(cdiag[:, a:b].T, s, 1)
+
+    return diag, row
 
 
 def _volterra(source, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
     """Implicit trapezoidal march of dX/dt = int_0^t K(t,s) X(s) ds.
 
     The corrector fixed point is linear in X_{m+1} (only the diagonal
-    quadrature weight touches it), so it is solved exactly per step.  The
-    resulting discrete solution satisfies X = 1 + Q X with Q the nested
-    trapezoid integral operator — the same Q the nonlocal series iterates.
+    quadrature weight touches it), so it is solved exactly per step; the
+    diagonal sums diag_i, their drift-frame conjugates and the step inverses
+    (1 - h^2/4 diag_i)^{-1} are formed as stacks, a block of _ROW_BLOCK nodes
+    at a time.  The resulting discrete solution satisfies X = 1 + Q X with Q
+    the nested trapezoid integral operator — the same Q the nonlocal series
+    iterates.  Exponential and constant memory costs O(D^2) per step through
+    the recurrence of :func:`_memory_rows`, the other profiles O(i D^2) at
+    step i.
 
     With ``frame`` = (Vinv_sup, V_sup), the sandwich superoperator stacks of
     Vinv and V on grid nodes, the march runs in the drift frame on
@@ -476,23 +514,26 @@ def _volterra(source, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
     """
     M, h = grid.steps, grid.h
     D = dim * dim
-    row = _memory_rows(source, h, D)
+    diag_of, row = _memory_rows(source, h, D, 1)
     eye = np.eye(D, dtype=complex)
     maps = np.empty((M + 1, D, D), dtype=complex)
     maps[0] = eye
     flat = maps.reshape(M + 1, D * D)
     x = eye
     f_prev = np.zeros((D, D), dtype=complex)
-    for i in range(1, M + 1):
-        partial, diag = row(i, flat)
-        partial = partial[0]
+    for a in range(1, M + 1, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, M + 1)
+        diag = diag_of(a, b)
         if frame is not None:
-            partial = frame[0][i] @ partial
-            diag = frame[0][i] @ diag @ frame[1][i]
-        rhs = x + 0.5 * h * (f_prev + partial)
-        x = np.linalg.solve(eye - 0.25 * h * h * diag, rhs)
-        maps[i] = x if frame is None else frame[1][i] @ x
-        f_prev = partial + 0.5 * h * (diag @ x)
+            diag = frame[0][a:b] @ diag @ frame[1][a:b]
+        step_inv = np.linalg.inv(eye - 0.25 * h * h * diag)
+        for i in range(a, b):
+            partial = row(i, flat[i - 1], flat)[0]
+            if frame is not None:
+                partial = frame[0][i] @ partial
+            x = step_inv[i - a] @ (x + 0.5 * h * (f_prev + partial))
+            maps[i] = x if frame is None else frame[1][i] @ x
+            f_prev = partial + 0.5 * h * (diag[i - a] @ x)
     return maps
 
 
@@ -530,17 +571,22 @@ def _local_series(g_half: np.ndarray, h: float, order: int):
     """Per-node sums sum_n P_n of the triangular stack dP_n/dt = G(t) P_{n-1}.
 
     Also returns the Frobenius norm of the order-N term (the truncation
-    diagnostic).  Because the stack is marched by the same Runge-Kutta step as
-    the plain local equation, the full sum telescopes to the plain discrete
-    solution up to the truncated tail.
+    diagnostic).  A step takes P_n to sum_{p <= 4} R_p P_{n-p} with R_p the
+    degree-p part of the plain march's step matrix (R_0 = 1), so the full sum
+    telescopes to the plain discrete solution up to the truncated tail.
     """
     D = g_half.shape[1]
-    y0 = np.zeros((order + 1, D, D), dtype=complex)
-    y0[0] = np.eye(D)
-    sums, tails = [], []
-    for y in _rk4(g_half, y0, h, _series_shift):
-        sums.append(y.sum(axis=0))
-        tails.append(np.linalg.norm(y[order]))
+    y = np.zeros((order + 1, D, D), dtype=complex)
+    y[0] = np.eye(D)
+    sums, tails = [y.sum(axis=0)], [np.linalg.norm(y[order])]
+    for _, parts in _step_blocks(g_half, h):
+        for m in range(parts[0].shape[0]):
+            new = y.copy()
+            for p, part in enumerate(parts, 1):
+                new[p:] += part[m] @ y[:-p]
+            y = new
+            sums.append(y.sum(axis=0))
+            tails.append(np.linalg.norm(y[order]))
     return np.array(sums), tails
 
 
@@ -548,36 +594,41 @@ def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int):
     """Iterate the nested-trapezoid integral operator: R_n = Q(R_{n-1}), R_0 = 1.
 
     Q applies the memory rows to the history R_{n-1}, then integrates the
-    result by a cumulative trapezoid.  The march is row-outer: row i is formed
-    once and applied to the histories of R_0..R_{N-1} in one product, then
+    result by a cumulative trapezoid.  The march is node-outer: the memory sum
+    at t_i is formed once for the histories of R_0..R_{N-1} together, then
     each order steps its trapezoid sum in turn, since R_n(t_i) needs
-    R_{n-1}(t_i).
+    R_{n-1}(t_i).  The recurrences of :func:`_memory_rows` read only the
+    newest node of each history; the (M + 1) N D^2 array of every node is
+    kept only when the source has profiles that take rows.
     """
     M, h = grid.steps, grid.h
     D = dim * dim
-    row = _memory_rows(source, h, D)
+    diag_of, row = _memory_rows(source, h, D, order)
     eye = np.eye(D, dtype=complex)
-    hist = np.zeros((M + 1, order, D, D), dtype=complex)  # hist[j, n] = R_n(t_j)
-    hist[:, 0] = eye
-    flat = hist.reshape(M + 1, order * D * D)
+    r = np.zeros((order + 1, D, D), dtype=complex)  # r[n] = R_n at the newest node
+    r[0] = eye
+    newest = r[:order].reshape(order * D * D)  # a view: R_0..R_{N-1} side by side
+    _, s, (decay, _, _), _ = source
+    hist = None
+    if len(decay) < len(s):  # a profile takes rows
+        hist = np.empty((M + 1, order * D * D), dtype=complex)  # hist[j] = R_0..R_{N-1} at t_j
+        hist[0] = newest
     total = np.empty((M + 1, D, D), dtype=complex)
     total[0] = eye
     tails = np.zeros(M + 1)
     f_prev = np.zeros((order, D, D), dtype=complex)  # f_n(t_{i-1}), n = 1..N
-    r_prev = np.zeros((order, D, D), dtype=complex)  # R_n(t_{i-1}), n = 1..N
-    for i in range(1, M + 1):
-        partial, diag = row(i, flat)
-        r = eye
-        acc = eye.copy()
-        for n in range(order):
-            f = partial[n] + 0.5 * h * (diag @ r)
-            r = r_prev[n] + 0.5 * h * (f_prev[n] + f)
-            f_prev[n], r_prev[n] = f, r
-            if n + 1 < order:
-                hist[i, n + 1] = r
-            acc += r
-        total[i] = acc
-        tails[i] = np.linalg.norm(r)
+    for a in range(1, M + 1, _ROW_BLOCK):
+        diag = diag_of(a, min(a + _ROW_BLOCK, M + 1))
+        for i in range(a, a + len(diag)):
+            partial = row(i, newest, hist)
+            for n in range(1, order + 1):
+                f = partial[n - 1] + 0.5 * h * (diag[i - a] @ r[n - 1])
+                r[n] += 0.5 * h * (f_prev[n - 1] + f)
+                f_prev[n - 1] = f
+            if hist is not None:
+                hist[i] = newest
+            total[i] = r.sum(axis=0)
+            tails[i] = np.linalg.norm(r[order])
     return total, tails
 
 

@@ -12,6 +12,12 @@ with::
     python tests/cli_sweep.py /tmp/sweep-b      # in checkout B
     diff -r /tmp/sweep-a /tmp/sweep-b
 
+A change that reorders floating-point sums leaves the artifacts close but not
+byte-identical.  For it, ``python tests/cli_sweep.py --compare A B`` requires
+identical logs (exit codes, stdout, stderr) and certify verdicts (``all_cp``,
+per-node verdicts, divisibility statuses), prints the worst relative map
+difference per trajectory family and exits 1 when anything required differs.
+
 The file name keeps pytest from collecting it.
 """
 
@@ -25,6 +31,8 @@ import shutil
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -199,7 +207,34 @@ def main_sweep(outdir: Path) -> None:
         run(f"config-solve-ok-{name}", "solve", "--config", path, "--out", f"runs/config-ok-{name}")
 
 
+def compare(a: Path, b: Path) -> int:
+    """Compare two sweeps: logs and certify verdicts must match; report map gaps."""
+    bad = []
+    for log in sorted((a / "logs").iterdir()):
+        if log.read_text() != (b / "logs" / log.name).read_text():
+            bad.append(f"log {log.name}")
+    gaps = {}
+    for path in sorted(a.glob("runs/*/*.json")):
+        x, y = (json.loads(p.read_text()) for p in (path, b / path.relative_to(a)))
+        if path.name == "cp_report.json":
+            div = (x.get("divisibility") or {}, y.get("divisibility") or {})
+            if (x["all_cp"], x["verdict"], div[0].get("all_cp"), div[0].get("status")) != (
+                    y["all_cp"], y["verdict"], div[1].get("all_cp"), div[1].get("status")):
+                bad.append(f"verdicts {path.parent.name}")
+        elif path.name == "trajectory.json":
+            mx, my = (np.array(d["maps"], dtype=float) for d in (x, y))
+            gap = float(np.max(np.abs(mx - my)) / np.max(np.abs(mx)))
+            gaps[x["family"]] = max(gaps.get(x["family"], 0.0), gap)
+    for family, gap in sorted(gaps.items()):
+        print(f"{family:22s} worst relative map difference {gap:.2e}")
+    for item in bad:
+        print(f"DIFFERS: {item}")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(Path(sys.argv[2]), Path(sys.argv[3])))
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/cli_sweep.py OUTDIR")
+        sys.exit("usage: python tests/cli_sweep.py OUTDIR | --compare OUTDIR_A OUTDIR_B")
     main_sweep(Path(sys.argv[1]).resolve())

@@ -1,14 +1,15 @@
-"""Node-level reference evaluations the solver tests compare against.
+"""Reference evaluations the solver tests compare against.
 
 The solvers work from the separable form of :func:`gkslmap.kernel.split_kernel`
-on O(M) tables and rows; these evaluate the kernel directly, one (t, t') at a
-time.
+on O(M) tables and rows; the first references evaluate the kernel directly,
+one (t, t') at a time.  The Runge-Kutta references march stage by stage.
 """
 
 import numpy as np
 
-from gkslmap.kernel import GKSLKernel
+from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
 from gkslmap.linalg import dagger, sandwich_superop
+from gkslmap.propagate import _lattice, _local_generator, _qtables, _sandwich_stack
 from gkslmap.trajectory import TimeGrid
 
 
@@ -45,3 +46,80 @@ def effective_generator(k: GKSLKernel, t: float, grid: TimeGrid) -> np.ndarray:
         w = 0.5 * grid.h if j in (0, m) else grid.h
         g += w * eval_kernel_superop(k, ts[m], ts[j])
     return g
+
+
+# ---------------------------------------------------------------------------
+# the per-step Runge-Kutta reference
+#
+# The solvers march by precomputed step matrices.  These march the same
+# equations stage by stage, one right-hand-side call per stage, on the same
+# quadrature lattices (those are gated on their own against dense tables).
+
+
+def rk4_march(coeffs: np.ndarray, y0: np.ndarray, h: float, deriv) -> np.ndarray:
+    """Classical Runge-Kutta march of dy/dt = deriv(c(t), y) from y0.
+
+    ``coeffs`` holds c on the half-step lattice, so step m draws on
+    coeffs[2m], coeffs[2m + 1] and coeffs[2m + 2].  Returns y0 and the state
+    after every step.
+    """
+    y = y0
+    out = [y]
+    for m in range((len(coeffs) - 1) // 2):
+        c0, cm, c1 = coeffs[2 * m], coeffs[2 * m + 1], coeffs[2 * m + 2]
+        k1 = deriv(c0, y)
+        k2 = deriv(cm, y + 0.5 * h * k1)
+        k3 = deriv(cm, y + 0.5 * h * k2)
+        k4 = deriv(c1, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def series_shift(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the triangular stack dP_n/dt = G(t) P_{n-1}."""
+    d = np.zeros_like(y)
+    d[1:] = np.matmul(g, y[:-1])
+    return d
+
+
+def frame_shift(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of V' = -A_int V and Vinv' = Vinv A_int, stacked as y = (V, Vinv)."""
+    d = np.empty_like(y)
+    d[0] = -w @ y[0]
+    d[1] = y[1] @ w
+    return d
+
+
+def rk4_local(k: GKSLKernel, grid: TimeGrid, part: str) -> np.ndarray:
+    """Maps of the local family ``local-<part>``."""
+    g_half = _local_generator(split_kernel(k), grid, part)
+    return rk4_march(g_half, np.eye(k.dim * k.dim, dtype=complex), grid.h, np.matmul)
+
+
+def rk4_frame(drift: TwoTimeOperatorFunction, grid: TimeGrid):
+    """(V, Vinv) of the drift operator on the h/2 lattice, marched at step h/2."""
+    w_fine = _lattice(drift.terms, _qtables([p for p, _ in drift.terms], grid), drift.dim, grid)
+    eye = np.eye(drift.dim, dtype=complex)
+    vv = rk4_march(w_fine, np.stack([eye, eye]), grid.h / 2.0, frame_shift)
+    return vv[:, 0], vv[:, 1]
+
+
+def rk4_transform(k: GKSLKernel, grid: TimeGrid) -> np.ndarray:
+    """Maps of the local-full equation solved in the drift frame."""
+    split = split_kernel(k)
+    v_half, vinv_half = rk4_frame(split.drift_op, grid)
+    v_sup = _sandwich_stack(v_half)
+    g_hat = _sandwich_stack(vinv_half) @ _local_generator(split, grid, "jump") @ v_sup
+    eye = np.eye(k.dim * k.dim, dtype=complex)
+    return v_sup[::2] @ rk4_march(g_hat, eye, grid.h, np.matmul)
+
+
+def rk4_local_series(k: GKSLKernel, grid: TimeGrid, part: str, order: int):
+    """Per-node sums and order-N tail norms of the local series of one kernel part."""
+    g_half = _local_generator(split_kernel(k), grid, part)
+    D = k.dim * k.dim
+    y0 = np.zeros((order + 1, D, D), dtype=complex)
+    y0[0] = np.eye(D)
+    ys = rk4_march(g_half, y0, grid.h, series_shift)
+    return ys.sum(axis=1), np.linalg.norm(ys[:, order], axis=(1, 2))

@@ -10,7 +10,14 @@ from scipy.linalg import expm
 from gkslmap.cpanalysis import trace_deviation
 from gkslmap.experiments import random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
-from gkslmap.linalg import SIGMA_X, SIGMA_Z, dagger, random_density, sandwich_superop
+from gkslmap.linalg import (
+    SIGMA_X,
+    SIGMA_Z,
+    dagger,
+    random_density,
+    random_operator,
+    sandwich_superop,
+)
 from gkslmap.profiles import (
     ConstantProfile,
     ExpProfile,
@@ -45,7 +52,14 @@ from gkslmap.propagate import (
     weak_drift_localize,
 )
 from gkslmap.trajectory import FAMILY_TAGS, TimeGrid
-from oracles import effective_generator, eval_kernel_superop
+from oracles import (
+    effective_generator,
+    eval_kernel_superop,
+    rk4_frame,
+    rk4_local,
+    rk4_local_series,
+    rk4_transform,
+)
 
 
 def constant_kernel(g=1.0):
@@ -399,14 +413,32 @@ def test_nonlocal_solves_hold_no_square_array(family):
     assert peak < square, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
+def test_nonlocal_series_of_exponential_memory_holds_no_all_order_history():
+    a = random_operator(np.random.default_rng(8), 8, 0.5)
+    k = GKSLKernel.build(8, jump_ops=[TwoTimeOperatorFunction.build(8, [(ExpProfile(-0.7), a)])])
+    grid, order = TimeGrid(1.0, 200), 8
+    history = (grid.steps + 1) * order * 64**2 * 16  # R_0..R_7 at every node: 105 MB
+    tracemalloc.start()
+    try:
+        solve_family(k, grid, "series-nonlocal-jump", order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < history, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # the Volterra memory core against dense and per-table references
 
 
 def coarse_tables(terms, grid):
-    """Reference profile tables C_k[i,j] = c_k(t_i, t_j) on grid nodes, one (C_k, S_k) per term."""
+    """Reference profile tables C_k[i,j] = c_k(t_i, t_j) on grid nodes, one (C_k, S_k) per term.
+
+    A generator: each table is evaluated when it is reached, so one (M+1)^2
+    table is alive at a time.
+    """
     ts = grid.nodes()
-    return [(np.asarray(p(ts[:, None], ts[None, :]), dtype=complex), s) for p, s in terms]
+    return ((np.asarray(p(ts[:, None], ts[None, :]), dtype=complex), s) for p, s in terms)
 
 
 def trap_weights(steps, h):
@@ -421,7 +453,7 @@ def trap_weights(steps, h):
 
 def dense_nonlocal_series(k, grid, order):
     """Reference nonlocal series: R_n = W (sum_k S_k (W * C_k) R_{n-1}) with dense (M+1)^2 weights."""
-    tables = coarse_tables(split_kernel(k).jump_part.terms, grid)
+    terms = split_kernel(k).jump_part.terms
     M, h = grid.steps, grid.h
     D = k.dim * k.dim
     w = trap_weights(M, h)
@@ -429,7 +461,7 @@ def dense_nonlocal_series(k, grid, order):
     total = r.copy()
     for _ in range(order):
         f = np.zeros((M + 1, D, D), dtype=complex)
-        for c, s in tables:
+        for c, s in coarse_tables(terms, grid):
             y = np.einsum("ij,jab->iab", w * c, r)
             f += np.einsum("ab,ibc->iac", s, y)
         r = np.einsum("mi,iab->mab", w, f)
@@ -439,13 +471,15 @@ def dense_nonlocal_series(k, grid, order):
 
 
 def dense_nonlocal(terms, grid, dim, frame=None):
-    """Reference Volterra march: the implicit trapezoid step over one (M+1)^2 table per term.
+    """Reference Volterra march: the implicit trapezoid step, row i of every term's table.
 
-    Terms are not merged.  With ``frame`` = (Vinv_sup, V_sup) the step runs in
-    the drift frame, as the weak family does; the memory sum always acts on the
-    lab-frame history.  Returns the lab-frame maps.
+    Each row c_k(t_i, t_j), j <= i, is evaluated point by point when the step
+    reaches it, and applied to the whole history.  Terms are not merged.  With
+    ``frame`` = (Vinv_sup, V_sup) the step runs in the drift frame, as the
+    weak family does; the memory sum always acts on the lab-frame history.
+    Returns the lab-frame maps.
     """
-    tables = coarse_tables(terms, grid)
+    ts = grid.nodes()
     M, h = grid.steps, grid.h
     D = dim * dim
     eye = np.eye(D, dtype=complex)
@@ -456,8 +490,8 @@ def dense_nonlocal(terms, grid, dim, frame=None):
     for i in range(1, M + 1):
         partial = np.zeros((D, D), dtype=complex)
         diag = np.zeros((D, D), dtype=complex)
-        for c, s in tables:
-            row = c[i]
+        for p, s in terms:
+            row = np.asarray(p(np.full(i + 1, ts[i]), ts[: i + 1]), dtype=complex)
             acc = 0.5 * row[0] * y[0] + np.einsum("j,jab->ab", row[1:i], y[1:i])
             partial += s @ (h * acc)
             diag += row[i] * s
@@ -471,12 +505,16 @@ def dense_nonlocal(terms, grid, dim, frame=None):
 
 
 def per_table_weak(k, grid):
-    """Reference weak march: the drift-frame Volterra step with one sum per table."""
+    """Reference weak march: the drift-frame Volterra step with one sum per table.
+
+    The frame comes from the per-step Runge-Kutta reference, not from the
+    solver's ordered exponential.
+    """
     M = grid.steps
     D = k.dim * k.dim
-    oe = ordered_exponential(k, grid)
-    v_sup = np.einsum("jcd,jab->jcadb", oe.v.conj(), oe.v).reshape(M + 1, D, D)
-    vinv_sup = np.einsum("jcd,jab->jcadb", oe.vinv.conj(), oe.vinv).reshape(M + 1, D, D)
+    v, vinv = (a[::2] for a in rk4_frame(split_kernel(k).drift_op, grid))
+    v_sup = np.einsum("jcd,jab->jcadb", v.conj(), v).reshape(M + 1, D, D)
+    vinv_sup = np.einsum("jcd,jab->jcadb", vinv.conj(), vinv).reshape(M + 1, D, D)
     return dense_nonlocal(split_kernel(k).jump_part.terms, grid, k.dim, (vinv_sup, v_sup))
 
 
@@ -558,3 +596,93 @@ def test_framed_weak_core_matches_per_table_reference(corpus, steps):
     for k in list(corpus) + extra_kernels():
         ref = per_table_weak(k, grid)
         assert rel_gap(weak_coupling_localize(k, grid).maps, ref) <= 1e-12
+
+
+def recurrence_edge_kernel():
+    """A kernel whose memory takes every recurrence case next to rows.
+
+    Its jump pairings give a growing real rate (e^{0.8 tau}), complex rates,
+    Constant x Exp products, a separable profile with constant g (c = 1),
+    a gaussian and a tabulated product; the Hermitian part adds the separable
+    profile alone to the drift part.
+    """
+    rng = np.random.default_rng(23)
+    sep = SeparableProfile(
+        SingleVarFactor("exp", rate=-0.5), SingleVarFactor("constant", value=0.8)
+    )
+    jumps = [
+        [ExpProfile(0.4), ExpProfile(-0.2 + 1.0j)],
+        [ConstantProfile(0.7j), ExpProfile(-0.6 + 0.5j)],
+        [sep],
+        [GaussianProfile(0.9)],
+        [TAB],
+    ]
+    return GKSLKernel.build(
+        2,
+        hermitian=TwoTimeOperatorFunction.build(2, [(sep, 0.3 * SIGMA_Z)]),
+        jump_ops=[
+            TwoTimeOperatorFunction.build(2, [(p, random_operator(rng, 2, 0.5)) for p in op])
+            for op in jumps
+        ],
+    )
+
+
+EDGE_GRID = TimeGrid(2.0, 800)  # e^{ah} compounds one rounding per step
+
+
+def test_edge_kernel_mixes_recurrences_and_rows():
+    k = recurrence_edge_kernel()
+    for part in ("full", "jump", "drift"):
+        _, s, (decay, _, _), _ = _memory_source(part_terms(k)[part], EDGE_GRID, 4)
+        assert 0 < len(decay) < len(s), part
+        assert np.any(np.abs(decay) > 1) and np.any(decay.imag != 0), part
+        assert np.any(decay == 1), part  # constant c
+
+
+@pytest.mark.parametrize("part", ("full", "jump", "drift"))
+def test_edge_kernel_nonlocal_matches_dense_reference(part):
+    k = recurrence_edge_kernel()
+    ref = dense_nonlocal(part_terms(k)[part], EDGE_GRID, k.dim)
+    assert rel_gap(solve_nonlocal(k, EDGE_GRID, part=part).maps, ref) <= 1e-12
+
+
+def test_edge_kernel_nonlocal_series_matches_dense_reference():
+    k = recurrence_edge_kernel()
+    traj = jump_series(k, EDGE_GRID, order=6, locality="nonlocal")
+    total, tails = dense_nonlocal_series(k, EDGE_GRID, order=6)
+    assert rel_gap(traj.maps, total) <= 1e-12
+    assert rel_gap(traj.meta["tail_norm"], tails) <= 1e-12
+
+
+def test_edge_kernel_weak_matches_per_table_reference():
+    k = recurrence_edge_kernel()
+    ref = per_table_weak(k, EDGE_GRID)
+    assert rel_gap(weak_coupling_localize(k, EDGE_GRID).maps, ref) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the step-matrix marches against the per-step Runge-Kutta reference
+
+
+@pytest.mark.parametrize("steps", CORE_STEPS)
+def test_step_matrix_marches_match_per_step_reference(corpus, steps):
+    grid = TimeGrid(2.0, steps)
+    local = {"full": solve_local, "jump": solve_local_jump, "drift": solve_local_drift}
+    for k in list(corpus) + extra_kernels():
+        for part, solve in local.items():
+            assert rel_gap(solve(k, grid).maps, rk4_local(k, grid, part)) <= 1e-12, part
+        ref = rk4_transform(k, grid)
+        assert rel_gap(solve_local_full_via_transform(k, grid).maps, ref) <= 1e-12
+        oe = ordered_exponential(k, grid)
+        v_half, vinv_half = rk4_frame(split_kernel(k).drift_op, grid)
+        assert rel_gap(oe.v, v_half[::2]) <= 1e-12
+        assert rel_gap(oe.vinv, vinv_half[::2]) <= 1e-12
+        for order in (3, 7):  # 7 > 4: the step reaches back only four orders
+            for part in ("full", "jump"):
+                traj = solve_family(k, grid, f"series-local-{part}", order=order)
+                sums, tails = rk4_local_series(k, grid, part, order)
+                assert rel_gap(traj.maps, sums) <= 1e-12, (part, order)
+                if np.any(tails):
+                    assert rel_gap(traj.meta["tail_norm"], tails) <= 1e-12, (part, order)
+                else:  # one step cannot reach order 7
+                    assert not np.any(traj.meta["tail_norm"]), (part, order)
