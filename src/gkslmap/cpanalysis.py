@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import TwoTimeOperatorFunction
-from .linalg import NotHermitianError, frobenius, hermitian_eig, unvectorize, vectorize
+from .linalg import NotHermitianError, frobenius, hermitian_eig, vectorize
 from .propagate import solve_nonlocal_from_drift
 from .serialize import csv_table
 from .trajectory import MapTrajectory, TimeGrid
@@ -55,6 +55,10 @@ __all__ = [
 
 DEFAULT_EPS_CP = 1e-8
 DEFAULT_COND_LIMIT = 1e12
+_KRAUS_CUTOFF = 1e-12  # Kraus weights kept: above this times max(trace, 1)
+_KRAUS_TOL = 1e-8  # Frobenius tolerance of the mutual-inverse Kraus condition
+_DRIFT_TOL = 1e-10  # drift diagonality and sign tolerance, relative to the integrals
+_N_AMPLITUDES = 64  # amplitudes |psi_n| swept by the witness search
 
 
 _NODE_BLOCK = 64  # nodes or intervals per stacked call; see the module docstring
@@ -115,13 +119,11 @@ class KrausSet:
         return self.operators[0].shape[0]
 
 
-def kraus_extract(
-    choi_matrix: np.ndarray, cutoff: float = 1e-12, eps_cp: float = DEFAULT_EPS_CP
-) -> KrausSet:
+def kraus_extract(choi_matrix: np.ndarray, eps_cp: float = DEFAULT_EPS_CP) -> KrausSet:
     """Kraus operators from the Choi eigendecomposition.
 
-    Eigenvalues above cutoff * trace are kept; calling this on a Choi matrix
-    that fails :func:`cp_check` is an error (there is no Kraus form to
+    Eigenvalues above _KRAUS_CUTOFF * trace are kept; calling this on a Choi
+    matrix that fails :func:`cp_check` is an error (there is no Kraus form to
     extract).
     """
     d = _dim_of(choi_matrix)
@@ -135,7 +137,7 @@ def kraus_extract(
     ops = []
     weights = []
     for lam, vec in zip(eig.eigenvalues[::-1], eig.eigenvectors.T[::-1]):
-        if lam > cutoff * max(tr, 1.0):
+        if lam > _KRAUS_CUTOFF * max(tr, 1.0):
             ops.append(np.sqrt(lam) * vec.reshape(d, d))
             weights.append(float(lam))
     return KrausSet(operators=tuple(ops), weights=tuple(weights))
@@ -153,9 +155,7 @@ class KrausConditionReport:
     failed_clause: str  # "", "singular", "diagonal", "off-diagonal"
 
 
-def kraus_condition_check(
-    kraus: KrausSet, tol: float = 1e-8, cond_limit: float = DEFAULT_COND_LIMIT
-) -> KrausConditionReport:
+def kraus_condition_check(kraus: KrausSet) -> KrausConditionReport:
     """Check the mutual-inverse Kraus condition, reporting which clause failed.
 
     For j != k the condition demands K_j^{-1} K_k = 0-times-identity, which a
@@ -169,7 +169,7 @@ def kraus_condition_check(
     invs = []
     for idx, k in enumerate(kraus.operators):
         c = np.linalg.cond(k)
-        if not np.isfinite(c) or c > cond_limit:
+        if not np.isfinite(c) or c > DEFAULT_COND_LIMIT:
             singular.append(idx)
             invs.append(None)
         else:
@@ -193,9 +193,9 @@ def kraus_condition_check(
                 max_diag = max(max_diag, float(np.linalg.norm(prod - eye)))
             else:
                 max_off = max(max_off, float(np.linalg.norm(prod)))
-    if max_diag > tol:
+    if max_diag > _KRAUS_TOL:
         clause = "diagonal"
-    elif max_off > tol:
+    elif max_off > _KRAUS_TOL:
         clause = "off-diagonal"
     else:
         clause = ""
@@ -230,20 +230,16 @@ class DivisibilityResult:
         return tuple(i for i, s in enumerate(self.statuses) if s == "not-CP")
 
 
-def divisibility_check(
-    traj: MapTrajectory,
-    eps_cp: float = DEFAULT_EPS_CP,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> DivisibilityResult:
+def divisibility_check(traj: MapTrajectory, eps_cp: float = DEFAULT_EPS_CP) -> DivisibilityResult:
     """CP-check every intermediate map of a trajectory.
 
     The intermediate map X solves X Lambda_m = Lambda_{m+1} (computed by a
     linear solve, never an explicit inverse); intervals whose Lambda_m is
-    conditioned beyond cond_limit are marked indeterminate, not failed.
+    conditioned beyond DEFAULT_COND_LIMIT are marked indeterminate, not failed.
     """
     a, b = traj.maps[:-1], traj.maps[1:]
     (conds,) = _blockwise(lambda s: (np.linalg.cond(a[s]),), traj.grid.steps, "interval")
-    solvable = np.isfinite(conds) & (conds <= cond_limit)
+    solvable = np.isfinite(conds) & (conds <= DEFAULT_COND_LIMIT)
     eye = np.eye(a.shape[-1])
 
     def intermediate_cp(s):
@@ -290,7 +286,6 @@ def drift_strict_condition_check(
     drift: TwoTimeOperatorFunction,
     grid: TimeGrid,
     basis: np.ndarray | None = None,
-    tol: float = 1e-10,
 ) -> DriftConditionReport:
     """Sample the drift operator over the grid triangle: diagonality + sign rule.
 
@@ -328,9 +323,9 @@ def drift_strict_condition_check(
     integrals = [complex(z) for z in wts @ diag_rows]
     re = np.array([z.real for z in integrals])
     scale = max(1.0, float(np.max(np.abs(integrals))) if integrals else 1.0)
-    nonpos = bool(np.all(re <= tol * scale))
-    nonneg = bool(np.all(re >= -tol * scale))
-    is_diag = max_off <= tol
+    nonpos = bool(np.all(re <= _DRIFT_TOL * scale))
+    nonneg = bool(np.all(re >= -_DRIFT_TOL * scale))
+    is_diag = max_off <= _DRIFT_TOL
     return DriftConditionReport(
         max_offdiagonal=max_off,
         diagonal_integrals=tuple(integrals),
@@ -375,10 +370,7 @@ def _max_offdiagonal_entry(drift: TwoTimeOperatorFunction, grid: TimeGrid):
 
 
 def find_drift_cp_witness(
-    drift: TwoTimeOperatorFunction,
-    grid: TimeGrid,
-    eps_cp: float = DEFAULT_EPS_CP,
-    n_amplitudes: int = 64,
+    drift: TwoTimeOperatorFunction, grid: TimeGrid, eps_cp: float = DEFAULT_EPS_CP
 ) -> DriftCPWitness | None:
     """Search the two-level relative-phase ansatz for a CP violation.
 
@@ -389,7 +381,9 @@ def find_drift_cp_witness(
     rides along, so the measure reduces to <u| Lambda_t(|x><x|) |u>).
     Returns the first node with measure < -10 eps_cp, cross-validated against
     the Choi spectrum, or None when the drift has no off-diagonal element or
-    the sweep finds nothing.
+    the sweep finds nothing.  The measure is evaluated over (node, x,
+    amplitude, phase) for a block of _NODE_BLOCK nodes at a time; the first
+    hit in node-then-x order wins.
     """
     located = _max_offdiagonal_entry(drift, grid)
     if located is None:
@@ -402,48 +396,50 @@ def find_drift_cp_witness(
     phases = np.array(
         [-phi_ln, math.pi - phi_ln, -phi_ln + math.pi / 2.0, -phi_ln - math.pi / 2.0]
     )
-    amps = np.linspace(0.0, 1.0, n_amplitudes)
+    amps = np.linspace(0.0, 1.0, _N_AMPLITUDES)
     a_grid = amps[:, None]
     b_grid = np.sqrt(1.0 - a_grid**2)
     eps_th = -10.0 * eps_cp
-    for m in range(1, grid.steps + 1):
-        s = traj.maps[m]
-        for x in range(d):
-            proj = np.zeros((d, d), dtype=complex)
-            proj[x, x] = 1.0
-            out = unvectorize(s @ vectorize(proj), d)
-            cross = out[n, l]  # <n| out |l>
-            vals = (
-                (a_grid**2) * out[n, n].real
-                + (b_grid**2) * out[l, l].real
-                + 2.0 * a_grid * b_grid * np.real(np.exp(1j * phases)[None, :] * cross)
-            )
-            idx = np.unravel_index(np.argmin(vals), vals.shape)
-            if vals[idx] < eps_th:
-                a = float(amps[idx[0]])
-                b = math.sqrt(max(0.0, 1.0 - a * a))
-                theta = float(phases[idx[1]])
-                u = np.zeros(d, dtype=complex)
-                u[n] = a
-                u[l] = b * np.exp(1j * theta)
-                anc = np.zeros(d)
-                anc[0] = 1.0
-                psi = np.kron(u, anc)
-                basis_x = np.zeros(d)
-                basis_x[x] = 1.0
-                phi_vec = np.kron(basis_x, anc)
-                _, lam_min = cp_check(choi(s), eps_cp)
-                return DriftCPWitness(
-                    t=float(ts[m]),
-                    node=m,
-                    measure_value=float(vals[idx]),
-                    choi_lambda_min=lam_min,
-                    psi=psi,
-                    phi=phi_vec,
-                    pair=(n, l),
-                    phase=theta,
-                    amplitude=a,
-                )
+    # Lambda_t(|x><x|) is column x (d + 1) of the map, and its (i, j) entry is row i + d j
+    xcols = np.arange(d) * (d + 1)
+    for start in range(1, grid.steps + 1, _NODE_BLOCK):
+        out = traj.maps[start : start + _NODE_BLOCK][:, :, xcols, None, None]
+        vals = (  # over (node, x, amplitude, phase)
+            (a_grid**2) * out[:, n * (d + 1)].real
+            + (b_grid**2) * out[:, l * (d + 1)].real
+            + 2.0 * a_grid * b_grid * np.real(np.exp(1j * phases)[None, :] * out[:, n + d * l])
+        )
+        hits = np.argwhere(vals.min(axis=(2, 3)) < eps_th)  # (node, x) in C order
+        if not len(hits):
+            continue
+        node, x = map(int, hits[0])
+        best = vals[node, x]
+        idx = np.unravel_index(np.argmin(best), best.shape)
+        m = start + node
+        a = float(amps[idx[0]])
+        b = math.sqrt(max(0.0, 1.0 - a * a))
+        theta = float(phases[idx[1]])
+        u = np.zeros(d, dtype=complex)
+        u[n] = a
+        u[l] = b * np.exp(1j * theta)
+        anc = np.zeros(d)
+        anc[0] = 1.0
+        psi = np.kron(u, anc)
+        basis_x = np.zeros(d)
+        basis_x[x] = 1.0
+        phi_vec = np.kron(basis_x, anc)
+        _, lam_min = cp_check(choi(traj.maps[m]), eps_cp)
+        return DriftCPWitness(
+            t=float(ts[m]),
+            node=m,
+            measure_value=float(best[idx]),
+            choi_lambda_min=lam_min,
+            psi=psi,
+            phi=phi_vec,
+            pair=(n, l),
+            phase=theta,
+            amplitude=a,
+        )
     return None
 
 
@@ -518,10 +514,7 @@ class CPReport:
 
 
 def certify_trajectory(
-    traj: MapTrajectory,
-    eps_cp: float = DEFAULT_EPS_CP,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-    divisibility: bool = False,
+    traj: MapTrajectory, eps_cp: float = DEFAULT_EPS_CP, divisibility: bool = False
 ) -> CPReport:
     """Choi-certify every node of a trajectory (optionally every interval too)."""
     maps = traj.maps
@@ -530,7 +523,7 @@ def certify_trajectory(
         return (*cp_check(choi(maps[s]), eps_cp), trace_deviation(maps[s]))
 
     ok, lam, devs = _blockwise(node_block, len(maps), "node")
-    div = divisibility_check(traj, eps_cp, cond_limit) if divisibility else None
+    div = divisibility_check(traj, eps_cp) if divisibility else None
     return CPReport(
         family=traj.family,
         dim=traj.dim,

@@ -139,17 +139,17 @@ def coherence_revival_kernel(t_max: float = 4.0) -> GKSLKernel:
 
 @dataclass(frozen=True)
 class GScanResult:
-    """Log-log scaling of the distance between two solver families."""
+    """Log-log scaling of the distance between two solver families (see :func:`g_scan`)."""
 
     g_values: tuple
     distances: tuple
-    slope: float
-    intercept: float
-    residual: float  # max |log10 distance - fit|
+    slope: float | None
+    intercept: float | None
+    residual: float | None  # max |log10 distance - fit|
     monotone: bool
     pair: tuple
     failures: tuple  # (g, message) for per-point solver failures
-    local_slopes: tuple  # log-log slope between consecutive kept g values
+    local_slopes: tuple  # log-log slope between consecutive fitted g values
 
     def to_doc(self) -> dict:
         return {
@@ -157,9 +157,9 @@ class GScanResult:
             "pair": list(self.pair),
             "g": [float(g) for g in self.g_values],
             "distance": [float(x) for x in self.distances],
-            "slope": float(self.slope),
-            "intercept": float(self.intercept),
-            "residual": float(self.residual),
+            "slope": self.slope,
+            "intercept": self.intercept,
+            "residual": self.residual,
             "monotone": bool(self.monotone),
             "local_slopes": [float(x) for x in self.local_slopes],
             "failures": [[float(g), msg] for g, msg in self.failures],
@@ -170,7 +170,8 @@ class GScanResult:
             f"# gkslmap gscan pair={self.pair[0]}:{self.pair[1]}\n"
             + csv_table({"g": self.g_values, "distance": self.distances})
             + f"# local_slopes={csv_row(self.local_slopes)}\n"
-            + f"# slope={self.slope!r} residual={self.residual!r} monotone={self.monotone}\n"
+            + f"# slope={csv_row([self.slope])} residual={csv_row([self.residual])}"
+            + f" monotone={self.monotone}\n"
         )
 
 
@@ -196,9 +197,12 @@ def g_scan(
     converges).
     Per-point solver failures are recorded and excluded from the fit rather
     than aborting the scan; when they leave fewer than two points the scan
-    raises RuntimeError (a solver failure, not bad input).  ``local_slopes``
-    holds the log-log slope between each pair of consecutive kept couplings,
-    so a bend the fit averages out stays visible.
+    raises RuntimeError (a solver failure, not bad input).  A distance of
+    exactly 0 (two families that agree) is kept in the result but left out of
+    the log-log fit; with fewer than two nonzero distances the slope,
+    intercept and residual are None.  ``local_slopes`` holds the log-log
+    slope between each pair of consecutive fitted couplings, so a bend the
+    fit averages out stays visible.
 
     Small-g limit: two families discretize their shared O(g^2) term
     differently (local-full on the refined Runge-Kutta lattice, nonlocal-full
@@ -238,19 +242,23 @@ def g_scan(
             f"too few successful scan points for a slope fit: {len(failures)} of "
             f"{len(gs)} solves failed (first at g = {g!r}: {msg})"
         )
-    if len(kept_g) < 2 or any(x <= 0 for x in distances):
-        raise ValueError("too few successful scan points for a slope fit")
-    lg = np.log10(kept_g)
-    ld = np.log10(distances)
-    slope, intercept = np.polyfit(lg, ld, 1)
-    residual = float(np.max(np.abs(ld - (slope * lg + intercept))))
-    local_slopes = tuple(float(x) for x in np.diff(ld) / np.diff(lg))
+    # distances are norms, so nonzero is positive (a NaN stays in the fit)
+    fit_g = [g for g, x in zip(kept_g, distances) if x != 0.0]
+    fit_d = [x for x in distances if x != 0.0]
+    slope = intercept = residual = None
+    local_slopes = ()
+    if len(fit_d) >= 2:
+        lg = np.log10(fit_g)
+        ld = np.log10(fit_d)
+        slope, intercept = (float(x) for x in np.polyfit(lg, ld, 1))
+        residual = float(np.max(np.abs(ld - (slope * lg + intercept))))
+        local_slopes = tuple(float(x) for x in np.diff(ld) / np.diff(lg))
     monotone = bool(np.all(np.diff(distances) >= -1e-14))
     return GScanResult(
         g_values=tuple(kept_g),
         distances=tuple(distances),
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         residual=residual,
         monotone=monotone,
         pair=tuple(pair),

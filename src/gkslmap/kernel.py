@@ -58,6 +58,9 @@ __all__ = [
     "MAX_DIM",
 ]
 
+_HERMITIAN_TOL = 1e-10  # the asymmetry check_hermiticity accepts
+
+
 class KernelFormatError(FormatError):
     pass
 
@@ -103,10 +106,6 @@ class TwoTimeOperatorFunction:
             out += np.asarray(p(t, tp), dtype=complex)[..., None, None] * a
         return out.reshape(shape + (self.dim, self.dim))
 
-    @property
-    def is_convolution(self) -> bool:
-        return all(p.is_convolution for p, _ in self.terms)
-
 
 @dataclass(frozen=True)
 class GKSLKernel:
@@ -141,9 +140,7 @@ class GKSLKernel:
     @property
     def is_convolution(self) -> bool:
         """True when every profile in the kernel depends on t - t' only."""
-        if not self.hermitian.is_convolution:
-            return False
-        return all(op.is_convolution for op in self.jump_ops)
+        return all(p.is_convolution for p in self.all_profiles())
 
     def all_profiles(self):
         for p, _ in self.hermitian.terms:
@@ -161,29 +158,29 @@ class GKSLKernel:
                     f"horizon is T = {T}"
                 )
 
-    def check_hermiticity(self, points=None, tol: float = 1e-10) -> None:
-        """Sample the Hermitian part on (t, t') pairs, rejecting asymmetry.
+    def check_hermiticity(self) -> None:
+        """Sample the Hermitian part on (t, t') pairs, rejecting asymmetry
+        beyond _HERMITIAN_TOL relative to max(1, ||H||_F).
 
-        By default the samples are t, t' in {0, 0.25, 0.5, 1, 1.7} plus every
-        node pair of each tabulated profile in the Hermitian part, t' <= t
-        throughout, kept to the square that all those tables cover.
+        The samples are t, t' in {0, 0.25, 0.5, 1, 1.7} plus every node pair
+        of each tabulated profile in the Hermitian part, t' <= t throughout,
+        kept to the square that all those tables cover.
         """
-        if points is None:
-            tables = [p for p, _ in self.hermitian.terms if isinstance(p, TabulatedProfile)]
-            horizon = min((p.t_max for p in tables), default=np.inf)
-            axes = [[0.0, 0.25, 0.5, 1.0, 1.7]]
-            axes += [np.linspace(0.0, p.t_max, len(p.values)) for p in tables]
-            points = [
-                (float(t), float(tp))
-                for ts in axes
-                for t in ts
-                for tp in ts
-                if tp <= t <= horizon
-            ]
+        tables = [p for p, _ in self.hermitian.terms if isinstance(p, TabulatedProfile)]
+        horizon = min((p.t_max for p in tables), default=np.inf)
+        axes = [[0.0, 0.25, 0.5, 1.0, 1.7]]
+        axes += [np.linspace(0.0, p.t_max, len(p.values)) for p in tables]
+        points = [
+            (float(t), float(tp))
+            for ts in axes
+            for t in ts
+            for tp in ts
+            if tp <= t <= horizon
+        ]
         t, tp = np.asarray(points, dtype=float).T
         h = self.hermitian(t, tp)
         asym = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
-        bad = asym > tol * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+        bad = asym > _HERMITIAN_TOL * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(
@@ -223,17 +220,14 @@ def drift_superop_terms(w: TwoTimeOperatorFunction):
 def split_kernel(k: GKSLKernel) -> KernelSplit:
     g2 = k.coupling**2
     jump_terms = []
-    for op in k.jump_ops:
-        for pk, ak in op.terms:
-            for pl, al in op.terms:
-                prof = profile_product(pk, pl.conjugate())
-                jump_terms.append((prof, g2 * sandwich_superop(ak, dagger(al))))
     w_terms = [(p, 1j * g2 * a) for p, a in k.hermitian.terms]
     for op in k.jump_ops:
         for pk, ak in op.terms:
             for pl, al in op.terms:
-                prof = profile_product(pk.conjugate(), pl)
-                w_terms.append((prof, 0.5 * g2 * (dagger(ak) @ al)))
+                jump_terms.append(
+                    (profile_product(pk, pl.conjugate()), g2 * sandwich_superop(ak, dagger(al)))
+                )
+                w_terms.append((profile_product(pk.conjugate(), pl), 0.5 * g2 * (dagger(ak) @ al)))
     w = TwoTimeOperatorFunction.build(k.dim, w_terms)
     return KernelSplit(
         dim=k.dim,

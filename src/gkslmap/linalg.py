@@ -104,11 +104,14 @@ class NotHermitianError(ValueError):
         self.index, self.detail = index, detail
 
 
-def hermitian_eig(a, rtol: float = 1e-9) -> HermitianEigenResult:
+_HERMITIAN_RTOL = 1e-9  # the asymmetry hermitian_eig accepts, relative to ||A||_F
+
+
+def hermitian_eig(a) -> HermitianEigenResult:
     """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n) of them.
 
     The input is symmetrized internally; a matrix whose anti-Hermitian part
-    exceeds ``rtol * ||A||_F`` is rejected with :class:`NotHermitianError`, so
+    exceeds ``_HERMITIAN_RTOL * ||A||_F`` is rejected with :class:`NotHermitianError`, so
     silent misuse on generic matrices cannot slip through.
     """
     a = np.asarray(a, dtype=complex)
@@ -117,13 +120,13 @@ def hermitian_eig(a, rtol: float = 1e-9) -> HermitianEigenResult:
     a_dag = np.swapaxes(a.conj(), -1, -2)
     asym = frobenius(a - a_dag)
     scale = np.maximum(frobenius(a), 1e-300)
-    bad = asym > rtol * scale
+    bad = asym > _HERMITIAN_RTOL * scale
     if bad.any():
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         raise NotHermitianError(
             idx,
             f"||A - A^dag||_F = {asym[idx]:.3e} "
-            f"exceeds {rtol:.1e} * ||A||_F = {rtol * scale[idx]:.3e}",
+            f"exceeds {_HERMITIAN_RTOL:.1e} * ||A||_F = {_HERMITIAN_RTOL * scale[idx]:.3e}",
         )
     w, v = np.linalg.eigh(0.5 * (a + a_dag))
     return HermitianEigenResult(eigenvalues=w, eigenvectors=v)

@@ -9,10 +9,13 @@ The public family (the only kinds accepted in kernel documents):
 * ``product-separable``     f(t) g(t') with f, g single-variable factors
 * ``tabulated-grid``        bilinear interpolation of a uniform sample matrix
 
-Profiles evaluate vectorized over numpy arrays and carry a convolution
-predicate (True exactly when the value depends on t - t' only).  Conjugation
-and products are closed over the family plus an internal product node, which
-is what lets drift operators and jump-pair coefficients stay in profile form.
+Profiles evaluate vectorized over numpy arrays.  Every profile of the closed
+family (all kinds but ``tabulated-grid``, and their products) declares its
+normal form c(t - t') f(t) g(t') as single-variable factors (``form``), which
+the fast solver paths read and from which the convolution predicate (True
+exactly when the value depends on t - t' only) follows.  Conjugation and
+products are closed over the family plus an internal product node, which is
+what lets drift operators and jump-pair coefficients stay in profile form.
 """
 
 from __future__ import annotations
@@ -92,9 +95,26 @@ class SingleVarFactor:
 
 
 class Profile:
-    """Base class; subclasses implement __call__(t, tp), conjugate, is_convolution."""
+    """Base class; subclasses implement __call__(t, tp) and conjugate.
 
-    is_convolution: bool = False
+    ``form`` is the normal form (conv, f, g), three tuples of
+    :class:`SingleVarFactor` with profile(t, s) = prod conv(t - s) *
+    prod f(t) * prod g(s), or None outside the closed family (the default).
+    """
+
+    @property
+    def form(self):
+        return None
+
+    @property
+    def is_convolution(self) -> bool:
+        """True when the normal form depends on t - s only: no gaussian factor
+        in f or g, and the exponential rates of f and g cancel."""
+        form = self.form
+        if form is None or any(fac.kind == "gaussian" for fac in form[1] + form[2]):
+            return False
+        f_rate, g_rate = (sum(fac.rate for fac in facs if fac.kind == "exp") for facs in form[1:])
+        return f_rate + g_rate == 0
 
     def __call__(self, t, tp):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -106,7 +126,10 @@ class Profile:
 @dataclass(frozen=True)
 class ConstantProfile(Profile):
     value: complex = 1.0
-    is_convolution = True
+
+    @property
+    def form(self):
+        return (SingleVarFactor("constant", value=self.value),), (), ()
 
     def __call__(self, t, tp):
         t, tp = np.broadcast_arrays(np.asarray(t, float), np.asarray(tp, float))
@@ -121,7 +144,10 @@ class ExpProfile(Profile):
     """exp(rate * (t - t')); rate = -kappa + i*omega covers decay and oscillation."""
 
     rate: complex = 0.0
-    is_convolution = True
+
+    @property
+    def form(self):
+        return (SingleVarFactor("exp", rate=self.rate),), (), ()
 
     def __call__(self, t, tp):
         t = np.asarray(t, float)
@@ -135,7 +161,10 @@ class ExpProfile(Profile):
 @dataclass(frozen=True)
 class GaussianProfile(Profile):
     tau: float = 1.0
-    is_convolution = True
+
+    @property
+    def form(self):
+        return (SingleVarFactor("gaussian", tau=self.tau),), (), ()
 
     def __call__(self, t, tp):
         t = np.asarray(t, float)
@@ -153,6 +182,13 @@ class SeparableProfile(Profile):
     f: SingleVarFactor
     g: SingleVarFactor
 
+    @property
+    def form(self):
+        # a constant g depends on neither time, so it rides with f
+        if self.g.kind == "constant":
+            return (), (self.f, self.g), ()
+        return (), (self.f,), (self.g,)
+
     def __call__(self, t, tp):
         t = np.asarray(t, float)
         tp = np.asarray(tp, float)
@@ -160,22 +196,6 @@ class SeparableProfile(Profile):
 
     def conjugate(self):
         return SeparableProfile(self.f.conjugate(), self.g.conjugate())
-
-    @property
-    def is_convolution(self) -> bool:  # type: ignore[override]
-        # f(t) g(t') depends on t - t' only for constants or matched exponentials
-        kinds = {self.f.kind, self.g.kind}
-        if kinds == {"constant"}:
-            return True
-        as_exp = []
-        for fac in (self.f, self.g):
-            if fac.kind == "constant":
-                as_exp.append(0.0 + 0.0j)
-            elif fac.kind == "exp":
-                as_exp.append(complex(fac.rate))
-            else:
-                return False
-        return as_exp[0] == -as_exp[1]
 
 
 @dataclass(frozen=True)
@@ -252,12 +272,15 @@ class ProductProfile(Profile):
             out = v if out is None else out * v
         return out
 
+    @property
+    def form(self):
+        forms = [f.form for f in self.factors]
+        if None in forms:
+            return None
+        return tuple(sum((form[part] for form in forms), ()) for part in range(3))
+
     def conjugate(self):
         return ProductProfile(tuple(f.conjugate() for f in self.factors))
-
-    @property
-    def is_convolution(self) -> bool:  # type: ignore[override]
-        return all(f.is_convolution for f in self.factors)
 
 
 def profile_product(a: Profile, b: Profile) -> Profile:
@@ -370,18 +393,12 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
 
 
 def profile_to_doc(p: Profile, field: str = "profile"):
-    if isinstance(p, ConstantProfile):
-        return {"kind": "constant", "value": _cplx_doc(complex(p.value))}
-    if isinstance(p, ExpProfile):
-        rate = complex(p.rate)
-        if rate.real == 0.0 and rate.imag != 0.0:
-            return {"kind": "oscillatory", "omega": float(rate.imag)}
-        doc = {"kind": "exponential-decay", "kappa": float(-rate.real)}
-        if rate.imag:
-            doc["omega"] = float(rate.imag)
-        return doc
-    if isinstance(p, GaussianProfile):
-        return {"kind": "gaussian", "tau": float(p.tau)}
+    if isinstance(p, (ConstantProfile, ExpProfile, GaussianProfile)):
+        fac = p.form[0][0]
+        rate = complex(fac.rate)
+        if fac.kind == "exp" and rate.real == 0.0 and rate.imag != 0.0:
+            return {"kind": "oscillatory", "omega": rate.imag}
+        return _factor_to_doc(fac, field)
     if isinstance(p, SeparableProfile):
         return {
             "kind": "product-separable",

@@ -18,10 +18,11 @@ Numerics: the inner t'-integrals are composite trapezoid sums on a lattice
 refined 4x below the step h, so the drift-frame march (step h/2, stages at
 h/4) and the map march (step h, stages at h/2) draw on one shared table.  The
 tables take O(M) memory.  Every profile of the closed family (constant,
-exponential, gaussian, separable and their products) has the normal form
-c(t - s) f(t) g(s), so its table is one causal discrete convolution of c and
-g on the lattice (a running sum when either is 1), scaled by f.  Tabulated
-profiles, products containing one and foreign Profile subclasses keep the
+exponential, gaussian, separable and their products) declares its normal
+form c(t - s) f(t) g(s) as factor tuples (``Profile.form``), so its table is
+one causal discrete convolution of c and g on the lattice (a running sum
+when either is 1), scaled by f.  Profiles whose form is None (tabulated
+ones, products containing one and foreign Profile subclasses) keep the
 per-row trapezoid sums, evaluated in fixed-size blocks of rows.  The nonlocal
 memory sums are trapezoid sums over grid nodes, read one row at a time from
 the same normal form, so they too take O(M) memory per profile.
@@ -36,7 +37,7 @@ by the parts of each degree).  Every nonlocal family goes through one memory
 core, :func:`_memory_rows`: the nested-trapezoid memory sum at node i, stacked
 over the kernel's distinct profiles.  Terms with equal profiles are merged
 first, their superoperators summed (:func:`_memory_source`).  A profile whose
-convolution factor is constant or exponential, c(tau) = C e^{a tau}, keeps a
+conv factors are constant or exponential, c(tau) = C e^{a tau}, keeps a
 running history sum stepped exactly by e^{a h}, at O(D^2) per step.  Gaussian,
 tabulated and foreign profiles form row i when the march reaches it, f_i
 c_{i-j} g_j from three node vectors or from blocks of evaluated rows, so no
@@ -62,13 +63,6 @@ from .kernel import (
     split_kernel,
 )
 from .linalg import dagger
-from .profiles import (
-    ConstantProfile,
-    ExpProfile,
-    GaussianProfile,
-    ProductProfile,
-    SeparableProfile,
-)
 from .trajectory import MapTrajectory, OrderedExponential, TimeGrid
 
 __all__ = [
@@ -105,34 +99,6 @@ def _fine_nodes(grid: TimeGrid) -> np.ndarray:
     return np.linspace(0.0, grid.T, _REFINE * grid.steps + 1)
 
 
-def _normal_form(profile):
-    """Factor lists (conv, f, g) with profile(t, s) = conv(t - s) * f(t) * g(s).
-
-    ``conv`` holds constant, exponential and gaussian profiles, ``f`` and ``g``
-    hold single-variable factors; a product takes the union of its factors'
-    lists.  Returns None for profiles outside that closed family.
-    """
-    kind = type(profile)
-    if kind in (ConstantProfile, ExpProfile, GaussianProfile):
-        return [profile], [], []
-    if kind is SeparableProfile:
-        # a constant factor depends on neither time, so it rides with f
-        if profile.g.kind == "constant":
-            return [], [profile.f, profile.g], []
-        return [], [profile.f], [profile.g]
-    if kind is ProductProfile:
-        conv, f, g = [], [], []
-        for factor in profile.factors:
-            form = _normal_form(factor)
-            if form is None:
-                return None
-            conv += form[0]
-            f += form[1]
-            g += form[2]
-        return conv, f, g
-    return None
-
-
 def _product(values, n: int) -> np.ndarray:
     out = np.ones(n, dtype=complex)
     for v in values:
@@ -142,13 +108,7 @@ def _product(values, n: int) -> np.ndarray:
 
 def _form_vectors(form, taus: np.ndarray):
     """Node vectors (c, f, g) of a normal form on a uniform lattice from 0: c_k = c(tau_k)."""
-    conv, f, g = form
-    n = len(taus)
-    return (
-        _product([p(taus, 0.0) for p in conv], n),
-        _product([fac(taus) for fac in f], n),
-        _product([fac(taus) for fac in g], n),
-    )
+    return tuple(_product([fac(taus) for fac in part], len(taus)) for part in form)
 
 
 def _qtable_rows(profile, taus: np.ndarray, hf: float) -> np.ndarray:
@@ -178,7 +138,7 @@ def _qtable(profile, taus: np.ndarray, hf: float) -> np.ndarray:
     f_i (c * g)_i, taken as a direct sum (its rounding stays relative to the
     terms, where an FFT's is relative to the table's maximum).
     """
-    form = _normal_form(profile)
+    form = profile.form
     if form is None:
         return _qtable_rows(profile, taus, hf)
     conv, _, g = form
@@ -401,9 +361,9 @@ def _memory_source(terms, grid: TimeGrid, D: int):
         merged[p] = sk if prev is None else prev + sk
 
     def path(form):  # 0: recurrence, 1: normal-form rows, 2: evaluated rows
-        return 2 if form is None else int(GaussianProfile in map(type, form[0]))
+        return 2 if form is None else int(any(fac.kind == "gaussian" for fac in form[0]))
 
-    forms = [(p, _normal_form(p), sk) for p, sk in merged.items()]
+    forms = [(p, p.form, sk) for p, sk in merged.items()]
     forms.sort(key=lambda e: path(e[1]))
     closed = [(form, sk) for _, form, sk in forms if form is not None]
     other = [(p, sk) for p, form, sk in forms if form is None]
@@ -416,7 +376,7 @@ def _memory_source(terms, grid: TimeGrid, D: int):
     gv = np.empty_like(cv)
     for r, (form, _) in enumerate(closed):
         cv[r], fv[r], gv[r] = _form_vectors(form, ts)
-    rates = [sum(c.rate for c in form[0] if type(c) is ExpProfile) for form, _ in closed[:nr]]
+    rates = [sum(c.rate for c in form[0] if c.kind == "exp") for form, _ in closed[:nr]]
     rec = (np.exp(np.array(rates, dtype=complex) * grid.h), cv[:nr, :1] * fv[:nr], gv[:nr])
     cdiag = np.concatenate([cv[:, :1] * gv * fv] + [[p(ts, ts)] for p, _ in other])
     block = [None, None]  # first row and values of the evaluated block

@@ -197,6 +197,25 @@ def test_gscan_cli_round(tmp_path):
     assert (out / "gscan.csv").read_text().strip().split("\n")[-1].startswith("# slope=")
 
 
+@pytest.mark.parametrize(
+    "pair", ["nonlocal-full,weak-nonlocal-full", "local-full,nonlocal-full"]
+)
+def test_gscan_with_zero_distances_writes_null_fit(tmp_path, pair, capsys):
+    # two families that agree exactly on a valid kernel are a result, not bad input
+    kernel = tmp_path / "empty.json"
+    kernel.write_text('{"dim": 2}\n')
+    out = tmp_path / "run"
+    code = main(["gscan", "--kernel", str(kernel), "--g-list", "0.05,0.1,0.2,0.4",
+                 "--steps", "50", "--pair", pair, "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    doc = json.loads((out / "gscan.json").read_text())
+    assert doc["g"] == [0.05, 0.1, 0.2, 0.4] and doc["distance"] == [0.0] * 4
+    assert doc["slope"] is None and doc["intercept"] is None and doc["residual"] is None
+    assert doc["local_slopes"] == [] and doc["failures"] == []
+    last = (out / "gscan.csv").read_text().strip().split("\n")[-1]
+    assert last == "# slope= residual= monotone=True"
+
+
 def test_gscan_bad_g_list_is_config_error(tmp_path, kernel_file, capsys):
     code = main(["gscan", "--kernel", kernel_file, "--g-list", "", "--out", str(tmp_path)])
     assert code == 2

@@ -72,6 +72,24 @@ def test_g_scan_input_validation():
         g_scan(k, grid, [0.05, 0.1, 0.2, 0.4], pair=("local-full", "local-full"))
 
 
+def test_g_scan_keeps_zero_distances_out_of_the_fit(monkeypatch):
+    grid = TimeGrid(2.0, 50)
+    gs = [0.05, 0.1, 0.2, 0.4]
+    res = g_scan(GKSLKernel.build(2), grid, gs)  # no terms: every pair agrees exactly
+    assert res.distances == (0.0,) * 4 and res.g_values == tuple(gs)
+    assert res.slope is None and res.intercept is None and res.residual is None
+    assert res.local_slopes == () and res.monotone and not res.failures
+    # one exact zero among positive distances: the fit takes the positive ones
+    dists = iter([0.0, 2e-4, 3.2e-3, 5.12e-2])
+    monkeypatch.setattr("gkslmap.experiments.pair_distance", lambda *a, **kw: next(dists))
+    res = g_scan(GKSLKernel.build(2), grid, gs)
+    assert res.distances == (0.0, 2e-4, 3.2e-3, 5.12e-2)
+    slope, intercept = np.polyfit(np.log10(gs[1:]), np.log10(res.distances[1:]), 1)
+    assert res.slope == pytest.approx(4.0) and res.slope == float(slope)
+    assert res.intercept == float(intercept) and res.residual < 1e-12
+    assert res.local_slopes == pytest.approx((4.0, 4.0))
+
+
 def test_pair_distance_vanishes_at_zero_coupling():
     k = dephasing_kernel().with_coupling(0.0)
     grid = TimeGrid(1.0, 40)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from dataclasses import dataclass
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,8 @@ from gkslmap.profiles import (
     ConstantProfile,
     ExpProfile,
     GaussianProfile,
+    Profile,
+    ProductProfile,
     ProfileFormatError,
     SeparableProfile,
     SingleVarFactor,
@@ -58,6 +62,13 @@ def test_separable_profile_convolution_predicate():
     assert not SeparableProfile(f, f).is_convolution
     gauss = SingleVarFactor("gaussian", tau=1.0)
     assert not SeparableProfile(f, gauss).is_convolution
+    # Sep(e^{at}, 1) * Sep(1, e^{-as}) = e^{a(t-s)}: the rates cancel across factors
+    one = SingleVarFactor("constant")
+    up = SingleVarFactor("exp", rate=-0.7 + 0.4j)
+    down = SingleVarFactor("exp", rate=0.7 - 0.4j)
+    prod = profile_product(SeparableProfile(up, one), SeparableProfile(one, down))
+    assert isinstance(prod, ProductProfile) and prod.is_convolution
+    assert not profile_product(SeparableProfile(up, one), SeparableProfile(one, up)).is_convolution
 
 
 @given(times, times)
@@ -76,6 +87,58 @@ def test_profile_product_is_pointwise(t, tp):
     for a, b in pairs:
         prod = profile_product(a, b)
         assert complex(prod(t, tp)) == pytest.approx(complex(a(t, tp)) * complex(b(t, tp)))
+
+
+SEP_GAUSS = SeparableProfile(
+    SingleVarFactor("exp", rate=-0.5 + 0.3j), SingleVarFactor("gaussian", tau=1.3)
+)
+SEP_CONST_G = SeparableProfile(
+    SingleVarFactor("gaussian", tau=0.9), SingleVarFactor("constant", value=0.5 - 0.2j)
+)
+TABLE = TabulatedProfile(3.0, np.arange(16.0).reshape(4, 4) + 1j)
+
+CLOSED_PROFILES = [
+    ConstantProfile(0.8 - 0.3j),
+    ExpProfile(-1.2 + 0.6j),
+    ExpProfile(0.9j),
+    GaussianProfile(1.1),
+    SEP_GAUSS,
+    SEP_CONST_G,
+    SeparableProfile(SingleVarFactor("constant", value=2.0), SingleVarFactor("exp", rate=0.4)),
+    profile_product(ExpProfile(-0.8 + 0.5j), SEP_GAUSS.conjugate()),
+    profile_product(GaussianProfile(1.3), SEP_CONST_G.conjugate()),
+    profile_product(profile_product(ConstantProfile(0.6j), SEP_GAUSS), ExpProfile(-0.2)),
+    ProductProfile((ExpProfile(-0.3), ProductProfile((SEP_GAUSS, GaussianProfile(0.7))))),
+]
+
+
+@dataclass(frozen=True)
+class CosProductProfile(Profile):
+    """A Profile subclass outside the closed family: cos(t * t')."""
+
+    def __call__(self, t, tp):
+        return np.cos(np.asarray(t, float) * np.asarray(tp, float)).astype(complex)
+
+    def conjugate(self):
+        return self
+
+
+@given(times, times)
+@settings(max_examples=40, deadline=None)
+def test_normal_form_is_pointwise(t, tp):
+    for p in CLOSED_PROFILES:
+        conv, f, g = p.form
+        parts = [fac(t - tp) for fac in conv] + [fac(t) for fac in f] + [fac(tp) for fac in g]
+        value = np.prod(parts)
+        expected = complex(p(t, tp))
+        assert abs(value - expected) <= 1e-12 * abs(expected), p
+
+
+def test_profiles_outside_the_closed_family_have_no_form():
+    for p in (TABLE, profile_product(ExpProfile(-0.5), TABLE), CosProductProfile()):
+        assert p.form is None and not p.is_convolution
+    nested = ProductProfile((GaussianProfile(1.0), ProductProfile((SEP_GAUSS, TABLE))))
+    assert nested.form is None
 
 
 def test_profile_product_fuses_exponentials():

@@ -35,7 +35,6 @@ from gkslmap.propagate import (
     _final_generator,
     _fine_nodes,
     _memory_source,
-    _normal_form,
     _qtable,
     jump_exponential_series,
     jump_series,
@@ -372,7 +371,7 @@ def test_pairings_are_product_nodes():
 @pytest.mark.parametrize("steps", QTABLE_STEPS)
 @pytest.mark.parametrize("name", sorted(NORMAL_FORM_PROFILES))
 def test_normal_form_qtable_matches_dense_reference(name, steps):
-    assert _normal_form(NORMAL_FORM_PROFILES[name]) is not None
+    assert NORMAL_FORM_PROFILES[name].form is not None
     q, ref = table_pair(NORMAL_FORM_PROFILES[name], steps)
     assert q.shape == ref.shape and q[0] == 0.0
     assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -381,7 +380,7 @@ def test_normal_form_qtable_matches_dense_reference(name, steps):
 @pytest.mark.parametrize("steps", QTABLE_STEPS)
 @pytest.mark.parametrize("name", sorted(ROW_PATH_PROFILES))
 def test_row_block_qtable_is_bit_identical_to_dense_reference(name, steps):
-    assert _normal_form(ROW_PATH_PROFILES[name]) is None
+    assert ROW_PATH_PROFILES[name].form is None
     q, ref = table_pair(ROW_PATH_PROFILES[name], steps)
     assert np.array_equal(q, ref)
 
