@@ -37,7 +37,7 @@ from .profiles import (
     TabulatedProfile,
     profile_product,
 )
-from .propagate import solve_family, solve_nonlocal
+from .propagate import COUPLED_FAMILIES, family_distances, solve_family, solve_nonlocal
 from .serialize import csv_row, csv_table
 from .trajectory import MapTrajectory, TimeGrid
 
@@ -175,11 +175,38 @@ class GScanResult:
         )
 
 
+# a solve that fails at one scan point fails that point, not the scan
+_POINT_ERRORS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
+
+
 def pair_distance(k: GKSLKernel, grid: TimeGrid, pair, order: int = 8) -> float:
     """Sup-over-nodes Frobenius distance between two families on one kernel."""
     a = solve_family(k, grid, pair[0], order=order)
     b = solve_family(k, grid, pair[1], order=order)
     return float(np.max(np.linalg.norm(a.maps - b.maps, axis=(1, 2))))
+
+
+def _scan_points(k: GKSLKernel, grid: TimeGrid, gs, pair, order: int) -> list:
+    """The pair distance at every coupling, or the solver error that stopped it.
+
+    A pair of families with coupled marches takes one march per family for
+    all couplings (:func:`~gkslmap.propagate.family_distances`).  A stacked
+    step inverse raises for every coupling at once, so when that march fails
+    the scan is redone one coupling at a time, as it is for the other
+    families, and each failure is pinned to its own coupling.
+    """
+    if COUPLED_FAMILIES.issuperset(pair):
+        try:
+            return [float(x) for x in family_distances(k, grid, pair, gs)]
+        except _POINT_ERRORS:
+            pass
+    points = []
+    for g in gs:
+        try:
+            points.append(pair_distance(k.with_coupling(g), grid, pair, order=order))
+        except _POINT_ERRORS as exc:
+            points.append(exc)
+    return points
 
 
 def g_scan(
@@ -195,12 +222,19 @@ def g_scan(
     spanning a ratio of at least 8 (the widest window the weak regime
     tolerates in practice; a full decade is better when the large-g end still
     converges).
-    Per-point solver failures are recorded and excluded from the fit rather
-    than aborting the scan; when they leave fewer than two points the scan
-    raises RuntimeError (a solver failure, not bad input).  A distance of
-    exactly 0 (two families that agree) is kept in the result but left out of
-    the log-log fit; with fewer than two nonzero distances the slope,
-    intercept and residual are None.  ``local_slopes`` holds the log-log
+    The kernel carries g only as an overall g^2, so when both families have
+    coupled marches (``COUPLED_FAMILIES``: the local, nonlocal and
+    weak-nonlocal families) each is solved once for all couplings, side by
+    side; the scan then holds one (M + 1) x couplings x D^2 array, the first
+    family's maps overwritten node block by node block by the second's once
+    their distance is taken.  The series families and weak-local-drift are
+    solved one coupling at a time.
+    Per-point solver failures and non-finite distances are recorded and
+    excluded from the fit rather than aborting the scan; when they leave
+    fewer than two points the scan raises RuntimeError (a solver failure, not
+    bad input).  A distance of exactly 0 (two families that agree) is kept in
+    the result but left out of the log-log fit; with fewer than two nonzero
+    distances the slope, intercept and residual are None.  ``local_slopes`` holds the log-log
     slope between each pair of consecutive fitted couplings, so a bend the
     fit averages out stays visible.
 
@@ -228,21 +262,21 @@ def g_scan(
     distances = []
     failures = []
     kept_g = []
-    for g in gs:
-        try:
-            dist = pair_distance(k.with_coupling(g), grid, pair, order=order)
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            failures.append((g, str(exc)))
-            continue
-        distances.append(dist)
-        kept_g.append(g)
+    for g, dist in zip(gs, _scan_points(k, grid, gs, pair, order)):
+        if isinstance(dist, Exception):
+            failures.append((g, str(dist)))
+        elif not math.isfinite(dist):
+            failures.append((g, f"the pair distance is not finite ({dist!r})"))
+        else:
+            distances.append(dist)
+            kept_g.append(g)
     if len(kept_g) < 2 and failures:
         g, msg = failures[0]
         raise RuntimeError(
             f"too few successful scan points for a slope fit: {len(failures)} of "
             f"{len(gs)} solves failed (first at g = {g!r}: {msg})"
         )
-    # distances are norms, so nonzero is positive (a NaN stays in the fit)
+    # distances are finite norms, so nonzero is positive
     fit_g = [g for g, x in zip(kept_g, distances) if x != 0.0]
     fit_d = [x for x in distances if x != 0.0]
     slope = intercept = residual = None

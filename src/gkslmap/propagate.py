@@ -47,6 +47,20 @@ or, for the weak family, in the drift frame; the nonlocal series steps the
 histories of all its orders together and integrates them by a cumulative
 trapezoid, so the march is the literal sum of the discrete iterated-integral
 series.
+
+A kernel carries its coupling only as an overall g^2, and both parts of its
+split are linear in it, so the kernel at g is s = g^2 times the kernel at
+g = 1.  The local, nonlocal and weak-nonlocal marches take a leading coupling
+axis of W such scales (:func:`_coupled_march`): the Runge-Kutta step matrix at
+scale s is 1 + sum_p s^p R_p, the parts R_p formed once and scaled (the drift
+frame (V, Vinv) too); the Volterra histories march node-major side by side,
+each with its memory sum and diagonal scaled and its own step inverses.
+Blocks hold _ROW_BLOCK matrices whatever W is.  A single solve is the width-1
+case, at scale 1 on the kernel's own split.  A coupling scan
+(:func:`family_distances`) marches each family of its pair once for all
+couplings, drift frames first; the second family marches in the first
+family's output array and takes the distance at each block of nodes before
+it replaces them, so the scan holds one (M + 1) W D^2 array.
 """
 
 from __future__ import annotations
@@ -79,6 +93,7 @@ __all__ = [
     "jump_series",
     "jump_exponential_series",
     "solve_family",
+    "family_distances",
 ]
 
 # Inner-integral lattice refinement relative to the grid step.  Factor 4 puts
@@ -89,6 +104,9 @@ _REFINE = 4
 # Rows per block where profiles outside the normal form are evaluated row by
 # row: their q-tables and their nonlocal memory rows.
 _ROW_BLOCK = 64
+
+# The coupling axis of a single solve: one kernel at scale 1.
+_UNIT = np.ones(1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +221,17 @@ def _march_meta(gen_final: np.ndarray, grid: TimeGrid) -> dict:
 
 
 def _sandwich_stack(a: np.ndarray) -> np.ndarray:
-    """Superoperators of rho -> a_j rho a_j^dag, i.e. kron(conj(a_j), a_j), per node j."""
-    n, d, _ = a.shape
-    return np.einsum("jcd,jab->jcadb", a.conj(), a).reshape(n, d * d, d * d)
+    """Superoperators of rho -> a rho a^dag, i.e. kron(conj(a), a), over a's leading axes."""
+    d = a.shape[-1]
+    sup = np.einsum("...cd,...ab->...cadb", a.conj(), a)
+    return sup.reshape(a.shape[:-2] + (d * d, d * d))
 
 
 # ---------------------------------------------------------------------------
 # Runge-Kutta step matrices
 
 
-def _step_blocks(b: np.ndarray, h: float):
+def _step_blocks(b: np.ndarray, h: float, width: int = 1):
     """Classical Runge-Kutta step matrices of the linear dy/dt = B(t) y, by degree.
 
     ``b`` holds B on the half-step lattice along axis -3, so step m draws on
@@ -222,11 +241,14 @@ def _step_blocks(b: np.ndarray, h: float):
         R1 = h/6 (B0 + 4 Bm + B1)          R3 = h^3/12 (Bm Bm B0 + B1 Bm Bm)
         R2 = h^2/6 (Bm B0 + Bm Bm + B1 Bm)  R4 = h^4/24 B1 Bm Bm B0
 
-    Yields (first step, (R1, R2, R3, R4)) per block of _ROW_BLOCK steps.
+    Yields (first step, (R1, R2, R3, R4)) per block of _ROW_BLOCK // width
+    steps, so a caller that spreads each block over ``width`` couplings keeps
+    _ROW_BLOCK step matrices per block.
     """
     n = (b.shape[-3] - 1) // 2
-    for a in range(0, n, _ROW_BLOCK):
-        blk = b[..., 2 * a : 2 * min(a + _ROW_BLOCK, n) + 1, :, :]
+    steps = max(1, _ROW_BLOCK // width)
+    for a in range(0, n, steps):
+        blk = b[..., 2 * a : 2 * min(a + steps, n) + 1, :, :]
         b0, bm, b1 = blk[..., :-1:2, :, :], blk[..., 1::2, :, :], blk[..., 2::2, :, :]
         mb0, b1m = bm @ b0, b1 @ bm
         yield a, (
@@ -237,20 +259,62 @@ def _step_blocks(b: np.ndarray, h: float):
         )
 
 
-def _march(b: np.ndarray, h: float) -> np.ndarray:
-    """Runge-Kutta march of dY/dt = B(t) Y from the identity, one product per step.
+def _is_unit(scales: np.ndarray) -> bool:
+    """True for the coupling axis of a single solve, one scale of 1.
 
-    ``b`` is as for :func:`_step_blocks`; its leading axes march side by side.
-    Returns the identity and the state after every step.
+    Such a march skips the scaling.  That is not only cheaper: a complex
+    product with 1.0 can turn an imaginary part of -0.0 into +0.0, and single
+    solves keep their bits.
+    """
+    return len(scales) == 1 and scales[0] == 1.0
+
+
+def _raise_distance(dist: np.ndarray, before: np.ndarray, after: np.ndarray) -> None:
+    """Raise dist[n] to the largest Frobenius norm of after - before at coupling n.
+
+    ``before`` and ``after`` hold a block of nodes, shape (nodes, W, D, D);
+    ``before`` is overwritten by the difference, so no other block-sized array
+    is formed.  A non-finite gap makes dist[n] NaN for good.
+    """
+    diff = np.subtract(after, before, out=before)
+    re, im = diff.real, diff.imag
+    gap = np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
+    np.maximum(dist, np.sqrt(gap.max(axis=0)), out=dist)
+
+
+def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, dist=None) -> np.ndarray:
+    """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s.
+
+    ``b`` is as for :func:`_step_blocks`; its leading axes march side by side,
+    behind a leading axis of the W scales.  R_p has degree p in B, so the step
+    matrix at scale s is 1 + sum_p s^p R_p: the parts are formed once from
+    ``b`` and scaled, and each step is one stacked product.  Returns ``out``,
+    shape (steps + 1, W, *b.shape[:-3], D, D), the identity and the state
+    after every step (allocated when None).
+
+    With ``dist`` (shape (W,)), ``out`` holds another family's states on the
+    same nodes, and each block of them is compared with the new states before
+    they replace it (:func:`_raise_distance`).
     """
     n = (b.shape[-3] - 1) // 2
+    w = len(scales)
     eye = np.eye(b.shape[-1], dtype=complex)
-    out = np.empty((n + 1,) + b.shape[:-3] + eye.shape, dtype=complex)
+    if out is None:
+        out = np.empty((n + 1, w) + b.shape[:-3] + eye.shape, dtype=complex)
     out[0] = eye
-    for a, parts in _step_blocks(b, h):
-        r = eye + parts[0] + parts[1] + parts[2] + parts[3]
-        for m in range(a, a + r.shape[-3]):
-            np.matmul(r[..., m - a, :, :], out[m], out=out[m + 1])
+    s = None if _is_unit(scales) else np.reshape(scales, (w,) + (1,) * b.ndim)
+    y = out if s is not None else out[:, 0]  # one unit scale: no coupling axis
+    for a, parts in _step_blocks(b, h, w):
+        if s is None:
+            r = eye + parts[0] + parts[1] + parts[2] + parts[3]
+        else:
+            r = eye + s * parts[0] + s**2 * parts[1] + s**3 * parts[2] + s**4 * parts[3]
+        m1 = a + r.shape[-3]
+        before = None if dist is None else y[a + 1 : m1 + 1].copy()
+        for m in range(a, m1):
+            np.matmul(r[..., m - a, :, :], y[m], out=y[m + 1])
+        if dist is not None:
+            _raise_distance(dist, before, y[a + 1 : m1 + 1])
     return out
 
 
@@ -258,52 +322,44 @@ def _march(b: np.ndarray, h: float) -> np.ndarray:
 # local (effective-generator) families
 
 
-def _solve_local_part(k: GKSLKernel, grid: TimeGrid, part: str) -> MapTrajectory:
-    k.check_horizon(grid.T)
-    g_half = _local_generator(split_kernel(k), grid, part)
-    maps = _march(g_half, grid.h)
-    meta = _march_meta(g_half[-1], grid)
-    return MapTrajectory(
-        grid=grid, dim=k.dim, family=f"local-{part}", maps=maps, meta=meta
-    )
-
-
 def solve_local(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """Local full-kernel trajectory: dLambda/dt = G_t Lambda, Lambda_0 = identity."""
-    return _solve_local_part(k, grid, "full")
+    return _solve_coupled(k, grid, "local-full")
 
 
 def solve_local_jump(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """Local jump-only trajectory (generator from the sandwich part, positive sign)."""
-    return _solve_local_part(k, grid, "jump")
+    return _solve_coupled(k, grid, "local-jump")
 
 
 def solve_local_drift(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """Local drift-only trajectory (generator -D_t); equals V_t . V_t^dag conjugation."""
-    return _solve_local_part(k, grid, "drift")
+    return _solve_coupled(k, grid, "local-drift")
 
 
 # ---------------------------------------------------------------------------
 # ordered exponential of the drift operator
 
 
-def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid):
-    """March V' = -A_int(t) V and Vinv' = +Vinv A_int(t) at step h/2.
+def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid, scales=_UNIT):
+    """March V' = -s A_int(t) V and Vinv' = +s Vinv A_int(t) at step h/2, per scale s.
 
     A_int is tabulated on the h/4 lattice so every stage lands on a lattice
-    point.  Returns (V, Vinv) on the h/2 lattice.
+    point.  Returns (V, Vinv) on the h/2 lattice, shape (2M + 1, W, d, d).
     """
     qmap = _qtables([p for p, _ in drift.terms], grid)
     w_fine = _lattice(drift.terms, qmap, drift.dim, grid)
     # Vinv is marched as its transpose: (Vinv^T)' = A_int^T Vinv^T
-    vv = _march(np.stack([-w_fine, w_fine.transpose(0, 2, 1)]), grid.h / 2.0)
-    return vv[:, 0], vv[:, 1].transpose(0, 2, 1)
+    vv = _march(np.stack([-w_fine, w_fine.transpose(0, 2, 1)]), grid.h / 2.0, scales)
+    return vv[:, :, 0], vv[:, :, 1].swapaxes(-1, -2)
 
 
 def ordered_exponential_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> OrderedExponential:
     """Time-ordered exponential of an arbitrary drift-operator function."""
     v_half, vinv_half = _ordered_exponential_tables(drift, grid)
-    return OrderedExponential(grid=grid, dim=drift.dim, v=v_half[::2], vinv=vinv_half[::2])
+    return OrderedExponential(
+        grid=grid, dim=drift.dim, v=v_half[::2, 0], vinv=vinv_half[::2, 0]
+    )
 
 
 def ordered_exponential(k: GKSLKernel, grid: TimeGrid) -> OrderedExponential:
@@ -329,10 +385,10 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
     """
     k.check_horizon(grid.T)
     split = split_kernel(k)
-    v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid)
+    v_half, vinv_half = (x[:, 0] for x in _ordered_exponential_tables(split.drift_op, grid))
     v_sup = _sandwich_stack(v_half)
     g_hat = _sandwich_stack(vinv_half) @ _local_generator(split, grid, "jump") @ v_sup
-    maps = v_sup[::2] @ _march(g_hat, grid.h)
+    maps = v_sup[::2] @ _march(g_hat, grid.h)[:, 0]
     meta = _march_meta(g_hat[-1], grid)
     meta["engine"] = "transform"
     return MapTrajectory(grid=grid, dim=k.dim, family="local-full", maps=maps, meta=meta)
@@ -453,62 +509,87 @@ def _memory_rows(source, h: float, D: int, width: int):
     return diag, row
 
 
-def _volterra(source, grid: TimeGrid, dim: int, frame=None) -> np.ndarray:
-    """Implicit trapezoidal march of dX/dt = int_0^t K(t,s) X(s) ds.
+def _volterra(source, grid: TimeGrid, scales, frame=None, out=None, dist=None) -> np.ndarray:
+    """Implicit trapezoidal march of dX/dt = int_0^t s K(t,s') X(s') ds' per scale s.
 
     The corrector fixed point is linear in X_{m+1} (only the diagonal
     quadrature weight touches it), so it is solved exactly per step; the
     diagonal sums diag_i, their drift-frame conjugates and the step inverses
-    (1 - h^2/4 diag_i)^{-1} are formed as stacks, a block of _ROW_BLOCK nodes
-    at a time.  The resulting discrete solution satisfies X = 1 + Q X with Q
-    the nested trapezoid integral operator — the same Q the nonlocal series
-    iterates.  Exponential and constant memory costs O(D^2) per step through
-    the recurrence of :func:`_memory_rows`, the other profiles O(i D^2) at
-    step i.
+    (1 - h^2/4 s diag_i)^{-1} are formed as stacks, a block of _ROW_BLOCK
+    matrices (_ROW_BLOCK // W nodes of W scales) at a time.  The resulting
+    discrete solution satisfies X = 1 + Q X with Q the nested trapezoid
+    integral operator — the same Q the nonlocal series iterates.  Exponential
+    and constant memory costs O(D^2) per step through the recurrence of
+    :func:`_memory_rows`, the other profiles O(i D^2) at step i.
 
-    With ``frame`` = (Vinv_sup, V_sup), the sandwich superoperator stacks of
-    Vinv and V on grid nodes, the march runs in the drift frame on
-    Xhat = Vinv_sup X: the memory sum acts on the lab-frame history
-    X_j = V_sup[j] Xhat_j and is pulled back by Vinv_sup[i].  Returns the
-    lab-frame maps X.
+    The W histories march node-major in ``out``, shape (M + 1, W, D, D)
+    (allocated when None, after the memory source), and history n takes the
+    memory of ``source`` scaled by scales[n]: its partial sum and diagonal are
+    scaled, its step inverses are its own.  With
+    ``frame`` = (Vinv, V), the d x d frame operators on grid nodes, shape
+    (M + 1, W, d, d), the march runs in the drift frame on Xhat = Vinv_sup X:
+    the memory sum acts on the lab-frame history X_j = V_sup[j] Xhat_j and is
+    pulled back by Vinv_sup[i], with the sandwich superoperators formed per
+    block.  ``out`` ends up holding the lab-frame maps X.  With ``dist``,
+    ``out`` holds another family's maps on entry, compared with the new ones
+    block by block before they replace them (:func:`_raise_distance`).
     """
     M, h = grid.steps, grid.h
-    D = dim * dim
-    diag_of, row = _memory_rows(source, h, D, 1)
+    W, D = len(scales), source[1].shape[-1]
+    diag_of, row = _memory_rows(source, h, D, W)
+    s = None if _is_unit(scales) else np.reshape(scales, (W, 1, 1))
     eye = np.eye(D, dtype=complex)
-    maps = np.empty((M + 1, D, D), dtype=complex)
-    maps[0] = eye
-    flat = maps.reshape(M + 1, D * D)
+    if out is None:
+        out = np.empty((M + 1, W, D, D), dtype=complex)
+    out[0] = eye
+    flat = out.reshape(M + 1, W * D * D)
     x = eye
     f_prev = np.zeros((D, D), dtype=complex)
-    for a in range(1, M + 1, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, M + 1)
-        diag = diag_of(a, b)
+    nodes = max(1, _ROW_BLOCK // W)
+    for a in range(1, M + 1, nodes):
+        b = min(a + nodes, M + 1)
+        diag = diag_of(a, b)[:, None]
+        if s is not None:
+            diag = s * diag
         if frame is not None:
-            diag = frame[0][a:b] @ diag @ frame[1][a:b]
+            vinv_sup, v_sup = (_sandwich_stack(f[a:b]) for f in frame)
+            diag = vinv_sup @ diag @ v_sup
         step_inv = np.linalg.inv(eye - 0.25 * h * h * diag)
+        before = None if dist is None else out[a:b].copy()
         for i in range(a, b):
-            partial = row(i, flat[i - 1], flat)[0]
+            partial = row(i, flat[i - 1], flat)
+            if s is not None:
+                partial *= s
             if frame is not None:
-                partial = frame[0][i] @ partial
+                partial = vinv_sup[i - a] @ partial
             x = step_inv[i - a] @ (x + 0.5 * h * (f_prev + partial))
-            maps[i] = x if frame is None else frame[1][i] @ x
+            out[i] = x if frame is None else v_sup[i - a] @ x
             f_prev = partial + 0.5 * h * (diag[i - a] @ x)
-    return maps
+        if dist is not None:
+            _raise_distance(dist, before, out[a:b])
+        # free this block's stacks before the next block forms its own
+        del diag, step_inv, before
+        if frame is not None:
+            del vinv_sup, v_sup
+    return out
 
 
-def _solve_nonlocal_terms(terms, grid: TimeGrid, dim: int, family: str) -> MapTrajectory:
-    source = _memory_source(terms, grid, dim * dim)
-    maps = _volterra(source, grid, dim)
-    meta = _march_meta(_final_generator(source, grid), grid)
-    return MapTrajectory(grid=grid, dim=dim, family=family, maps=maps, meta=meta)
+def _nonlocal_march(terms, grid: TimeGrid, scales, D: int, frame=None):
+    """march(out=None, dist=None) -> (out, meta) of the Volterra family with memory ``terms``."""
+
+    def march(out=None, dist=None):
+        source = _memory_source(terms, grid, D)
+        out = _volterra(source, grid, scales, frame, out, dist)
+        if frame is not None:
+            return out, {"engine": "drift-frame"}
+        return out, _march_meta(_final_generator(source, grid), grid)
+
+    return march
 
 
 def solve_nonlocal(k: GKSLKernel, grid: TimeGrid, part: str = "full") -> MapTrajectory:
     """Nonlocal trajectory: the memory integral acts on Lambda(s), not Lambda(t)."""
-    k.check_horizon(grid.T)
-    terms = _part_terms(split_kernel(k), part)
-    return _solve_nonlocal_terms(terms, grid, k.dim, f"nonlocal-{part}")
+    return _solve_coupled(k, grid, f"nonlocal-{part}")
 
 
 def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> MapTrajectory:
@@ -518,7 +599,8 @@ def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) ->
     -int_0^t [A(t,s) Lambda(s)(.) + Lambda(s)(.) A(t,s)^dag] ds.
     """
     terms = [(p, -s) for p, s in drift_superop_terms(drift)]
-    traj = _solve_nonlocal_terms(terms, grid, drift.dim, "nonlocal-drift")
+    march = _nonlocal_march(terms, grid, _UNIT, drift.dim**2)
+    traj = _single_trajectory(march, grid, drift.dim, "nonlocal-drift")
     traj.meta["source"] = "drift-operator"
     return traj
 
@@ -664,14 +746,7 @@ def weak_coupling_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     completely positive by construction at every node (trace preservation, by
     contrast, holds only through the weak-coupling order).
     """
-    k.check_horizon(grid.T)
-    split = split_kernel(k)
-    v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid)
-    frame = (_sandwich_stack(vinv_half[::2]), _sandwich_stack(v_half[::2]))
-    source = _memory_source(split.jump_part.terms, grid, k.dim * k.dim)
-    maps = _volterra(source, grid, k.dim, frame)
-    meta = {"engine": "drift-frame"}
-    return MapTrajectory(grid=grid, dim=k.dim, family="weak-nonlocal-full", maps=maps, meta=meta)
+    return _solve_coupled(k, grid, "weak-nonlocal-full")
 
 
 def weak_drift_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
@@ -707,9 +782,81 @@ _FAMILIES = {
     "weak-nonlocal-full": lambda k, grid, order: weak_coupling_localize(k, grid),
 }
 
+# The families with a march along a coupling axis (:func:`_coupled_march`).
+COUPLED_FAMILIES = frozenset(
+    ("local-full", "local-jump", "local-drift", "nonlocal-full", "nonlocal-jump",
+     "nonlocal-drift", "weak-nonlocal-full")
+)
+
 
 def solve_family(k: GKSLKernel, grid: TimeGrid, family: str, order: int = 8) -> MapTrajectory:
     """Dispatch a kernel to the solver for the named trajectory family."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown trajectory family {family!r}")
     return _FAMILIES[family](k, grid, order)
+
+
+def _coupled_march(split: KernelSplit, grid: TimeGrid, family: str, scales):
+    """One march of ``family`` for the kernels s K side by side, s in ``scales``.
+
+    ``split`` is the split of K.  Both of its parts are linear in K, so the
+    kernel at scale s has s times its parts: the memory sums, drift frames and
+    Runge-Kutta step parts are formed once and scaled per s.  Returns
+    march(out=None, dist=None) -> (out, meta), which fills out[:, n] (``out``
+    of shape (M + 1, W, D, D), allocated once the march's own tables are
+    built) with the maps at scale scales[n]; see :func:`_march` and
+    :func:`_volterra` for ``dist``.  The weak family's drift frame is marched
+    here, before any map march.
+    """
+    D = split.dim * split.dim
+    locality, _, part = family.rpartition("-")
+    if family == "weak-nonlocal-full":
+        v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid, scales)
+        # copies on grid nodes, so the half-lattice tables are freed
+        frame = (vinv_half[::2].copy(), v_half[::2].copy())
+        return _nonlocal_march(split.jump_part.terms, grid, scales, D, frame)
+    if locality == "nonlocal":
+        return _nonlocal_march(_part_terms(split, part), grid, scales, D)
+    if locality != "local":
+        raise ValueError(f"family {family!r} has no march along a coupling axis")
+
+    def march(out=None, dist=None):
+        g_half = _local_generator(split, grid, part)
+        out = _march(g_half, grid.h, scales, out, dist)
+        return out, _march_meta(g_half[-1], grid)
+
+    return march
+
+
+def _single_trajectory(march, grid: TimeGrid, dim: int, family: str) -> MapTrajectory:
+    """The width-1 case of a coupled march: one trajectory at scale 1."""
+    out, meta = march()
+    return MapTrajectory(grid=grid, dim=dim, family=family, maps=out[:, 0], meta=meta)
+
+
+def _solve_coupled(k: GKSLKernel, grid: TimeGrid, family: str) -> MapTrajectory:
+    """A coupled family at k's own coupling: scale 1 on the split of k."""
+    k.check_horizon(grid.T)
+    march = _coupled_march(split_kernel(k), grid, family, _UNIT)
+    return _single_trajectory(march, grid, k.dim, family)
+
+
+def family_distances(k: GKSLKernel, grid: TimeGrid, pair, g_values) -> np.ndarray:
+    """Sup-over-nodes Frobenius distance between two families at every coupling.
+
+    Both families must be in COUPLED_FAMILIES.  The kernel is split once at
+    g = 1 and coupling g scales it by g^2, so each family takes one march for
+    all couplings (:func:`_coupled_march`).  Drift frames are marched first;
+    then the first family fills an (M + 1, W, D, D) array, and the second
+    marches in that same array, taking the distance at each block of nodes
+    before it replaces them, so the scan holds one such array.  Returns the W
+    distances in the order of ``g_values``; a non-finite solve gives NaN or inf.
+    """
+    k.check_horizon(grid.T)
+    scales = np.square(np.asarray(g_values, dtype=float))
+    split = split_kernel(k.with_coupling(1.0))
+    first, second = [_coupled_march(split, grid, family, scales) for family in pair]
+    out, _ = first()
+    dist = np.zeros(len(scales))
+    second(out, dist)
+    return dist

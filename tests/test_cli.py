@@ -568,6 +568,21 @@ def test_gscan_with_all_solves_failing_exits_three(tmp_path, kernel_file, capsys
     assert not (out / "gscan.json").exists()
 
 
+def test_gscan_non_finite_distance_is_a_failed_point(tmp_path, capsys):
+    # series-local-full overflows at g = 32 without raising; the point fails,
+    # the three finite ones are fitted
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main(["gscan", "--kernel", str(CONFIGS / "dephasing_kernel.json"),
+                     "--g-list", "0.5,2,8,32", "--steps", "40",
+                     "--pair", "local-full,series-local-full", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads((out / "gscan.json").read_text())
+    assert doc["g"] == [0.5, 2.0, 8.0] and len(doc["distance"]) == 3
+    assert [g for g, _ in doc["failures"]] == [32.0]
+    assert "not finite" in doc["failures"][0][1]
+
+
 def test_reruns_are_byte_identical(tmp_path, kernel_file):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:

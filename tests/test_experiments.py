@@ -25,7 +25,7 @@ from gkslmap.profiles import (
     SeparableProfile,
     SingleVarFactor,
 )
-from gkslmap.propagate import solve_nonlocal
+from gkslmap.propagate import family_distances, solve_nonlocal
 from gkslmap.trajectory import TimeGrid
 from oracles import eval_kernel_superop
 
@@ -80,14 +80,50 @@ def test_g_scan_keeps_zero_distances_out_of_the_fit(monkeypatch):
     assert res.slope is None and res.intercept is None and res.residual is None
     assert res.local_slopes == () and res.monotone and not res.failures
     # one exact zero among positive distances: the fit takes the positive ones
-    dists = iter([0.0, 2e-4, 3.2e-3, 5.12e-2])
-    monkeypatch.setattr("gkslmap.experiments.pair_distance", lambda *a, **kw: next(dists))
+    dists = [0.0, 2e-4, 3.2e-3, 5.12e-2]
+    monkeypatch.setattr("gkslmap.experiments.family_distances", lambda *a, **kw: dists)
     res = g_scan(GKSLKernel.build(2), grid, gs)
     assert res.distances == (0.0, 2e-4, 3.2e-3, 5.12e-2)
     slope, intercept = np.polyfit(np.log10(gs[1:]), np.log10(res.distances[1:]), 1)
     assert res.slope == pytest.approx(4.0) and res.slope == float(slope)
     assert res.intercept == float(intercept) and res.residual < 1e-12
     assert res.local_slopes == pytest.approx((4.0, 4.0))
+
+
+def test_g_scan_redoes_a_failed_coupled_march_one_coupling_at_a_time():
+    # at M = 40 the dephasing kernel's step matrix turns singular at g = 100
+    k = dephasing_kernel(g=0.8)
+    grid = TimeGrid(2.0, 40)
+    gs = [1.0, 2.0, 5.0, 10.0, 100.0]
+    pair = ("nonlocal-full", "weak-nonlocal-full")
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            family_distances(k, grid, pair, gs)  # the stacked inverse fails for all
+        res = g_scan(k, grid, gs, pair=pair)
+        failures, kept = [], []
+        for g in gs:
+            try:
+                kept.append((g, pair_distance(k.with_coupling(g), grid, pair)))
+            except np.linalg.LinAlgError as exc:
+                failures.append((g, str(exc)))
+    assert failures == [(100.0, "Singular matrix")]
+    assert res.failures == tuple(failures)
+    assert tuple(zip(res.g_values, res.distances)) == tuple(kept)
+
+
+def test_g_scan_records_non_finite_distances_as_failures(monkeypatch):
+    grid = TimeGrid(1.0, 20)
+    gs = [0.1, 0.2, 0.4, 0.8]
+    dists = [1e-4, 1.6e-3, float("inf"), float("nan")]
+    monkeypatch.setattr("gkslmap.experiments.family_distances", lambda *a, **kw: dists)
+    res = g_scan(dephasing_kernel(), grid, gs)
+    assert res.g_values == (0.1, 0.2) and res.distances == (1e-4, 1.6e-3)
+    assert [g for g, _ in res.failures] == [0.4, 0.8]
+    assert all("not finite" in msg for _, msg in res.failures)
+    assert res.slope == pytest.approx(4.0)
+    dists[1] = float("inf")  # one finite point left: no fit, a solver failure
+    with pytest.raises(RuntimeError, match="3 of 4 solves failed"):
+        g_scan(dephasing_kernel(), grid, gs)
 
 
 def test_pair_distance_vanishes_at_zero_coupling():

@@ -8,13 +8,14 @@ import pytest
 from scipy.linalg import expm
 
 from gkslmap.cpanalysis import trace_deviation
-from gkslmap.experiments import random_kernel
+from gkslmap.experiments import g_scan, pair_distance, random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
 from gkslmap.linalg import (
     SIGMA_X,
     SIGMA_Z,
     dagger,
     random_density,
+    random_hermitian,
     random_operator,
     sandwich_superop,
 )
@@ -32,10 +33,13 @@ from gkslmap.profiles import (
 from gkslmap.propagate import (
     _REFINE,
     _FAMILIES,
+    COUPLED_FAMILIES,
+    _coupled_march,
     _final_generator,
     _fine_nodes,
     _memory_source,
     _qtable,
+    family_distances,
     jump_exponential_series,
     jump_series,
     ordered_exponential,
@@ -685,3 +689,84 @@ def test_step_matrix_marches_match_per_step_reference(corpus, steps):
                     assert rel_gap(traj.meta["tail_norm"], tails) <= 1e-12, (part, order)
                 else:  # one step cannot reach order 7
                     assert not np.any(traj.meta["tail_norm"]), (part, order)
+
+
+# ---------------------------------------------------------------------------
+# one march for every coupling of a scan, against one solve per coupling
+
+SCAN_GRID = TimeGrid(2.0, 60)
+SCAN_GS = (0.05, 0.1, 0.4, 1.6)
+
+
+def scan_kernels():
+    """A d = 2 and a d = 3 kernel, each mixing recurrence, gaussian and tabulated memory."""
+    rng = np.random.default_rng(31)
+    jumps = [
+        [(ExpProfile(-0.7 + 0.4j), 0.5), (GaussianProfile(1.1), 0.4)],
+        [(ConstantProfile(0.6j), 0.3), (TAB, 0.3)],
+    ]
+    d3 = GKSLKernel.build(
+        3,
+        hermitian=TwoTimeOperatorFunction.build(
+            3, [(ConstantProfile(1.0), random_hermitian(rng, 3, norm=0.3))]
+        ),
+        jump_ops=[
+            TwoTimeOperatorFunction.build(3, [(p, random_operator(rng, 3, n)) for p, n in op])
+            for op in jumps
+        ],
+    )
+    return [recurrence_edge_kernel(), d3]
+
+
+def coupled_maps(k, grid, family, gs):
+    """The maps of one coupled march at every coupling, shape (M + 1, W, D, D)."""
+    split = split_kernel(k.with_coupling(1.0))
+    return _coupled_march(split, grid, family, np.square(gs))()[0]
+
+
+@pytest.mark.parametrize("family", sorted(COUPLED_FAMILIES))
+def test_coupled_march_matches_a_solve_per_coupling(family):
+    for k in scan_kernels():
+        maps = coupled_maps(k, SCAN_GRID, family, SCAN_GS)
+        for n, g in enumerate(SCAN_GS):
+            ref = solve_family(k.with_coupling(g), SCAN_GRID, family).maps
+            assert rel_gap(maps[:, n], ref) <= 1e-12, (k.dim, g)
+
+
+@pytest.mark.parametrize(
+    "pair", [("nonlocal-full", "weak-nonlocal-full"), ("local-full", "nonlocal-full")]
+)
+def test_family_distances_match_pair_distance_per_coupling(pair):
+    for k in scan_kernels():
+        ref = np.array([pair_distance(k.with_coupling(g), SCAN_GRID, pair) for g in SCAN_GS])
+        got = family_distances(k, SCAN_GRID, pair, SCAN_GS)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-11, k.dim
+        assert g_scan(k, SCAN_GRID, SCAN_GS, pair=pair).distances == tuple(got)
+
+
+def test_series_pair_scans_one_coupling_at_a_time():
+    pair = ("local-full", "series-local-full")
+    assert not COUPLED_FAMILIES.issuperset(pair)
+    with pytest.raises(ValueError, match="no march along a coupling axis"):
+        family_distances(scan_kernels()[0], SCAN_GRID, pair, SCAN_GS)
+    for k in scan_kernels():
+        ref = tuple(pair_distance(k.with_coupling(g), SCAN_GRID, pair) for g in SCAN_GS)
+        assert g_scan(k, SCAN_GRID, SCAN_GS, pair=pair).distances == ref
+
+
+def test_coupled_scan_holds_one_map_array():
+    # the second family's march overwrites the first family's maps, so the
+    # scan holds one (M + 1) W D^2 array, its drift frame and per-block stacks
+    k = random_kernel(101, dim=3)
+    grid = TimeGrid(2.0, 400)
+    gs = (0.05, 0.08, 0.13, 0.2, 0.3, 0.4)
+    pair = ("nonlocal-full", "weak-nonlocal-full")
+    family_distances(k, grid, pair, gs)
+    tracemalloc.start()
+    try:
+        family_distances(k, grid, pair, gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = (grid.steps + 1) * len(gs) * k.dim**4 * 16
+    assert one < peak < 2 * one
