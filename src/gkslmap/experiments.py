@@ -37,7 +37,7 @@ from .profiles import (
     TabulatedProfile,
     profile_product,
 )
-from .propagate import COUPLED_FAMILIES, family_distances, solve_family, solve_nonlocal
+from .propagate import family_distances, solve_nonlocal
 from .serialize import csv_row, csv_table
 from .trajectory import MapTrajectory, TimeGrid
 
@@ -175,31 +175,32 @@ class GScanResult:
         )
 
 
-# a solve that fails at one scan point fails that point, not the scan
-_POINT_ERRORS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
+# a solve that fails at one scan point fails that point, not the scan (bad
+# input raises ValueError before anything marches)
+_POINT_ERRORS = (FloatingPointError, np.linalg.LinAlgError)
 
 
 def pair_distance(k: GKSLKernel, grid: TimeGrid, pair, order: int = 8) -> float:
-    """Sup-over-nodes Frobenius distance between two families on one kernel."""
-    a = solve_family(k, grid, pair[0], order=order)
-    b = solve_family(k, grid, pair[1], order=order)
-    return float(np.max(np.linalg.norm(a.maps - b.maps, axis=(1, 2))))
+    """Sup-over-nodes Frobenius distance between two families on one kernel.
+
+    The one-coupling case of :func:`~gkslmap.propagate.family_distances`.
+    """
+    return float(family_distances(k, grid, pair, [k.coupling], order)[0])
 
 
 def _scan_points(k: GKSLKernel, grid: TimeGrid, gs, pair, order: int) -> list:
     """The pair distance at every coupling, or the solver error that stopped it.
 
-    A pair of families with coupled marches takes one march per family for
-    all couplings (:func:`~gkslmap.propagate.family_distances`).  A stacked
-    step inverse raises for every coupling at once, so when that march fails
-    the scan is redone one coupling at a time, as it is for the other
-    families, and each failure is pinned to its own coupling.
+    Each family of the pair takes one march for all couplings
+    (:func:`~gkslmap.propagate.family_distances`).  A stacked step inverse
+    raises for every coupling at once, so when that march fails the scan is
+    redone one coupling at a time and each failure is pinned to its own
+    coupling.
     """
-    if COUPLED_FAMILIES.issuperset(pair):
-        try:
-            return [float(x) for x in family_distances(k, grid, pair, gs)]
-        except _POINT_ERRORS:
-            pass
+    try:
+        return [float(x) for x in family_distances(k, grid, pair, gs, order)]
+    except _POINT_ERRORS:
+        pass
     points = []
     for g in gs:
         try:
@@ -222,13 +223,12 @@ def g_scan(
     spanning a ratio of at least 8 (the widest window the weak regime
     tolerates in practice; a full decade is better when the large-g end still
     converges).
-    The kernel carries g only as an overall g^2, so when both families have
-    coupled marches (``COUPLED_FAMILIES``: the local, nonlocal and
-    weak-nonlocal families) each is solved once for all couplings, side by
-    side; the scan then holds one (M + 1) x couplings x D^2 array, the first
-    family's maps overwritten node block by node block by the second's once
-    their distance is taken.  The series families and weak-local-drift are
-    solved one coupling at a time.
+    The kernel carries g only as an overall g^2, so each family of the pair
+    is solved once for all couplings, side by side; the scan then holds one
+    (M + 1) x couplings x D^2 array, the first family's maps overwritten node
+    block by node block by the second's once their distance is taken.  An
+    unknown family, a series ``order`` below 1 or a kernel that does not
+    cover grid.T raise ValueError before anything is solved.
     Per-point solver failures and non-finite distances are recorded and
     excluded from the fit rather than aborting the scan; when they leave
     fewer than two points the scan raises RuntimeError (a solver failure, not

@@ -50,11 +50,12 @@ series.
 
 A kernel carries its coupling only as an overall g^2, and both parts of its
 split are linear in it, so the kernel at g is s = g^2 times the kernel at
-g = 1.  The local, nonlocal and weak-nonlocal marches take a leading coupling
-axis of W such scales (:func:`_coupled_march`): the Runge-Kutta step matrix at
-scale s is 1 + sum_p s^p R_p, the parts R_p formed once and scaled (the drift
-frame (V, Vinv) too); the Volterra histories march node-major side by side,
-each with its memory sum and diagonal scaled and its own step inverses.
+g = 1.  Every family marches along a leading coupling axis of W such scales
+(:func:`_family_march`): the Runge-Kutta step matrix at scale s is
+1 + sum_p s^p R_p, the parts R_p formed once and scaled (the drift frame
+(V, Vinv) too); the Volterra histories march node-major side by side, each
+with its memory sum and diagonal scaled and its own step inverses; the
+order-n term of a series scales as s^n, so it is marched once, at s = 1.
 Blocks hold _ROW_BLOCK matrices whatever W is.  A single solve is the width-1
 case, at scale 1 on the kernel's own split.  A coupling scan
 (:func:`family_distances`) marches each family of its pair once for all
@@ -76,8 +77,8 @@ from .kernel import (
     drift_superop_terms,
     split_kernel,
 )
-from .linalg import dagger
-from .trajectory import MapTrajectory, OrderedExponential, TimeGrid
+from .linalg import dagger, frobenius
+from .trajectory import FAMILY_TAGS, MapTrajectory, OrderedExponential, TimeGrid
 
 __all__ = [
     "solve_local",
@@ -324,17 +325,17 @@ def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, dist=N
 
 def solve_local(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """Local full-kernel trajectory: dLambda/dt = G_t Lambda, Lambda_0 = identity."""
-    return _solve_coupled(k, grid, "local-full")
+    return solve_family(k, grid, "local-full")
 
 
 def solve_local_jump(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """Local jump-only trajectory (generator from the sandwich part, positive sign)."""
-    return _solve_coupled(k, grid, "local-jump")
+    return solve_family(k, grid, "local-jump")
 
 
 def solve_local_drift(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """Local drift-only trajectory (generator -D_t); equals V_t . V_t^dag conjugation."""
-    return _solve_coupled(k, grid, "local-drift")
+    return solve_family(k, grid, "local-drift")
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +590,7 @@ def _nonlocal_march(terms, grid: TimeGrid, scales, D: int, frame=None):
 
 def solve_nonlocal(k: GKSLKernel, grid: TimeGrid, part: str = "full") -> MapTrajectory:
     """Nonlocal trajectory: the memory integral acts on Lambda(s), not Lambda(t)."""
-    return _solve_coupled(k, grid, f"nonlocal-{part}")
+    return solve_family(k, grid, f"nonlocal-{part}")
 
 
 def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> MapTrajectory:
@@ -599,40 +600,64 @@ def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) ->
     -int_0^t [A(t,s) Lambda(s)(.) + Lambda(s)(.) A(t,s)^dag] ds.
     """
     terms = [(p, -s) for p, s in drift_superop_terms(drift)]
-    march = _nonlocal_march(terms, grid, _UNIT, drift.dim**2)
-    traj = _single_trajectory(march, grid, drift.dim, "nonlocal-drift")
-    traj.meta["source"] = "drift-operator"
-    return traj
+    out, meta = _nonlocal_march(terms, grid, _UNIT, drift.dim**2)()
+    meta["source"] = "drift-operator"
+    return MapTrajectory(
+        grid=grid, dim=drift.dim, family="nonlocal-drift", maps=out[:, 0], meta=meta
+    )
 
 
 # ---------------------------------------------------------------------------
 # series solutions
 
 
-def _local_series(g_half: np.ndarray, h: float, order: int):
-    """Per-node sums sum_n P_n of the triangular stack dP_n/dt = G(t) P_{n-1}.
+def _series_total(scales: np.ndarray, order: int):
+    """y -> (sum_n s^n y[n] for s in ``scales``); y.sum(axis=0) at one unit scale (see _is_unit)."""
+    if _is_unit(scales):
+        return lambda y: y.sum(axis=0)
+    powers = np.power.outer(scales, np.arange(order + 1))
+    return lambda y: np.tensordot(powers, y, 1)
 
-    Also returns the Frobenius norm of the order-N term (the truncation
-    diagnostic).  A step takes P_n to sum_{p <= 4} R_p P_{n-p} with R_p the
-    degree-p part of the plain march's step matrix (R_0 = 1), so the full sum
-    telescopes to the plain discrete solution up to the truncated tail.
+
+def _series_meta(order: int, tails) -> dict:
+    tail_norm = [float(x) for x in tails]
+    return {"order": int(order), "tail_norm": tail_norm, "tail_max": float(np.max(tails))}
+
+
+def _local_series(g_half: np.ndarray, h: float, order: int, scales, out=None, dist=None):
+    """Per-node sums sum_n s^n P_n of the triangular stack dP_n/dt = G(t) P_{n-1}, per scale s.
+
+    P_n has degree n in G, so the stack is marched once, at scale 1; ``out``
+    and ``dist`` are as for :func:`_march`.  Also returns the Frobenius norm of
+    the scale-1 order-N term (the truncation diagnostic).  A step takes P_n to
+    sum_{p <= 4} R_p P_{n-p} with R_p the degree-p part of the plain march's
+    step matrix (R_0 = 1), so the full sum telescopes to the plain discrete
+    solution up to the truncated tail.
     """
     D = g_half.shape[1]
+    total = _series_total(scales, order)
+    if out is None:
+        out = np.empty(((g_half.shape[0] + 1) // 2, len(scales), D, D), dtype=complex)
     y = np.zeros((order + 1, D, D), dtype=complex)
     y[0] = np.eye(D)
-    sums, tails = [y.sum(axis=0)], [np.linalg.norm(y[order])]
-    for _, parts in _step_blocks(g_half, h):
-        for m in range(parts[0].shape[0]):
+    out[0] = total(y)
+    tails = [np.linalg.norm(y[order])]
+    for a, parts in _step_blocks(g_half, h):
+        m1 = a + parts[0].shape[0]
+        before = None if dist is None else out[a + 1 : m1 + 1].copy()
+        for m in range(a, m1):
             new = y.copy()
             for p, part in enumerate(parts, 1):
-                new[p:] += part[m] @ y[:-p]
+                new[p:] += part[m - a] @ y[:-p]
             y = new
-            sums.append(y.sum(axis=0))
+            out[m + 1] = total(y)
             tails.append(np.linalg.norm(y[order]))
-    return np.array(sums), tails
+        if dist is not None:
+            _raise_distance(dist, before, out[a + 1 : m1 + 1])
+    return out, tails
 
 
-def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int):
+def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int, scales, out=None, dist=None):
     """Iterate the nested-trapezoid integral operator: R_n = Q(R_{n-1}), R_0 = 1.
 
     Q applies the memory rows to the history R_{n-1}, then integrates the
@@ -641,11 +666,13 @@ def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int):
     each order steps its trapezoid sum in turn, since R_n(t_i) needs
     R_{n-1}(t_i).  The recurrences of :func:`_memory_rows` read only the
     newest node of each history; the (M + 1) N D^2 array of every node is
-    kept only when the source has profiles that take rows.
+    kept only when the source has profiles that take rows.  R_n scales as
+    s^n, and the scales and results are as for :func:`_local_series`.
     """
     M, h = grid.steps, grid.h
     D = dim * dim
     diag_of, row = _memory_rows(source, h, D, order)
+    total = _series_total(scales, order)
     eye = np.eye(D, dtype=complex)
     r = np.zeros((order + 1, D, D), dtype=complex)  # r[n] = R_n at the newest node
     r[0] = eye
@@ -655,13 +682,16 @@ def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int):
     if len(decay) < len(s):  # a profile takes rows
         hist = np.empty((M + 1, order * D * D), dtype=complex)  # hist[j] = R_0..R_{N-1} at t_j
         hist[0] = newest
-    total = np.empty((M + 1, D, D), dtype=complex)
-    total[0] = eye
+    if out is None:
+        out = np.empty((M + 1, len(scales), D, D), dtype=complex)
+    out[0] = eye
     tails = np.zeros(M + 1)
     f_prev = np.zeros((order, D, D), dtype=complex)  # f_n(t_{i-1}), n = 1..N
     for a in range(1, M + 1, _ROW_BLOCK):
-        diag = diag_of(a, min(a + _ROW_BLOCK, M + 1))
-        for i in range(a, a + len(diag)):
+        b = min(a + _ROW_BLOCK, M + 1)
+        diag = diag_of(a, b)
+        before = None if dist is None else out[a:b].copy()
+        for i in range(a, b):
             partial = row(i, newest, hist)
             for n in range(1, order + 1):
                 f = partial[n - 1] + 0.5 * h * (diag[i - a] @ r[n - 1])
@@ -669,34 +699,11 @@ def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int):
                 f_prev[n - 1] = f
             if hist is not None:
                 hist[i] = newest
-            total[i] = r.sum(axis=0)
+            out[i] = total(r)
             tails[i] = np.linalg.norm(r[order])
-    return total, tails
-
-
-def _series(k: GKSLKernel, grid: TimeGrid, order: int, family: str) -> MapTrajectory:
-    """Series family ``series-<locality>-<part>`` truncated at ``order``."""
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
-    k.check_horizon(grid.T)
-    split = split_kernel(k)
-    _, locality, part = family.split("-")
-    if locality == "local":
-        g_half = _local_generator(split, grid, part)
-        sums, tails = _local_series(g_half, grid.h, order)
-        meta = _march_meta(g_half[-1], grid)
-    else:
-        source = _memory_source(_part_terms(split, part), grid, k.dim * k.dim)
-        sums, tails = _nonlocal_series(source, grid, k.dim, order)
-        meta = {}
-    meta.update(
-        {
-            "order": int(order),
-            "tail_norm": [float(x) for x in tails],
-            "tail_max": float(np.max(tails)),
-        }
-    )
-    return MapTrajectory(grid=grid, dim=k.dim, family=family, maps=sums, meta=meta)
+        if dist is not None:
+            _raise_distance(dist, before, out[a:b])
+    return out, tails
 
 
 def jump_series(
@@ -712,7 +719,7 @@ def jump_series(
     """
     if locality not in ("local", "nonlocal"):
         raise ValueError(f"unknown locality {locality!r}; expected 'local' or 'nonlocal'")
-    return _series(k, grid, order, f"series-{locality}-jump")
+    return solve_family(k, grid, f"series-{locality}-jump", order)
 
 
 def jump_exponential_series(l_op: np.ndarray, t: float, rho: np.ndarray, order: int) -> np.ndarray:
@@ -746,7 +753,7 @@ def weak_coupling_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     completely positive by construction at every node (trace preservation, by
     contrast, holds only through the weak-coupling order).
     """
-    return _solve_coupled(k, grid, "weak-nonlocal-full")
+    return solve_family(k, grid, "weak-nonlocal-full")
 
 
 def weak_drift_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
@@ -756,106 +763,95 @@ def weak_drift_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     Lambda_t = V_t (.) V_t^dag, which is a sandwich map and hence completely
     positive at every node.
     """
-    k.check_horizon(grid.T)
-    oe = ordered_exponential(k, grid)
-    meta = {"inversion_defect": oe.inversion_defect()}
-    return MapTrajectory(
-        grid=grid, dim=k.dim, family="weak-local-drift", maps=_sandwich_stack(oe.v), meta=meta
-    )
+    return solve_family(k, grid, "weak-local-drift")
 
 
 # ---------------------------------------------------------------------------
-# the family table
-
-# One entry per tag of FAMILY_TAGS, in its order: (kernel, grid, order) -> trajectory.
-_FAMILIES = {
-    "local-full": lambda k, grid, order: solve_local(k, grid),
-    "local-jump": lambda k, grid, order: solve_local_jump(k, grid),
-    "local-drift": lambda k, grid, order: solve_local_drift(k, grid),
-    "nonlocal-full": lambda k, grid, order: solve_nonlocal(k, grid, part="full"),
-    "nonlocal-jump": lambda k, grid, order: solve_nonlocal(k, grid, part="jump"),
-    "nonlocal-drift": lambda k, grid, order: solve_nonlocal(k, grid, part="drift"),
-    "series-local-jump": lambda k, grid, order: jump_series(k, grid, order, "local"),
-    "series-nonlocal-jump": lambda k, grid, order: jump_series(k, grid, order, "nonlocal"),
-    "series-local-full": lambda k, grid, order: _series(k, grid, order, "series-local-full"),
-    "weak-local-drift": lambda k, grid, order: weak_drift_localize(k, grid),
-    "weak-nonlocal-full": lambda k, grid, order: weak_coupling_localize(k, grid),
-}
-
-# The families with a march along a coupling axis (:func:`_coupled_march`).
-COUPLED_FAMILIES = frozenset(
-    ("local-full", "local-jump", "local-drift", "nonlocal-full", "nonlocal-jump",
-     "nonlocal-drift", "weak-nonlocal-full")
-)
+# the family registry
 
 
-def solve_family(k: GKSLKernel, grid: TimeGrid, family: str, order: int = 8) -> MapTrajectory:
-    """Dispatch a kernel to the solver for the named trajectory family."""
-    if family not in _FAMILIES:
+def _check_family(family: str, order: int) -> None:
+    if family not in FAMILY_TAGS:
         raise ValueError(f"unknown trajectory family {family!r}")
-    return _FAMILIES[family](k, grid, order)
+    if family.startswith("series") and order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
 
 
-def _coupled_march(split: KernelSplit, grid: TimeGrid, family: str, scales):
-    """One march of ``family`` for the kernels s K side by side, s in ``scales``.
+def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order: int = 8):
+    """One march of ``family``, a tag of FAMILY_TAGS, for the kernels s K, s in ``scales``.
 
     ``split`` is the split of K.  Both of its parts are linear in K, so the
     kernel at scale s has s times its parts: the memory sums, drift frames and
-    Runge-Kutta step parts are formed once and scaled per s.  Returns
+    Runge-Kutta step parts are formed once and scaled per s, and the order-n
+    term of a series truncated at ``order`` is weighted by s^n.  Returns
     march(out=None, dist=None) -> (out, meta), which fills out[:, n] (``out``
     of shape (M + 1, W, D, D), allocated once the march's own tables are
-    built) with the maps at scale scales[n]; see :func:`_march` and
-    :func:`_volterra` for ``dist``.  The weak family's drift frame is marched
-    here, before any map march.
+    built) with the maps at scale scales[n]; see :func:`_march` for ``dist``.
+    The weak families' drift frames are marched here, before any map march.
+    weak-local-drift forms its maps at once, so with ``dist`` it compares
+    them with ``out`` at the end, overwriting ``out``.
     """
     D = split.dim * split.dim
-    locality, _, part = family.rpartition("-")
-    if family == "weak-nonlocal-full":
+    kind, _, part = family.rpartition("-")
+    if kind.startswith("weak"):
         v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid, scales)
         # copies on grid nodes, so the half-lattice tables are freed
-        frame = (vinv_half[::2].copy(), v_half[::2].copy())
-        return _nonlocal_march(split.jump_part.terms, grid, scales, D, frame)
-    if locality == "nonlocal":
+        vinv, v = vinv_half[::2].copy(), v_half[::2].copy()
+        if kind == "weak-nonlocal":
+            return _nonlocal_march(split.jump_part.terms, grid, scales, D, (vinv, v))
+
+        def sandwich(out=None, dist=None):
+            maps = _sandwich_stack(v)
+            if dist is not None:
+                _raise_distance(dist, out, maps)
+            defect = float(np.max(frobenius(v @ vinv - np.eye(split.dim))))
+            return maps, {"inversion_defect": defect}
+
+        return sandwich
+    if kind == "nonlocal":
         return _nonlocal_march(_part_terms(split, part), grid, scales, D)
-    if locality != "local":
-        raise ValueError(f"family {family!r} has no march along a coupling axis")
 
     def march(out=None, dist=None):
+        if kind == "series-nonlocal":
+            source = _memory_source(_part_terms(split, part), grid, D)
+            out, tails = _nonlocal_series(source, grid, split.dim, order, scales, out, dist)
+            return out, _series_meta(order, tails)
         g_half = _local_generator(split, grid, part)
-        out = _march(g_half, grid.h, scales, out, dist)
-        return out, _march_meta(g_half[-1], grid)
+        meta = _march_meta(g_half[-1], grid)
+        if kind == "local":
+            return _march(g_half, grid.h, scales, out, dist), meta
+        out, tails = _local_series(g_half, grid.h, order, scales, out, dist)
+        return out, {**meta, **_series_meta(order, tails)}
 
     return march
 
 
-def _single_trajectory(march, grid: TimeGrid, dim: int, family: str) -> MapTrajectory:
-    """The width-1 case of a coupled march: one trajectory at scale 1."""
-    out, meta = march()
-    return MapTrajectory(grid=grid, dim=dim, family=family, maps=out[:, 0], meta=meta)
-
-
-def _solve_coupled(k: GKSLKernel, grid: TimeGrid, family: str) -> MapTrajectory:
-    """A coupled family at k's own coupling: scale 1 on the split of k."""
+def solve_family(k: GKSLKernel, grid: TimeGrid, family: str, order: int = 8) -> MapTrajectory:
+    """The width-1 march of :func:`_family_march` at scale 1 on the split of k."""
+    _check_family(family, order)
     k.check_horizon(grid.T)
-    march = _coupled_march(split_kernel(k), grid, family, _UNIT)
-    return _single_trajectory(march, grid, k.dim, family)
+    out, meta = _family_march(split_kernel(k), grid, family, _UNIT, order)()
+    return MapTrajectory(grid=grid, dim=k.dim, family=family, maps=out[:, 0], meta=meta)
 
 
-def family_distances(k: GKSLKernel, grid: TimeGrid, pair, g_values) -> np.ndarray:
+def family_distances(k: GKSLKernel, grid: TimeGrid, pair, g_values, order: int = 8) -> np.ndarray:
     """Sup-over-nodes Frobenius distance between two families at every coupling.
 
-    Both families must be in COUPLED_FAMILIES.  The kernel is split once at
-    g = 1 and coupling g scales it by g^2, so each family takes one march for
-    all couplings (:func:`_coupled_march`).  Drift frames are marched first;
-    then the first family fills an (M + 1, W, D, D) array, and the second
-    marches in that same array, taking the distance at each block of nodes
-    before it replaces them, so the scan holds one such array.  Returns the W
-    distances in the order of ``g_values``; a non-finite solve gives NaN or inf.
+    Bad input raises ValueError before anything marches.  The kernel is split
+    once at g = 1 and coupling g scales it by g^2, so each family takes one
+    march for all couplings (:func:`_family_march`).  Drift frames are marched
+    first; then the first family fills an (M + 1, W, D, D) array, and the
+    second marches in that same array, taking the distance at each block of
+    nodes before it replaces them, so the scan holds one such array.  Returns
+    the W distances in the order of ``g_values``; a non-finite solve gives NaN
+    or inf.
     """
+    for family in pair:
+        _check_family(family, order)
     k.check_horizon(grid.T)
     scales = np.square(np.asarray(g_values, dtype=float))
     split = split_kernel(k.with_coupling(1.0))
-    first, second = [_coupled_march(split, grid, family, scales) for family in pair]
+    first, second = [_family_march(split, grid, family, scales, order) for family in pair]
     out, _ = first()
     dist = np.zeros(len(scales))
     second(out, dist)

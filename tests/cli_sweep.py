@@ -14,9 +14,11 @@ with::
 
 A change that reorders floating-point sums leaves the artifacts close but not
 byte-identical.  For it, ``python tests/cli_sweep.py --compare A B`` requires
-identical logs (exit codes, stdout, stderr) and certify verdicts (``all_cp``,
-per-node verdicts, divisibility statuses), prints the worst relative map
-difference per trajectory family and exits 1 when anything required differs.
+identical logs (exit codes, stdout, stderr), certify verdicts (``all_cp``,
+per-node verdicts, divisibility statuses) and g-scan couplings, prints the
+worst relative map difference per trajectory family and the worst g-scan
+distance difference relative to the scan's largest distance, and exits 1 when
+anything required differs.
 
 The file name keeps pytest from collecting it.
 """
@@ -94,6 +96,13 @@ def main_sweep(outdir: Path) -> None:
             run(f"certify-{case}", "certify", "--trajectory", f"runs/{case}/trajectory.json",
                 "--divisibility", "--out", f"runs/{case}")
     run("gscan", "gscan", "--config", "configs/gscan.json", "--out", "runs/gscan")
+    for case, pair, extra in (
+        ("gscan-weak-local", "local-drift,weak-local-drift", ()),
+        ("gscan-series", "local-full,series-local-full", ("--g-list", "0.2,0.4,0.8,1.6")),
+        ("gscan-order-0", "local-full,series-local-full", ("--order", "0")),
+    ):
+        run(case, "gscan", "--config", "configs/gscan.json", "--pair", pair, *extra,
+            "--out", f"runs/{case}")
     for config in DRIFTS + ("dephasing_kernel",):
         run(f"counterexample-{config}", "counterexample", "--kernel", f"configs/{config}.json",
             "--out", f"runs/counterexample-{config}")
@@ -208,12 +217,12 @@ def main_sweep(outdir: Path) -> None:
 
 
 def compare(a: Path, b: Path) -> int:
-    """Compare two sweeps: logs and certify verdicts must match; report map gaps."""
+    """Compare two sweeps: logs, certify verdicts and g lists must match; report gaps."""
     bad = []
     for log in sorted((a / "logs").iterdir()):
         if log.read_text() != (b / "logs" / log.name).read_text():
             bad.append(f"log {log.name}")
-    gaps = {}
+    gaps, scan_gaps = {}, {}
     for path in sorted(a.glob("runs/*/*.json")):
         x, y = (json.loads(p.read_text()) for p in (path, b / path.relative_to(a)))
         if path.name == "cp_report.json":
@@ -225,8 +234,17 @@ def compare(a: Path, b: Path) -> int:
             mx, my = (np.array(d["maps"], dtype=float) for d in (x, y))
             gap = float(np.max(np.abs(mx - my)) / np.max(np.abs(mx)))
             gaps[x["family"]] = max(gaps.get(x["family"], 0.0), gap)
+        elif path.name == "gscan.json":
+            if x["g"] != y["g"]:
+                bad.append(f"g list {path.parent.name}")
+                continue
+            dx, dy = (np.array(d["distance"], dtype=float) for d in (x, y))
+            scale = np.max(dx) if np.max(dx) > 0.0 else 1.0
+            scan_gaps[path.parent.name] = float(np.max(np.abs(dx - dy)) / scale)
     for family, gap in sorted(gaps.items()):
         print(f"{family:22s} worst relative map difference {gap:.2e}")
+    for case, gap in sorted(scan_gaps.items()):
+        print(f"{case:22s} worst distance difference / largest distance {gap:.2e}")
     for item in bad:
         print(f"DIFFERS: {item}")
     return 1 if bad else 0

@@ -9,7 +9,13 @@ import numpy as np
 
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
 from gkslmap.linalg import dagger, sandwich_superop
-from gkslmap.propagate import _lattice, _local_generator, _qtables, _sandwich_stack
+from gkslmap.propagate import (
+    _lattice,
+    _local_generator,
+    _qtables,
+    _sandwich_stack,
+    solve_family,
+)
 from gkslmap.trajectory import TimeGrid
 
 
@@ -123,3 +129,10 @@ def rk4_local_series(k: GKSLKernel, grid: TimeGrid, part: str, order: int):
     y0[0] = np.eye(D)
     ys = rk4_march(g_half, y0, grid.h, series_shift)
     return ys.sum(axis=1), np.linalg.norm(ys[:, order], axis=(1, 2))
+
+
+def solved_pair_distance(k: GKSLKernel, grid: TimeGrid, pair, order: int = 8) -> float:
+    """Sup-over-nodes Frobenius distance between two families, each solved on its own."""
+    a = solve_family(k, grid, pair[0], order=order)
+    b = solve_family(k, grid, pair[1], order=order)
+    return float(np.max(np.linalg.norm(a.maps - b.maps, axis=(1, 2))))

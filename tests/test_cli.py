@@ -228,6 +228,21 @@ def test_gscan_bad_g_list_is_config_error(tmp_path, kernel_file, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_gscan_series_order_below_one_is_config_error(tmp_path, capsys):
+    # as for solve, a bad order is bad input, not a failed point at every coupling
+    kernel = str(CONFIGS / "dephasing_kernel.json")
+    args = ["gscan", "--kernel", kernel, "--g-list", "0.05,0.1,0.2,0.4", "--steps", "40",
+            "--order", "0"]
+    out = tmp_path / "run"
+    code = main(args + ["--pair", "local-full,series-local-full", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and "series order must be >= 1" in err["message"]
+    assert not out.exists()
+    # the order is only checked for series families
+    assert main(args + ["--pair", "local-full,nonlocal-full", "--out", str(out)]) == 0
+
+
 def test_convolution_cli(tmp_path):
     kernel = write_kernel(tmp_path / "k.json", dephasing_kernel(g=0.2))
     out = tmp_path / "run"

@@ -70,6 +70,15 @@ def test_g_scan_input_validation():
         g_scan(k, grid, [0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ValueError, match="distinct"):
         g_scan(k, grid, [0.05, 0.1, 0.2, 0.4], pair=("local-full", "local-full"))
+    # bad families, series orders and horizons are bad input, not failed points
+    gs = [0.05, 0.1, 0.2, 0.4]
+    with pytest.raises(ValueError, match="unknown trajectory family"):
+        g_scan(k, grid, gs, pair=("local-full", "bogus"))
+    with pytest.raises(ValueError, match="series order must be >= 1"):
+        g_scan(k, grid, gs, pair=("local-full", "series-local-full"), order=0)
+    assert g_scan(k, grid, gs, pair=("local-full", "nonlocal-full"), order=0).failures == ()
+    with pytest.raises(ValueError, match="horizon is T = 5.0"):
+        g_scan(coherence_revival_kernel(4.0), TimeGrid(5.0, 20), gs)
 
 
 def test_g_scan_keeps_zero_distances_out_of_the_fit(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from gkslmap.cpanalysis import trace_deviation
-from gkslmap.experiments import g_scan, pair_distance, random_kernel
+from gkslmap.experiments import g_scan, random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
 from gkslmap.linalg import (
     SIGMA_X,
@@ -32,9 +32,7 @@ from gkslmap.profiles import (
 )
 from gkslmap.propagate import (
     _REFINE,
-    _FAMILIES,
-    COUPLED_FAMILIES,
-    _coupled_march,
+    _family_march,
     _final_generator,
     _fine_nodes,
     _memory_source,
@@ -62,6 +60,7 @@ from oracles import (
     rk4_local,
     rk4_local_series,
     rk4_transform,
+    solved_pair_distance,
 )
 
 
@@ -86,10 +85,6 @@ def test_zero_kernel_yields_identity_for_every_family(family):
     assert traj.family == family
     eye = np.eye(4)
     assert all(np.allclose(m, eye, atol=1e-14) for m in traj.maps)
-
-
-def test_family_table_is_keyed_by_family_tags():
-    assert tuple(_FAMILIES) == FAMILY_TAGS
 
 
 def test_solve_family_rejects_unknown_tag():
@@ -721,10 +716,10 @@ def scan_kernels():
 def coupled_maps(k, grid, family, gs):
     """The maps of one coupled march at every coupling, shape (M + 1, W, D, D)."""
     split = split_kernel(k.with_coupling(1.0))
-    return _coupled_march(split, grid, family, np.square(gs))()[0]
+    return _family_march(split, grid, family, np.square(gs))()[0]
 
 
-@pytest.mark.parametrize("family", sorted(COUPLED_FAMILIES))
+@pytest.mark.parametrize("family", FAMILY_TAGS)
 def test_coupled_march_matches_a_solve_per_coupling(family):
     for k in scan_kernels():
         maps = coupled_maps(k, SCAN_GRID, family, SCAN_GS)
@@ -738,20 +733,28 @@ def test_coupled_march_matches_a_solve_per_coupling(family):
 )
 def test_family_distances_match_pair_distance_per_coupling(pair):
     for k in scan_kernels():
-        ref = np.array([pair_distance(k.with_coupling(g), SCAN_GRID, pair) for g in SCAN_GS])
+        ref = np.array([solved_pair_distance(k.with_coupling(g), SCAN_GRID, pair)
+                        for g in SCAN_GS])
         got = family_distances(k, SCAN_GRID, pair, SCAN_GS)
         assert np.max(np.abs(got - ref) / ref) <= 1e-11, k.dim
         assert g_scan(k, SCAN_GRID, SCAN_GS, pair=pair).distances == tuple(got)
 
 
-def test_series_pair_scans_one_coupling_at_a_time():
-    pair = ("local-full", "series-local-full")
-    assert not COUPLED_FAMILIES.issuperset(pair)
-    with pytest.raises(ValueError, match="no march along a coupling axis"):
-        family_distances(scan_kernels()[0], SCAN_GRID, pair, SCAN_GS)
+@pytest.mark.parametrize(
+    "pair",
+    [("local-full", "series-local-full"), ("nonlocal-jump", "series-nonlocal-jump"),
+     ("local-drift", "weak-local-drift")],
+)
+def test_series_and_weak_local_pairs_scan_in_one_march(pair):
+    # these pairs can agree to rounding (local-full and series-local-full are
+    # 1e-15 apart at g = 0.05), so the gate is relative to the maps' size
     for k in scan_kernels():
-        ref = tuple(pair_distance(k.with_coupling(g), SCAN_GRID, pair) for g in SCAN_GS)
-        assert g_scan(k, SCAN_GRID, SCAN_GS, pair=pair).distances == ref
+        got = family_distances(k, SCAN_GRID, pair, SCAN_GS)
+        for g, dist in zip(SCAN_GS, got):
+            kg = k.with_coupling(g)
+            size = np.max(np.linalg.norm(solve_family(kg, SCAN_GRID, pair[0]).maps, axis=(1, 2)))
+            assert abs(dist - solved_pair_distance(kg, SCAN_GRID, pair)) <= 1e-12 * size, g
+        assert g_scan(k, SCAN_GRID, SCAN_GS, pair=pair).distances == tuple(got)
 
 
 def test_coupled_scan_holds_one_map_array():
