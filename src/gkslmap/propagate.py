@@ -34,9 +34,9 @@ in a few stacked products, and the march does one product per step.  The state
 is the map (local families and the transform route), the pair (V, Vinv^T)
 (drift frame) or the triangular stack of series terms (local series, stepped
 by the parts of each degree).  Every nonlocal family goes through one memory
-core, :func:`_memory_rows`: the nested-trapezoid memory sum at node i, stacked
-over the kernel's distinct profiles.  Terms with equal profiles are merged
-first, their superoperators summed (:func:`_memory_source`).  A profile whose
+core, built by :func:`_memory` inside its march: the nested-trapezoid memory
+sum at node i, stacked over the kernel's distinct profiles (terms with equal
+profiles are merged first, their superoperators summed).  A profile whose
 conv factors are constant or exponential, c(tau) = C e^{a tau}, keeps a
 running history sum stepped exactly by e^{a h}, at O(D^2) per step.  Gaussian,
 tabulated and foreign profiles form row i when the march reaches it, f_i
@@ -66,7 +66,9 @@ it replaces them, so the scan holds one (M + 1) W D^2 array.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -173,26 +175,18 @@ def _qtable(profile, taus: np.ndarray, hf: float) -> np.ndarray:
     return q
 
 
-def _qtables(profiles, grid: TimeGrid) -> dict:
-    """Deduplicated profile -> q-array map on the refined lattice."""
-    taus = _fine_nodes(grid)
-    hf = grid.h / _REFINE
-    out = {}
-    for p in profiles:
-        if p not in out:
-            out[p] = _qtable(p, taus, hf)
-    return out
-
-
-def _lattice(terms, qmap: dict, size: int, grid: TimeGrid, stride: int = 1) -> np.ndarray:
+def _lattice(terms, size: int, grid: TimeGrid, stride: int = 1) -> np.ndarray:
     """Integrated sum_k q_k(tau) X_k of (profile, size x size matrix) terms.
 
-    ``stride`` selects every stride-th refined node (2 -> the h/2 lattice).
+    One q-table per distinct profile, formed before ``out`` so that their
+    temporaries and ``out`` are never held together.  ``stride`` selects
+    every stride-th refined node (2 -> the h/2 lattice).
     """
-    n = (_REFINE * grid.steps) // stride + 1
-    out = np.zeros((n, size, size), dtype=complex)
+    taus, hf = _fine_nodes(grid), grid.h / _REFINE
+    q = {p: _qtable(p, taus, hf) for p in dict.fromkeys(p for p, _ in terms)}
+    out = np.zeros((len(taus[::stride]), size, size), dtype=complex)
     for p, x in terms:
-        out += qmap[p][::stride, None, None] * x
+        out += q[p][::stride, None, None] * x
     return out
 
 
@@ -208,9 +202,7 @@ def _part_terms(split: KernelSplit, part: str):
 
 def _local_generator(split: KernelSplit, grid: TimeGrid, part: str) -> np.ndarray:
     """Effective generator of one kernel part on the h/2 lattice."""
-    terms = _part_terms(split, part)
-    qmap = _qtables([p for p, _ in terms], grid)
-    return _lattice(terms, qmap, split.dim * split.dim, grid, stride=2)
+    return _lattice(_part_terms(split, part), split.dim * split.dim, grid, stride=2)
 
 
 def _march_meta(gen_final: np.ndarray, grid: TimeGrid) -> dict:
@@ -348,8 +340,7 @@ def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid, 
     A_int is tabulated on the h/4 lattice so every stage lands on a lattice
     point.  Returns (V, Vinv) on the h/2 lattice, shape (2M + 1, W, d, d).
     """
-    qmap = _qtables([p for p, _ in drift.terms], grid)
-    w_fine = _lattice(drift.terms, qmap, drift.dim, grid)
+    w_fine = _lattice(drift.terms, drift.dim, grid)
     # Vinv is marched as its transpose: (Vinv^T)' = A_int^T Vinv^T
     vv = _march(np.stack([-w_fine, w_fine.transpose(0, 2, 1)]), grid.h / 2.0, scales)
     return vv[:, :, 0], vv[:, :, 1].swapaxes(-1, -2)
@@ -399,18 +390,36 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
 # nonlocal (Volterra) families
 
 
-def _memory_source(terms, grid: TimeGrid, D: int):
-    """Row source of (profile, D x D matrix) terms on grid nodes: (rows, s, rec, cdiag).
+_Memory = namedtuple("_Memory", "diag row final takes_rows")
 
-    Terms with equal profiles are merged, their matrices summed, so s[k] is the
-    summed matrix of the k-th distinct profile, cdiag[k, i] = c_k(t_i, t_i)
-    and ``rows(i, first)`` returns a fresh array of c_k(t_i, t_j), k >= first,
-    j <= i.  A profile with a normal form c(t - s) f(t) g(s) keeps three node
-    vectors and its row is f_i c_{i-j} g_j.  The others are evaluated on blocks
-    of _ROW_BLOCK rows, the block of the last row asked for kept, so rows asked
-    for in increasing order evaluate each point once.  The normal forms with
-    c(tau) = C e^{a tau} (constant or exponential) come first, and
-    rec = (e^{a h}, C f, g) holds their rates and node vectors.
+
+def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
+    """The Volterra memory core of (profile, D x D matrix) terms on grid nodes.
+
+    Terms with equal profiles are merged, their matrices summed, so S_k is the
+    summed matrix of the k-th distinct profile.  The core holds four members:
+
+    * ``diag(a, b)`` stacks diag_i = sum_k c_k(t_i, t_i) S_k over a <= i < b;
+    * ``row(i, x, past)``, called for i = 1, 2, ... in turn, takes ``width``
+      histories' X_{i-1} side by side in the flat row ``x`` and their rows
+      X_0..X_{i-1} in ``past`` (read only when ``takes_rows``) and returns
+
+          partial[n] = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
+
+      so the trapezoid memory integral of history n at t_i is
+      partial[n] + (h/2) diag_i X_i;
+    * ``final()`` is the node-trapezoid generator at t_M,
+      sum_k (weights [h/2, h, ..., h, h/2] . c_k(t_M, .)) S_k;
+    * ``takes_rows`` is true when some profile takes rows.
+
+    A profile whose normal form c(t - s) f(t) g(s) has c(tau) = C e^{a tau}
+    (constant or exponential) takes no rows: it keeps
+    H = sum_{j<i} w_j e^{a (t_i - t_j)} g_j X_j (w_0 = 1/2, else 1), stepped
+    exactly as H <- e^{a h} (H + w_{i-1} g_{i-1} X_{i-1}) from x alone.  The
+    other profiles take rows c_k(t_i, t_j), j <= i.  Another normal form keeps
+    three node vectors and its row is f_i c_{i-j} g_j; the rest are evaluated
+    on blocks of _ROW_BLOCK rows, the block of the last row asked for kept, so
+    rows asked for in increasing order evaluate each point once.
     """
     merged = {}
     for p, sk in terms:
@@ -426,20 +435,20 @@ def _memory_source(terms, grid: TimeGrid, D: int):
     other = [(p, sk) for p, form, sk in forms if form is None]
     nr = sum(path(form) == 0 for _, form, _ in forms)
     s = np.array([sk for _, sk in closed + other], dtype=complex).reshape(-1, D, D)
-    ts = grid.nodes()
-    n, nc = len(ts), len(closed)
+    ts, h = grid.nodes(), grid.h
+    n, nc, n_p = len(ts), len(closed), len(s)
     cv = np.empty((nc, n), dtype=complex)
     fv = np.empty_like(cv)
     gv = np.empty_like(cv)
     for r, (form, _) in enumerate(closed):
         cv[r], fv[r], gv[r] = _form_vectors(form, ts)
     rates = [sum(c.rate for c in form[0] if c.kind == "exp") for form, _ in closed[:nr]]
-    rec = (np.exp(np.array(rates, dtype=complex) * grid.h), cv[:nr, :1] * fv[:nr], gv[:nr])
+    decay = np.exp(np.array(rates, dtype=complex) * h)
     cdiag = np.concatenate([cv[:, :1] * gv * fv] + [[p(ts, ts)] for p, _ in other])
     block = [None, None]  # first row and values of the evaluated block
 
-    def rows(i, first=0):
-        out = np.empty((len(s) - first, i + 1), dtype=complex)
+    def rows(i, first=0):  # fresh c_k(t_i, t_j), k >= first, j <= i
+        out = np.empty((n_p - first, i + 1), dtype=complex)
         k = nc - first
         np.multiply(cv[first:, i::-1], gv[first:, : i + 1], out=out[:k])
         out[:k] *= fv[first:, i, None]
@@ -452,35 +461,6 @@ def _memory_source(terms, grid: TimeGrid, D: int):
             out[k:] = block[1][:, i - a, : i + 1]
         return out
 
-    return rows, s, rec, cdiag
-
-
-def _final_generator(source, grid: TimeGrid) -> np.ndarray:
-    """Node-trapezoid generator at t_M: sum_k (weights [h/2, h, ..., h, h/2] . c_k(t_M, .)) S_k."""
-    w_last = np.full(grid.steps + 1, grid.h)
-    w_last[0] = w_last[-1] = 0.5 * grid.h
-    rows, s = source[:2]
-    return np.einsum("k,kab->ab", rows(grid.steps) @ w_last, s)
-
-
-def _memory_rows(source, h: float, D: int, width: int):
-    """The Volterra memory core: the nested-trapezoid memory sum, node by node.
-
-    ``source`` is the tuple of :func:`_memory_source`.  Returns (diag, row):
-    ``diag(a, b)`` stacks diag_i = sum_k c_k(t_i, t_i) S_k over a <= i < b, and
-    ``row(i, x, past)``, called for i = 1, 2, ... in turn, takes ``width``
-    histories' X_{i-1} side by side in the flat row ``x`` and their rows
-    X_0..X_{i-1} in ``past`` (None when no profile takes rows).  It returns
-
-        partial[n] = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
-
-    so the trapezoid memory integral of history n at t_i is
-    partial[n] + (h/2) diag_i X_i.  A profile with c(tau) = C e^{a tau} keeps
-    H = sum_{j<i} w_j e^{a (t_i - t_j)} g_j X_j (w_0 = 1/2, else 1), stepped
-    exactly as H <- e^{a h} (H + w_{i-1} g_{i-1} X_{i-1}) from x alone.
-    """
-    rows, s, (decay, fc, gv), cdiag = source
-    n_p, nr = len(s), len(decay)
     # Every profile's sum side by side makes the memory row one BLAS product
     # instead of a per-profile Python loop: y[k, :, n, :] is history n's sum
     # for profile k.
@@ -489,9 +469,9 @@ def _memory_rows(source, h: float, D: int, width: int):
     y_cols = y.reshape(n_p * D, width * D)
     hsum = np.zeros((nr, D, width, D), dtype=complex)
     # per node, one (nr, 1, 1, 1) column: e^{ah} w_j g_j (w_0 = 1/2) and C f_i
-    gw = decay[:, None] * gv
+    gw = decay[:, None] * gv[:nr]
     gw[:, 0] *= 0.5
-    gw, fc = gw.T[..., None, None, None], fc.T[..., None, None, None]
+    gw, fc = (v.T[..., None, None, None] for v in (gw, cv[:nr, :1] * fv[:nr]))
     decay = decay[:, None, None, None]
 
     def row(i, x, past):
@@ -507,26 +487,32 @@ def _memory_rows(source, h: float, D: int, width: int):
     def diag(a, b):
         return np.tensordot(cdiag[:, a:b].T, s, 1)
 
-    return diag, row
+    def final():
+        w_last = np.full(n, h)
+        w_last[0] = w_last[-1] = 0.5 * h
+        return np.einsum("k,kab->ab", rows(n - 1) @ w_last, s)
+
+    return _Memory(diag, row, final, nr < n_p)
 
 
-def _volterra(source, grid: TimeGrid, scales, frame=None, out=None, dist=None) -> np.ndarray:
+def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=None):
     """Implicit trapezoidal march of dX/dt = int_0^t s K(t,s') X(s') ds' per scale s.
 
-    The corrector fixed point is linear in X_{m+1} (only the diagonal
-    quadrature weight touches it), so it is solved exactly per step; the
-    diagonal sums diag_i, their drift-frame conjugates and the step inverses
-    (1 - h^2/4 s diag_i)^{-1} are formed as stacks, a block of _ROW_BLOCK
-    matrices (_ROW_BLOCK // W nodes of W scales) at a time.  The resulting
-    discrete solution satisfies X = 1 + Q X with Q the nested trapezoid
-    integral operator — the same Q the nonlocal series iterates.  Exponential
-    and constant memory costs O(D^2) per step through the recurrence of
-    :func:`_memory_rows`, the other profiles O(i D^2) at step i.
+    K is the sum of the (profile, D x D matrix) ``terms``, its memory summed by
+    :func:`_memory`.  The corrector fixed point is linear in X_{m+1} (only the
+    diagonal quadrature weight touches it), so it is solved exactly per step;
+    the diagonal sums diag_i, their drift-frame conjugates and the step
+    inverses (1 - h^2/4 s diag_i)^{-1} are formed as stacks, a block of
+    _ROW_BLOCK matrices (_ROW_BLOCK // W nodes of W scales) at a time.  The
+    resulting discrete solution satisfies X = 1 + Q X with Q the nested
+    trapezoid integral operator — the same Q the nonlocal series iterates.
+    Exponential and constant memory costs O(D^2) per step through the
+    recurrence of the core, the other profiles O(i D^2) at step i.
 
     The W histories march node-major in ``out``, shape (M + 1, W, D, D)
-    (allocated when None, after the memory source), and history n takes the
-    memory of ``source`` scaled by scales[n]: its partial sum and diagonal are
-    scaled, its step inverses are its own.  With
+    (allocated when None, after the memory core), and history n takes the
+    memory of K scaled by scales[n]: its partial sum and diagonal are scaled,
+    its step inverses are its own.  With
     ``frame`` = (Vinv, V), the d x d frame operators on grid nodes, shape
     (M + 1, W, d, d), the march runs in the drift frame on Xhat = Vinv_sup X:
     the memory sum acts on the lab-frame history X_j = V_sup[j] Xhat_j and is
@@ -534,10 +520,11 @@ def _volterra(source, grid: TimeGrid, scales, frame=None, out=None, dist=None) -
     block.  ``out`` ends up holding the lab-frame maps X.  With ``dist``,
     ``out`` holds another family's maps on entry, compared with the new ones
     block by block before they replace them (:func:`_raise_distance`).
+    Returns (out, meta).
     """
     M, h = grid.steps, grid.h
-    W, D = len(scales), source[1].shape[-1]
-    diag_of, row = _memory_rows(source, h, D, W)
+    W = len(scales)
+    mem = _memory(terms, grid, D, W)
     s = None if _is_unit(scales) else np.reshape(scales, (W, 1, 1))
     eye = np.eye(D, dtype=complex)
     if out is None:
@@ -549,7 +536,7 @@ def _volterra(source, grid: TimeGrid, scales, frame=None, out=None, dist=None) -
     nodes = max(1, _ROW_BLOCK // W)
     for a in range(1, M + 1, nodes):
         b = min(a + nodes, M + 1)
-        diag = diag_of(a, b)[:, None]
+        diag = mem.diag(a, b)[:, None]
         if s is not None:
             diag = s * diag
         if frame is not None:
@@ -558,7 +545,7 @@ def _volterra(source, grid: TimeGrid, scales, frame=None, out=None, dist=None) -
         step_inv = np.linalg.inv(eye - 0.25 * h * h * diag)
         before = None if dist is None else out[a:b].copy()
         for i in range(a, b):
-            partial = row(i, flat[i - 1], flat)
+            partial = mem.row(i, flat[i - 1], flat)
             if s is not None:
                 partial *= s
             if frame is not None:
@@ -572,20 +559,9 @@ def _volterra(source, grid: TimeGrid, scales, frame=None, out=None, dist=None) -
         del diag, step_inv, before
         if frame is not None:
             del vinv_sup, v_sup
-    return out
-
-
-def _nonlocal_march(terms, grid: TimeGrid, scales, D: int, frame=None):
-    """march(out=None, dist=None) -> (out, meta) of the Volterra family with memory ``terms``."""
-
-    def march(out=None, dist=None):
-        source = _memory_source(terms, grid, D)
-        out = _volterra(source, grid, scales, frame, out, dist)
-        if frame is not None:
-            return out, {"engine": "drift-frame"}
-        return out, _march_meta(_final_generator(source, grid), grid)
-
-    return march
+    if frame is not None:
+        return out, {"engine": "drift-frame"}
+    return out, _march_meta(mem.final(), grid)
 
 
 def solve_nonlocal(k: GKSLKernel, grid: TimeGrid, part: str = "full") -> MapTrajectory:
@@ -600,7 +576,7 @@ def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) ->
     -int_0^t [A(t,s) Lambda(s)(.) + Lambda(s)(.) A(t,s)^dag] ds.
     """
     terms = [(p, -s) for p, s in drift_superop_terms(drift)]
-    out, meta = _nonlocal_march(terms, grid, _UNIT, drift.dim**2)()
+    out, meta = _volterra(terms, grid, drift.dim**2, _UNIT)
     meta["source"] = "drift-operator"
     return MapTrajectory(
         grid=grid, dim=drift.dim, family="nonlocal-drift", maps=out[:, 0], meta=meta
@@ -657,29 +633,28 @@ def _local_series(g_half: np.ndarray, h: float, order: int, scales, out=None, di
     return out, tails
 
 
-def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int, scales, out=None, dist=None):
+def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None, dist=None):
     """Iterate the nested-trapezoid integral operator: R_n = Q(R_{n-1}), R_0 = 1.
 
-    Q applies the memory rows to the history R_{n-1}, then integrates the
-    result by a cumulative trapezoid.  The march is node-outer: the memory sum
-    at t_i is formed once for the histories of R_0..R_{N-1} together, then
-    each order steps its trapezoid sum in turn, since R_n(t_i) needs
-    R_{n-1}(t_i).  The recurrences of :func:`_memory_rows` read only the
-    newest node of each history; the (M + 1) N D^2 array of every node is
-    kept only when the source has profiles that take rows.  R_n scales as
-    s^n, and the scales and results are as for :func:`_local_series`.
+    Q applies the memory rows of the (profile, D x D matrix) ``terms`` to the
+    history R_{n-1}, then integrates the result by a cumulative trapezoid.
+    The march is node-outer: the memory sum at t_i is formed once for the
+    histories of R_0..R_{N-1} together (:func:`_memory`), then each order
+    steps its trapezoid sum in turn, since R_n(t_i) needs R_{n-1}(t_i).  The
+    core's recurrences read only the newest node of each history; the
+    (M + 1) N D^2 array of every node is kept only when a profile takes rows.
+    R_n scales as s^n, and the scales and ``out`` are as for
+    :func:`_local_series`.  Returns (out, meta), the order-N tail in meta.
     """
     M, h = grid.steps, grid.h
-    D = dim * dim
-    diag_of, row = _memory_rows(source, h, D, order)
+    mem = _memory(terms, grid, D, order)
     total = _series_total(scales, order)
     eye = np.eye(D, dtype=complex)
     r = np.zeros((order + 1, D, D), dtype=complex)  # r[n] = R_n at the newest node
     r[0] = eye
     newest = r[:order].reshape(order * D * D)  # a view: R_0..R_{N-1} side by side
-    _, s, (decay, _, _), _ = source
     hist = None
-    if len(decay) < len(s):  # a profile takes rows
+    if mem.takes_rows:
         hist = np.empty((M + 1, order * D * D), dtype=complex)  # hist[j] = R_0..R_{N-1} at t_j
         hist[0] = newest
     if out is None:
@@ -689,10 +664,10 @@ def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int, scales, out=N
     f_prev = np.zeros((order, D, D), dtype=complex)  # f_n(t_{i-1}), n = 1..N
     for a in range(1, M + 1, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, M + 1)
-        diag = diag_of(a, b)
+        diag = mem.diag(a, b)
         before = None if dist is None else out[a:b].copy()
         for i in range(a, b):
-            partial = row(i, newest, hist)
+            partial = mem.row(i, newest, hist)
             for n in range(1, order + 1):
                 f = partial[n - 1] + 0.5 * h * (diag[i - a] @ r[n - 1])
                 r[n] += 0.5 * h * (f_prev[n - 1] + f)
@@ -703,7 +678,7 @@ def _nonlocal_series(source, grid: TimeGrid, dim: int, order: int, scales, out=N
             tails[i] = np.linalg.norm(r[order])
         if dist is not None:
             _raise_distance(dist, before, out[a:b])
-    return out, tails
+    return out, _series_meta(order, tails)
 
 
 def jump_series(
@@ -798,7 +773,7 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
         # copies on grid nodes, so the half-lattice tables are freed
         vinv, v = vinv_half[::2].copy(), v_half[::2].copy()
         if kind == "weak-nonlocal":
-            return _nonlocal_march(split.jump_part.terms, grid, scales, D, (vinv, v))
+            return functools.partial(_volterra, split.jump_part.terms, grid, D, scales, (vinv, v))
 
         def sandwich(out=None, dist=None):
             maps = _sandwich_stack(v)
@@ -809,13 +784,11 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
 
         return sandwich
     if kind == "nonlocal":
-        return _nonlocal_march(_part_terms(split, part), grid, scales, D)
+        return functools.partial(_volterra, _part_terms(split, part), grid, D, scales, None)
+    if kind == "series-nonlocal":
+        return functools.partial(_nonlocal_series, _part_terms(split, part), grid, D, order, scales)
 
     def march(out=None, dist=None):
-        if kind == "series-nonlocal":
-            source = _memory_source(_part_terms(split, part), grid, D)
-            out, tails = _nonlocal_series(source, grid, split.dim, order, scales, out, dist)
-            return out, _series_meta(order, tails)
         g_half = _local_generator(split, grid, part)
         meta = _march_meta(g_half[-1], grid)
         if kind == "local":

@@ -88,7 +88,8 @@ def main_sweep(outdir: Path) -> None:
     for cmd in ("solve", "certify", "gscan", "counterexample", "convolution", "validate"):
         run(f"help-{cmd}", cmd, "--help")
 
-    for config, extra in (("dephasing_kernel", ()), ("coherence_revival", ("--T", "4"))):
+    solved = (("dephasing_kernel", ()), ("coherence_revival", ("--T", "4")), ("gscan_kernel", ()))
+    for config, extra in solved:
         for fam in FAMILIES:
             case = f"{config}-{fam}"
             run(f"solve-{case}", "solve", "--kernel", f"configs/{config}.json", *extra,

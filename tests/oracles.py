@@ -12,7 +12,6 @@ from gkslmap.linalg import dagger, sandwich_superop
 from gkslmap.propagate import (
     _lattice,
     _local_generator,
-    _qtables,
     _sandwich_stack,
     solve_family,
 )
@@ -105,7 +104,7 @@ def rk4_local(k: GKSLKernel, grid: TimeGrid, part: str) -> np.ndarray:
 
 def rk4_frame(drift: TwoTimeOperatorFunction, grid: TimeGrid):
     """(V, Vinv) of the drift operator on the h/2 lattice, marched at step h/2."""
-    w_fine = _lattice(drift.terms, _qtables([p for p, _ in drift.terms], grid), drift.dim, grid)
+    w_fine = _lattice(drift.terms, drift.dim, grid)
     eye = np.eye(drift.dim, dtype=complex)
     vv = rk4_march(w_fine, np.stack([eye, eye]), grid.h / 2.0, frame_shift)
     return vv[:, 0], vv[:, 1]

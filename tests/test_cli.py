@@ -10,7 +10,14 @@ import pytest
 import gkslmap.cli as cli
 from gkslmap.cli import main
 from gkslmap.experiments import coherence_revival_kernel, dephasing_kernel, random_kernel
-from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, save_drift_spec, save_kernel_spec
+from gkslmap.kernel import (
+    GKSLKernel,
+    TwoTimeOperatorFunction,
+    load_kernel_spec,
+    save_drift_spec,
+    save_kernel_spec,
+    split_kernel,
+)
 from gkslmap.linalg import SIGMA_X, SIGMA_Z, sandwich_superop
 from gkslmap.profiles import ConstantProfile, SeparableProfile, SingleVarFactor, TabulatedProfile
 from gkslmap.serialize import canonical_dumps
@@ -296,6 +303,36 @@ DOCUMENTS = sorted(p.name for p in CONFIGS.glob("*.json") if "dim" in json.loads
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_shipped_kernel_and_drift_documents_validate(name):
     assert main(["validate", "--kernel", str(CONFIGS / name)]) == 0
+
+
+def test_certify_witness_names_the_first_node_that_is_not_cp(tmp_path):
+    out = tmp_path / "run"
+    code = main(["solve", "--kernel", str(CONFIGS / "coherence_revival.json"), "--T", "4",
+                 "--family", "nonlocal-drift", "--out", str(out)])
+    assert code == 0
+    assert main(["certify", "--trajectory", str(out / "trajectory.json"), "--out", str(out)]) == 1
+    report = json.loads((out / "cp_report.json").read_text())
+    node = report["verdict"].index("not-CP")
+    assert node == 158
+    assert report["witness"] == {
+        "node": node, "t": report["times"][node], "lambda_min": report["lambda_min"][node]
+    }
+    assert report["witness"]["lambda_min"] < 0
+
+
+def test_counterexample_of_a_kernel_probes_its_drift_operator(tmp_path):
+    path = CONFIGS / "dephasing_kernel.json"
+    drift = tmp_path / "drift.json"
+    kernel = load_kernel_spec(json.loads(path.read_text()))
+    drift.write_text(canonical_dumps(save_drift_spec(split_kernel(kernel).drift_op)) + "\n")
+    docs = []
+    for name, doc_path in (("kernel", path), ("drift", drift)):
+        code = main(["counterexample", "--kernel", str(doc_path), "--out", str(tmp_path / name)])
+        assert code == 0
+        doc = json.loads((tmp_path / name / "witness.json").read_text())
+        del doc["provenance"]  # names the input file
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_hermitian_part_is_checked_at_every_tabulated_node(tmp_path, capsys):

@@ -83,6 +83,8 @@ def test_profile_product_is_pointwise(t, tp):
             SeparableProfile(SingleVarFactor("exp", rate=-0.3), SingleVarFactor("constant")),
             ConstantProfile(2.0),
         ),
+        (ConstantProfile(1.0), GaussianProfile(0.7)),
+        (ExpProfile(-0.4), ConstantProfile(1.0)),
     ]
     for a, b in pairs:
         prod = profile_product(a, b)

@@ -33,9 +33,8 @@ from gkslmap.profiles import (
 from gkslmap.propagate import (
     _REFINE,
     _family_march,
-    _final_generator,
     _fine_nodes,
-    _memory_source,
+    _memory,
     _qtable,
     family_distances,
     jump_exponential_series,
@@ -574,7 +573,7 @@ def test_final_generator_matches_trapezoid_matrix_row(corpus, steps):
         terms = part_terms(k)["full"]
         tables = coarse_tables(terms, grid)
         expected = sum(np.einsum("j,j->", w_last, c[-1]) * s for c, s in tables)
-        got = _final_generator(_memory_source(terms, grid, k.dim**2), grid)
+        got = _memory(terms, grid, k.dim**2, 1).final()
         assert rel_gap(got, expected) <= 1e-12
 
 
@@ -631,10 +630,15 @@ EDGE_GRID = TimeGrid(2.0, 800)  # e^{ah} compounds one rounding per step
 def test_edge_kernel_mixes_recurrences_and_rows():
     k = recurrence_edge_kernel()
     for part in ("full", "jump", "drift"):
-        _, s, (decay, _, _), _ = _memory_source(part_terms(k)[part], EDGE_GRID, 4)
-        assert 0 < len(decay) < len(s), part
-        assert np.any(np.abs(decay) > 1) and np.any(decay.imag != 0), part
-        assert np.any(decay == 1), part  # constant c
+        terms = part_terms(k)[part]
+        forms = [p.form for p in dict.fromkeys(p for p, _ in terms)]
+        # c(tau) = C e^{a tau} takes the recurrence at rate a; the rest take rows
+        rates = np.array([sum(c.rate for c in form[0] if c.kind == "exp") for form in forms
+                          if form is not None and all(c.kind != "gaussian" for c in form[0])])
+        assert 0 < len(rates) < len(forms), part
+        assert _memory(terms, EDGE_GRID, 4, 1).takes_rows, part
+        assert np.any(rates.real > 0) and np.any(rates.imag != 0), part
+        assert np.any(rates == 0), part  # constant c
 
 
 @pytest.mark.parametrize("part", ("full", "jump", "drift"))
@@ -729,7 +733,9 @@ def test_coupled_march_matches_a_solve_per_coupling(family):
 
 
 @pytest.mark.parametrize(
-    "pair", [("nonlocal-full", "weak-nonlocal-full"), ("local-full", "nonlocal-full")]
+    "pair",
+    [("nonlocal-full", "weak-nonlocal-full"), ("local-full", "nonlocal-full"),
+     ("nonlocal-full", "local-full")],
 )
 def test_family_distances_match_pair_distance_per_coupling(pair):
     for k in scan_kernels():
