@@ -53,19 +53,11 @@ from .profiles import (
     profile_to_doc,
 )
 from .propagate import (
-    jump_exponential_series,
-    jump_series,
-    ordered_exponential,
     ordered_exponential_from_drift,
     solve_family,
     solve_local,
-    solve_local_drift,
     solve_local_full_via_transform,
-    solve_local_jump,
-    solve_nonlocal,
     solve_nonlocal_from_drift,
-    weak_coupling_localize,
-    weak_drift_localize,
 )
 from .trajectory import FAMILY_TAGS, MapTrajectory, OrderedExponential, TimeGrid
 

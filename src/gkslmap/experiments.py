@@ -37,7 +37,7 @@ from .profiles import (
     TabulatedProfile,
     profile_product,
 )
-from .propagate import family_distances, solve_nonlocal
+from .propagate import family_distances, solve_family
 from .serialize import csv_row, csv_table
 from .trajectory import MapTrajectory, TimeGrid
 
@@ -410,8 +410,8 @@ def convolution_case(
     """Run the convolution-case audit (nonlocal full + drift companion)."""
     if not k.is_convolution:
         raise ValueError("convolution_case requires convolution-type profiles throughout")
-    full = solve_nonlocal(k, grid, part="full")
-    z = solve_nonlocal(k, grid, part="drift")
+    full = solve_family(k, grid, "nonlocal-full")
+    z = solve_family(k, grid, "nonlocal-drift")
     full_report = certify_trajectory(full, eps_cp=eps_cp)
     z_report = certify_trajectory(z, eps_cp=eps_cp)
     z_cp = z_report.all_cp

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "vectorize",
-    "unvectorize",
     "sandwich_superop",
     "frobenius",
     "dagger",
@@ -25,7 +24,6 @@ __all__ = [
     "NotHermitianError",
     "random_operator",
     "random_hermitian",
-    "random_density",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -51,15 +49,6 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 def vectorize(a) -> np.ndarray:
     """Column-stack a square matrix: vec(A)[i + d*j] = A[i, j]."""
     return _as_square(a).reshape(-1, order="F")
-
-
-def unvectorize(v, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size))) if dim is None else int(dim)
-    if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape((d, d), order="F")
 
 
 def sandwich_superop(a, b) -> np.ndarray:
@@ -142,10 +131,3 @@ def random_hermitian(rng: np.random.Generator, dim: int, norm: float = 1.0) -> n
     a = random_operator(rng, dim, 1.0)
     h = 0.5 * (a + a.conj().T)
     return h * (norm / np.linalg.norm(h, ord=2))
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random full-rank density matrix (Wishart-like, unit trace)."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T + 1e-3 * np.eye(dim)
-    return rho / np.trace(rho).real

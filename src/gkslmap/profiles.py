@@ -1,6 +1,6 @@
 """Scalar two-time profiles c(t, t') multiplying constant operators in kernels.
 
-The public family (the only kinds accepted in kernel documents):
+The kinds accepted in kernel documents:
 
 * ``constant``              c
 * ``exponential-decay``     exp(-kappa (t - t')), optionally times exp(i omega (t - t'))
@@ -8,14 +8,16 @@ The public family (the only kinds accepted in kernel documents):
 * ``gaussian``              exp(-((t - t') / tau)^2)
 * ``product-separable``     f(t) g(t') with f, g single-variable factors
 * ``tabulated-grid``        bilinear interpolation of a uniform sample matrix
+* ``product``               the product of two or more profiles of the kinds
+                            above but ``tabulated-grid``
 
 Profiles evaluate vectorized over numpy arrays.  Every profile of the closed
 family (all kinds but ``tabulated-grid``, and their products) declares its
 normal form c(t - t') f(t) g(t') as single-variable factors (``form``), which
 the fast solver paths read and from which the convolution predicate (True
 exactly when the value depends on t - t' only) follows.  Conjugation and
-products are closed over the family plus an internal product node, which is
-what lets drift operators and jump-pair coefficients stay in profile form.
+products are closed over the family plus a product node, which is what lets
+drift operators and jump-pair coefficients stay in profile form.
 """
 
 from __future__ import annotations
@@ -261,7 +263,8 @@ class TabulatedProfile(Profile):
 
 @dataclass(frozen=True)
 class ProductProfile(Profile):
-    """Internal product node; never serialized into kernel documents."""
+    """Product of profiles; documents hold two or more factors with a normal form
+    (a kernel's horizon and Hermiticity checks see no table inside a product)."""
 
     factors: tuple
 
@@ -313,6 +316,7 @@ _KIND_KEYS = {
     "gaussian": ("tau",),
     "product-separable": ("f", "g"),
     "tabulated-grid": ("t_max", "values"),
+    "product": ("factors",),
 }
 _FACTOR_KINDS = ("constant", "exponential-decay", "oscillatory", "gaussian")
 
@@ -380,6 +384,12 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
             _factor_from_doc(doc["f"], f"{field}.f"),
             _factor_from_doc(doc["g"], f"{field}.g"),
         )
+    if kind == "product":
+        raw = doc.get("factors")
+        if not isinstance(raw, list):
+            raise ProfileFormatError(f"{field}.factors: expected a list of profiles")
+        factors = [profile_from_doc(f, f"{field}.factors[{i}]") for i, f in enumerate(raw)]
+        return ProductProfile(_product_factors(factors, field))
     t_max = _number(doc, "t_max", field, positive=True)  # tabulated-grid
     raw = doc.get("values")
     if not isinstance(raw, list) or len(raw) < 2:
@@ -390,6 +400,16 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
             raise ProfileFormatError(f"{field}.values[{i}]: rows must form a square matrix")
         rows.append([_cplx(v, f"{field}.values[{i}]") for v in row])
     return TabulatedProfile(float(t_max), rows)
+
+
+def _product_factors(factors, field: str) -> tuple:
+    """The factors of a product document: two or more, each with a normal form, no product."""
+    if len(factors) < 2:
+        raise ProfileFormatError(f"{field}.factors: a product needs at least two factors")
+    for i, f in enumerate(factors):
+        if isinstance(f, ProductProfile) or f.form is None:
+            raise ProfileFormatError(f"{field}.factors[{i}]: has no normal form or is a product")
+    return tuple(factors)
 
 
 def profile_to_doc(p: Profile, field: str = "profile"):
@@ -410,5 +430,11 @@ def profile_to_doc(p: Profile, field: str = "profile"):
             "kind": "tabulated-grid",
             "t_max": float(p.t_max),
             "values": [[_cplx_doc(complex(v)) for v in row] for row in p.values],
+        }
+    if isinstance(p, ProductProfile):
+        factors = _product_factors(p.factors, field)
+        return {
+            "kind": "product",
+            "factors": [profile_to_doc(f, f"{field}.factors[{i}]") for i, f in enumerate(factors)],
         }
     raise ProfileFormatError(f"{field}: profile {type(p).__name__} has no document form")

@@ -67,7 +67,6 @@ it replaces them, so the scan holds one (M + 1) W D^2 array.
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -79,22 +78,14 @@ from .kernel import (
     drift_superop_terms,
     split_kernel,
 )
-from .linalg import dagger, frobenius
+from .linalg import frobenius
 from .trajectory import FAMILY_TAGS, MapTrajectory, OrderedExponential, TimeGrid
 
 __all__ = [
     "solve_local",
-    "solve_local_jump",
-    "solve_local_drift",
-    "solve_nonlocal",
     "solve_nonlocal_from_drift",
-    "ordered_exponential",
     "ordered_exponential_from_drift",
     "solve_local_full_via_transform",
-    "weak_coupling_localize",
-    "weak_drift_localize",
-    "jump_series",
-    "jump_exponential_series",
     "solve_family",
     "family_distances",
 ]
@@ -320,16 +311,6 @@ def solve_local(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     return solve_family(k, grid, "local-full")
 
 
-def solve_local_jump(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
-    """Local jump-only trajectory (generator from the sandwich part, positive sign)."""
-    return solve_family(k, grid, "local-jump")
-
-
-def solve_local_drift(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
-    """Local drift-only trajectory (generator -D_t); equals V_t . V_t^dag conjugation."""
-    return solve_family(k, grid, "local-drift")
-
-
 # ---------------------------------------------------------------------------
 # ordered exponential of the drift operator
 
@@ -352,12 +333,6 @@ def ordered_exponential_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGri
     return OrderedExponential(
         grid=grid, dim=drift.dim, v=v_half[::2, 0], vinv=vinv_half[::2, 0]
     )
-
-
-def ordered_exponential(k: GKSLKernel, grid: TimeGrid) -> OrderedExponential:
-    """Time-ordered exponential of the kernel's drift operator (g^2-scaled)."""
-    k.check_horizon(grid.T)
-    return ordered_exponential_from_drift(split_kernel(k).drift_op, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +539,6 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
     return out, _march_meta(mem.final(), grid)
 
 
-def solve_nonlocal(k: GKSLKernel, grid: TimeGrid, part: str = "full") -> MapTrajectory:
-    """Nonlocal trajectory: the memory integral acts on Lambda(s), not Lambda(t)."""
-    return solve_family(k, grid, f"nonlocal-{part}")
-
-
 def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> MapTrajectory:
     """Nonlocal drift-only trajectory for an arbitrary drift-operator function A.
 
@@ -681,66 +651,6 @@ def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None
     return out, _series_meta(order, tails)
 
 
-def jump_series(
-    k: GKSLKernel, grid: TimeGrid, order: int = 8, locality: str = "local"
-) -> MapTrajectory:
-    """Truncated iterated-integral solution of the jump-only equation.
-
-    locality "local" nests t2 <= t1, t3 <= t1, t4 <= t3, ...: each new factor
-    integrates the one-variable generator, realized by marching the triangular
-    stack dP_n/dt = G_jump(t) P_{n-1}.  locality "nonlocal" nests fully ordered
-    t_{2n} <= ... <= t_1: each iteration applies the nested-trapezoid Volterra
-    integral operator.  meta carries the per-node norm of the order-N term.
-    """
-    if locality not in ("local", "nonlocal"):
-        raise ValueError(f"unknown locality {locality!r}; expected 'local' or 'nonlocal'")
-    return solve_family(k, grid, f"series-{locality}-jump", order)
-
-
-def jump_exponential_series(l_op: np.ndarray, t: float, rho: np.ndarray, order: int) -> np.ndarray:
-    """Closed-form jump exponential: rho + sum_{n=1}^{N} t^n/n! L^n rho L^dag^n.
-
-    For nilpotent L the sum terminates exactly; for normal L it converges as
-    the scalar exponential series.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    l_op = np.asarray(l_op, dtype=complex)
-    ld = dagger(l_op)
-    out = np.asarray(rho, dtype=complex).copy()
-    term = np.asarray(rho, dtype=complex)
-    for n in range(1, order + 1):
-        term = l_op @ term @ ld
-        out = out + (t**n / math.factorial(n)) * term
-    return out
-
-
-# ---------------------------------------------------------------------------
-# weak-coupling localized forms
-
-
-def weak_coupling_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
-    """Mixed equation: drift acting on Lambda(t), jump memory on Lambda(s).
-
-    Solved in the drift frame with the two-time hatted jump operators
-    A-bar_k(t,s) = V_t^{-1} A_k V_s; the frame makes every quadrature
-    increment a sandwich map with positive weight, so the discrete map is
-    completely positive by construction at every node (trace preservation, by
-    contrast, holds only through the weak-coupling order).
-    """
-    return solve_family(k, grid, "weak-nonlocal-full")
-
-
-def weak_drift_localize(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
-    """Drift-only weak form: the memory integral's Lambda(s) replaced by Lambda(t).
-
-    The localized drift equation is solved exactly by the ordered exponential,
-    Lambda_t = V_t (.) V_t^dag, which is a sandwich map and hence completely
-    positive at every node.
-    """
-    return solve_family(k, grid, "weak-local-drift")
-
-
 # ---------------------------------------------------------------------------
 # the family registry
 
@@ -765,6 +675,18 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     The weak families' drift frames are marched here, before any map march.
     weak-local-drift forms its maps at once, so with ``dist`` it compares
     them with ``out`` at the end, overwriting ``out``.
+
+    The families, G_t = int_0^t K(t, s) ds of the part K = J - D, J or -D:
+
+    * local-<part>: dLambda/dt = G_t Lambda; local-drift is V_t (.) V_t^dag.
+    * nonlocal-<part>: dLambda/dt = int_0^t K(t, s) Lambda(s) ds.
+    * series-local-<part>: integrals nested t2, t3 <= t1, t4 <= t3, ...: dP_n/dt = G_t P_{n-1}.
+    * series-nonlocal-jump: fully ordered t_{2n} <= ... <= t_1, one Volterra operator per order.
+    * weak-local-drift: Lambda(s) -> Lambda(t) in the memory, solved by the sandwich of V: CP.
+    * weak-nonlocal-full: in the drift frame, A-bar_k(t, s) = V_t^{-1} A_k V_s; CP by
+      construction (positive sandwich increments), trace-preserving only to weak-coupling order.
+
+    A series' meta carries the per-node norm of its order-N term.
     """
     D = split.dim * split.dim
     kind, _, part = family.rpartition("-")

@@ -3,7 +3,11 @@
 The solvers work from the separable form of :func:`gkslmap.kernel.split_kernel`
 on O(M) tables and rows; the first references evaluate the kernel directly,
 one (t, t') at a time.  The Runge-Kutta references march stage by stage.
+The last section holds criterion 1's closed form and two helpers that only
+the tests use.
 """
+
+import math
 
 import numpy as np
 
@@ -135,3 +139,41 @@ def solved_pair_distance(k: GKSLKernel, grid: TimeGrid, pair, order: int = 8) ->
     a = solve_family(k, grid, pair[0], order=order)
     b = solve_family(k, grid, pair[1], order=order)
     return float(np.max(np.linalg.norm(a.maps - b.maps, axis=(1, 2))))
+
+
+# ---------------------------------------------------------------------------
+# closed forms and helpers only the tests use
+
+
+def jump_exponential_series(l_op: np.ndarray, t: float, rho: np.ndarray, order: int) -> np.ndarray:
+    """Closed-form jump exponential: rho + sum_{n=1}^{N} t^n/n! L^n rho L^dag^n.
+
+    For nilpotent L the sum terminates exactly; for normal L it converges as
+    the scalar exponential series.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    l_op = np.asarray(l_op, dtype=complex)
+    ld = dagger(l_op)
+    out = np.asarray(rho, dtype=complex).copy()
+    term = np.asarray(rho, dtype=complex)
+    for n in range(1, order + 1):
+        term = l_op @ term @ ld
+        out = out + (t**n / math.factorial(n)) * term
+    return out
+
+
+def unvectorize(v, dim: int | None = None) -> np.ndarray:
+    """Inverse of :func:`gkslmap.linalg.vectorize`."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    d = int(round(np.sqrt(v.size))) if dim is None else int(dim)
+    if d * d != v.size:
+        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
+    return v.reshape((d, d), order="F")
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random full-rank density matrix (Wishart-like, unit trace)."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T + 1e-3 * np.eye(dim)
+    return rho / np.trace(rho).real

@@ -35,17 +35,15 @@ from gkslmap.kernel import (
 from gkslmap.linalg import SIGMA_PLUS, SIGMA_X, SIGMA_Z
 from gkslmap.profiles import ConstantProfile, ExpProfile, SeparableProfile, SingleVarFactor
 from gkslmap.propagate import (
-    jump_exponential_series,
-    jump_series,
     ordered_exponential_from_drift,
+    solve_family,
     solve_local,
     solve_local_full_via_transform,
-    solve_nonlocal,
     solve_nonlocal_from_drift,
-    weak_coupling_localize,
 )
 from gkslmap.serialize import canonical_dumps
 from gkslmap.trajectory import TimeGrid
+from oracles import jump_exponential_series
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -116,7 +114,7 @@ def test_criterion_01_jump_series_closed_form():
     jump = TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), SIGMA_Z)])
     k = GKSLKernel.build(2, jump_ops=(jump,))
     grid = TimeGrid(1.0, 100)
-    traj = jump_series(k, grid, order=12, locality="local")
+    traj = solve_family(k, grid, "series-local-jump", order=12)
     rho0 = np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, 0.3]])
     states = traj.apply(rho0)
     worst = 0.0
@@ -170,7 +168,7 @@ def test_criterion_04_divisibility():
     )
     deph_ok = deph.all_cp and deph.divisibility.all_cp
 
-    revival = solve_nonlocal(coherence_revival_kernel(), TimeGrid(4.0, 400))
+    revival = solve_family(coherence_revival_kernel(), TimeGrid(4.0, 400), "nonlocal-full")
     rep = certify_trajectory(revival, divisibility=True)
     nodes_cp = rep.all_cp
     viols = rep.divisibility.violations
@@ -201,7 +199,7 @@ def test_criterion_05_nonlocal_jump_cp_on_corpus(corpus20, grid400):
     worst = 0.0
     all_cp = True
     for k in corpus20:
-        report = certify_trajectory(solve_nonlocal(k, grid400, part="jump"), eps_cp=1e-8)
+        report = certify_trajectory(solve_family(k, grid400, "nonlocal-jump"), eps_cp=1e-8)
         worst = min(worst, min(report.lambda_mins))
         all_cp = all_cp and report.all_cp
         assert len(report.verdicts) == 401
@@ -257,7 +255,7 @@ def test_criterion_07_weak_coupling_slope(corpus20):
     weak_cp = True
     for k in kernels:
         for g in (0.05, 0.1, 0.2, 0.3):
-            rep = certify_trajectory(weak_coupling_localize(k.with_coupling(g), grid))
+            rep = certify_trajectory(solve_family(k.with_coupling(g), grid, "weak-nonlocal-full"))
             weak_cp = weak_cp and rep.all_cp
 
     in_band = all(3.7 <= s <= 4.3 for s in slopes)
@@ -330,7 +328,7 @@ def test_criterion_09_ordered_exponential_inverse(grid400):
 def test_criterion_10_self_convergence():
     ms = (100, 200, 400, 800)
     volterra = observed_order(
-        lambda g: solve_nonlocal(dephasing_kernel(), g), T=2.0, m_values=ms
+        lambda g: solve_family(dephasing_kernel(), g, "nonlocal-full"), T=2.0, m_values=ms
     )
     smooth = SeparableProfile(SingleVarFactor("exp", rate=-1.0), SingleVarFactor("constant"))
     fn = TwoTimeOperatorFunction.build(2, [(smooth, SIGMA_Z + 0.2 * SIGMA_X)])

@@ -320,15 +320,17 @@ def test_certify_witness_names_the_first_node_that_is_not_cp(tmp_path):
     assert report["witness"]["lambda_min"] < 0
 
 
-def test_counterexample_of_a_kernel_probes_its_drift_operator(tmp_path):
-    path = CONFIGS / "dephasing_kernel.json"
+@pytest.mark.parametrize("config, exit_code",
+                         [("dephasing_kernel.json", 0), ("gscan_kernel.json", 1)])
+def test_counterexample_of_a_kernel_probes_its_drift_operator(tmp_path, config, exit_code):
+    path = CONFIGS / config
     drift = tmp_path / "drift.json"
     kernel = load_kernel_spec(json.loads(path.read_text()))
     drift.write_text(canonical_dumps(save_drift_spec(split_kernel(kernel).drift_op)) + "\n")
     docs = []
     for name, doc_path in (("kernel", path), ("drift", drift)):
         code = main(["counterexample", "--kernel", str(doc_path), "--out", str(tmp_path / name)])
-        assert code == 0
+        assert code == exit_code
         doc = json.loads((tmp_path / name / "witness.json").read_text())
         del doc["provenance"]  # names the input file
         docs.append(doc)

@@ -29,12 +29,12 @@ from gkslmap.linalg import (
     dagger,
     random_operator,
     sandwich_superop,
-    unvectorize,
     vectorize,
 )
 from gkslmap.profiles import ConstantProfile, ExpProfile
 from gkslmap.propagate import solve_family, solve_local
 from gkslmap.trajectory import MapTrajectory, TimeGrid
+from oracles import unvectorize
 
 
 def transpose_superop(d=2):

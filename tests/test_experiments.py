@@ -25,7 +25,7 @@ from gkslmap.profiles import (
     SeparableProfile,
     SingleVarFactor,
 )
-from gkslmap.propagate import family_distances, solve_nonlocal
+from gkslmap.propagate import family_distances, solve_family
 from gkslmap.trajectory import TimeGrid
 from oracles import eval_kernel_superop
 
@@ -229,8 +229,8 @@ def test_convolution_and_general_forms_agree():
     b = GKSLKernel.build(2, jump_ops=(fn,), coupling=0.7)
     assert b.is_convolution
     grid = TimeGrid(1.5, 100)
-    ta = solve_nonlocal(a, grid)
-    tb = solve_nonlocal(b, grid)
+    ta = solve_family(a, grid, "nonlocal-full")
+    tb = solve_family(b, grid, "nonlocal-full")
     assert np.max(np.linalg.norm(ta.maps - tb.maps, axis=(1, 2))) < 1e-10
 
 
@@ -262,7 +262,7 @@ def test_convolution_case_rejects_general_kernels():
 
 def test_coherence_revival_oracle():
     grid = TimeGrid(2.0, 200)
-    traj = solve_nonlocal(coherence_revival_kernel(), grid)
+    traj = solve_family(coherence_revival_kernel(), grid, "nonlocal-full")
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     coherence = traj.apply(rho0)[:, 0, 1].real * 2.0
     expected = np.cos(np.sqrt(2.0) * grid.nodes())
@@ -270,7 +270,7 @@ def test_coherence_revival_oracle():
 
 
 def test_observed_order_volterra():
-    est = observed_order(lambda g: solve_nonlocal(dephasing_kernel(), g), T=1.0,
+    est = observed_order(lambda g: solve_family(dephasing_kernel(), g, "nonlocal-full"), T=1.0,
                          m_values=(50, 100, 200))
     assert est.min_order > 1.8
     assert len(est.differences) == 2 and len(est.orders) == 1
@@ -278,4 +278,5 @@ def test_observed_order_volterra():
 
 def test_observed_order_needs_three_grids():
     with pytest.raises(ValueError):
-        observed_order(lambda g: solve_nonlocal(dephasing_kernel(), g), m_values=(100, 200))
+        observed_order(lambda g: solve_family(dephasing_kernel(), g, "nonlocal-full"),
+                       m_values=(100, 200))

@@ -1,5 +1,8 @@
 """Kernel container: construction, validation, splitting, serialization."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,10 +22,14 @@ from gkslmap.profiles import (
     ConstantProfile,
     ExpProfile,
     GaussianProfile,
+    ProductProfile,
+    ProfileFormatError,
     SeparableProfile,
     SingleVarFactor,
     TabulatedProfile,
+    profile_to_doc,
 )
+from gkslmap.serialize import canonical_dumps
 from oracles import eval_kernel_superop
 
 
@@ -205,6 +212,24 @@ def test_drift_spec_round_trip():
         assert np.allclose(loaded(t, tp), w(t, tp), atol=1e-14)
     with pytest.raises(KernelFormatError, match="drift"):
         load_drift_spec({"dim": 2})
+    # a kernel's drift operator: its jump pairings are products of two separable profiles
+    path = Path(__file__).resolve().parents[1] / "configs" / "gscan_kernel.json"
+    w = split_kernel(load_kernel_spec(json.loads(path.read_text()))).drift_op
+    assert any(isinstance(p, ProductProfile) for p, _ in w.terms)
+    loaded = load_drift_spec(json.loads(canonical_dumps(save_drift_spec(w))))
+    assert len(loaded.terms) == len(w.terms)
+    for (p, a), (q, b) in zip(w.terms, loaded.terms):
+        assert q == p and np.array_equal(b, a)
+    # a table inside a product is refused both ways
+    tab = TabulatedProfile(2.0, np.ones((3, 3)))
+    w = TwoTimeOperatorFunction.build(2, [(ProductProfile((ExpProfile(-1.0), tab)), SIGMA_Z)])
+    with pytest.raises(ProfileFormatError, match=r"^profile\.factors\[1\]: "):
+        save_drift_spec(w)
+    doc = save_drift_spec(TwoTimeOperatorFunction.build(2, [(ExpProfile(-1.0), SIGMA_Z)]))
+    factors = [doc["drift"][0]["profile"], profile_to_doc(tab)]
+    doc["drift"][0]["profile"] = {"kind": "product", "factors": factors}
+    with pytest.raises(KernelFormatError, match=r"^drift\[0\]\.profile\.factors\[1\]: "):
+        load_drift_spec(doc)
 
 
 def test_superop_action_matches_operator_form():

@@ -13,13 +13,12 @@ from gkslmap.linalg import (
     dagger,
     frobenius,
     hermitian_eig,
-    random_density,
     random_hermitian,
     random_operator,
     sandwich_superop,
-    unvectorize,
     vectorize,
 )
+from oracles import random_density, unvectorize
 
 
 def test_vectorize_is_column_stacking():

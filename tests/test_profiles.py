@@ -1,5 +1,7 @@
 """Scalar memory profiles: evaluation, conjugation, products, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from dataclasses import dataclass
@@ -188,6 +190,14 @@ def test_tabulated_profile_rejects_out_of_domain():
             SingleVarFactor("exp", rate=-0.4), SingleVarFactor("gaussian", tau=1.1)
         ),
         TabulatedProfile(2.5, np.arange(9.0).reshape(3, 3)),
+        ProductProfile(
+            (
+                SeparableProfile(SingleVarFactor("exp", rate=-0.6), SingleVarFactor("gaussian")),
+                SeparableProfile(SingleVarFactor("exp", rate=0.2j), SingleVarFactor("constant")),
+                ExpProfile(1.5j),
+                ConstantProfile(0.5 - 0.25j),
+            )
+        ),
     ],
 )
 def test_profile_doc_round_trip(profile):
@@ -195,6 +205,7 @@ def test_profile_doc_round_trip(profile):
     back = profile_from_doc(doc)
     t = np.linspace(0, 2.2, 7)
     assert np.allclose(back(t[:, None], t[None, :]), profile(t[:, None], t[None, :]))
+    assert back == profile
 
 
 def test_profile_from_doc_reports_offending_field():
@@ -205,3 +216,21 @@ def test_profile_from_doc_reports_offending_field():
         profile_from_doc({"kind": "no-such-kind"})
     with pytest.raises(ProfileFormatError, match=r"^profile\.omgea: unknown key"):
         profile_from_doc({"kind": "oscillatory", "omega": 1.0, "omgea": 1.0})
+    # products a document cannot hold, each with the field its error must name; a
+    # table inside a product would get past a kernel's horizon and Hermiticity checks
+    closed = SeparableProfile(SingleVarFactor("exp", rate=-0.5), SingleVarFactor("gaussian"))
+    table = TabulatedProfile(2.0, np.ones((3, 3)))
+    bad_products = [
+        (ProductProfile((closed,)), "profile.factors"),
+        (ProductProfile((closed, table)), "profile.factors[1]"),
+        (ProductProfile((ProductProfile((closed, closed)), closed)), "profile.factors[0]"),
+    ]
+    for product, field in bad_products:
+        with pytest.raises(ProfileFormatError, match=rf"^{re.escape(field)}: "):
+            profile_to_doc(product)
+        doc = {"kind": "product", "factors": [profile_to_doc(f) for f in product.factors]}
+        with pytest.raises(ProfileFormatError, match=rf"^{re.escape(field)}: "):
+            profile_from_doc(doc)
+    for factors in ({"kind": "constant"}, None):
+        with pytest.raises(ProfileFormatError, match=r"^profile\.factors: "):
+            profile_from_doc({"kind": "product", "factors": factors})

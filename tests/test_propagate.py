@@ -14,7 +14,6 @@ from gkslmap.linalg import (
     SIGMA_X,
     SIGMA_Z,
     dagger,
-    random_density,
     random_hermitian,
     random_operator,
     sandwich_superop,
@@ -37,24 +36,18 @@ from gkslmap.propagate import (
     _memory,
     _qtable,
     family_distances,
-    jump_exponential_series,
-    jump_series,
-    ordered_exponential,
     ordered_exponential_from_drift,
     solve_family,
     solve_local,
-    solve_local_drift,
-    solve_local_jump,
     solve_local_full_via_transform,
-    solve_nonlocal,
     solve_nonlocal_from_drift,
-    weak_coupling_localize,
-    weak_drift_localize,
 )
 from gkslmap.trajectory import FAMILY_TAGS, TimeGrid
 from oracles import (
     effective_generator,
     eval_kernel_superop,
+    jump_exponential_series,
+    random_density,
     rk4_frame,
     rk4_local,
     rk4_local_series,
@@ -114,8 +107,8 @@ def test_full_solvers_preserve_trace_and_hermiticity(corpus, rng):
     k = corpus[0]
     grid = TimeGrid(1.0, 80)
     rho = random_density(rng, k.dim)
-    for solver in (solve_local, solve_nonlocal):
-        traj = solver(k, grid)
+    for family in ("local-full", "nonlocal-full"):
+        traj = solve_family(k, grid, family)
         assert max(trace_deviation(m) for m in traj.maps) < 1e-12
         out = traj.apply(rho)[-1]
         assert np.linalg.norm(out - dagger(out)) < 1e-12
@@ -137,7 +130,7 @@ def test_effective_generator_trapezoid_reference():
 def test_ordered_exponential_constant_drift(grid_short):
     k = constant_kernel()
     w0 = split_kernel(k).drift_op(0.7, 0.2)  # constant drift operator
-    oe = ordered_exponential(k, grid_short)
+    oe = ordered_exponential_from_drift(split_kernel(k).drift_op, grid_short)
     for t, m in [(0.5, 50), (1.0, 100)]:
         assert np.linalg.norm(oe.v[m] - expm(-0.5 * t * t * w0)) < 1e-8
     assert oe.inversion_defect() < 1e-9
@@ -169,14 +162,14 @@ def test_transform_route_agrees_with_direct_local(corpus):
 
 def test_weak_drift_family_is_ordered_exponential_sandwich(grid_short):
     k = dephasing_kernel()
-    traj = weak_drift_localize(k, grid_short)
-    oe = ordered_exponential(k, grid_short)
+    traj = solve_family(k, grid_short, "weak-local-drift")
+    oe = ordered_exponential_from_drift(split_kernel(k).drift_op, grid_short)
     for m in (0, 37, 100):
         expected = np.kron(oe.v[m].conj(), oe.v[m])
         assert np.allclose(traj.maps[m], expected, atol=1e-14)
     # dephasing drift is scalar-profile diagonal, so the localized drift
     # equation and the local-drift march integrate the same commuting family
-    direct = solve_local_drift(k, grid_short)
+    direct = solve_family(k, grid_short, "local-drift")
     gap = max(np.linalg.norm(x - y) for x, y in zip(traj.maps, direct.maps))
     assert gap < 1e-9
 
@@ -185,7 +178,7 @@ def test_jump_series_matches_closed_form(grid_short):
     k = GKSLKernel.build(
         2, jump_ops=[TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), SIGMA_Z)])]
     )
-    traj = jump_series(k, grid_short, order=16, locality="local")
+    traj = solve_family(k, grid_short, "series-local-jump", order=16)
     rho0 = np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, 0.3]])
     out = traj.apply(rho0)[-1]
     closed = jump_exponential_series(SIGMA_Z, 0.5, rho0, 16)  # effective time t^2/2
@@ -199,8 +192,8 @@ def test_local_series_second_order_term_is_exact():
     k = GKSLKernel.build(
         2, jump_ops=[TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), SIGMA_Z)])]
     )
-    s1 = jump_series(k, grid, order=1, locality="local").final_map()
-    s2 = jump_series(k, grid, order=2, locality="local").final_map()
+    s1 = solve_family(k, grid, "series-local-jump", order=1).final_map()
+    s2 = solve_family(k, grid, "series-local-jump", order=2).final_map()
     s_op = sandwich_superop(SIGMA_Z, SIGMA_Z)
     expected = (grid.T**4 / 8.0) * (s_op @ s_op)
     # degree-3 polynomial integrands: the Runge-Kutta stack reproduces the
@@ -213,8 +206,8 @@ def test_nonlocal_series_second_order_term():
     k = GKSLKernel.build(
         2, jump_ops=[TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), SIGMA_Z)])]
     )
-    s1 = jump_series(k, grid, order=1, locality="nonlocal").final_map()
-    s2 = jump_series(k, grid, order=2, locality="nonlocal").final_map()
+    s1 = solve_family(k, grid, "series-nonlocal-jump", order=1).final_map()
+    s2 = solve_family(k, grid, "series-nonlocal-jump", order=2).final_map()
     s_op = sandwich_superop(SIGMA_Z, SIGMA_Z)
     expected = (grid.T**4 / 24.0) * (s_op @ s_op)
     assert np.linalg.norm((s2 - s1) - expected) < 5e-5
@@ -223,8 +216,8 @@ def test_nonlocal_series_second_order_term():
 def test_series_telescope_to_marches():
     grid = TimeGrid(1.5, 100)
     k = dephasing_kernel(0.8)
-    series = jump_series(k, grid, order=14, locality="nonlocal")
-    march = solve_nonlocal(k, grid, part="jump")
+    series = solve_family(k, grid, "series-nonlocal-jump", order=14)
+    march = solve_family(k, grid, "nonlocal-jump")
     gap = max(np.linalg.norm(x - y) for x, y in zip(series.maps, march.maps))
     assert gap < 1e-10
     full_series = solve_family(k, grid, "series-local-full", order=14)
@@ -235,7 +228,7 @@ def test_series_telescope_to_marches():
 
 def test_nonlocal_from_drift_matches_kernel_route(grid_short):
     k = dephasing_kernel(0.7)
-    via_kernel = solve_nonlocal(k, grid_short, part="drift")
+    via_kernel = solve_family(k, grid_short, "nonlocal-drift")
     via_drift = solve_nonlocal_from_drift(split_kernel(k).drift_op, grid_short)
     assert np.allclose(via_kernel.maps, via_drift.maps, atol=1e-13)
     assert via_drift.meta["source"] == "drift-operator"
@@ -254,7 +247,8 @@ def test_rk4_convergence_order_on_smooth_generator():
 
 def test_volterra_convergence_order():
     k = dephasing_kernel()
-    finals = [solve_nonlocal(k, TimeGrid(1.0, m)).final_map() for m in (50, 100, 200)]
+    grids = [TimeGrid(1.0, m) for m in (50, 100, 200)]
+    finals = [solve_family(k, grid, "nonlocal-full").final_map() for grid in grids]
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
     assert np.log2(e1 / e2) > 1.8
@@ -275,15 +269,15 @@ def test_solvers_enforce_tabulated_horizon():
     with pytest.raises(ValueError):
         solve_local(k, TimeGrid(1.0, 10))
     with pytest.raises(ValueError):
-        solve_nonlocal(k, TimeGrid(1.0, 10))
-    solve_nonlocal(k, TimeGrid(0.5, 10))
+        solve_family(k, TimeGrid(1.0, 10), "nonlocal-full")
+    solve_family(k, TimeGrid(0.5, 10), "nonlocal-full")
 
 
 def test_series_rejects_nonpositive_order(grid_short):
     with pytest.raises(ValueError):
-        jump_series(dephasing_kernel(), grid_short, order=0)
+        solve_family(dephasing_kernel(), grid_short, "series-local-jump", order=0)
     with pytest.raises(ValueError):
-        jump_series(dephasing_kernel(), grid_short, order=4, locality="sideways")
+        solve_family(dephasing_kernel(), grid_short, "series-sideways-jump", order=4)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +554,7 @@ def test_nonlocal_march_matches_dense_reference(corpus, steps):
     for k in list(corpus) + extra_kernels():
         refs = {part: dense_nonlocal(terms, grid, k.dim) for part, terms in part_terms(k).items()}
         for part, ref in refs.items():
-            assert rel_gap(solve_nonlocal(k, grid, part=part).maps, ref) <= 1e-12, part
+            assert rel_gap(solve_family(k, grid, f"nonlocal-{part}").maps, ref) <= 1e-12, part
         via_drift = solve_nonlocal_from_drift(split_kernel(k).drift_op, grid)
         assert rel_gap(via_drift.maps, refs["drift"]) <= 1e-12
 
@@ -581,7 +575,7 @@ def test_final_generator_matches_trapezoid_matrix_row(corpus, steps):
 def test_nonlocal_series_matches_dense_reference(corpus, steps):
     grid = TimeGrid(2.0, steps)
     for k in list(corpus) + extra_kernels():
-        traj = jump_series(k, grid, order=6, locality="nonlocal")
+        traj = solve_family(k, grid, "series-nonlocal-jump", order=6)
         total, tails = dense_nonlocal_series(k, grid, order=6)
         assert rel_gap(traj.maps, total) <= 1e-12
         assert rel_gap(traj.meta["tail_norm"], tails) <= 1e-12
@@ -592,7 +586,7 @@ def test_framed_weak_core_matches_per_table_reference(corpus, steps):
     grid = TimeGrid(2.0, steps)
     for k in list(corpus) + extra_kernels():
         ref = per_table_weak(k, grid)
-        assert rel_gap(weak_coupling_localize(k, grid).maps, ref) <= 1e-12
+        assert rel_gap(solve_family(k, grid, "weak-nonlocal-full").maps, ref) <= 1e-12
 
 
 def recurrence_edge_kernel():
@@ -645,12 +639,12 @@ def test_edge_kernel_mixes_recurrences_and_rows():
 def test_edge_kernel_nonlocal_matches_dense_reference(part):
     k = recurrence_edge_kernel()
     ref = dense_nonlocal(part_terms(k)[part], EDGE_GRID, k.dim)
-    assert rel_gap(solve_nonlocal(k, EDGE_GRID, part=part).maps, ref) <= 1e-12
+    assert rel_gap(solve_family(k, EDGE_GRID, f"nonlocal-{part}").maps, ref) <= 1e-12
 
 
 def test_edge_kernel_nonlocal_series_matches_dense_reference():
     k = recurrence_edge_kernel()
-    traj = jump_series(k, EDGE_GRID, order=6, locality="nonlocal")
+    traj = solve_family(k, EDGE_GRID, "series-nonlocal-jump", order=6)
     total, tails = dense_nonlocal_series(k, EDGE_GRID, order=6)
     assert rel_gap(traj.maps, total) <= 1e-12
     assert rel_gap(traj.meta["tail_norm"], tails) <= 1e-12
@@ -659,7 +653,7 @@ def test_edge_kernel_nonlocal_series_matches_dense_reference():
 def test_edge_kernel_weak_matches_per_table_reference():
     k = recurrence_edge_kernel()
     ref = per_table_weak(k, EDGE_GRID)
-    assert rel_gap(weak_coupling_localize(k, EDGE_GRID).maps, ref) <= 1e-12
+    assert rel_gap(solve_family(k, EDGE_GRID, "weak-nonlocal-full").maps, ref) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +663,13 @@ def test_edge_kernel_weak_matches_per_table_reference():
 @pytest.mark.parametrize("steps", CORE_STEPS)
 def test_step_matrix_marches_match_per_step_reference(corpus, steps):
     grid = TimeGrid(2.0, steps)
-    local = {"full": solve_local, "jump": solve_local_jump, "drift": solve_local_drift}
     for k in list(corpus) + extra_kernels():
-        for part, solve in local.items():
-            assert rel_gap(solve(k, grid).maps, rk4_local(k, grid, part)) <= 1e-12, part
+        for part in ("full", "jump", "drift"):
+            traj = solve_family(k, grid, f"local-{part}")
+            assert rel_gap(traj.maps, rk4_local(k, grid, part)) <= 1e-12, part
         ref = rk4_transform(k, grid)
         assert rel_gap(solve_local_full_via_transform(k, grid).maps, ref) <= 1e-12
-        oe = ordered_exponential(k, grid)
+        oe = ordered_exponential_from_drift(split_kernel(k).drift_op, grid)
         v_half, vinv_half = rk4_frame(split_kernel(k).drift_op, grid)
         assert rel_gap(oe.v, v_half[::2]) <= 1e-12
         assert rel_gap(oe.vinv, vinv_half[::2]) <= 1e-12

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from gkslmap.linalg import sandwich_superop, unvectorize, vectorize
+from gkslmap.linalg import sandwich_superop, vectorize
 from gkslmap.serialize import FormatError, canonical_dumps
 from gkslmap.trajectory import FAMILY_TAGS, MapTrajectory, TimeGrid, trajectory_csv
+from oracles import unvectorize
 
 
 def test_time_grid_nodes_and_step():
