@@ -34,7 +34,6 @@ from .experiments import (
 )
 from .kernel import (
     GKSLKernel,
-    KernelFormatError,
     TwoTimeOperatorFunction,
     load_drift_spec,
     load_kernel_spec,

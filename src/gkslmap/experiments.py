@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpanalysis import (
+    DEFAULT_EPS_CP,
     CPReport,
     certify_trajectory,
     choi,
@@ -405,11 +406,11 @@ class ConvolutionCaseResult:
 
 
 def convolution_case(
-    k: GKSLKernel, grid: TimeGrid, eps_cp: float = 1e-8
+    k: GKSLKernel, grid: TimeGrid, eps_cp: float = DEFAULT_EPS_CP
 ) -> ConvolutionCaseResult:
     """Run the convolution-case audit (nonlocal full + drift companion)."""
     if not k.is_convolution:
-        raise ValueError("convolution_case requires convolution-type profiles throughout")
+        raise ValueError("kernel profiles are not all convolution-type")
     full = solve_family(k, grid, "nonlocal-full")
     z = solve_family(k, grid, "nonlocal-drift")
     full_report = certify_trajectory(full, eps_cp=eps_cp)

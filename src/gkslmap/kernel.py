@@ -27,7 +27,6 @@ import numpy as np
 from .linalg import dagger, sandwich_superop
 from .profiles import (
     Profile,
-    ProfileFormatError,
     TabulatedProfile,
     profile_from_doc,
     profile_product,
@@ -53,16 +52,11 @@ __all__ = [
     "save_kernel_spec",
     "load_drift_spec",
     "save_drift_spec",
-    "KernelFormatError",
     "MIN_DIM",
     "MAX_DIM",
 ]
 
 _HERMITIAN_TOL = 1e-10  # the asymmetry check_hermiticity accepts
-
-
-class KernelFormatError(FormatError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -243,18 +237,15 @@ def split_kernel(k: GKSLKernel) -> KernelSplit:
 
 def _terms_from_doc(raw, dim: int, field_name: str):
     if not isinstance(raw, list):
-        raise KernelFormatError(f"{field_name}: expected a list of terms")
+        raise FormatError(f"{field_name}: expected a list of terms")
     terms = []
     for i, item in enumerate(raw):
         here = f"{field_name}[{i}]"
-        _object(item, here, ("profile", "operator"), (), KernelFormatError)
-        try:
-            prof = profile_from_doc(item["profile"], f"{here}.profile")
-            op = matrix_from_doc(item["operator"], f"{here}.operator")
-        except (ProfileFormatError, FormatError) as exc:
-            raise KernelFormatError(str(exc)) from exc
+        _object(item, here, ("profile", "operator"), ())
+        prof = profile_from_doc(item["profile"], f"{here}.profile")
+        op = matrix_from_doc(item["operator"], f"{here}.operator")
         if op.shape != (dim, dim):
-            raise KernelFormatError(
+            raise FormatError(
                 f"{here}.operator: dim {op.shape[0]} does not match kernel dim {dim}"
             )
         terms.append((prof, op))
@@ -270,16 +261,17 @@ def _terms_to_doc(fn: TwoTimeOperatorFunction):
 def load_kernel_spec(doc) -> GKSLKernel:
     """Build a kernel from a parsed JSON document (dict).
 
-    Field errors raise :class:`KernelFormatError` naming the offending field.
+    Field errors raise :class:`FormatError` naming the offending field; a
+    Hermitian part that is not Hermitian raises ValueError.
     """
-    dim = _header(doc, (), ("coupling_g", "hermitian", "lindblad"), KernelFormatError)
+    dim = _header(doc, (), ("coupling_g", "hermitian", "lindblad"))
     g = doc.get("coupling_g", 1.0)
     if not is_finite_number(g) or g < 0:
-        raise KernelFormatError(f"coupling_g: expected a finite number >= 0, got {g!r}")
+        raise FormatError(f"coupling_g: expected a finite number >= 0, got {g!r}")
     herm = TwoTimeOperatorFunction.build(dim, _terms_from_doc(doc.get("hermitian", []), dim, "hermitian"))
     raw_jumps = doc.get("lindblad", [])
     if not isinstance(raw_jumps, list):
-        raise KernelFormatError("lindblad: expected a list of operator-function term lists")
+        raise FormatError("lindblad: expected a list of operator-function term lists")
     jumps = []
     for i, raw in enumerate(raw_jumps):
         jumps.append(
@@ -306,7 +298,7 @@ def load_drift_spec(doc) -> TwoTimeOperatorFunction:
     Hermitian part need not be positive), which is what the counterexample
     machinery operates on.
     """
-    dim = _header(doc, ("drift",), (), KernelFormatError)
+    dim = _header(doc, ("drift",), ())
     return TwoTimeOperatorFunction.build(dim, _terms_from_doc(doc["drift"], dim, "drift"))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .serialize import _object, is_finite_number
+from .serialize import FormatError, _object, is_finite_number
 
 __all__ = [
     "Profile",
@@ -40,26 +40,21 @@ __all__ = [
     "profile_product",
     "profile_from_doc",
     "profile_to_doc",
-    "ProfileFormatError",
 ]
-
-
-class ProfileFormatError(ValueError):
-    """Malformed profile document; the message names the offending field."""
 
 
 def _cplx(value, field: str) -> complex:
     pair = (value, 0.0) if isinstance(value, (int, float)) else value
     if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_finite_number, pair)):
         return complex(pair[0], pair[1])
-    raise ProfileFormatError(f"{field}: expected a finite number or [re, im] pair, got {value!r}")
+    raise FormatError(f"{field}: expected a finite number or [re, im] pair, got {value!r}")
 
 
 def _number(doc: dict, key: str, field: str, default=None, positive=False) -> float:
     """The finite number ``doc[key]``, positive if asked; errors name the field."""
     x = doc.get(key, default)
     if not is_finite_number(x) or (positive and x <= 0):
-        raise ProfileFormatError(
+        raise FormatError(
             f"{field}.{key}: expected a {'positive' if positive else 'finite'} number"
         )
     return x
@@ -218,9 +213,9 @@ class TabulatedProfile(Profile):
     def __post_init__(self):
         vals = np.array(self.values, dtype=complex)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 2:
-            raise ProfileFormatError("tabulated-grid values must form a square matrix, n >= 2")
+            raise FormatError("tabulated-grid values must form a square matrix, n >= 2")
         if not self.t_max > 0:
-            raise ProfileFormatError("tabulated-grid t_max must be positive")
+            raise FormatError("tabulated-grid t_max must be positive")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_key", (vals + 0.0).tobytes())  # + 0.0: -0.0 equals 0.0
@@ -324,10 +319,10 @@ _FACTOR_KINDS = ("constant", "exponential-decay", "oscillatory", "gaussian")
 def _kind_from_doc(doc, field: str, kinds: tuple) -> str:
     """The ``kind`` of a profile or factor object, one of ``kinds``; the object
     may hold no key that its kind does not use."""
-    kind = _object(doc, field, ("kind",), error=ProfileFormatError)["kind"]
+    kind = _object(doc, field, ("kind",))["kind"]
     if kind not in kinds:
-        raise ProfileFormatError(f"{field}.kind: unknown kind {kind!r}")
-    _object(doc, field, ("kind",), _KIND_KEYS[kind], ProfileFormatError)
+        raise FormatError(f"{field}.kind: unknown kind {kind!r}")
+    _object(doc, field, ("kind",), _KIND_KEYS[kind])
     return kind
 
 
@@ -364,7 +359,7 @@ def _factor_to_doc(fac: SingleVarFactor, field: str):
         return doc
     if fac.kind == "gaussian":
         return {"kind": "gaussian", "tau": float(fac.tau)}
-    raise ProfileFormatError(f"{field}: factor kind {fac.kind!r} has no document form")
+    raise FormatError(f"{field}: factor kind {fac.kind!r} has no document form")
 
 
 def profile_from_doc(doc, field: str = "profile") -> Profile:
@@ -379,7 +374,7 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
         return GaussianProfile(fac.tau)
     if kind == "product-separable":
         if "f" not in doc or "g" not in doc:
-            raise ProfileFormatError(f"{field}: product-separable needs 'f' and 'g'")
+            raise FormatError(f"{field}: product-separable needs 'f' and 'g'")
         return SeparableProfile(
             _factor_from_doc(doc["f"], f"{field}.f"),
             _factor_from_doc(doc["g"], f"{field}.g"),
@@ -387,17 +382,17 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
     if kind == "product":
         raw = doc.get("factors")
         if not isinstance(raw, list):
-            raise ProfileFormatError(f"{field}.factors: expected a list of profiles")
+            raise FormatError(f"{field}.factors: expected a list of profiles")
         factors = [profile_from_doc(f, f"{field}.factors[{i}]") for i, f in enumerate(raw)]
         return ProductProfile(_product_factors(factors, field))
     t_max = _number(doc, "t_max", field, positive=True)  # tabulated-grid
     raw = doc.get("values")
     if not isinstance(raw, list) or len(raw) < 2:
-        raise ProfileFormatError(f"{field}.values: expected a list of >= 2 rows")
+        raise FormatError(f"{field}.values: expected a list of >= 2 rows")
     rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != len(raw):
-            raise ProfileFormatError(f"{field}.values[{i}]: rows must form a square matrix")
+            raise FormatError(f"{field}.values[{i}]: rows must form a square matrix")
         rows.append([_cplx(v, f"{field}.values[{i}]") for v in row])
     return TabulatedProfile(float(t_max), rows)
 
@@ -405,10 +400,10 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
 def _product_factors(factors, field: str) -> tuple:
     """The factors of a product document: two or more, each with a normal form, no product."""
     if len(factors) < 2:
-        raise ProfileFormatError(f"{field}.factors: a product needs at least two factors")
+        raise FormatError(f"{field}.factors: a product needs at least two factors")
     for i, f in enumerate(factors):
         if isinstance(f, ProductProfile) or f.form is None:
-            raise ProfileFormatError(f"{field}.factors[{i}]: has no normal form or is a product")
+            raise FormatError(f"{field}.factors[{i}]: has no normal form or is a product")
     return tuple(factors)
 
 
@@ -437,4 +432,4 @@ def profile_to_doc(p: Profile, field: str = "profile"):
             "kind": "product",
             "factors": [profile_to_doc(f, f"{field}.factors[{i}]") for i, f in enumerate(factors)],
         }
-    raise ProfileFormatError(f"{field}: profile {type(p).__name__} has no document form")
+    raise FormatError(f"{field}: profile {type(p).__name__} has no document form")

@@ -662,7 +662,7 @@ def _check_family(family: str, order: int) -> None:
         raise ValueError(f"series order must be >= 1, got {order}")
 
 
-def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order: int = 8):
+def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order: int):
     """One march of ``family``, a tag of FAMILY_TAGS, for the kernels s K, s in ``scales``.
 
     ``split`` is the split of K.  Both of its parts are linear in K, so the

@@ -4,9 +4,10 @@ Complex arrays are nested [re, im] pairs (:func:`complex_to_doc` and
 :func:`complex_from_doc`).  JSON text comes from :func:`canonical_dumps` and
 CSV tables from :func:`csv_table`, so identical inputs produce byte-identical
 files, and :func:`atomic_write_text` writes them, so readers never observe a
-half-written file.  The document readers share one object check
-(:func:`_object`: required and unknown keys), one integer check
-(:func:`_integer`) and one ``dim`` header check (:func:`_header`).
+half-written file.  Every document reader raises :class:`FormatError`,
+naming the offending field, from one object check (:func:`_object`: required
+and unknown keys), one integer check (:func:`_integer`) and one ``dim``
+header check (:func:`_header`).
 """
 
 from __future__ import annotations
@@ -46,40 +47,39 @@ def _member(field: str, key: str) -> str:
     return f"{field}.{key}" if field else key
 
 
-def _object(doc, field: str, required=(), optional=None, error=FormatError) -> dict:
+def _object(doc, field: str, required=(), optional=None) -> dict:
     """``doc``, checked to be an object that holds every ``required`` key and,
     unless ``optional`` is None, no key outside ``required`` and ``optional``.
 
-    Errors are ``error`` and name the field; ``field`` is "" for a whole
-    document.
+    Errors name the field; ``field`` is "" for a whole document.
     """
     if not isinstance(doc, dict):
-        raise error(f"{field or 'document'}: expected an object, got {type(doc).__name__}")
+        raise FormatError(f"{field or 'document'}: expected an object, got {type(doc).__name__}")
     for key in required:
         if key not in doc:
-            raise error(f"{_member(field, key)}: missing")
+            raise FormatError(f"{_member(field, key)}: missing")
     if optional is not None:
         for key in doc:
             if key not in required and key not in optional:
-                raise error(f"{_member(field, key)}: unknown key")
+                raise FormatError(f"{_member(field, key)}: unknown key")
     return doc
 
 
-def _integer(doc: dict, key: str, lo: int, hi=None, field="", error=FormatError) -> int:
+def _integer(doc: dict, key: str, lo: int, hi=None, field="") -> int:
     """``doc[key]``, checked to be a JSON integer (not a bool) in [lo, hi]."""
     x = doc[key]
     if type(x) is not int or x < lo or (hi is not None and x > hi):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise error(f"{_member(field, key)}: expected an integer {span}, got {x!r}")
+        raise FormatError(f"{_member(field, key)}: expected an integer {span}, got {x!r}")
     return x
 
 
-def _header(doc, required=(), optional=None, error=FormatError) -> int:
+def _header(doc, required=(), optional=None) -> int:
     """The ``dim`` of a kernel, drift or trajectory document: the document is
     checked by :func:`_object` with ``dim`` required, and ``dim`` must be an
     integer in [MIN_DIM, MAX_DIM]."""
-    _object(doc, "", ("dim", *required), optional, error)
-    return _integer(doc, "dim", MIN_DIM, MAX_DIM, error=error)
+    _object(doc, "", ("dim", *required), optional)
+    return _integer(doc, "dim", MIN_DIM, MAX_DIM)
 
 
 def is_finite_number(x) -> bool:

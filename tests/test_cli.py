@@ -266,9 +266,12 @@ def test_convolution_rejects_general_kernel(tmp_path, capsys):
                            SingleVarFactor("gaussian", tau=1.0))
     fn = TwoTimeOperatorFunction.build(2, [(sep, SIGMA_X)])
     kernel = write_kernel(tmp_path / "k.json", GKSLKernel.build(2, jump_ops=(fn,)))
-    code = main(["convolution", "--kernel", kernel, "--out", str(tmp_path)])
-    assert code == 2
-    assert "convolution" in json.loads(capsys.readouterr().err)["error"]["message"]
+    out = tmp_path / "run"
+    for path in (kernel, str(CONFIGS / "gscan_kernel.json")):
+        assert main(["convolution", "--kernel", path, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "config", "message": "kernel profiles are not all convolution-type"}
+    assert not out.exists()
 
 
 def test_validate_reports_kind(tmp_path, kernel_file, capsys):
@@ -510,6 +513,7 @@ def test_eps_cp_must_be_finite_and_non_negative(tmp_path, capsys, eps):
         ("gscan", "pair", [[], "local-full"], "unknown family"),
         ("gscan", "g_list", [{}], "g_list"),
         ("gscan", "g_list", [True, 2, 4, 8], "g_list"),
+        ("gscan", "g_list", ["0.1", "0.2", "0.4", "0.8"], "g_list: expected numbers"),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(
@@ -522,6 +526,22 @@ def test_config_value_of_wrong_type_is_config_error(
     assert main([command, "--config", str(conf), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "config" and named in err["message"].replace(str(conf), "")
+    assert not out.exists()
+
+
+def test_deeply_nested_json_is_a_config_error_naming_the_file(tmp_path, kernel_file, capsys):
+    # past the parser's recursion limit: exit 1 would read as a CP violation
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    conf = tmp_path / "conf.json"
+    nested = "[" * 100_000 + "]" * 100_000
+    conf.write_text(f'{{"kernel": {json.dumps(kernel_file)}, "g_list": {nested}}}')
+    out = tmp_path / "run"
+    for argv, path in ((["validate", "--kernel", str(deep)], deep),
+                       (["gscan", "--config", str(conf), "--out", str(out)], conf)):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config" and err["message"].startswith(f"{path}: invalid JSON")
     assert not out.exists()
 
 
@@ -570,6 +590,13 @@ def test_horizon_violation_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "horizon" in json.loads(capsys.readouterr().err)["error"]["message"]
+    out = tmp_path / "run"
+    code = main(["gscan", "--kernel", str(CONFIGS / "coherence_revival.json"), "--T", "5",
+                 "--steps", "20", "--g-list", "0.05,0.1,0.2,0.4", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and "horizon" in err["message"]
+    assert not (out / "gscan.json").exists()
 
 
 @pytest.mark.parametrize("horizon", ["nan", "inf"])

@@ -9,7 +9,6 @@ import pytest
 from gkslmap.experiments import coherence_revival_kernel, corpus_kernels, random_drift
 from gkslmap.kernel import (
     GKSLKernel,
-    KernelFormatError,
     TwoTimeOperatorFunction,
     load_drift_spec,
     load_kernel_spec,
@@ -23,13 +22,12 @@ from gkslmap.profiles import (
     ExpProfile,
     GaussianProfile,
     ProductProfile,
-    ProfileFormatError,
     SeparableProfile,
     SingleVarFactor,
     TabulatedProfile,
     profile_to_doc,
 )
-from gkslmap.serialize import canonical_dumps
+from gkslmap.serialize import FormatError, canonical_dumps
 from oracles import eval_kernel_superop
 
 
@@ -184,14 +182,14 @@ def test_kernel_doc_round_trip():
 def test_kernel_doc_errors_name_the_field():
     doc = save_kernel_spec(dephasing())
     doc["lindblad"][0][0]["operator"]["entries"][1] = ["oops", 0.0]
-    with pytest.raises(KernelFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_kernel_spec(doc)
     assert "lindblad[0][0].operator" in str(err.value)
-    with pytest.raises(KernelFormatError, match="dim"):
+    with pytest.raises(FormatError, match="dim"):
         load_kernel_spec({"coupling_g": 1.0})
-    with pytest.raises(KernelFormatError, match="coupling_g"):
+    with pytest.raises(FormatError, match="coupling_g"):
         load_kernel_spec({"dim": 2, "coupling_g": -2.0})
-    with pytest.raises(KernelFormatError, match="^lindbald: unknown key"):
+    with pytest.raises(FormatError, match="^lindbald: unknown key"):
         load_kernel_spec({"dim": 2, "lindbald": []})
 
 
@@ -210,7 +208,7 @@ def test_drift_spec_round_trip():
     loaded = load_drift_spec(save_drift_spec(w))
     for t, tp in [(0.5, 0.1), (1.0, 1.0)]:
         assert np.allclose(loaded(t, tp), w(t, tp), atol=1e-14)
-    with pytest.raises(KernelFormatError, match="drift"):
+    with pytest.raises(FormatError, match="drift"):
         load_drift_spec({"dim": 2})
     # a kernel's drift operator: its jump pairings are products of two separable profiles
     path = Path(__file__).resolve().parents[1] / "configs" / "gscan_kernel.json"
@@ -223,12 +221,12 @@ def test_drift_spec_round_trip():
     # a table inside a product is refused both ways
     tab = TabulatedProfile(2.0, np.ones((3, 3)))
     w = TwoTimeOperatorFunction.build(2, [(ProductProfile((ExpProfile(-1.0), tab)), SIGMA_Z)])
-    with pytest.raises(ProfileFormatError, match=r"^profile\.factors\[1\]: "):
+    with pytest.raises(FormatError, match=r"^profile\.factors\[1\]: "):
         save_drift_spec(w)
     doc = save_drift_spec(TwoTimeOperatorFunction.build(2, [(ExpProfile(-1.0), SIGMA_Z)]))
     factors = [doc["drift"][0]["profile"], profile_to_doc(tab)]
     doc["drift"][0]["profile"] = {"kind": "product", "factors": factors}
-    with pytest.raises(KernelFormatError, match=r"^drift\[0\]\.profile\.factors\[1\]: "):
+    with pytest.raises(FormatError, match=r"^drift\[0\]\.profile\.factors\[1\]: "):
         load_drift_spec(doc)
 
 

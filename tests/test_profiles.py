@@ -15,7 +15,6 @@ from gkslmap.profiles import (
     GaussianProfile,
     Profile,
     ProductProfile,
-    ProfileFormatError,
     SeparableProfile,
     SingleVarFactor,
     TabulatedProfile,
@@ -23,6 +22,7 @@ from gkslmap.profiles import (
     profile_product,
     profile_to_doc,
 )
+from gkslmap.serialize import FormatError
 
 times = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
@@ -209,12 +209,12 @@ def test_profile_doc_round_trip(profile):
 
 
 def test_profile_from_doc_reports_offending_field():
-    with pytest.raises(ProfileFormatError) as err:
+    with pytest.raises(FormatError) as err:
         profile_from_doc({"kind": "exponential-decay"}, field="lindblad[0][0].profile")
     assert "lindblad[0][0].profile" in str(err.value)
-    with pytest.raises(ProfileFormatError):
+    with pytest.raises(FormatError):
         profile_from_doc({"kind": "no-such-kind"})
-    with pytest.raises(ProfileFormatError, match=r"^profile\.omgea: unknown key"):
+    with pytest.raises(FormatError, match=r"^profile\.omgea: unknown key"):
         profile_from_doc({"kind": "oscillatory", "omega": 1.0, "omgea": 1.0})
     # products a document cannot hold, each with the field its error must name; a
     # table inside a product would get past a kernel's horizon and Hermiticity checks
@@ -226,11 +226,11 @@ def test_profile_from_doc_reports_offending_field():
         (ProductProfile((ProductProfile((closed, closed)), closed)), "profile.factors[0]"),
     ]
     for product, field in bad_products:
-        with pytest.raises(ProfileFormatError, match=rf"^{re.escape(field)}: "):
+        with pytest.raises(FormatError, match=rf"^{re.escape(field)}: "):
             profile_to_doc(product)
         doc = {"kind": "product", "factors": [profile_to_doc(f) for f in product.factors]}
-        with pytest.raises(ProfileFormatError, match=rf"^{re.escape(field)}: "):
+        with pytest.raises(FormatError, match=rf"^{re.escape(field)}: "):
             profile_from_doc(doc)
     for factors in ({"kind": "constant"}, None):
-        with pytest.raises(ProfileFormatError, match=r"^profile\.factors: "):
+        with pytest.raises(FormatError, match=r"^profile\.factors: "):
             profile_from_doc({"kind": "product", "factors": factors})

@@ -714,7 +714,7 @@ def scan_kernels():
 def coupled_maps(k, grid, family, gs):
     """The maps of one coupled march at every coupling, shape (M + 1, W, D, D)."""
     split = split_kernel(k.with_coupling(1.0))
-    return _family_march(split, grid, family, np.square(gs))()[0]
+    return _family_march(split, grid, family, np.square(gs), 8)()[0]
 
 
 @pytest.mark.parametrize("family", FAMILY_TAGS)

@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from gkslmap.kernel import load_drift_spec, load_kernel_spec
+from gkslmap.profiles import profile_from_doc
 from gkslmap.serialize import (
     FormatError,
     atomic_write_text,
@@ -14,6 +17,7 @@ from gkslmap.serialize import (
     matrix_from_doc,
     matrix_to_doc,
 )
+from gkslmap.trajectory import MapTrajectory, TimeGrid
 
 
 def test_canonical_dumps_is_sorted_and_compact():
@@ -70,6 +74,29 @@ def test_matrix_doc_errors_name_the_field():
     assert "entries[0]" in str(err.value)
     with pytest.raises(FormatError):
         matrix_to_doc(np.zeros((2, 3)))
+
+
+TRAJECTORY = MapTrajectory(TimeGrid(1.0, 1), 2, "local-full", np.stack([np.eye(4)] * 2)).to_doc()
+READER_FAULTS = {  # name: (reader, malformed document, the field its error must name)
+    "profile": (lambda doc: profile_from_doc(doc, "lindblad[0][0].profile"),
+                {"kind": "gaussian", "tau": -1.0}, "lindblad[0][0].profile.tau"),
+    "kernel": (load_kernel_spec,
+               {"dim": 2, "lindblad": [[{"profile": {"kind": "constant"}, "operator": {"dim": 2}}]]},
+               "lindblad[0][0].operator.entries"),
+    "drift": (load_drift_spec,
+              {"dim": 2, "drift": [{"profile": {"kind": "nope"}, "operator": matrix_to_doc(np.eye(2))}]},
+              "drift[0].profile.kind"),
+    "trajectory": (MapTrajectory.from_doc, {**TRAJECTORY, "grid": {"T": 1.0, "steps": 0}},
+                   "grid.steps"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_FAULTS))
+def test_every_document_reader_raises_format_error_naming_the_field(name):
+    reader, doc, field = READER_FAULTS[name]
+    with pytest.raises(FormatError, match=rf"^{re.escape(field)}: ") as err:
+        reader(doc)
+    assert err.type is FormatError
 
 
 def test_atomic_write_creates_parents_and_replaces(tmp_path):
