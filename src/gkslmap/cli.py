@@ -135,7 +135,7 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
 def _grid_of(conf: dict) -> TimeGrid:
     try:
         return TimeGrid(float(conf["T"]), int(conf["steps"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid grid parameters: {exc}") from exc
 
 
@@ -192,14 +192,11 @@ def _write(conf: dict, files: dict) -> None:
             text = canonical_dumps({**body, "provenance": prov}) + "\n"
         else:
             text = f"# gkslmap {__version__} config_hash={digest}\n" + body
-        atomic_write_text(Path(conf["out"]) / name, text)
-
-
-def _run_solver(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
-        raise SolverError(str(exc)) from exc
+        path = Path(conf["out"]) / name
+        try:
+            atomic_write_text(path, text)
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +208,7 @@ def _cmd_solve(conf: dict) -> int:
     family = _resolve_family(conf["family"])
     conf["family"] = family
     k = _load(conf, "kernel", ("kernel",), "a kernel file")
-    traj = _run_solver(solve_family, k, grid, family, order=int(conf["order"]))
+    traj = solve_family(k, grid, family, order=int(conf["order"]))
     finite = np.isfinite(traj.maps).all(axis=(1, 2))
     if not finite.all():
         first = float(traj.grid.nodes()[np.argmin(finite)])
@@ -224,8 +221,8 @@ def _cmd_solve(conf: dict) -> int:
 
 def _cmd_certify(conf: dict) -> int:
     traj = _load(conf, "trajectory", ("map-trajectory",), "a trajectory file")
-    report = _run_solver(certify_trajectory, traj, eps_cp=float(conf["eps_cp"]),
-                         divisibility=bool(conf["divisibility"]))
+    report = certify_trajectory(traj, eps_cp=float(conf["eps_cp"]),
+                                divisibility=bool(conf["divisibility"]))
     rdoc = report.to_doc()
     violation = not report.all_cp
     if report.first_violation is not None:
@@ -263,7 +260,7 @@ def _cmd_gscan(conf: dict) -> int:
     if len(pair) != 2:
         raise ConfigError(f"pair must name two families, got {pair!r}")
     pair = [_resolve_family(p) for p in pair]
-    result = _run_solver(g_scan, k, grid, gs, pair=tuple(pair), order=int(conf["order"]))
+    result = g_scan(k, grid, gs, pair=tuple(pair), order=int(conf["order"]))
     _write(conf, {"gscan.json": result.to_doc(), "gscan.csv": result.csv_text()})
     return 0
 
@@ -273,7 +270,7 @@ def _cmd_counterexample(conf: dict) -> int:
     w = _load(conf, "kernel", ("kernel", "drift"), "a kernel or drift file")
     if isinstance(w, GKSLKernel):  # only the drift operator matters here
         w = split_kernel(w).drift_op
-    witness = _run_solver(find_drift_cp_witness, w, grid, eps_cp=float(conf["eps_cp"]))
+    witness = find_drift_cp_witness(w, grid, eps_cp=float(conf["eps_cp"]))
     doc = {"kind": "cp-witness", "witness": None}
     if witness is not None:
         psi, phi = complex_to_doc(witness.psi), complex_to_doc(witness.phi)
@@ -285,7 +282,7 @@ def _cmd_counterexample(conf: dict) -> int:
 def _cmd_convolution(conf: dict) -> int:
     grid = _grid_of(conf)
     k = _load(conf, "kernel", ("kernel",), "a kernel file")
-    result = _run_solver(convolution_case, k, grid, eps_cp=float(conf["eps_cp"]))
+    result = convolution_case(k, grid, eps_cp=float(conf["eps_cp"]))
     csv = result.full_report.csv_text()
     _write(conf, {"convolution.json": result.to_doc(), "convolution_full.csv": csv})
     return 0 if result.full_cp else 1
@@ -346,7 +343,8 @@ def main(argv=None) -> int:
     func, _, keys = _COMMANDS[args.command]
     try:
         return func(_resolve(args, keys))
-    except SolverError as exc:
+    # before ValueError: numpy's LinAlgError is a ValueError
+    except (SolverError, np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         _emit_error("solver", str(exc))
         return 3
     except ValueError as exc:  # a ConfigError, or bad input the library found

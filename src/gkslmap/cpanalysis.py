@@ -17,7 +17,9 @@ Conventions fixed here and used by every file format:
 Certification is stacked: choi, cp_check, trace_deviation, cond and solve each
 take blocks of _NODE_BLOCK nodes or intervals, with the same bits per matrix
 as one at a time.  Blocks, because a call over all M + 1 nodes holds several
-(M+1, d^2, d^2) temporaries at once and raises the peak memory.
+(M+1, d^2, d^2) temporaries at once and raises the peak memory.  The Kraus
+condition is one cond, one inv and one (n, n, d, d) product K_j^{-1} K_k over
+all operators; the strict drift condition weights each grid-triangle point once.
 """
 
 from __future__ import annotations
@@ -133,14 +135,10 @@ def kraus_extract(choi_matrix: np.ndarray, eps_cp: float = DEFAULT_EPS_CP) -> Kr
         raise ValueError(
             f"Choi matrix is not CP (lambda_min = {lam_min:.3e}); no Kraus representation"
         )
-    tr = float(np.real(np.trace(choi_matrix)))
-    ops = []
-    weights = []
-    for lam, vec in zip(eig.eigenvalues[::-1], eig.eigenvectors.T[::-1]):
-        if lam > _KRAUS_CUTOFF * max(tr, 1.0):
-            ops.append(np.sqrt(lam) * vec.reshape(d, d))
-            weights.append(float(lam))
-    return KrausSet(operators=tuple(ops), weights=tuple(weights))
+    lam = eig.eigenvalues[::-1]
+    keep = lam > _KRAUS_CUTOFF * max(float(np.real(np.trace(choi_matrix))), 1.0)
+    ops = np.sqrt(lam[keep])[:, None, None] * eig.eigenvectors.T[::-1][keep].reshape(-1, d, d)
+    return KrausSet(operators=tuple(ops), weights=tuple(lam[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -163,37 +161,20 @@ def kraus_condition_check(kraus: KrausSet) -> KrausConditionReport:
     one-element Kraus sets (and the check makes that failure mode explicit
     rather than folding it into a generic boolean).
     """
-    n = len(kraus.operators)
-    d = kraus.dim
-    singular = []
-    invs = []
-    for idx, k in enumerate(kraus.operators):
-        c = np.linalg.cond(k)
-        if not np.isfinite(c) or c > DEFAULT_COND_LIMIT:
-            singular.append(idx)
-            invs.append(None)
-        else:
-            invs.append(np.linalg.inv(k))
+    ops = np.array(kraus.operators)
+    conds = np.linalg.cond(ops)
+    singular = tuple(np.flatnonzero(~np.isfinite(conds) | (conds > DEFAULT_COND_LIMIT)).tolist())
+    max_diag = max_off = float("nan")  # a singular set has no inverses to test
+    if not singular:
+        # residual[j, k] = || K_j^{-1} K_k - delta_jk 1 ||_F
+        on_diag = np.eye(len(ops), dtype=bool)
+        delta = on_diag[:, :, None, None] * np.eye(kraus.dim)
+        residual = frobenius(np.linalg.inv(ops)[:, None] @ ops - delta)
+        max_diag = float(residual[on_diag].max())
+        max_off = float(np.where(on_diag, 0.0, residual).max())
     if singular:
-        return KrausConditionReport(
-            holds=False,
-            n_operators=n,
-            singular=tuple(singular),
-            max_diagonal_residual=float("nan"),
-            max_offdiagonal_norm=float("nan"),
-            failed_clause="singular",
-        )
-    eye = np.eye(d)
-    max_diag = 0.0
-    max_off = 0.0
-    for j in range(n):
-        for k in range(n):
-            prod = invs[j] @ kraus.operators[k]
-            if j == k:
-                max_diag = max(max_diag, float(np.linalg.norm(prod - eye)))
-            else:
-                max_off = max(max_off, float(np.linalg.norm(prod)))
-    if max_diag > _KRAUS_TOL:
+        clause = "singular"
+    elif max_diag > _KRAUS_TOL:
         clause = "diagonal"
     elif max_off > _KRAUS_TOL:
         clause = "off-diagonal"
@@ -201,8 +182,8 @@ def kraus_condition_check(kraus: KrausSet) -> KrausConditionReport:
         clause = ""
     return KrausConditionReport(
         holds=(clause == ""),
-        n_operators=n,
-        singular=(),
+        n_operators=len(ops),
+        singular=singular,
         max_diagonal_residual=max_diag,
         max_offdiagonal_norm=max_off,
         failed_clause=clause,
@@ -293,10 +274,7 @@ def drift_strict_condition_check(
     The double integral of the diagonal entries uses the composite trapezoid
     rule on grid nodes.
     """
-    d = drift.dim
-    if basis is None:
-        basis = np.eye(d, dtype=complex)
-    basis = np.asarray(basis, dtype=complex)
+    basis = np.asarray(np.eye(drift.dim) if basis is None else basis, dtype=complex)
     gram = basis.conj().T @ basis
     if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10):
         raise ValueError("basis columns are not orthonormal")
@@ -309,26 +287,20 @@ def drift_strict_condition_check(
     i, j = np.tril_indices(grid.steps + 1)
     m = in_basis(ts[i], ts[j])
     max_off = float(np.max(np.abs(np.where(np.eye(n, dtype=bool), 0.0, m))))
-    # trapezoid in t' along each row (the pairs of row i start at i(i+1)/2),
-    # then in t across the rows; row 0 spans no interval in t'
+    # trapezoid in t' along row i times the trapezoid in t across the rows;
+    # row 0 spans no interval in t'
     h = grid.h
-    inner = np.where((j == 0) | (j == i), 0.5 * h, h)
-    rows = np.arange(grid.steps + 1)
-    diag_rows = np.add.reduceat(
-        inner[:, None] * np.diagonal(m, axis1=1, axis2=2), rows * (rows + 1) // 2, axis=0
-    )
-    diag_rows[0] = 0.0
-    wts = np.full(grid.steps + 1, h)
-    wts[0] = wts[-1] = 0.5 * h
-    integrals = [complex(z) for z in wts @ diag_rows]
-    re = np.array([z.real for z in integrals])
-    scale = max(1.0, float(np.max(np.abs(integrals))) if integrals else 1.0)
-    nonpos = bool(np.all(re <= _DRIFT_TOL * scale))
-    nonneg = bool(np.all(re >= -_DRIFT_TOL * scale))
+    outer = np.full(grid.steps + 1, h)
+    outer[0], outer[-1] = 0.0, 0.5 * h
+    wts = outer[i] * np.where((j == 0) | (j == i), 0.5 * h, h)
+    integrals = wts @ np.diagonal(m, axis1=1, axis2=2)
+    scale = max(1.0, float(np.max(np.abs(integrals))))
+    nonpos = bool(np.all(integrals.real <= _DRIFT_TOL * scale))
+    nonneg = bool(np.all(integrals.real >= -_DRIFT_TOL * scale))
     is_diag = max_off <= _DRIFT_TOL
     return DriftConditionReport(
         max_offdiagonal=max_off,
-        diagonal_integrals=tuple(integrals),
+        diagonal_integrals=tuple(integrals.tolist()),
         is_diagonal=is_diag,
         nonpositive_reading_ok=nonpos,
         nonnegative_reading_ok=nonneg,
@@ -422,20 +394,15 @@ def find_drift_cp_witness(
         u = np.zeros(d, dtype=complex)
         u[n] = a
         u[l] = b * np.exp(1j * theta)
-        anc = np.zeros(d)
-        anc[0] = 1.0
-        psi = np.kron(u, anc)
-        basis_x = np.zeros(d)
-        basis_x[x] = 1.0
-        phi_vec = np.kron(basis_x, anc)
+        eye = np.eye(d)  # the ancilla is eye[0]
         _, lam_min = cp_check(choi(traj.maps[m]), eps_cp)
         return DriftCPWitness(
             t=float(ts[m]),
             node=m,
             measure_value=float(best[idx]),
             choi_lambda_min=lam_min,
-            psi=psi,
-            phi=phi_vec,
+            psi=np.kron(u, eye[0]),
+            phi=np.kron(eye[x], eye[0]),
             pair=(n, l),
             phase=theta,
             amplitude=a,
@@ -474,10 +441,7 @@ class CPReport:
 
     @property
     def first_violation(self):
-        for i, v in enumerate(self.verdicts):
-            if v != "CP":
-                return i
-        return None
+        return None if self.all_cp else self.verdicts.index("not-CP")
 
     def to_doc(self) -> dict:
         doc = {

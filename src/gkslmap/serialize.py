@@ -15,8 +15,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
+import sys
 
 import numpy as np
 
@@ -83,8 +83,9 @@ def _header(doc, required=(), optional=None) -> int:
 
 
 def is_finite_number(x) -> bool:
-    """True for a JSON number (a Python int or float, not a bool) that is finite."""
-    return type(x) in (int, float) and abs(x) < math.inf
+    """True for a JSON number (a Python int or float, not a bool) that converts
+    to a finite float; an int beyond the largest float does not."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def complex_to_doc(a) -> list:

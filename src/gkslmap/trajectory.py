@@ -106,6 +106,8 @@ class MapTrajectory:
         if not isinstance(doc, dict) or doc.get("kind") != "map-trajectory":
             raise FormatError("document: expected kind 'map-trajectory'")
         dim = _header(doc, ("family", "grid", "maps"))
+        if doc["family"] not in FAMILY_TAGS:
+            raise FormatError(f"family: unknown solver family tag {doc['family']!r}")
         g = _object(doc["grid"], "grid", ("T", "steps"))
         steps = _integer(g, "steps", 1, field="grid")
         if not (is_finite_number(g["T"]) and g["T"] > 0):

@@ -227,6 +227,9 @@ def test_gscan_bad_g_list_is_config_error(tmp_path, kernel_file, capsys):
     code = main(["gscan", "--kernel", kernel_file, "--g-list", "", "--out", str(tmp_path)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert main(["gscan", "--kernel", kernel_file, "--out", str(tmp_path / "run")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and err["message"] == "a g list is required (--g-list)"
     for g_list in ("0.1,0.2,0.4", "nan,0.1,0.2,0.8", "0.1,0.2,0.8,inf"):
         code = main(["gscan", "--kernel", kernel_file, "--T", "0.5", "--steps", "10",
                      "--g-list", g_list, "--out", str(tmp_path / "run")])
@@ -514,6 +517,11 @@ def test_eps_cp_must_be_finite_and_non_negative(tmp_path, capsys, eps):
         ("gscan", "g_list", [{}], "g_list"),
         ("gscan", "g_list", [True, 2, 4, 8], "g_list"),
         ("gscan", "g_list", ["0.1", "0.2", "0.4", "0.8"], "g_list: expected numbers"),
+        ("gscan", "pair", ["local-full"], "pair must name two families"),
+        # an int beyond the largest float is not a finite number
+        pytest.param("solve", "T", 10**400, "invalid grid parameters", id="solve-T-huge-int"),
+        pytest.param("counterexample", "eps_cp", 10**400, "eps_cp",
+                     id="counterexample-eps_cp-huge-int"),
     ],
 )
 def test_config_value_of_wrong_type_is_config_error(
@@ -549,6 +557,22 @@ def test_missing_kernel_file_is_config_error(tmp_path, capsys):
     code = main(["solve", "--kernel", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+
+
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text("[]")
+    assert main(["solve", "--config", str(conf), "--out", str(tmp_path / "run")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and err["message"] == f"{conf}: config must be a JSON object"
+
+
+def test_unwritable_out_is_config_error_naming_the_path(tmp_path, kernel_file, capsys):
+    # --out below a file: exit 1 would read as a CP violation
+    out = Path(kernel_file) / "sub"
+    assert main(["solve", "--kernel", kernel_file, "--steps", "10", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and err["message"].startswith(f"{out / 'trajectory.json'}: ")
 
 
 def test_unknown_config_key_is_rejected(tmp_path, kernel_file, capsys):

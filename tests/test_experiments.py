@@ -252,6 +252,13 @@ def test_convolution_case_zero_kernel_is_trivially_consistent():
     assert res.hypotheses_hold and res.full_cp and res.n_kraus == 1
 
 
+def test_convolution_case_with_a_drift_map_that_is_not_cp():
+    herm = TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), SIGMA_X)])
+    res = convolution_case(GKSLKernel.build(2, hermitian=herm), TimeGrid(2.0, 100))
+    assert not res.z_map_cp and res.kraus_clause == "drift-map-not-CP" and res.n_kraus == 0
+    assert not res.hypotheses_hold and res.consistent
+
+
 def test_convolution_case_rejects_general_kernels():
     sep = SeparableProfile(SingleVarFactor("exp", rate=-0.5), SingleVarFactor("gaussian", tau=1.0))
     fn = TwoTimeOperatorFunction.build(2, [(sep, SIGMA_Z)])

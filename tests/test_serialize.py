@@ -77,17 +77,38 @@ def test_matrix_doc_errors_name_the_field():
 
 
 TRAJECTORY = MapTrajectory(TimeGrid(1.0, 1), 2, "local-full", np.stack([np.eye(4)] * 2)).to_doc()
+CONSTANT_TERM = {"profile": {"kind": "constant"}, "operator": matrix_to_doc(np.eye(2))}
 READER_FAULTS = {  # name: (reader, malformed document, the field its error must name)
     "profile": (lambda doc: profile_from_doc(doc, "lindblad[0][0].profile"),
                 {"kind": "gaussian", "tau": -1.0}, "lindblad[0][0].profile.tau"),
+    # an int beyond the largest float is not a finite number
+    "profile-huge-kappa": (lambda doc: profile_from_doc(doc, "lindblad[0][0].profile"),
+                           {"kind": "exponential-decay", "kappa": 10**400},
+                           "lindblad[0][0].profile.kappa"),
+    "profile-separable-without-g": (profile_from_doc,
+                                    {"kind": "product-separable", "f": {"kind": "constant"}},
+                                    "profile"),
+    "profile-table-of-one-row": (profile_from_doc,
+                                 {"kind": "tabulated-grid", "t_max": 1.0, "values": [[1.0]]},
+                                 "profile.values"),
+    "profile-ragged-table": (profile_from_doc,
+                             {"kind": "tabulated-grid", "t_max": 1.0, "values": [[1.0, 2.0], [3.0]]},
+                             "profile.values[1]"),
     "kernel": (load_kernel_spec,
                {"dim": 2, "lindblad": [[{"profile": {"kind": "constant"}, "operator": {"dim": 2}}]]},
                "lindblad[0][0].operator.entries"),
+    "kernel-huge-coupling": (load_kernel_spec, {"dim": 2, "coupling_g": 10**400}, "coupling_g"),
+    "kernel-terms-not-a-list": (load_kernel_spec, {"dim": 2, "hermitian": CONSTANT_TERM},
+                                "hermitian"),
+    "kernel-lindblad-not-a-list": (load_kernel_spec, {"dim": 2, "lindblad": {}}, "lindblad"),
+    "kernel-operator-of-another-dim": (load_kernel_spec, {"dim": 3, "hermitian": [CONSTANT_TERM]},
+                                       "hermitian[0].operator"),
     "drift": (load_drift_spec,
               {"dim": 2, "drift": [{"profile": {"kind": "nope"}, "operator": matrix_to_doc(np.eye(2))}]},
               "drift[0].profile.kind"),
     "trajectory": (MapTrajectory.from_doc, {**TRAJECTORY, "grid": {"T": 1.0, "steps": 0}},
                    "grid.steps"),
+    "trajectory-family": (MapTrajectory.from_doc, {**TRAJECTORY, "family": "sideways"}, "family"),
 }
 
 
