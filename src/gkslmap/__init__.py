@@ -43,6 +43,7 @@ from .kernel import (
 )
 from .profiles import (
     ConstantProfile,
+    ConvProfile,
     ExpProfile,
     GaussianProfile,
     SeparableProfile,

@@ -341,12 +341,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     func, _, keys = _COMMANDS[args.command]
+    conf = {}  # the resolved options once known, for the MemoryError message
     try:
-        return func(_resolve(args, keys))
+        return func(conf := _resolve(args, keys))
     # before ValueError: numpy's LinAlgError is a ValueError
     except (SolverError, np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         _emit_error("solver", str(exc))
         return 3
+    except MemoryError:  # the request, not the solver: fewer steps or a lower order fit
+        size = "".join(f", {key} = {conf[key]}" for key in ("steps", "order") if key in conf)
+        _emit_error("config", f"not enough memory for this request{size}")
+        return 2
     except ValueError as exc:  # a ConfigError, or bad input the library found
         _emit_error("config", str(exc))
         return 2

@@ -11,13 +11,15 @@ The kinds accepted in kernel documents:
 * ``product``               the product of two or more profiles of the kinds
                             above but ``tabulated-grid``
 
-Profiles evaluate vectorized over numpy arrays.  Every profile of the closed
-family (all kinds but ``tabulated-grid``, and their products) declares its
-normal form c(t - t') f(t) g(t') as single-variable factors (``form``), which
-the fast solver paths read and from which the convolution predicate (True
-exactly when the value depends on t - t' only) follows.  Conjugation and
-products are closed over the family plus a product node, which is what lets
-drift operators and jump-pair coefficients stay in profile form.
+The four single-factor kinds are one class, ``ConvProfile``: c(t - t') of one
+:class:`SingleVarFactor` c.  Profiles evaluate vectorized over numpy arrays.
+Every profile of the closed family (all kinds but ``tabulated-grid``, and
+their products) declares its normal form c(t - t') f(t) g(t') as
+single-variable factors (``form``), which the fast solver paths read and from
+which the convolution predicate (True exactly when the value depends on
+t - t' only) follows.  Conjugation and products are closed over the family
+plus a product node, which is what lets drift operators and jump-pair
+coefficients stay in profile form.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .serialize import FormatError, _object, is_finite_number
 
 __all__ = [
     "Profile",
+    "ConvProfile",
     "ConstantProfile",
     "ExpProfile",
     "GaussianProfile",
@@ -75,15 +78,17 @@ class SingleVarFactor:
     rate: complex = 0.0  # exp factor exponent
     tau: float = 1.0  # gaussian width
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "exp", "gaussian"):
+            raise ValueError(f"unknown factor kind {self.kind!r}")
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.full(x.shape, self.value, dtype=complex)
         if self.kind == "exp":
             return np.exp(self.rate * x).astype(complex)
-        if self.kind == "gaussian":
-            return np.exp(-((x / self.tau) ** 2)).astype(complex)
-        raise ValueError(f"unknown factor kind {self.kind!r}")
+        return np.exp(-((x / self.tau) ** 2)).astype(complex)
 
     def conjugate(self) -> "SingleVarFactor":
         return SingleVarFactor(
@@ -121,55 +126,35 @@ class Profile:
 
 
 @dataclass(frozen=True)
-class ConstantProfile(Profile):
-    value: complex = 1.0
+class ConvProfile(Profile):
+    """The profile c(t - t') of one factor c."""
+
+    factor: SingleVarFactor
 
     @property
     def form(self):
-        return (SingleVarFactor("constant", value=self.value),), (), ()
+        return (self.factor,), (), ()
 
     def __call__(self, t, tp):
-        t, tp = np.broadcast_arrays(np.asarray(t, float), np.asarray(tp, float))
-        return np.full(t.shape, self.value, dtype=complex)
+        return self.factor(np.asarray(t, float) - np.asarray(tp, float))
 
     def conjugate(self):
-        return ConstantProfile(np.conj(self.value))
+        return ConvProfile(self.factor.conjugate())
 
 
-@dataclass(frozen=True)
-class ExpProfile(Profile):
+def ConstantProfile(value: complex = 1.0) -> ConvProfile:
+    """The constant profile c(t, t') = value."""
+    return ConvProfile(SingleVarFactor("constant", value=value))
+
+
+def ExpProfile(rate: complex = 0.0) -> ConvProfile:
     """exp(rate * (t - t')); rate = -kappa + i*omega covers decay and oscillation."""
-
-    rate: complex = 0.0
-
-    @property
-    def form(self):
-        return (SingleVarFactor("exp", rate=self.rate),), (), ()
-
-    def __call__(self, t, tp):
-        t = np.asarray(t, float)
-        tp = np.asarray(tp, float)
-        return np.exp(self.rate * (t - tp)).astype(complex)
-
-    def conjugate(self):
-        return ExpProfile(np.conj(self.rate))
+    return ConvProfile(SingleVarFactor("exp", rate=rate))
 
 
-@dataclass(frozen=True)
-class GaussianProfile(Profile):
-    tau: float = 1.0
-
-    @property
-    def form(self):
-        return (SingleVarFactor("gaussian", tau=self.tau),), (), ()
-
-    def __call__(self, t, tp):
-        t = np.asarray(t, float)
-        tp = np.asarray(tp, float)
-        return np.exp(-(((t - tp) / self.tau) ** 2)).astype(complex)
-
-    def conjugate(self):
-        return self
+def GaussianProfile(tau: float = 1.0) -> ConvProfile:
+    """exp(-((t - t') / tau)^2)."""
+    return ConvProfile(SingleVarFactor("gaussian", tau=tau))
 
 
 @dataclass(frozen=True)
@@ -281,18 +266,22 @@ class ProductProfile(Profile):
         return ProductProfile(tuple(f.conjugate() for f in self.factors))
 
 
+_UNIT = SingleVarFactor("constant")  # the factor a product drops
+
+
 def profile_product(a: Profile, b: Profile) -> Profile:
     """Product of two profiles, fused back into the family where possible."""
-    if isinstance(a, ConstantProfile) and isinstance(b, ConstantProfile):
-        return ConstantProfile(a.value * b.value)
-    if isinstance(a, ExpProfile) and isinstance(b, ExpProfile):
-        return ExpProfile(a.rate + b.rate)
-    if isinstance(a, GaussianProfile) and isinstance(b, GaussianProfile):
-        inv = 1.0 / a.tau**2 + 1.0 / b.tau**2
+    fa, fb = (p.factor if isinstance(p, ConvProfile) else None for p in (a, b))
+    if fa is not None and fb is not None and fa.kind == fb.kind:
+        if fa.kind == "constant":
+            return ConstantProfile(fa.value * fb.value)
+        if fa.kind == "exp":
+            return ExpProfile(fa.rate + fb.rate)
+        inv = 1.0 / fa.tau**2 + 1.0 / fb.tau**2
         return GaussianProfile(1.0 / np.sqrt(inv))
-    if isinstance(a, ConstantProfile) and a.value == 1.0:
+    if fa == _UNIT:
         return b
-    if isinstance(b, ConstantProfile) and b.value == 1.0:
+    if fb == _UNIT:
         return a
     fa = a.factors if isinstance(a, ProductProfile) else (a,)
     fb = b.factors if isinstance(b, ProductProfile) else (b,)
@@ -326,12 +315,9 @@ def _kind_from_doc(doc, field: str, kinds: tuple) -> str:
     return kind
 
 
-def _shared_kind_from_doc(doc: dict, kind, field: str) -> SingleVarFactor | None:
-    """Parse the kinds that profiles and separable factors share, as a factor.
-
-    ``constant``, ``exponential-decay``, ``oscillatory`` and ``gaussian`` give
-    a :class:`SingleVarFactor`; any other kind gives None.
-    """
+def _shared_kind_from_doc(doc: dict, kind, field: str) -> SingleVarFactor:
+    """The factor of a document of a kind that profiles and separable factors
+    share, one of ``_FACTOR_KINDS``."""
     if kind == "constant":
         return SingleVarFactor("constant", value=_cplx(doc.get("value", 1.0), f"{field}.value"))
     if kind == "exponential-decay":
@@ -339,16 +325,14 @@ def _shared_kind_from_doc(doc: dict, kind, field: str) -> SingleVarFactor | None
         return SingleVarFactor("exp", rate=complex(-kappa, _number(doc, "omega", field, 0.0)))
     if kind == "oscillatory":
         return SingleVarFactor("exp", rate=1j * _number(doc, "omega", field))
-    if kind == "gaussian":
-        return SingleVarFactor("gaussian", tau=float(_number(doc, "tau", field, positive=True)))
-    return None
+    return SingleVarFactor("gaussian", tau=float(_number(doc, "tau", field, positive=True)))
 
 
 def _factor_from_doc(doc, field: str) -> SingleVarFactor:
     return _shared_kind_from_doc(doc, _kind_from_doc(doc, field, _FACTOR_KINDS), field)
 
 
-def _factor_to_doc(fac: SingleVarFactor, field: str):
+def _factor_to_doc(fac: SingleVarFactor):
     if fac.kind == "constant":
         return {"kind": "constant", "value": _cplx_doc(complex(fac.value))}
     if fac.kind == "exp":
@@ -357,21 +341,14 @@ def _factor_to_doc(fac: SingleVarFactor, field: str):
         if rate.imag:
             doc["omega"] = float(rate.imag)
         return doc
-    if fac.kind == "gaussian":
-        return {"kind": "gaussian", "tau": float(fac.tau)}
-    raise FormatError(f"{field}: factor kind {fac.kind!r} has no document form")
+    return {"kind": "gaussian", "tau": float(fac.tau)}
 
 
 def profile_from_doc(doc, field: str = "profile") -> Profile:
     """Parse a profile document; errors name the offending field."""
     kind = _kind_from_doc(doc, field, tuple(_KIND_KEYS))
-    fac = _shared_kind_from_doc(doc, kind, field)
-    if fac is not None:
-        if fac.kind == "constant":
-            return ConstantProfile(fac.value)
-        if fac.kind == "exp":
-            return ExpProfile(fac.rate)
-        return GaussianProfile(fac.tau)
+    if kind in _FACTOR_KINDS:
+        return ConvProfile(_shared_kind_from_doc(doc, kind, field))
     if kind == "product-separable":
         if "f" not in doc or "g" not in doc:
             raise FormatError(f"{field}: product-separable needs 'f' and 'g'")
@@ -408,17 +385,16 @@ def _product_factors(factors, field: str) -> tuple:
 
 
 def profile_to_doc(p: Profile, field: str = "profile"):
-    if isinstance(p, (ConstantProfile, ExpProfile, GaussianProfile)):
-        fac = p.form[0][0]
-        rate = complex(fac.rate)
-        if fac.kind == "exp" and rate.real == 0.0 and rate.imag != 0.0:
+    if isinstance(p, ConvProfile):
+        rate = complex(p.factor.rate)
+        if p.factor.kind == "exp" and rate.real == 0.0 and rate.imag != 0.0:
             return {"kind": "oscillatory", "omega": rate.imag}
-        return _factor_to_doc(fac, field)
+        return _factor_to_doc(p.factor)
     if isinstance(p, SeparableProfile):
         return {
             "kind": "product-separable",
-            "f": _factor_to_doc(p.f, f"{field}.f"),
-            "g": _factor_to_doc(p.g, f"{field}.g"),
+            "f": _factor_to_doc(p.f),
+            "g": _factor_to_doc(p.g),
         }
     if isinstance(p, TabulatedProfile):
         return {

@@ -49,6 +49,8 @@ class TimeGrid:
             raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.steps >= np.iinfo(np.intp).max:  # steps + 1 nodes must size an array
+            raise ValueError(f"steps must be below {np.iinfo(np.intp).max}")
 
     @property
     def h(self) -> float:

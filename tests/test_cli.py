@@ -520,6 +520,7 @@ def test_eps_cp_must_be_finite_and_non_negative(tmp_path, capsys, eps):
         ("gscan", "pair", ["local-full"], "pair must name two families"),
         # an int beyond the largest float is not a finite number
         pytest.param("solve", "T", 10**400, "invalid grid parameters", id="solve-T-huge-int"),
+        pytest.param("solve", "steps", 10**400, "steps", id="solve-steps-huge-int"),
         pytest.param("counterexample", "eps_cp", 10**400, "eps_cp",
                      id="counterexample-eps_cp-huge-int"),
     ],
@@ -649,6 +650,27 @@ def test_solver_failure_exit_three(tmp_path, kernel_file, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "solver"
     assert "converge" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command, target", [("solve", "solve_family"), ("gscan", "g_scan")])
+def test_request_too_large_for_memory_is_config_error(
+    tmp_path, kernel_file, capsys, monkeypatch, command, target
+):
+    # the allocation is faked: a real one could succeed where memory is overcommitted
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    out = tmp_path / "run"
+    argv = [command, "--kernel", kernel_file, "--steps", "1000000000000", "--order", "9",
+            "--out", str(out)]
+    if command == "gscan":
+        argv += ["--g-list", "0.05,0.1,0.2,0.4"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert err["message"] == "not enough memory for this request, steps = 1000000000000, order = 9"
+    assert not out.exists()
 
 
 def test_non_finite_solve_exits_three(tmp_path, capsys):

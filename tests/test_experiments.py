@@ -20,6 +20,7 @@ from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction
 from gkslmap.linalg import SIGMA_X, SIGMA_Z
 from gkslmap.profiles import (
     ConstantProfile,
+    ConvProfile,
     ExpProfile,
     GaussianProfile,
     SeparableProfile,
@@ -193,7 +194,11 @@ def test_redfield_kernel_eigenoperator_profiles():
     assert k.is_convolution
     assert len(k.jump_ops) == 1
     rates = sorted(
-        (p.rate for p, _ in k.jump_ops[0].terms if isinstance(p, ExpProfile)),
+        (
+            p.factor.rate
+            for p, _ in k.jump_ops[0].terms
+            if isinstance(p, ConvProfile) and p.factor.kind == "exp"
+        ),
         key=lambda z: z.imag,
     )
     # Bohr frequencies +-1 fuse with the kappa = 1 correlation decay
@@ -206,7 +211,7 @@ def test_redfield_kernel_zero_frequency_keeps_bare_correlation():
     model = RedfieldModel(h_s=np.zeros((2, 2)), coupling_op=SIGMA_Z, correlation=GaussianProfile(1.0))
     k = redfield_kernel(model)
     profs = [p for p, _ in k.jump_ops[0].terms]
-    assert all(isinstance(p, GaussianProfile) for p in profs)
+    assert all(isinstance(p, ConvProfile) and p.factor.kind == "gaussian" for p in profs)
 
 
 def test_redfield_model_validation():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gkslmap.profiles import (
     ConstantProfile,
+    ConvProfile,
     ExpProfile,
     GaussianProfile,
     Profile,
@@ -147,8 +148,53 @@ def test_profiles_outside_the_closed_family_have_no_form():
 
 def test_profile_product_fuses_exponentials():
     prod = profile_product(ExpProfile(-1.0), ExpProfile(2.0j))
-    assert isinstance(prod, ExpProfile)
-    assert prod.rate == -1.0 + 2.0j
+    assert isinstance(prod, ConvProfile) and prod.factor.kind == "exp"
+    assert prod.factor.rate == -1.0 + 2.0j
+
+
+@pytest.mark.parametrize(
+    "a, b, fused",
+    [
+        (ConstantProfile(0.5j), ConstantProfile(2.0 - 1.0j), ConstantProfile(0.5j * (2.0 - 1.0j))),
+        (ExpProfile(-1.0 + 0.5j), ExpProfile(-0.25 - 2.0j), ExpProfile(-1.25 - 1.5j)),
+        (GaussianProfile(0.6), GaussianProfile(0.8),
+         GaussianProfile(1.0 / np.sqrt(1.0 / 0.6**2 + 1.0 / 0.8**2))),
+        # a unit constant on either side is dropped
+        (ConstantProfile(1.0), GaussianProfile(0.7), GaussianProfile(0.7)),
+        (ExpProfile(-0.4), ConstantProfile(), ExpProfile(-0.4)),
+        (ConstantProfile(1.0 + 0.0j), SEP_GAUSS, SEP_GAUSS),
+        (TABLE, ConstantProfile(1.0), TABLE),
+    ],
+)
+def test_profile_product_fuses_single_factors(a, b, fused):
+    assert profile_product(a, b) == fused
+
+
+def test_single_var_factor_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown factor kind 'expo'"):
+        SingleVarFactor("expo", rate=1.0)
+
+
+@pytest.mark.parametrize(
+    "profile, formula, conjugate",
+    [
+        (ConstantProfile(0.8 - 0.3j), lambda x: np.full(x.shape, 0.8 - 0.3j, dtype=complex),
+         ConstantProfile(0.8 + 0.3j)),
+        (ExpProfile(-1.2), lambda x: np.exp(-1.2 * x).astype(complex), ExpProfile(-1.2)),
+        (ExpProfile(0.9j), lambda x: np.exp(0.9j * x), ExpProfile(-0.9j)),
+        (ExpProfile(-1.2 + 0.6j), lambda x: np.exp((-1.2 + 0.6j) * x), ExpProfile(-1.2 - 0.6j)),
+        (GaussianProfile(1.1), lambda x: np.exp(-((x / 1.1) ** 2)).astype(complex),
+         GaussianProfile(1.1)),
+    ],
+)
+def test_single_factor_profiles_are_their_factor_of_t_minus_tp(profile, formula, conjugate):
+    t = np.linspace(0.0, 2.5, 6)
+    t, tp = t[:, None], t[None, :]
+    vals = profile(t, tp)
+    assert vals.shape == (6, 6) and vals.dtype == complex
+    assert vals.tobytes() == profile.factor(t - tp).tobytes() == formula(t - tp).tobytes()
+    assert profile.form == ((profile.factor,), (), ())
+    assert profile.conjugate() == conjugate
 
 
 def test_profiles_are_hashable_for_table_sharing():
