@@ -17,9 +17,11 @@ Conventions fixed here and used by every file format:
 Certification is stacked: choi, cp_check, trace_deviation, cond and solve each
 take blocks of _NODE_BLOCK nodes or intervals, with the same bits per matrix
 as one at a time.  Blocks, because a call over all M + 1 nodes holds several
-(M+1, d^2, d^2) temporaries at once and raises the peak memory.  The Kraus
-condition is one cond, one inv and one (n, n, d, d) product K_j^{-1} K_k over
-all operators; the strict drift condition weights each grid-triangle point once.
+(M+1, d^2, d^2) temporaries at once and raises the peak memory.  cp_check
+computes Choi eigenvalues only; kraus_extract computes the eigenvectors too.
+The Kraus condition is one cond, one inv and one (n, n, d, d) product
+K_j^{-1} K_k over all operators; the strict drift condition weights each
+grid-triangle point once.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def cp_check(choi_matrix: np.ndarray, eps_cp: float = DEFAULT_EPS_CP):
     A stack (..., D, D) of Choi matrices gives arrays of both.
     """
     d = _dim_of(choi_matrix)
-    lam_min = hermitian_eig(choi_matrix).eigenvalues[..., 0]
+    lam_min = hermitian_eig(choi_matrix, vectors=False).eigenvalues[..., 0]
     return lam_min >= -eps_cp * d, lam_min
 
 

@@ -54,13 +54,16 @@ def vectorize(a) -> np.ndarray:
 def sandwich_superop(a, b) -> np.ndarray:
     """Superoperator matrix of the map rho -> a @ rho @ b.
 
-    With column-stacking vectorization this is ``kron(b.T, a)``.
+    With column-stacking vectorization this is ``kron(b.T, a)``, whose entry
+    [i*d + k, j*d + l] is the one product b.T[i, j] a[k, l]; formed as that
+    outer product and reshaped, it equals ``np.kron`` bit for bit.
     """
     a = _as_square(a, "a")
     b = _as_square(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"operator dimensions differ: {a.shape} vs {b.shape}")
-    return np.kron(b.T, a)
+    d = a.shape[0]
+    return (b.T[:, None, :, None] * a[None, :, None, :]).reshape(d * d, d * d)
 
 
 def frobenius(a):
@@ -78,10 +81,11 @@ def dagger(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianEigenResult:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
+    """Ascending eigenvalues and the matching orthonormal eigenvector columns
+    (None when only the eigenvalues were asked for)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 class NotHermitianError(ValueError):
@@ -96,12 +100,13 @@ class NotHermitianError(ValueError):
 _HERMITIAN_RTOL = 1e-9  # the asymmetry hermitian_eig accepts, relative to ||A||_F
 
 
-def hermitian_eig(a) -> HermitianEigenResult:
+def hermitian_eig(a, vectors: bool = True) -> HermitianEigenResult:
     """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n) of them.
 
     The input is symmetrized internally; a matrix whose anti-Hermitian part
     exceeds ``_HERMITIAN_RTOL * ||A||_F`` is rejected with :class:`NotHermitianError`, so
-    silent misuse on generic matrices cannot slip through.
+    silent misuse on generic matrices cannot slip through.  With ``vectors=False``
+    only the eigenvalues are computed (``eigvalsh``), after the same guard.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -117,8 +122,10 @@ def hermitian_eig(a) -> HermitianEigenResult:
             f"||A - A^dag||_F = {asym[idx]:.3e} "
             f"exceeds {_HERMITIAN_RTOL:.1e} * ||A||_F = {_HERMITIAN_RTOL * scale[idx]:.3e}",
         )
-    w, v = np.linalg.eigh(0.5 * (a + a_dag))
-    return HermitianEigenResult(eigenvalues=w, eigenvectors=v)
+    herm = 0.5 * (a + a_dag)
+    if not vectors:
+        return HermitianEigenResult(np.linalg.eigvalsh(herm), None)
+    return HermitianEigenResult(*np.linalg.eigh(herm))
 
 
 def random_operator(rng: np.random.Generator, dim: int, norm: float = 1.0) -> np.ndarray:

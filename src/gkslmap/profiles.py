@@ -91,9 +91,12 @@ class SingleVarFactor:
         return np.exp(-((x / self.tau) ** 2)).astype(complex)
 
     def conjugate(self) -> "SingleVarFactor":
-        return SingleVarFactor(
-            self.kind, np.conj(self.value), np.conj(self.rate), self.tau
-        )
+        """The conjugate factor: only the field its kind reads is conjugated."""
+        if self.kind == "constant":
+            return SingleVarFactor("constant", np.conj(self.value), self.rate, self.tau)
+        if self.kind == "exp":
+            return SingleVarFactor("exp", self.value, np.conj(self.rate), self.tau)
+        return self  # a gaussian is real
 
 
 class Profile:

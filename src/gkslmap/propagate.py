@@ -166,19 +166,32 @@ def _qtable(profile, taus: np.ndarray, hf: float) -> np.ndarray:
     return q
 
 
+def _merge_terms(terms) -> dict:
+    """{profile: summed matrix} of (profile, matrix) terms, in first-seen order."""
+    merged = {}
+    for p, x in terms:
+        prev = merged.get(p)
+        merged[p] = x if prev is None else prev + x
+    return merged
+
+
 def _lattice(terms, size: int, grid: TimeGrid, stride: int = 1) -> np.ndarray:
     """Integrated sum_k q_k(tau) X_k of (profile, size x size matrix) terms.
 
-    One q-table per distinct profile, formed before ``out`` so that their
-    temporaries and ``out`` are never held together.  ``stride`` selects
-    every stride-th refined node (2 -> the h/2 lattice).
+    Terms with equal profiles are merged first, their matrices summed in
+    first-seen order, so each distinct profile has one q-table, taken at every
+    stride-th refined node (2 -> the h/2 lattice) into one column of a
+    (nodes, P) array.  The lattice is then the one product of that array with
+    the (P, size^2) stack of the merged matrices.
     """
     taus, hf = _fine_nodes(grid), grid.h / _REFINE
-    q = {p: _qtable(p, taus, hf) for p in dict.fromkeys(p for p, _ in terms)}
-    out = np.zeros((len(taus[::stride]), size, size), dtype=complex)
-    for p, x in terms:
-        out += q[p][::stride, None, None] * x
-    return out
+    n = len(taus[::stride])
+    merged = _merge_terms(terms)
+    q = np.empty((n, len(merged)), dtype=complex)
+    for k, p in enumerate(merged):
+        q[:, k] = _qtable(p, taus, hf)[::stride]
+    x = np.array(list(merged.values()), dtype=complex).reshape(len(merged), size * size)
+    return (q @ x).reshape(n, size, size)
 
 
 def _part_terms(split: KernelSplit, part: str):
@@ -396,10 +409,7 @@ def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
     on blocks of _ROW_BLOCK rows, the block of the last row asked for kept, so
     rows asked for in increasing order evaluate each point once.
     """
-    merged = {}
-    for p, sk in terms:
-        prev = merged.get(p)
-        merged[p] = sk if prev is None else prev + sk
+    merged = _merge_terms(terms)
 
     def path(form):  # 0: recurrence, 1: normal-form rows, 2: evaluated rows
         return 2 if form is None else int(any(fac.kind == "gaussian" for fac in form[0]))

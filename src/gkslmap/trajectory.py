@@ -21,6 +21,10 @@ from .serialize import (
 
 __all__ = ["TimeGrid", "MapTrajectory", "OrderedExponential", "FAMILY_TAGS"]
 
+# The local solvers tabulate 4 * steps + 1 complex (16-byte) entries, the h/4
+# lattice; steps below this bound keep that table's byte size within an intp.
+_STEPS_LIMIT = (np.iinfo(np.intp).max // 16 - 1) // 4 + 1
+
 # Closed set of solver-family tags used in serialized outputs.
 FAMILY_TAGS = (
     "local-full",
@@ -49,8 +53,8 @@ class TimeGrid:
             raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.steps >= np.iinfo(np.intp).max:  # steps + 1 nodes must size an array
-            raise ValueError(f"steps must be below {np.iinfo(np.intp).max}")
+        if self.steps >= _STEPS_LIMIT:
+            raise ValueError(f"steps must be below {_STEPS_LIMIT}")
 
     @property
     def h(self) -> float:

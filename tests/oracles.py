@@ -2,7 +2,7 @@
 
 The solvers work from the separable form of :func:`gkslmap.kernel.split_kernel`
 on O(M) tables and rows; the first references evaluate the kernel directly,
-one (t, t') at a time.  The Runge-Kutta references march stage by stage.
+one (t, t') at a time, or sum the generator lattice one term at a time.  The Runge-Kutta references march stage by stage.
 The last section holds criterion 1's closed form and two helpers that only
 the tests use.
 """
@@ -14,8 +14,11 @@ import numpy as np
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
 from gkslmap.linalg import dagger, sandwich_superop
 from gkslmap.propagate import (
+    _REFINE,
+    _fine_nodes,
     _lattice,
     _local_generator,
+    _qtable,
     _sandwich_stack,
     solve_family,
 )
@@ -55,6 +58,17 @@ def effective_generator(k: GKSLKernel, t: float, grid: TimeGrid) -> np.ndarray:
         w = 0.5 * grid.h if j in (0, m) else grid.h
         g += w * eval_kernel_superop(k, ts[m], ts[j])
     return g
+
+
+def lattice_per_term(terms, size: int, grid: TimeGrid, stride: int = 1) -> np.ndarray:
+    """Generator lattice sum_k q_k(tau) X_k summed one (profile, matrix) term at a time,
+    each distinct profile's q-table formed once, on every stride-th refined node."""
+    taus, hf = _fine_nodes(grid), grid.h / _REFINE
+    q = {p: _qtable(p, taus, hf) for p in dict.fromkeys(p for p, _ in terms)}
+    out = np.zeros((len(taus[::stride]), size, size), dtype=complex)
+    for p, x in terms:
+        out += q[p][::stride, None, None] * x
+    return out
 
 
 # ---------------------------------------------------------------------------

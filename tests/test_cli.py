@@ -673,6 +673,17 @@ def test_request_too_large_for_memory_is_config_error(
     assert not out.exists()
 
 
+def test_steps_too_large_for_the_refined_lattice_is_config_error(tmp_path, kernel_file, capsys):
+    # the h/4 lattice of 4 * steps + 1 complex entries cannot be sized: refused before
+    # any allocation
+    out = tmp_path / "run"
+    argv = ["solve", "--kernel", kernel_file, "--steps", "1000000000000000000", "--out", str(out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and "steps" in err["message"]
+    assert not out.exists()
+
+
 def test_non_finite_solve_exits_three(tmp_path, capsys):
     kernel = write_kernel(tmp_path / "strong.json", dephasing_kernel(g=1e4))
     out = tmp_path / "run"

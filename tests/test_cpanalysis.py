@@ -153,15 +153,19 @@ def test_divisibility_flags_violation_and_indeterminate():
     assert res.lambda_mins[1] is None
 
 
+def reference_choi(s, d):
+    """Hermitian part of the Choi matrix of one superoperator, by index reshuffle."""
+    c = s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    return 0.5 * (c + c.conj().T)
+
+
 def certify_reference(traj, eps_cp=1e-8, cond_limit=1e12):
-    """The per-node loop: one Choi eigh per node, one cond, solve and eigh per interval."""
+    """The per-node loop: one Choi eigvalsh per node, one cond, solve and eigvalsh per interval."""
     d = traj.dim
-    D = d * d
     row = np.eye(d, dtype=complex).reshape(-1, order="F")
 
     def lam_min(s):
-        c = s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(D, D)
-        return float(np.linalg.eigh(0.5 * (c + c.conj().T))[0][0])
+        return float(np.linalg.eigvalsh(reference_choi(s, d))[0])
 
     lams = [lam_min(m) for m in traj.maps]
     devs = [float(np.linalg.norm(m.conj().T @ row - row)) for m in traj.maps]
@@ -218,6 +222,21 @@ def test_stacked_certify_matches_per_node_loop(name):
         assert "not-CP" in statuses
     if name == "spliced":
         assert statuses[99:101] == ["not-CP", "indeterminate"]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TRAJECTORIES))
+def test_certified_lambda_min_agrees_with_full_eigendecomposition(name):
+    # certification computes eigenvalues only; eigh's eigenvalues may differ in the last bits
+    traj = ORACLE_TRAJECTORIES[name]()
+    report = certify_trajectory(traj, divisibility=True)
+    maps, d = traj.maps, traj.dim
+    intervals = [np.linalg.solve(a.T, b.T).T for a, b in zip(maps[:-1], maps[1:])]
+    pairs = list(zip(report.lambda_mins, maps))
+    pairs += [(lam, s) for lam, s in zip(report.divisibility.lambda_mins, intervals) if lam is not None]
+    assert len(pairs) > len(maps)
+    for lam, s in pairs:
+        c = reference_choi(s, d)
+        assert abs(lam - np.linalg.eigh(c)[0][0]) <= 1e-12 * max(1.0, np.linalg.norm(c))
 
 
 def test_certify_names_the_node_that_breaks_hermiticity():

@@ -75,6 +75,31 @@ def test_hermitian_eig_on_a_stack_matches_one_at_a_time(rng):
     assert err.value.index == (3,)
 
 
+def test_hermitian_eig_without_vectors(rng):
+    stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+    res = hermitian_eig(stack, vectors=False)
+    assert res.eigenvectors is None
+    assert np.allclose(res.eigenvalues, hermitian_eig(stack).eigenvalues, rtol=0, atol=1e-14)
+    stack[2] += 0.1 * random_operator(rng, 4)
+    stack[4] += 0.1 * random_operator(rng, 4)
+    with pytest.raises(NotHermitianError) as full:
+        hermitian_eig(stack)
+    with pytest.raises(NotHermitianError) as values_only:
+        hermitian_eig(stack, vectors=False)
+    assert values_only.value.index == full.value.index == (2,)
+    assert str(values_only.value) == str(full.value)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_sandwich_superop_is_kron_bit_for_bit(rng, d):
+    def cplx():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    eye = np.eye(d, dtype=complex)
+    for a, b in ((cplx(), cplx()), (eye, cplx()), (cplx(), eye)):
+        assert sandwich_superop(a, b).tobytes() == np.kron(b.T, a).tobytes()
+
+
 def test_frobenius_of_a_stack_rounds_like_numpy_norm(rng):
     stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
     assert np.array_equal(frobenius(stack), [np.linalg.norm(a) for a in stack])

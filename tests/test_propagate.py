@@ -33,6 +33,7 @@ from gkslmap.propagate import (
     _REFINE,
     _family_march,
     _fine_nodes,
+    _lattice,
     _memory,
     _qtable,
     family_distances,
@@ -47,6 +48,7 @@ from oracles import (
     effective_generator,
     eval_kernel_superop,
     jump_exponential_series,
+    lattice_per_term,
     random_density,
     rk4_frame,
     rk4_local,
@@ -543,6 +545,27 @@ def part_terms(k):
     jump = list(split.jump_part.terms)
     drift = [(p, -s) for p, s in split.drift_part.terms]
     return {"full": jump + drift, "jump": jump, "drift": drift}
+
+
+@pytest.mark.parametrize("stride", (1, 2))
+def test_lattice_matches_per_term_loop(corpus, stride):
+    grid = TimeGrid(2.0, 60)
+    kernels = list(corpus) + [recurrence_edge_kernel()]
+    cases = [(terms, k.dim**2) for k in kernels for terms in part_terms(k).values()]
+    cases += [(split_kernel(k).drift_op.terms, k.dim) for k in kernels]
+    assert any(len(set(p for p, _ in terms)) < len(terms) for terms, _ in cases)  # merged
+    for terms, size in cases:
+        ref = lattice_per_term(terms, size, grid, stride)
+        got = _lattice(terms, size, grid, stride)
+        assert got.shape == ref.shape and rel_gap(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("stride", (1, 2))
+def test_lattice_of_no_terms_is_zero(stride):
+    grid = TimeGrid(2.0, 10)
+    out = _lattice([], 4, grid, stride)
+    assert out.shape == (4 * 10 // stride + 1, 4, 4) and not out.any()
+    assert np.array_equal(out, lattice_per_term([], 4, grid, stride))
 
 
 CORE_STEPS = (1, 2, 7, 200)

@@ -29,6 +29,16 @@ def test_time_grid_validation():
             TimeGrid(horizon, 10)
 
 
+def test_time_grid_steps_must_size_the_refined_lattice():
+    # 16 bytes times the 4 * steps + 1 points of the h/4 lattice must fit an array's size
+    top = 2**57 - 1
+    assert 16 * (4 * top + 1) <= np.iinfo(np.intp).max < 16 * (4 * (top + 1) + 1)
+    assert TimeGrid(1.0, top).steps == top
+    for steps in (top + 1, 10**18):
+        with pytest.raises(ValueError, match=f"^steps must be below {top + 1}$"):
+            TimeGrid(1.0, steps)
+
+
 def make_trajectory(rng, dim=2, steps=3, family="local-full"):
     D = dim * dim
     maps = np.empty((steps + 1, D, D), dtype=complex)
