@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import TwoTimeOperatorFunction
-from .linalg import NotHermitianError, frobenius, hermitian_eig, vectorize
+from .linalg import _HERMITIAN_RTOL, NotHermitianError, frobenius, hermitian_eig, vectorize
 from .propagate import solve_nonlocal_from_drift
 from .serialize import csv_table
 from .trajectory import MapTrajectory, TimeGrid
@@ -63,6 +63,10 @@ _KRAUS_CUTOFF = 1e-12  # Kraus weights kept: above this times max(trace, 1)
 _KRAUS_TOL = 1e-8  # Frobenius tolerance of the mutual-inverse Kraus condition
 _DRIFT_TOL = 1e-10  # drift diagonality and sign tolerance, relative to the integrals
 _N_AMPLITUDES = 64  # amplitudes |psi_n| swept by the witness search
+# An intermediate map comes from a linear solve whose relative error is of order
+# u cond(Lambda_m), u = machine epsilon; its Choi asymmetry up to
+# _SOLVE_ASYM_C * u * cond(Lambda_m) * ||C||_F is rounding, not input.
+_SOLVE_ASYM_C = 16.0
 
 
 _NODE_BLOCK = 64  # nodes or intervals per stacked call; see the module docstring
@@ -217,27 +221,40 @@ def divisibility_check(traj: MapTrajectory, eps_cp: float = DEFAULT_EPS_CP) -> D
     """CP-check every intermediate map of a trajectory.
 
     The intermediate map X solves X Lambda_m = Lambda_{m+1} (computed by a
-    linear solve, never an explicit inverse); intervals whose Lambda_m is
-    conditioned beyond DEFAULT_COND_LIMIT are marked indeterminate, not failed.
+    linear solve, never an explicit inverse).  An interval is marked
+    indeterminate, not failed, when its Lambda_m is conditioned beyond
+    DEFAULT_COND_LIMIT, or when the Choi matrix C of X fails the Hermiticity
+    guard by an asymmetry within _SOLVE_ASYM_C * u * cond(Lambda_m) * ||C||_F,
+    which the solve's rounding explains.  A larger asymmetry is an error
+    naming the interval.
     """
     a, b = traj.maps[:-1], traj.maps[1:]
     (conds,) = _blockwise(lambda s: (np.linalg.cond(a[s]),), traj.grid.steps, "interval")
     solvable = np.isfinite(conds) & (conds <= DEFAULT_COND_LIMIT)
     eye = np.eye(a.shape[-1])
+    rounding = _SOLVE_ASYM_C * np.finfo(float).eps * conds
 
     def intermediate_cp(s):
         # X a = b  <=>  a^T X^T = b^T; unsolvable intervals get X = 1, discarded below
         keep = solvable[s, None, None]
         at = np.where(keep, np.swapaxes(a[s], 1, 2), eye)
         bt = np.where(keep, np.swapaxes(b[s], 1, 2), eye)
-        return cp_check(choi(np.swapaxes(np.linalg.solve(at, bt), 1, 2)), eps_cp)
+        c = choi(np.swapaxes(np.linalg.solve(at, bt), 1, 2))
+        try:
+            return (*cp_check(c, eps_cp), np.zeros(len(c), dtype=bool))
+        except NotHermitianError:
+            asym, scale = frobenius(c - np.swapaxes(c.conj(), 1, 2)), frobenius(c)
+            explained = (asym > _HERMITIAN_RTOL * scale) & (asym <= rounding[s] * scale)
+            # an explained interval is checked on C = 1 instead, its verdict discarded below
+            return (*cp_check(np.where(explained[:, None, None], eye, c), eps_cp), explained)
 
-    ok, lam = _blockwise(intermediate_cp, traj.grid.steps, "interval")
+    ok, lam, explained = _blockwise(intermediate_cp, traj.grid.steps, "interval")
+    good = solvable & ~explained
     return DivisibilityResult(
         statuses=tuple(
-            ("CP" if c else "not-CP") if good else "indeterminate" for good, c in zip(solvable, ok)
+            ("CP" if c else "not-CP") if g else "indeterminate" for g, c in zip(good, ok)
         ),
-        lambda_mins=tuple(x if good else None for good, x in zip(solvable, lam.tolist())),
+        lambda_mins=tuple(x if g else None for g, x in zip(good, lam.tolist())),
         condition_numbers=tuple(conds.tolist()),
     )
 

@@ -263,7 +263,10 @@ class ProductProfile(Profile):
         forms = [f.form for f in self.factors]
         if None in forms:
             return None
-        return tuple(sum((form[part] for form in forms), ()) for part in range(3))
+        conv, f, g = (sum((form[part] for form in forms), ()) for part in range(3))
+        # a constant conv factor depends on neither time, so it rides with f
+        const = tuple(fac for fac in conv if fac.kind == "constant")
+        return tuple(fac for fac in conv if fac.kind != "constant"), f + const, g
 
     def conjugate(self):
         return ProductProfile(tuple(f.conjugate() for f in self.factors))

@@ -21,11 +21,13 @@ tables take O(M) memory.  Every profile of the closed family (constant,
 exponential, gaussian, separable and their products) declares its normal
 form c(t - s) f(t) g(s) as factor tuples (``Profile.form``), so its table is
 one causal discrete convolution of c and g on the lattice (a running sum
-when either is 1), scaled by f.  Profiles whose form is None (tabulated
-ones, products containing one and foreign Profile subclasses) keep the
-per-row trapezoid sums, evaluated in fixed-size blocks of rows.  The nonlocal
-memory sums are trapezoid sums over grid nodes, read one row at a time from
-the same normal form, so they too take O(M) memory per profile.
+when either is 1), scaled by f.  In a product a constant conv factor rides
+with f, so only a profile with an exponential or gaussian conv factor and a
+g factor takes the O(M^2) direct convolution.  Profiles whose form is None
+(tabulated ones, products containing one and foreign Profile subclasses)
+keep the per-row trapezoid sums, evaluated in fixed-size blocks of rows.
+The nonlocal memory sums are trapezoid sums over grid nodes, read one row at
+a time from the same normal form, so they too take O(M) memory per profile.
 
 Every ODE family is linear, dy/dt = B(t) y, so a classical 4th-order
 Runge-Kutta step is a fixed polynomial in B at its three stage nodes.  One
@@ -147,8 +149,11 @@ def _qtable(profile, taus: np.ndarray, hf: float) -> np.ndarray:
 
     ``taus`` is a uniform lattice from 0.  For profile(t, s) = c(t - s) f(t) g(s)
     with c_k = c(tau_k), the row sum over j <= i is the causal convolution
-    f_i (c * g)_i, taken as a direct sum (its rounding stays relative to the
-    terms, where an FFT's is relative to the table's maximum).
+    f_i (c * g)_i.  With no conv or no g factor it is a running sum, O(M);
+    otherwise (an exponential or gaussian conv factor with a g factor; in a
+    product a constant conv factor rides with f) a direct sum, O(M^2), whose
+    rounding stays relative to the terms, where an FFT's is relative to the
+    table's maximum.
     """
     form = profile.form
     if form is None:

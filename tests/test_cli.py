@@ -97,6 +97,25 @@ def test_certify_divisibility_violation_exit_one(tmp_path):
     assert w["t"][0] > 1.0  # revival stretch starts past the coherence zero
 
 
+def test_certify_divisibility_marks_an_interval_its_conditioning_blurs(
+    tmp_path, capsys, bench_corpus
+):
+    # local-full at g = 8 preserves Hermiticity at every node, but Lambda_37 has a
+    # condition number near 1e8, so the solved interval map's Choi asymmetry
+    # exceeds the 1e-9 guard: that is rounding, not a config error
+    kernel = write_kernel(tmp_path / "k6.json", bench_corpus[6].with_coupling(8))
+    out = tmp_path / "run"
+    assert main(["solve", "--kernel", kernel, "--steps", "40", "--out", str(out)]) == 0
+    code = main(["certify", "--trajectory", str(out / "trajectory.json"),
+                 "--divisibility", "--out", str(out)])
+    assert code == 1, capsys.readouterr().err
+    report = json.loads((out / "cp_report.json").read_text())
+    assert report["all_cp"] is True
+    div = report["divisibility"]
+    assert div["status"][37] == "indeterminate" and div["lambda_min"][37] is None
+    assert div["status"][:37] == ["CP"] * 37 and "not-CP" not in div["status"]
+
+
 def test_csvs_report_the_same_trace_deviation(tmp_path):
     kernel = write_kernel(tmp_path / "k.json", random_kernel(101))
     out = tmp_path / "run"

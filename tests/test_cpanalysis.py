@@ -248,6 +248,14 @@ def test_certify_names_the_node_that_breaks_hermiticity():
         certify_trajectory(bad)
 
 
+def test_divisibility_names_the_interval_whose_asymmetry_conditioning_cannot_explain():
+    # Lambda_0 = 1 has condition number 1, so interval 0's asymmetry is not rounding
+    maps = np.stack([np.eye(4, dtype=complex), sandwich_superop(SIGMA_X, SIGMA_Z)])
+    traj = MapTrajectory(grid=TimeGrid(1.0, 1), dim=2, family="local-full", maps=maps)
+    with pytest.raises(ValueError, match="^interval 0: .*not Hermitian"):
+        divisibility_check(traj)
+
+
 def test_trace_deviation(rng):
     u = haar_unitary(rng, 3)
     assert trace_deviation(sandwich_superop(u, dagger(u))) < 1e-14

@@ -101,6 +101,7 @@ SEP_CONST_G = SeparableProfile(
     SingleVarFactor("gaussian", tau=0.9), SingleVarFactor("constant", value=0.5 - 0.2j)
 )
 TABLE = TabulatedProfile(3.0, np.arange(16.0).reshape(4, 4) + 1j)
+CONST = SingleVarFactor("constant", value=0.6 - 0.3j)
 
 CLOSED_PROFILES = [
     ConstantProfile(0.8 - 0.3j),
@@ -113,6 +114,7 @@ CLOSED_PROFILES = [
     profile_product(ExpProfile(-0.8 + 0.5j), SEP_GAUSS.conjugate()),
     profile_product(GaussianProfile(1.3), SEP_CONST_G.conjugate()),
     profile_product(profile_product(ConstantProfile(0.6j), SEP_GAUSS), ExpProfile(-0.2)),
+    profile_product(ConvProfile(CONST), SEP_GAUSS),
     ProductProfile((ExpProfile(-0.3), ProductProfile((SEP_GAUSS, GaussianProfile(0.7))))),
 ]
 
@@ -133,10 +135,15 @@ class CosProductProfile(Profile):
 def test_normal_form_is_pointwise(t, tp):
     for p in CLOSED_PROFILES:
         conv, f, g = p.form
+        # a constant is a conv factor only alone; in a product it rides with f
+        assert isinstance(p, ConvProfile) or all(fac.kind != "constant" for fac in conv), p
         parts = [fac(t - tp) for fac in conv] + [fac(t) for fac in f] + [fac(tp) for fac in g]
         value = np.prod(parts)
         expected = complex(p(t, tp))
         assert abs(value - expected) <= 1e-12 * abs(expected), p
+    assert profile_product(ConvProfile(CONST), SEP_GAUSS).form == (
+        (), (SEP_GAUSS.f, CONST), (SEP_GAUSS.g,)
+    )
 
 
 def test_profiles_outside_the_closed_family_have_no_form():

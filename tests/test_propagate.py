@@ -379,6 +379,19 @@ def test_row_block_qtable_is_bit_identical_to_dense_reference(name, steps):
     assert np.array_equal(q, ref)
 
 
+def test_benchmark_corpus_tables_take_no_convolution(bench_corpus, monkeypatch):
+    # the corpus holds constant x separable pairings; their constant rides with f,
+    # so every table is a running sum
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    grid = TimeGrid(2.0, 40)
+    for k in bench_corpus:
+        solve_family(k, grid, "local-full")
+        _lattice(split_kernel(k).drift_op.terms, k.dim, grid)
+
+
 def test_solve_local_peak_memory_stays_linear():
     k = random_kernel(105)
     grid = TimeGrid(2.0, 800)
