@@ -13,17 +13,18 @@ The kinds accepted in kernel documents:
 
 The four single-factor kinds are one class, ``ConvProfile``: c(t - t') of one
 :class:`SingleVarFactor` c.  Profiles evaluate vectorized over numpy arrays.
-Every profile of the closed family (all kinds but ``tabulated-grid``, and
-their products) declares its normal form c(t - t') f(t) g(t') as
-single-variable factors (``form``), which the fast solver paths read and from
-which the convolution predicate (True exactly when the value depends on
-t - t' only) follows.  Conjugation and products are closed over the family
-plus a product node, which is what lets drift operators and jump-pair
-coefficients stay in profile form.
+Every profile declares its normal form (``form``), a sum of terms
+c(t - t') f(t) g(t') of single-variable factors, which the solvers read and
+from which the convolution predicate follows.  The closed-form kinds have one
+term; a table of n knots has n, hat_a(t) row_a(t') with piecewise-linear
+factors, which sum to its bilinear interpolation exactly.  Conjugation and
+products are closed over the kinds plus a product node, which is what lets
+drift operators and jump-pair coefficients stay in profile form.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -69,17 +70,46 @@ def _cplx_doc(z: complex):
     return [float(z.real), float(z.imag)]
 
 
+def _cells(x: np.ndarray, t_max: float, n: int):
+    """Cell index i in [0, n - 2] and offset in [0, 1] of each x on n uniform
+    knots of [0, t_max]; raises outside that span, up to rounding."""
+    eps = 1e-12 * max(1.0, t_max)
+    if (x < -eps).any() or (x > t_max + eps).any():
+        raise ValueError(
+            f"tabulated profile evaluated outside [0, {t_max}]^2; "
+            "re-tabulate with a larger t_max"
+        )
+    u = np.clip(x / (t_max / (n - 1)), 0.0, n - 1)
+    i0 = np.minimum(np.floor(u).astype(int), n - 2)
+    return i0, u - i0
+
+
+def _disjoint(facs) -> bool:
+    """True when the piecewise-linear factors among ``facs`` are nonzero on no
+    common open span, so their product vanishes everywhere."""
+    lo, hi = 0.0, np.inf
+    for fac in facs:
+        nz = np.flatnonzero(fac.samples) if fac.kind == "linear" else ()
+        if len(nz):
+            step = fac.t_max / (len(fac.samples) - 1)
+            lo, hi = max(lo, (nz[0] - 1) * step), min(hi, (nz[-1] + 1) * step)
+    return lo >= hi
+
+
 @dataclass(frozen=True)
 class SingleVarFactor:
-    """One factor of a product-separable profile: constant, exp(rate*x) or gaussian."""
+    """One single-variable factor: constant, exp(rate*x), gaussian, or piecewise
+    linear through ``samples`` on uniform knots of [0, t_max] (kind "linear")."""
 
-    kind: str  # "constant" | "exp" | "gaussian"
+    kind: str  # "constant" | "exp" | "gaussian" | "linear"
     value: complex = 1.0  # constant value
     rate: complex = 0.0  # exp factor exponent
     tau: float = 1.0  # gaussian width
+    t_max: float = 1.0  # linear factor span
+    samples: tuple = ()  # linear factor knot values, a tuple so factors hash
 
     def __post_init__(self):
-        if self.kind not in ("constant", "exp", "gaussian"):
+        if self.kind not in ("constant", "exp", "gaussian", "linear"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
 
     def __call__(self, x):
@@ -88,6 +118,10 @@ class SingleVarFactor:
             return np.full(x.shape, self.value, dtype=complex)
         if self.kind == "exp":
             return np.exp(self.rate * x).astype(complex)
+        if self.kind == "linear":
+            i0, fx = _cells(x, self.t_max, len(self.samples))
+            v = np.asarray(self.samples, dtype=complex)
+            return v[i0] * (1 - fx) + v[i0 + 1] * fx
         return np.exp(-((x / self.tau) ** 2)).astype(complex)
 
     def conjugate(self) -> "SingleVarFactor":
@@ -96,30 +130,35 @@ class SingleVarFactor:
             return SingleVarFactor("constant", np.conj(self.value), self.rate, self.tau)
         if self.kind == "exp":
             return SingleVarFactor("exp", self.value, np.conj(self.rate), self.tau)
+        if self.kind == "linear":
+            samples = tuple(complex(v).conjugate() for v in self.samples)
+            return SingleVarFactor("linear", t_max=self.t_max, samples=samples)
         return self  # a gaussian is real
 
 
 class Profile:
-    """Base class; subclasses implement __call__(t, tp) and conjugate.
+    """Base class; subclasses implement __call__(t, tp), conjugate and form.
 
-    ``form`` is the normal form (conv, f, g), three tuples of
-    :class:`SingleVarFactor` with profile(t, s) = prod conv(t - s) *
-    prod f(t) * prod g(s), or None outside the closed family (the default).
+    ``form`` is the normal form, a tuple of terms (conv, f, g), each three
+    tuples of :class:`SingleVarFactor`, with profile(t, s) the sum over terms
+    of prod conv(t - s) * prod f(t) * prod g(s).
     """
 
     @property
-    def form(self):
-        return None
+    def form(self) -> tuple:  # pragma: no cover - abstract
+        raise NotImplementedError
 
     @property
     def is_convolution(self) -> bool:
-        """True when the normal form depends on t - s only: no gaussian factor
-        in f or g, and the exponential rates of f and g cancel."""
-        form = self.form
-        if form is None or any(fac.kind == "gaussian" for fac in form[1] + form[2]):
-            return False
-        f_rate, g_rate = (sum(fac.rate for fac in facs if fac.kind == "exp") for facs in form[1:])
-        return f_rate + g_rate == 0
+        """True when every term depends on t - s only: f and g hold constant and
+        exponential factors alone, and their rates cancel."""
+        for _, f, g in self.form:
+            if any(fac.kind not in ("constant", "exp") for fac in f + g):
+                return False
+            f_rate, g_rate = (sum(fac.rate for fac in facs if fac.kind == "exp") for facs in (f, g))
+            if f_rate + g_rate != 0:
+                return False
+        return True
 
     def __call__(self, t, tp):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -136,7 +175,7 @@ class ConvProfile(Profile):
 
     @property
     def form(self):
-        return (self.factor,), (), ()
+        return (((self.factor,), (), ()),)
 
     def __call__(self, t, tp):
         return self.factor(np.asarray(t, float) - np.asarray(tp, float))
@@ -171,8 +210,8 @@ class SeparableProfile(Profile):
     def form(self):
         # a constant g depends on neither time, so it rides with f
         if self.g.kind == "constant":
-            return (), (self.f, self.g), ()
-        return (), (self.f,), (self.g,)
+            return (((), (self.f, self.g), ()),)
+        return (((), (self.f,), (self.g,)),)
 
     def __call__(self, t, tp):
         t = np.asarray(t, float)
@@ -208,37 +247,27 @@ class TabulatedProfile(Profile):
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_key", (vals + 0.0).tobytes())  # + 0.0: -0.0 equals 0.0
 
+    @property
+    def form(self):
+        # bilinear interpolation is sum_a hat_a(t) row_a(t'), with hat_a the
+        # hat function of knot a and row_a the interpolation of values[a]
+        n = len(self.values)
+
+        def linear(samples):
+            return SingleVarFactor("linear", t_max=self.t_max, samples=tuple(map(complex, samples)))
+
+        return tuple(
+            ((), (linear(np.eye(1, n, a)[0]),), (linear(row),)) for a, row in enumerate(self.values)
+        )
+
     def __call__(self, t, tp):
-        t = np.asarray(t, float)
-        tp = np.asarray(tp, float)
-        t, tp = np.broadcast_arrays(t, tp)
-        eps = 1e-12 * max(1.0, self.t_max)
-        if (t < -eps).any() or (t > self.t_max + eps).any() or (tp < -eps).any() or (
-            tp > self.t_max + eps
-        ).any():
-            raise ValueError(
-                f"tabulated profile evaluated outside [0, {self.t_max}]^2; "
-                "re-tabulate with a larger t_max"
-            )
-        vals = self.values
-        n = vals.shape[0]
-        step = self.t_max / (n - 1)
-        x = np.clip(t / step, 0.0, n - 1 - 1e-12)
-        y = np.clip(tp / step, 0.0, n - 1 - 1e-12)
-        i0 = np.floor(x).astype(int)
-        j0 = np.floor(y).astype(int)
-        fx = x - i0
-        fy = y - j0
-        v00 = vals[i0, j0]
-        v10 = vals[i0 + 1, j0]
-        v01 = vals[i0, j0 + 1]
-        v11 = vals[i0 + 1, j0 + 1]
-        return (
-            v00 * (1 - fx) * (1 - fy)
-            + v10 * fx * (1 - fy)
-            + v01 * (1 - fx) * fy
-            + v11 * fx * fy
-        ).astype(complex)
+        t, tp = np.broadcast_arrays(np.asarray(t, float), np.asarray(tp, float))
+        n = len(self.values)
+        i0, fx = _cells(t, self.t_max, n)
+        j0, fy = _cells(tp, self.t_max, n)
+        v = self.values
+        return (v[i0, j0] * (1 - fx) * (1 - fy) + v[i0 + 1, j0] * fx * (1 - fy)
+                + v[i0, j0 + 1] * (1 - fx) * fy + v[i0 + 1, j0 + 1] * fx * fy).astype(complex)
 
     def conjugate(self):
         return TabulatedProfile(self.t_max, self.values.conj())
@@ -246,8 +275,8 @@ class TabulatedProfile(Profile):
 
 @dataclass(frozen=True)
 class ProductProfile(Profile):
-    """Product of profiles; documents hold two or more factors with a normal form
-    (a kernel's horizon and Hermiticity checks see no table inside a product)."""
+    """Product of profiles; documents hold two or more single-factor or separable
+    factors (a kernel's horizon and Hermiticity checks see no table inside a product)."""
 
     factors: tuple
 
@@ -260,13 +289,17 @@ class ProductProfile(Profile):
 
     @property
     def form(self):
-        forms = [f.form for f in self.factors]
-        if None in forms:
-            return None
-        conv, f, g = (sum((form[part] for form in forms), ()) for part in range(3))
-        # a constant conv factor depends on neither time, so it rides with f
-        const = tuple(fac for fac in conv if fac.kind == "constant")
-        return tuple(fac for fac in conv if fac.kind != "constant"), f + const, g
+        # the outer product of the factors' sums, less the terms that vanish
+        # everywhere (hat_a hat_b of one table, |a - b| > 1); in each term a
+        # constant conv factor depends on neither time, so it rides with f
+        terms = []
+        for parts in itertools.product(*(f.form for f in self.factors)):
+            conv, f, g = (sum((term[k] for term in parts), ()) for k in range(3))
+            if _disjoint(f) or _disjoint(g):
+                continue
+            const = tuple(fac for fac in conv if fac.kind == "constant")
+            terms.append((tuple(fac for fac in conv if fac.kind != "constant"), f + const, g))
+        return tuple(terms)
 
     def conjugate(self):
         return ProductProfile(tuple(f.conjugate() for f in self.factors))
@@ -381,12 +414,12 @@ def profile_from_doc(doc, field: str = "profile") -> Profile:
 
 
 def _product_factors(factors, field: str) -> tuple:
-    """The factors of a product document: two or more, each with a normal form, no product."""
+    """The factors of a product document: two or more, each single-factor or separable."""
     if len(factors) < 2:
         raise FormatError(f"{field}.factors: a product needs at least two factors")
     for i, f in enumerate(factors):
-        if isinstance(f, ProductProfile) or f.form is None:
-            raise FormatError(f"{field}.factors[{i}]: has no normal form or is a product")
+        if not isinstance(f, (ConvProfile, SeparableProfile)):
+            raise FormatError(f"{field}.factors[{i}]: is not single-factor or separable")
     return tuple(factors)
 
 

@@ -17,17 +17,18 @@ into a jump (sandwich) part J and a drift part D:
 Numerics: the inner t'-integrals are composite trapezoid sums on a lattice
 refined 4x below the step h, so the drift-frame march (step h/2, stages at
 h/4) and the map march (step h, stages at h/2) draw on one shared table.  The
-tables take O(M) memory.  Every profile of the closed family (constant,
-exponential, gaussian, separable and their products) declares its normal
-form c(t - s) f(t) g(s) as factor tuples (``Profile.form``), so its table is
-one causal discrete convolution of c and g on the lattice (a running sum
-when either is 1), scaled by f.  In a product a constant conv factor rides
-with f, so only a profile with an exponential or gaussian conv factor and a
-g factor takes the O(M^2) direct convolution.  Profiles whose form is None
-(tabulated ones, products containing one and foreign Profile subclasses)
-keep the per-row trapezoid sums, evaluated in fixed-size blocks of rows.
-The nonlocal memory sums are trapezoid sums over grid nodes, read one row at
-a time from the same normal form, so they too take O(M) memory per profile.
+tables take O(M) memory.  Every profile declares its normal form
+(``Profile.form``), a sum of terms c(t - s) f(t) g(s) of single-variable
+factors: one term for the closed kinds (constant, exponential, gaussian,
+separable), n terms with c = 1 and piecewise-linear f and g for a table of n
+knots, and for a product the outer product of its factors' sums, less the
+terms that vanish everywhere.  Its
+q-table is the sum of its terms' tables, each one causal discrete
+convolution of c and g on the lattice (a running sum when either is 1),
+scaled by f.  In a product term a constant conv factor rides with f, so
+only a term with an exponential or gaussian conv factor and a g factor takes
+the O(M^2) direct convolution.  The nonlocal memory sums are trapezoid sums over grid nodes,
+read from the same terms, so they too take O(M) memory per term.
 
 Every ODE family is linear, dy/dt = B(t) y, so a classical 4th-order
 Runge-Kutta step is a fixed polynomial in B at its three stage nodes.  One
@@ -37,18 +38,18 @@ is the map (local families and the transform route), the pair (V, Vinv^T)
 (drift frame) or the triangular stack of series terms (local series, stepped
 by the parts of each degree).  Every nonlocal family goes through one memory
 core, built by :func:`_memory` inside its march: the nested-trapezoid memory
-sum at node i, stacked over the kernel's distinct profiles (terms with equal
-profiles are merged first, their superoperators summed).  A profile whose
-conv factors are constant or exponential, c(tau) = C e^{a tau}, keeps a
-running history sum stepped exactly by e^{a h}, at O(D^2) per step.  Gaussian,
-tabulated and foreign profiles form row i when the march reaches it, f_i
-c_{i-j} g_j from three node vectors or from blocks of evaluated rows, so no
-(M + 1)^2 table exists.  The implicit trapezoidal Volterra march
-(:func:`_volterra`) solves its per-step fixed point exactly, in the lab frame
-or, for the weak family, in the drift frame; the nonlocal series steps the
-histories of all its orders together and integrates them by a cumulative
-trapezoid, so the march is the literal sum of the discrete iterated-integral
-series.
+sum at node i, stacked over the normal-form terms of the kernel's distinct
+profiles (terms with equal profiles are merged first, their superoperators
+summed).  A term whose conv factors are constant or exponential,
+c(tau) = C e^{a tau}, keeps a running history sum stepped exactly by
+e^{a h}, at O(D^2) per step; a table's terms all do, with a = 0.  A term with
+a gaussian conv factor forms row i when the march reaches it, f_i c_{i-j} g_j
+from three node vectors, so no (M + 1)^2 table exists.  The implicit
+trapezoidal Volterra march (:func:`_volterra`) solves its per-step fixed
+point exactly, in the lab frame or, for the weak family, in the drift frame;
+the nonlocal series steps the histories of all its orders together and
+integrates them by a cumulative trapezoid, so the march is the literal sum of
+the discrete iterated-integral series.
 
 A kernel carries its coupling only as an overall g^2, and both parts of its
 split are linear in it, so the kernel at g is s = g^2 times the kernel at
@@ -97,8 +98,8 @@ __all__ = [
 # h/2) and the drift-frame march (step h/2, stages at h/4).
 _REFINE = 4
 
-# Rows per block where profiles outside the normal form are evaluated row by
-# row: their q-tables and their nonlocal memory rows.
+# Matrices per block of the stacked step-matrix parts, Volterra diagonals and
+# step inverses.
 _ROW_BLOCK = 64
 
 # The coupling axis of a single solve: one kernel at scale 1.
@@ -113,62 +114,38 @@ def _fine_nodes(grid: TimeGrid) -> np.ndarray:
     return np.linspace(0.0, grid.T, _REFINE * grid.steps + 1)
 
 
-def _product(values, n: int) -> np.ndarray:
-    out = np.ones(n, dtype=complex)
-    for v in values:
-        out = out * v
-    return out
-
-
-def _form_vectors(form, taus: np.ndarray):
-    """Node vectors (c, f, g) of a normal form on a uniform lattice from 0: c_k = c(tau_k)."""
-    return tuple(_product([fac(taus) for fac in part], len(taus)) for part in form)
-
-
-def _qtable_rows(profile, taus: np.ndarray, hf: float) -> np.ndarray:
-    """Per-row trapezoid sums of the profile on the lattice, a block of rows at a time.
-
-    Each row is the running sum of profile(tau_i, tau_j) over j <= i, so a block
-    needs only the columns up to its last row and memory stays O(N * block).
-    """
-    n = len(taus)
-    q = np.empty(n, dtype=complex)
-    for a in range(0, n, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, n)
-        c = np.asarray(profile(taus[a:b, None], taus[None, :b]), dtype=complex)
-        rows = np.arange(b - a)
-        cols = a + rows
-        csum = np.cumsum(c, axis=1)
-        q[a:b] = hf * (csum[rows, cols] - 0.5 * c[:, 0] - 0.5 * c[rows, cols])
-    q[0] = 0.0
-    return q
+def _form_vectors(term, taus: np.ndarray):
+    """Node vectors (c, f, g) of a normal-form term on a uniform lattice from 0: c_k = c(tau_k)."""
+    ones = np.ones(len(taus), dtype=complex)
+    return tuple(functools.reduce(np.multiply, [fac(taus) for fac in part], ones) for part in term)
 
 
 def _qtable(profile, taus: np.ndarray, hf: float) -> np.ndarray:
     """q[i] = trapezoid of profile(tau_i, s) over lattice points s <= tau_i.
 
-    ``taus`` is a uniform lattice from 0.  For profile(t, s) = c(t - s) f(t) g(s)
-    with c_k = c(tau_k), the row sum over j <= i is the causal convolution
-    f_i (c * g)_i.  With no conv or no g factor it is a running sum, O(M);
-    otherwise (an exponential or gaussian conv factor with a g factor; in a
-    product a constant conv factor rides with f) a direct sum, O(M^2), whose
-    rounding stays relative to the terms, where an FFT's is relative to the
-    table's maximum.
+    ``taus`` is a uniform lattice from 0.  The table is the sum of its normal
+    form's term tables (zero for no terms), started from the first term
+    (0.0 + -0.0 would lose the sign bit).  For a term c(t - s) f(t) g(s) with c_k = c(tau_k), the row sum
+    over j <= i is the causal convolution f_i (c * g)_i.  With no conv or no g
+    factor it is a running sum, O(M); otherwise (an exponential or gaussian
+    conv factor with a g factor; in a product a constant conv factor rides
+    with f) a direct sum, O(M^2), whose rounding stays relative to the terms,
+    where an FFT's is relative to the table's maximum.
     """
-    form = profile.form
-    if form is None:
-        return _qtable_rows(profile, taus, hf)
-    conv, _, g = form
-    c, fv, gv = _form_vectors(form, taus)
-    if not g:
-        csum = np.cumsum(c)
-    elif not conv:
-        csum = np.cumsum(gv)
-    else:
-        csum = np.convolve(c, gv)[: len(taus)]
-    q = hf * fv * (csum - 0.5 * c * gv[0] - 0.5 * c[0] * gv)
-    q[0] = 0.0
-    return q
+    q = None
+    for term in profile.form:
+        conv, _, g = term
+        c, fv, gv = _form_vectors(term, taus)
+        if not g:
+            csum = np.cumsum(c)
+        elif not conv:
+            csum = np.cumsum(gv)
+        else:
+            csum = np.convolve(c, gv)[: len(taus)]
+        qt = hf * fv * (csum - 0.5 * c * gv[0] - 0.5 * c[0] * gv)
+        qt[0] = 0.0
+        q = qt if q is None else q + qt
+    return np.zeros(len(taus), dtype=complex) if q is None else q
 
 
 def _merge_terms(terms) -> dict:
@@ -389,8 +366,11 @@ _Memory = namedtuple("_Memory", "diag row final takes_rows")
 def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
     """The Volterra memory core of (profile, D x D matrix) terms on grid nodes.
 
-    Terms with equal profiles are merged, their matrices summed, so S_k is the
-    summed matrix of the k-th distinct profile.  The core holds four members:
+    Terms with equal profiles are merged, their matrices summed, and each
+    distinct profile is expanded into the terms of its normal form, each
+    carrying the profile's summed matrix: c_k(t, s) is the k-th such term and
+    S_k its matrix.  The expansion is done once per core, not per step.  The
+    core holds four members:
 
     * ``diag(a, b)`` stacks diag_i = sum_k c_k(t_i, t_i) S_k over a <= i < b;
     * ``row(i, x, past)``, called for i = 1, 2, ... in turn, takes ``width``
@@ -403,57 +383,43 @@ def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
       partial[n] + (h/2) diag_i X_i;
     * ``final()`` is the node-trapezoid generator at t_M,
       sum_k (weights [h/2, h, ..., h, h/2] . c_k(t_M, .)) S_k;
-    * ``takes_rows`` is true when some profile takes rows.
+    * ``takes_rows`` is true when some term takes rows.
 
-    A profile whose normal form c(t - s) f(t) g(s) has c(tau) = C e^{a tau}
-    (constant or exponential) takes no rows: it keeps
+    A term c(t - s) f(t) g(s) whose c(tau) = C e^{a tau} (constant or
+    exponential, and c = 1 for every term of a table) takes no rows: it keeps
     H = sum_{j<i} w_j e^{a (t_i - t_j)} g_j X_j (w_0 = 1/2, else 1), stepped
-    exactly as H <- e^{a h} (H + w_{i-1} g_{i-1} X_{i-1}) from x alone.  The
-    other profiles take rows c_k(t_i, t_j), j <= i.  Another normal form keeps
-    three node vectors and its row is f_i c_{i-j} g_j; the rest are evaluated
-    on blocks of _ROW_BLOCK rows, the block of the last row asked for kept, so
-    rows asked for in increasing order evaluate each point once.
+    exactly as H <- e^{a h} (H + w_{i-1} g_{i-1} X_{i-1}) from x alone.  A
+    term with a gaussian conv factor takes rows f_i c_{i-j} g_j, j <= i, from
+    three node vectors, so no (M + 1)^2 table exists.
     """
     merged = _merge_terms(terms)
 
-    def path(form):  # 0: recurrence, 1: normal-form rows, 2: evaluated rows
-        return 2 if form is None else int(any(fac.kind == "gaussian" for fac in form[0]))
+    def takes_rows(term):
+        return any(fac.kind == "gaussian" for fac in term[0])
 
-    forms = [(p, p.form, sk) for p, sk in merged.items()]
-    forms.sort(key=lambda e: path(e[1]))
-    closed = [(form, sk) for _, form, sk in forms if form is not None]
-    other = [(p, sk) for p, form, sk in forms if form is None]
-    nr = sum(path(form) == 0 for _, form, _ in forms)
-    s = np.array([sk for _, sk in closed + other], dtype=complex).reshape(-1, D, D)
+    expanded = [(term, sk) for p, sk in merged.items() for term in p.form]
+    expanded.sort(key=lambda e: takes_rows(e[0]))
+    nr = sum(not takes_rows(term) for term, _ in expanded)
+    s = np.array([sk for _, sk in expanded], dtype=complex).reshape(-1, D, D)
     ts, h = grid.nodes(), grid.h
-    n, nc, n_p = len(ts), len(closed), len(s)
-    cv = np.empty((nc, n), dtype=complex)
+    n, n_p = len(ts), len(s)
+    cv = np.empty((n_p, n), dtype=complex)
     fv = np.empty_like(cv)
     gv = np.empty_like(cv)
-    for r, (form, _) in enumerate(closed):
-        cv[r], fv[r], gv[r] = _form_vectors(form, ts)
-    rates = [sum(c.rate for c in form[0] if c.kind == "exp") for form, _ in closed[:nr]]
+    for r, (term, _) in enumerate(expanded):
+        cv[r], fv[r], gv[r] = _form_vectors(term, ts)
+    rates = [sum(c.rate for c in term[0] if c.kind == "exp") for term, _ in expanded[:nr]]
     decay = np.exp(np.array(rates, dtype=complex) * h)
-    cdiag = np.concatenate([cv[:, :1] * gv * fv] + [[p(ts, ts)] for p, _ in other])
-    block = [None, None]  # first row and values of the evaluated block
+    cdiag = cv[:, :1] * gv * fv
 
     def rows(i, first=0):  # fresh c_k(t_i, t_j), k >= first, j <= i
-        out = np.empty((n_p - first, i + 1), dtype=complex)
-        k = nc - first
-        np.multiply(cv[first:, i::-1], gv[first:, : i + 1], out=out[:k])
-        out[:k] *= fv[first:, i, None]
-        if other:
-            a = i - i % _ROW_BLOCK
-            if block[0] != a:
-                b = min(a + _ROW_BLOCK, n)
-                vals = [p(ts[a:b, None], ts[None, :b]) for p, _ in other]
-                block[:] = a, np.array(vals, dtype=complex)
-            out[k:] = block[1][:, i - a, : i + 1]
+        out = cv[first:, i::-1] * gv[first:, : i + 1]
+        out *= fv[first:, i, None]
         return out
 
-    # Every profile's sum side by side makes the memory row one BLAS product
-    # instead of a per-profile Python loop: y[k, :, n, :] is history n's sum
-    # for profile k.
+    # Every term's sum side by side makes the memory row one BLAS product
+    # instead of a per-term Python loop: y[k, :, n, :] is history n's sum
+    # for term k.
     s_row = h * s.transpose(1, 0, 2).reshape(D, n_p * D)  # h [S_0 S_1 ...]
     y = np.empty((n_p, D, width, D), dtype=complex)
     y_cols = y.reshape(n_p * D, width * D)
@@ -496,8 +462,8 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
     _ROW_BLOCK matrices (_ROW_BLOCK // W nodes of W scales) at a time.  The
     resulting discrete solution satisfies X = 1 + Q X with Q the nested
     trapezoid integral operator — the same Q the nonlocal series iterates.
-    Exponential and constant memory costs O(D^2) per step through the
-    recurrence of the core, the other profiles O(i D^2) at step i.
+    Exponential, constant and tabulated memory costs O(D^2) per term and step
+    through the recurrence of the core, gaussian memory O(i D^2) at step i.
 
     The W histories march node-major in ``out``, shape (M + 1, W, D, D)
     (allocated when None, after the memory core), and history n takes the
@@ -627,7 +593,7 @@ def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None
     histories of R_0..R_{N-1} together (:func:`_memory`), then each order
     steps its trapezoid sum in turn, since R_n(t_i) needs R_{n-1}(t_i).  The
     core's recurrences read only the newest node of each history; the
-    (M + 1) N D^2 array of every node is kept only when a profile takes rows.
+    (M + 1) N D^2 array of every node is kept only when a term takes rows.
     R_n scales as s^n, and the scales and ``out`` are as for
     :func:`_local_series`.  Returns (out, meta), the order-N tail in meta.
     """

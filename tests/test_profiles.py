@@ -4,7 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,6 @@ from gkslmap.profiles import (
     ConvProfile,
     ExpProfile,
     GaussianProfile,
-    Profile,
     ProductProfile,
     SeparableProfile,
     SingleVarFactor,
@@ -119,38 +117,70 @@ CLOSED_PROFILES = [
 ]
 
 
-@dataclass(frozen=True)
-class CosProductProfile(Profile):
-    """A Profile subclass outside the closed family: cos(t * t')."""
-
-    def __call__(self, t, tp):
-        return np.cos(np.asarray(t, float) * np.asarray(tp, float)).astype(complex)
-
-    def conjugate(self):
-        return self
+TABLE_PRODUCTS = [
+    profile_product(ExpProfile(-0.5), TABLE),
+    profile_product(TABLE, TABLE.conjugate()),
+    ProductProfile((GaussianProfile(1.0), ProductProfile((SEP_GAUSS, TABLE)))),
+]
 
 
 @given(times, times)
 @settings(max_examples=40, deadline=None)
 def test_normal_form_is_pointwise(t, tp):
-    for p in CLOSED_PROFILES:
-        conv, f, g = p.form
-        # a constant is a conv factor only alone; in a product it rides with f
-        assert isinstance(p, ConvProfile) or all(fac.kind != "constant" for fac in conv), p
-        parts = [fac(t - tp) for fac in conv] + [fac(t) for fac in f] + [fac(tp) for fac in g]
-        value = np.prod(parts)
+    for p in CLOSED_PROFILES + [TABLE] + TABLE_PRODUCTS:
+        value = 0.0
+        for conv, f, g in p.form:
+            # a constant is a conv factor only alone; in a product it rides with f
+            assert isinstance(p, ConvProfile) or all(fac.kind != "constant" for fac in conv), p
+            parts = [fac(t - tp) for fac in conv] + [fac(t) for fac in f] + [fac(tp) for fac in g]
+            value = value + np.prod(parts)
         expected = complex(p(t, tp))
         assert abs(value - expected) <= 1e-12 * abs(expected), p
     assert profile_product(ConvProfile(CONST), SEP_GAUSS).form == (
-        (), (SEP_GAUSS.f, CONST), (SEP_GAUSS.g,)
+        ((), (SEP_GAUSS.f, CONST), (SEP_GAUSS.g,)),
     )
 
 
-def test_profiles_outside_the_closed_family_have_no_form():
-    for p in (TABLE, profile_product(ExpProfile(-0.5), TABLE), CosProductProfile()):
-        assert p.form is None and not p.is_convolution
-    nested = ProductProfile((GaussianProfile(1.0), ProductProfile((SEP_GAUSS, TABLE))))
-    assert nested.form is None
+def test_a_table_form_is_one_hat_term_per_knot():
+    def linear(samples):
+        return SingleVarFactor("linear", t_max=3.0, samples=tuple(map(complex, samples)))
+
+    hats = [linear(np.eye(4)[a]) for a in range(4)]
+    rows = [linear(row) for row in TABLE.values]
+    assert TABLE.form == tuple(((), (hat,), (row,)) for hat, row in zip(hats, rows))
+    assert TABLE.conjugate().form == tuple(
+        ((), (hat,), (row.conjugate(),)) for hat, row in zip(hats, rows)
+    )
+    assert all(len(p.form) == 1 for p in CLOSED_PROFILES)
+    # of the 16 hat products of TABLE x conj(TABLE), those of knots more than one apart vanish
+    assert [len(p.form) for p in TABLE_PRODUCTS] == [4, 10, 4]
+    for p in [TABLE] + TABLE_PRODUCTS:
+        assert not p.is_convolution
+
+
+def test_a_product_drops_the_terms_that_vanish_everywhere():
+    n = 40
+    big = TabulatedProfile(2.0, np.ones((n, n)))
+    assert len(profile_product(big, big.conjugate()).form) == 3 * n - 2
+    # rows nonzero on spans that only touch: every term vanishes
+    early = TabulatedProfile(2.0, [[1, 0, 0]] * 3)
+    late = TabulatedProfile(2.0, [[0, 0, 1]] * 3)
+    product = profile_product(early, late)
+    assert product.form == () and product.is_convolution
+    t = np.linspace(0.0, 2.0, 41)
+    assert not product(t[:, None], t[None, :]).any()
+
+
+def test_tables_read_their_samples_exactly_at_every_knot():
+    for table in (TabulatedProfile(2.0, [[0, 1, 2], [3, 4, 5], [6, 7, 100]]), TABLE):
+        n = len(table.values)
+        knots = np.arange(n) * (table.t_max / (n - 1))
+        vals = table(knots[:, None], knots[None, :])
+        assert np.array_equal(vals, table.values)
+        for a in range(n):
+            hat = table.form[a][1][0]
+            assert np.array_equal(hat(knots), np.eye(n)[a])
+            assert np.array_equal(table.form[a][2][0](knots), table.values[a])
 
 
 def test_profile_product_fuses_exponentials():
@@ -200,7 +230,7 @@ def test_single_factor_profiles_are_their_factor_of_t_minus_tp(profile, formula,
     vals = profile(t, tp)
     assert vals.shape == (6, 6) and vals.dtype == complex
     assert vals.tobytes() == profile.factor(t - tp).tobytes() == formula(t - tp).tobytes()
-    assert profile.form == ((profile.factor,), (), ())
+    assert profile.form == (((profile.factor,), (), ()),)
     assert profile.conjugate() == conjugate
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from gkslmap.cpanalysis import trace_deviation
-from gkslmap.experiments import g_scan, random_kernel
+from gkslmap.experiments import coherence_revival_kernel, g_scan, random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
 from gkslmap.linalg import (
     SIGMA_X,
@@ -296,17 +296,6 @@ def dense_qtable(profile, taus, hf):
     return q
 
 
-@dataclass(frozen=True)
-class CosProductProfile(Profile):
-    """A Profile subclass outside the closed family: cos(t * t')."""
-
-    def __call__(self, t, tp):
-        return np.cos(np.asarray(t, float) * np.asarray(tp, float)).astype(complex)
-
-    def conjugate(self):
-        return self
-
-
 SEP = SeparableProfile(SingleVarFactor("exp", rate=-0.5), SingleVarFactor("gaussian", tau=1.3))
 SEP2 = SeparableProfile(
     SingleVarFactor("exp", rate=-0.3 + 0.4j), SingleVarFactor("gaussian", tau=1.8)
@@ -335,15 +324,13 @@ NORMAL_FORM_PROFILES = {
     "const-x-exp": profile_product(ConstantProfile(0.8j), ExpProfile(-0.9 + 0.2j).conjugate()),
     "const-x-sep": profile_product(ConstantProfile(0.6 - 0.3j), SEP.conjugate()),
     "gauss-x-exp": profile_product(GaussianProfile(0.9), ExpProfile(0.6j).conjugate()),
-}
-
-ROW_PATH_PROFILES = {
+    # a table is n terms hat_a(t) row_a(s) of piecewise-linear factors
     "tabulated": TAB,
     "tab-x-exp": profile_product(TAB, ExpProfile(-0.7 + 0.4j).conjugate()),
     "tab-x-gauss": profile_product(GaussianProfile(1.2), TAB.conjugate()),
     "tab-x-sep": profile_product(SEP, TAB.conjugate()),
     "const-x-tab": profile_product(ConstantProfile(0.8j), TAB),
-    "foreign-subclass": CosProductProfile(),
+    "tab-x-tab": profile_product(TAB, TAB.conjugate()),
 }
 
 QTABLE_STEPS = (1, 2, 3, 400)
@@ -365,18 +352,17 @@ def test_pairings_are_product_nodes():
 @pytest.mark.parametrize("steps", QTABLE_STEPS)
 @pytest.mark.parametrize("name", sorted(NORMAL_FORM_PROFILES))
 def test_normal_form_qtable_matches_dense_reference(name, steps):
-    assert NORMAL_FORM_PROFILES[name].form is not None
+    assert NORMAL_FORM_PROFILES[name].form
     q, ref = table_pair(NORMAL_FORM_PROFILES[name], steps)
     assert q.shape == ref.shape and q[0] == 0.0
     assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("steps", QTABLE_STEPS)
-@pytest.mark.parametrize("name", sorted(ROW_PATH_PROFILES))
-def test_row_block_qtable_is_bit_identical_to_dense_reference(name, steps):
-    assert ROW_PATH_PROFILES[name].form is None
-    q, ref = table_pair(ROW_PATH_PROFILES[name], steps)
-    assert np.array_equal(q, ref)
+def test_a_product_of_no_terms_has_a_zero_table():
+    early = TabulatedProfile(2.0, [[1, 0, 0]] * 3)
+    late = TabulatedProfile(2.0, [[0, 0, 1]] * 3)
+    q, ref = table_pair(profile_product(early, late), 3)
+    assert q.shape == ref.shape and not q.any() and not ref.any()
 
 
 def test_benchmark_corpus_tables_take_no_convolution(bench_corpus, monkeypatch):
@@ -390,6 +376,54 @@ def test_benchmark_corpus_tables_take_no_convolution(bench_corpus, monkeypatch):
     for k in bench_corpus:
         solve_family(k, grid, "local-full")
         _lattice(split_kernel(k).drift_op.terms, k.dim, grid)
+
+
+def test_no_solve_evaluates_a_table_pointwise(monkeypatch):
+    # a table reaches the solvers only through the piecewise-linear factors of its form
+    def refuse(self, t, tp):
+        raise AssertionError("TabulatedProfile evaluated pointwise")
+
+    monkeypatch.setattr(TabulatedProfile, "__call__", refuse)
+    k = coherence_revival_kernel()
+    grid = TimeGrid(4.0, 40)
+    for family in FAMILY_TAGS:
+        solve_family(k, grid, family, order=4)
+    family_distances(k, grid, ("nonlocal-full", "weak-nonlocal-full"), [0.5, 1.0])
+    _lattice(split_kernel(k).drift_op.terms, k.dim, grid)
+
+
+def test_a_table_shorter_than_the_horizon_raises_in_its_factors():
+    short = TabulatedProfile(2.0, np.ones((3, 3)))
+    grid = TimeGrid(4.0, 40)
+    drift = TwoTimeOperatorFunction.build(2, [(short, SIGMA_Z)])
+    with pytest.raises(ValueError, match="re-tabulate"):
+        solve_nonlocal_from_drift(drift, grid)
+    with pytest.raises(ValueError, match="re-tabulate"):
+        ordered_exponential_from_drift(drift, grid)
+    jump = TwoTimeOperatorFunction.build(2, [(profile_product(ExpProfile(-1.0), short), SIGMA_Z)])
+    k = GKSLKernel.build(2, jump_ops=[jump])
+    k.check_horizon(grid.T)  # sees no table inside a product
+    for family in ("local-full", "nonlocal-full"):
+        with pytest.raises(ValueError, match="re-tabulate"):
+            solve_family(k, grid, family)
+
+
+def test_a_profile_subclass_without_a_form_cannot_be_solved():
+    @dataclass(frozen=True)
+    class CosProductProfile(Profile):
+        """cos(t * t'), which no finite sum of the closed family equals."""
+
+        def __call__(self, t, tp):
+            return np.cos(np.asarray(t, float) * np.asarray(tp, float)).astype(complex)
+
+        def conjugate(self):
+            return self
+
+    jump = TwoTimeOperatorFunction.build(2, [(CosProductProfile(), SIGMA_X)])
+    k = GKSLKernel.build(2, jump_ops=[jump])
+    for family in ("local-full", "nonlocal-full"):
+        with pytest.raises(NotImplementedError):
+            solve_family(k, TimeGrid(1.0, 10), family)
 
 
 def test_solve_local_peak_memory_stays_linear():
@@ -529,7 +563,7 @@ def rel_gap(a, ref):
 
 
 def extra_kernels():
-    """Kernels off the corpus: tabulated terms, and a foreign Profile subclass."""
+    """A kernel off the corpus: tabulated terms next to an exponential one."""
     herm_tab = TabulatedProfile(2.0, np.random.default_rng(11).normal(size=(4, 4)))
     tabulated = GKSLKernel.build(
         2,
@@ -540,16 +574,7 @@ def extra_kernels():
             )
         ],
     )
-    foreign = GKSLKernel.build(
-        2,
-        hermitian=TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), 0.3 * SIGMA_Z)]),
-        jump_ops=[
-            TwoTimeOperatorFunction.build(
-                2, [(CosProductProfile(), SIGMA_X), (GaussianProfile(0.9), 0.7 * SIGMA_Z)]
-            )
-        ],
-    )
-    return [tabulated, foreign]
+    return [tabulated]
 
 
 def part_terms(k):
@@ -662,10 +687,12 @@ def test_edge_kernel_mixes_recurrences_and_rows():
     for part in ("full", "jump", "drift"):
         terms = part_terms(k)[part]
         forms = [p.form for p in dict.fromkeys(p for p, _ in terms)]
-        # c(tau) = C e^{a tau} takes the recurrence at rate a; the rest take rows
-        rates = np.array([sum(c.rate for c in form[0] if c.kind == "exp") for form in forms
-                          if form is not None and all(c.kind != "gaussian" for c in form[0])])
-        assert 0 < len(rates) < len(forms), part
+        assert any(len(form) > 1 for form in forms), part  # a table's terms
+        convs = [conv for form in forms for conv, _, _ in form]
+        # c(tau) = C e^{a tau} takes the recurrence at rate a; gaussian c takes rows
+        rates = np.array([sum(c.rate for c in conv if c.kind == "exp") for conv in convs
+                          if all(c.kind != "gaussian" for c in conv)])
+        assert 0 < len(rates) < len(convs), part
         assert _memory(terms, EDGE_GRID, 4, 1).takes_rows, part
         assert np.any(rates.real > 0) and np.any(rates.imag != 0), part
         assert np.any(rates == 0), part  # constant c
