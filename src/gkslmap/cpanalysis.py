@@ -15,10 +15,11 @@ Conventions fixed here and used by every file format:
   identity sum_j K_j rho K_j^dag = Lambda(rho).
 
 Certification is stacked: choi, cp_check, trace_deviation, cond and solve each
-take blocks of _NODE_BLOCK nodes or intervals, with the same bits per matrix
-as one at a time.  Blocks, because a call over all M + 1 nodes holds several
-(M+1, d^2, d^2) temporaries at once and raises the peak memory.  cp_check
-computes Choi eigenvalues only; kraus_extract computes the eigenvectors too.
+take blocks of nodes or intervals, as many as :func:`~gkslmap.linalg.block_len`
+allows for d^2 x d^2 maps, with the same bits per matrix as one at a time.
+Blocks, because a call over all M + 1 nodes holds several (M+1, d^2, d^2)
+temporaries at once and raises the peak memory.  cp_check computes Choi
+eigenvalues only; kraus_extract computes the eigenvectors too.
 The Kraus condition is one cond, one inv and one (n, n, d, d) product
 K_j^{-1} K_k over all operators; the strict drift condition weights each
 grid-triangle point once.
@@ -32,7 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import TwoTimeOperatorFunction
-from .linalg import _HERMITIAN_RTOL, NotHermitianError, frobenius, hermitian_eig, vectorize
+from .linalg import (
+    _HERMITIAN_RTOL,
+    NotHermitianError,
+    block_len,
+    frobenius,
+    hermitian_eig,
+    vectorize,
+)
 from .propagate import solve_nonlocal_from_drift
 from .serialize import csv_table
 from .trajectory import MapTrajectory, TimeGrid
@@ -69,9 +77,6 @@ _N_AMPLITUDES = 64  # amplitudes |psi_n| swept by the witness search
 _SOLVE_ASYM_C = 16.0
 
 
-_NODE_BLOCK = 64  # nodes or intervals per stacked call; see the module docstring
-
-
 def _dim_of(superop: np.ndarray) -> int:
     """d of a (..., d^2, d^2) superoperator or stack of them."""
     D = superop.shape[-1] if superop.ndim else 0
@@ -98,13 +103,15 @@ def cp_check(choi_matrix: np.ndarray, eps_cp: float = DEFAULT_EPS_CP):
     return lam_min >= -eps_cp * d, lam_min
 
 
-def _blockwise(fn, count: int, what: str):
-    """Concatenate fn's tuples of arrays over slices of _NODE_BLOCK of range(count);
-    a Choi matrix failing the Hermiticity guard is named by its index in range(count)."""
+def _blockwise(fn, maps: np.ndarray, what: str):
+    """Concatenate fn's tuples of arrays over slices of range(len(maps)), as long as
+    block_len allows for its matrices; a Choi matrix failing the Hermiticity guard is
+    named by its index in range(len(maps))."""
     parts = []
-    for start in range(0, count, _NODE_BLOCK):
+    step = block_len(maps.shape[-1] ** 2)
+    for start in range(0, len(maps), step):
         try:
-            parts.append(fn(slice(start, start + _NODE_BLOCK)))
+            parts.append(fn(slice(start, start + step)))
         except NotHermitianError as exc:
             raise ValueError(
                 f"{what} {start + exc.index[0]}: the Choi matrix is not Hermitian "
@@ -229,7 +236,7 @@ def divisibility_check(traj: MapTrajectory, eps_cp: float = DEFAULT_EPS_CP) -> D
     naming the interval.
     """
     a, b = traj.maps[:-1], traj.maps[1:]
-    (conds,) = _blockwise(lambda s: (np.linalg.cond(a[s]),), traj.grid.steps, "interval")
+    (conds,) = _blockwise(lambda s: (np.linalg.cond(a[s]),), a, "interval")
     solvable = np.isfinite(conds) & (conds <= DEFAULT_COND_LIMIT)
     eye = np.eye(a.shape[-1])
     rounding = _SOLVE_ASYM_C * np.finfo(float).eps * conds
@@ -248,7 +255,7 @@ def divisibility_check(traj: MapTrajectory, eps_cp: float = DEFAULT_EPS_CP) -> D
             # an explained interval is checked on C = 1 instead, its verdict discarded below
             return (*cp_check(np.where(explained[:, None, None], eye, c), eps_cp), explained)
 
-    ok, lam, explained = _blockwise(intermediate_cp, traj.grid.steps, "interval")
+    ok, lam, explained = _blockwise(intermediate_cp, a, "interval")
     good = solvable & ~explained
     return DivisibilityResult(
         statuses=tuple(
@@ -373,8 +380,9 @@ def find_drift_cp_witness(
     Returns the first node with measure < -10 eps_cp, cross-validated against
     the Choi spectrum, or None when the drift has no off-diagonal element or
     the sweep finds nothing.  The measure is evaluated over (node, x,
-    amplitude, phase) for a block of _NODE_BLOCK nodes at a time; the first
-    hit in node-then-x order wins.
+    amplitude, phase) for a block of nodes at a time, as many as
+    :func:`~gkslmap.linalg.block_len` allows for the maps; the first hit in
+    node-then-x order wins.
     """
     located = _max_offdiagonal_entry(drift, grid)
     if located is None:
@@ -393,8 +401,9 @@ def find_drift_cp_witness(
     eps_th = -10.0 * eps_cp
     # Lambda_t(|x><x|) is column x (d + 1) of the map, and its (i, j) entry is row i + d j
     xcols = np.arange(d) * (d + 1)
-    for start in range(1, grid.steps + 1, _NODE_BLOCK):
-        out = traj.maps[start : start + _NODE_BLOCK][:, :, xcols, None, None]
+    nodes = block_len(d**4)
+    for start in range(1, grid.steps + 1, nodes):
+        out = traj.maps[start : start + nodes][:, :, xcols, None, None]
         vals = (  # over (node, x, amplitude, phase)
             (a_grid**2) * out[:, n * (d + 1)].real
             + (b_grid**2) * out[:, l * (d + 1)].real
@@ -505,7 +514,7 @@ def certify_trajectory(
     def node_block(s):
         return (*cp_check(choi(maps[s]), eps_cp), trace_deviation(maps[s]))
 
-    ok, lam, devs = _blockwise(node_block, len(maps), "node")
+    ok, lam, devs = _blockwise(node_block, maps, "node")
     div = divisibility_check(traj, eps_cp) if divisibility else None
     return CPReport(
         family=traj.family,

@@ -75,6 +75,18 @@ def frobenius(a):
     return np.sqrt(sq)[..., 0, 0]
 
 
+# A stacked call takes a block of at least _BLOCK_MATRICES matrices, and of as
+# many more as fit in _BLOCK_ENTRIES entries (64 superoperators of d = 3): small
+# matrices take few calls, and their block is no larger than that one.
+_BLOCK_MATRICES = 64
+_BLOCK_ENTRIES = 5184
+
+
+def block_len(entries: int, lead: int = 1) -> int:
+    """Items per block of a stack whose items hold ``lead`` matrices of ``entries`` entries each."""
+    return max(1, max(_BLOCK_MATRICES, _BLOCK_ENTRIES // entries) // lead)
+
+
 def dagger(a) -> np.ndarray:
     return np.asarray(a).conj().T
 

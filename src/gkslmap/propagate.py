@@ -46,10 +46,12 @@ e^{a h}, at O(D^2) per step; a table's terms all do, with a = 0.  A term with
 a gaussian conv factor forms row i when the march reaches it, f_i c_{i-j} g_j
 from three node vectors, so no (M + 1)^2 table exists.  The implicit
 trapezoidal Volterra march (:func:`_volterra`) solves its per-step fixed
-point exactly, in the lab frame or, for the weak family, in the drift frame;
-the nonlocal series steps the histories of all its orders together and
-integrates them by a cumulative trapezoid, so the march is the literal sum of
-the discrete iterated-integral series.
+point exactly, in the lab frame or, for the weak family, in the drift frame:
+per node, one product of the step matrices [A_i E_i], formed per block of
+nodes, with the march state stacked over the memory row.  The nonlocal series
+steps the histories of all its orders together and integrates them by a
+cumulative trapezoid, so the march is the literal sum of the discrete
+iterated-integral series.
 
 A kernel carries its coupling only as an overall g^2, and both parts of its
 split are linear in it, so the kernel at g is s = g^2 times the kernel at
@@ -57,9 +59,11 @@ g = 1.  Every family marches along a leading coupling axis of W such scales
 (:func:`_family_march`): the Runge-Kutta step matrix at scale s is
 1 + sum_p s^p R_p, the parts R_p formed once and scaled (the drift frame
 (V, Vinv) too); the Volterra histories march node-major side by side, each
-with its memory sum and diagonal scaled and its own step inverses; the
+with its own step matrices A_i and E_i, formed from the scaled diagonal; the
 order-n term of a series scales as s^n, so it is marched once, at s = 1.
-Blocks hold _ROW_BLOCK matrices whatever W is.  A single solve is the width-1
+Stacked work goes in blocks of at least 64 matrices over every leading axis,
+W included, and as many more as fit in 64 d = 3 superoperators' entries
+(:func:`~gkslmap.linalg.block_len`).  A single solve is the width-1
 case, at scale 1 on the kernel's own split.  A coupling scan
 (:func:`family_distances`) marches each family of its pair once for all
 couplings, drift frames first; the second family marches in the first
@@ -81,7 +85,7 @@ from .kernel import (
     drift_superop_terms,
     split_kernel,
 )
-from .linalg import frobenius
+from .linalg import block_len, frobenius
 from .trajectory import FAMILY_TAGS, MapTrajectory, OrderedExponential, TimeGrid
 
 __all__ = [
@@ -97,10 +101,6 @@ __all__ = [
 # lattice points on every Runge-Kutta stage of both the map march (stages at
 # h/2) and the drift-frame march (step h/2, stages at h/4).
 _REFINE = 4
-
-# Matrices per block of the stacked step-matrix parts, Volterra diagonals and
-# step inverses.
-_ROW_BLOCK = 64
 
 # The coupling axis of a single solve: one kernel at scale 1.
 _UNIT = np.ones(1)
@@ -220,12 +220,12 @@ def _step_blocks(b: np.ndarray, h: float, width: int = 1):
         R1 = h/6 (B0 + 4 Bm + B1)          R3 = h^3/12 (Bm Bm B0 + B1 Bm Bm)
         R2 = h^2/6 (Bm B0 + Bm Bm + B1 Bm)  R4 = h^4/24 B1 Bm Bm B0
 
-    Yields (first step, (R1, R2, R3, R4)) per block of _ROW_BLOCK // width
-    steps, so a caller that spreads each block over ``width`` couplings keeps
-    _ROW_BLOCK step matrices per block.
+    Yields (first step, (R1, R2, R3, R4)) per block of steps.  A block's step
+    matrices, over ``b``'s leading axes and the ``width`` couplings a caller
+    spreads each block over, number as :func:`~gkslmap.linalg.block_len` allows.
     """
     n = (b.shape[-3] - 1) // 2
-    steps = max(1, _ROW_BLOCK // width)
+    steps = block_len(b.shape[-1] ** 2, width * int(np.prod(b.shape[:-3])))
     for a in range(0, n, steps):
         blk = b[..., 2 * a : 2 * min(a + steps, n) + 1, :, :]
         b0, bm, b1 = blk[..., :-1:2, :, :], blk[..., 1::2, :, :], blk[..., 2::2, :, :]
@@ -373,14 +373,17 @@ def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
     core holds four members:
 
     * ``diag(a, b)`` stacks diag_i = sum_k c_k(t_i, t_i) S_k over a <= i < b;
-    * ``row(i, x, past)``, called for i = 1, 2, ... in turn, takes ``width``
-      histories' X_{i-1} side by side in the flat row ``x`` and their rows
-      X_0..X_{i-1} in ``past`` (read only when ``takes_rows``) and returns
+    * ``row(i, x, past, out=None)``, called for i = 1, 2, ... in turn, takes
+      ``width`` histories' X_{i-1} side by side in the flat row ``x`` and their
+      rows X_0..X_{i-1} in ``past`` (read only when ``takes_rows``) and
+      returns, in ``out`` when given, the (width, D, D) stack
 
-          partial[n] = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
+          m[n] = h sum_k S_k [c_k(t_i, t_0) X_0 / 2 + sum_{0<j<i} c_k(t_i, t_j) X_j]
 
       so the trapezoid memory integral of history n at t_i is
-      partial[n] + (h/2) diag_i X_i;
+      m[n] + (h/2) diag_i X_i.  The sums are kept history-major, one
+      (width, terms, D, D) stack, so m is one broadcast product of
+      h [S_0 S_1 ...] with it;
     * ``final()`` is the node-trapezoid generator at t_M,
       sum_k (weights [h/2, h, ..., h, h/2] . c_k(t_M, .)) S_k;
     * ``takes_rows`` is true when some term takes rows.
@@ -417,28 +420,28 @@ def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
         out *= fv[first:, i, None]
         return out
 
-    # Every term's sum side by side makes the memory row one BLAS product
-    # instead of a per-term Python loop: y[k, :, n, :] is history n's sum
-    # for term k.
+    # Every term's sum side by side makes the memory row one broadcast product
+    # instead of a per-term Python loop: y[n, k] is history n's sum for term k.
     s_row = h * s.transpose(1, 0, 2).reshape(D, n_p * D)  # h [S_0 S_1 ...]
-    y = np.empty((n_p, D, width, D), dtype=complex)
-    y_cols = y.reshape(n_p * D, width * D)
-    hsum = np.zeros((nr, D, width, D), dtype=complex)
-    # per node, one (nr, 1, 1, 1) column: e^{ah} w_j g_j (w_0 = 1/2) and C f_i
+    y = np.empty((width, n_p, D, D), dtype=complex)
+    y_cols = y.reshape(width, n_p * D, D)
+    hsum = np.zeros((width, nr, D, D), dtype=complex)
+    inc = np.empty_like(hsum)
+    # per node, one (nr, 1, 1) column: e^{ah} w_j g_j (w_0 = 1/2) and C f_i
     gw = decay[:, None] * gv[:nr]
     gw[:, 0] *= 0.5
-    gw, fc = (v.T[..., None, None, None] for v in (gw, cv[:nr, :1] * fv[:nr]))
-    decay = decay[:, None, None, None]
+    gw, fc = (v.T[..., None, None] for v in (gw, cv[:nr, :1] * fv[:nr]))
+    decay = decay[:, None, None]
 
-    def row(i, x, past):
+    def row(i, x, past, out=None):
         hsum[...] *= decay
-        hsum[...] += gw[i - 1] * x.reshape(width, D, D).transpose(1, 0, 2)
-        np.multiply(fc[i], hsum, out=y[:nr])
+        hsum[...] += np.multiply(gw[i - 1], x.reshape(width, 1, D, D), out=inc)
+        np.multiply(fc[i], hsum, out=y[:, :nr])
         if nr < n_p:
             c = rows(i, nr)
             c[:, 0] *= 0.5
-            y[nr:] = (c[:, :i] @ past[:i]).reshape(n_p - nr, width, D, D).transpose(0, 2, 1, 3)
-        return (s_row @ y_cols).reshape(D, width, D).transpose(1, 0, 2)
+            y[:, nr:] = (c[:, :i] @ past[:i]).reshape(n_p - nr, width, D, D).swapaxes(0, 1)
+        return np.matmul(s_row, y_cols, out=out)
 
     def diag(a, b):
         return np.tensordot(cdiag[:, a:b].T, s, 1)
@@ -455,11 +458,18 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
     """Implicit trapezoidal march of dX/dt = int_0^t s K(t,s') X(s') ds' per scale s.
 
     K is the sum of the (profile, D x D matrix) ``terms``, its memory summed by
-    :func:`_memory`.  The corrector fixed point is linear in X_{m+1} (only the
-    diagonal quadrature weight touches it), so it is solved exactly per step;
-    the diagonal sums diag_i, their drift-frame conjugates and the step
-    inverses (1 - h^2/4 s diag_i)^{-1} are formed as stacks, a block of
-    _ROW_BLOCK matrices (_ROW_BLOCK // W nodes of W scales) at a time.  The
+    :func:`_memory`: the integral at t_i is f_i = s m_i + (h/2) s diag_i X_i,
+    m_i the core's unscaled row.  The corrector fixed point is linear in X_i
+    (only the diagonal quadrature weight touches it), so it is solved exactly.
+    With g_i = X_i + (h/2) f_i the step X_i = X_{i-1} + (h/2)(f_{i-1} + f_i)
+    reads X_i = g_{i-1} + (h/2) f_i, which gives the two-term node step
+
+        X_i = A_i g_{i-1} + E_i m_i,    g_i = 2 X_i - g_{i-1},    g_0 = 1,
+
+    with A_i = (1 - (h^2/4) s diag_i)^{-1} and E_i = (h/2) s A_i, one product
+    of [A_i E_i] with g_{i-1} stacked over m_i.  A_i and E_i are formed as
+    stacks, a block of nodes at a time, as many as
+    :func:`~gkslmap.linalg.block_len` allows for W matrices per node.  The
     resulting discrete solution satisfies X = 1 + Q X with Q the nested
     trapezoid integral operator — the same Q the nonlocal series iterates.
     Exponential, constant and tabulated memory costs O(D^2) per term and step
@@ -467,16 +477,16 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
 
     The W histories march node-major in ``out``, shape (M + 1, W, D, D)
     (allocated when None, after the memory core), and history n takes the
-    memory of K scaled by scales[n]: its partial sum and diagonal are scaled,
-    its step inverses are its own.  With
+    memory of K scaled by scales[n]: its A_i and E_i are its own.  With
     ``frame`` = (Vinv, V), the d x d frame operators on grid nodes, shape
     (M + 1, W, d, d), the march runs in the drift frame on Xhat = Vinv_sup X:
-    the memory sum acts on the lab-frame history X_j = V_sup[j] Xhat_j and is
-    pulled back by Vinv_sup[i], with the sandwich superoperators formed per
-    block.  ``out`` ends up holding the lab-frame maps X.  With ``dist``,
-    ``out`` holds another family's maps on entry, compared with the new ones
-    block by block before they replace them (:func:`_raise_distance`).
-    Returns (out, meta).
+    diag_i is conjugated to Vinv_sup[i] diag_i V_sup[i], E_i takes the
+    pull-back of the lab-frame row, E_i = (h/2) s A_i Vinv_sup[i], and
+    X_i = V_sup[i] Xhat_i, with the sandwich superoperators formed per block.
+    ``out`` ends up holding the lab-frame maps X.  With ``dist``, ``out``
+    holds another family's maps on entry, compared with the new ones block by
+    block before they replace them (:func:`_raise_distance`).  Returns
+    (out, meta).
     """
     M, h = grid.steps, grid.h
     W = len(scales)
@@ -487,9 +497,11 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
         out = np.empty((M + 1, W, D, D), dtype=complex)
     out[0] = eye
     flat = out.reshape(M + 1, W * D * D)
-    x = eye
-    f_prev = np.zeros((D, D), dtype=complex)
-    nodes = max(1, _ROW_BLOCK // W)
+    gm = np.empty((W, 2 * D, D), dtype=complex)  # g_{i-1} stacked over m_i
+    g, m = gm[:, :D], gm[:, D:]
+    g[...] = eye
+    x = None if frame is None else np.empty((W, D, D), dtype=complex)  # Xhat_i
+    nodes = block_len(D * D, W)
     for a in range(1, M + 1, nodes):
         b = min(a + nodes, M + 1)
         diag = mem.diag(a, b)[:, None]
@@ -498,21 +510,26 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
         if frame is not None:
             vinv_sup, v_sup = (_sandwich_stack(f[a:b]) for f in frame)
             diag = vinv_sup @ diag @ v_sup
-        step_inv = np.linalg.inv(eye - 0.25 * h * h * diag)
+        step_gain = np.empty(diag.shape[:-1] + (2 * D,), dtype=complex)  # [A_i E_i]
+        step, gain = step_gain[..., :D], step_gain[..., D:]
+        step[...] = np.linalg.inv(eye - 0.25 * h * h * diag)
+        np.multiply(0.5 * h if s is None else 0.5 * h * s, step, out=gain)
+        if frame is not None:
+            gain[...] = gain @ vinv_sup
+        del diag, step, gain
         before = None if dist is None else out[a:b].copy()
         for i in range(a, b):
-            partial = mem.row(i, flat[i - 1], flat)
-            if s is not None:
-                partial *= s
+            mem.row(i, flat[i - 1], flat, out=m)
+            xi = out[i] if frame is None else x
+            np.matmul(step_gain[i - a], gm, out=xi)
             if frame is not None:
-                partial = vinv_sup[i - a] @ partial
-            x = step_inv[i - a] @ (x + 0.5 * h * (f_prev + partial))
-            out[i] = x if frame is None else v_sup[i - a] @ x
-            f_prev = partial + 0.5 * h * (diag[i - a] @ x)
+                np.matmul(v_sup[i - a], xi, out=out[i])
+            np.subtract(xi, g, out=g)  # g_i = X_i + (X_i - g_{i-1})
+            g += xi
         if dist is not None:
             _raise_distance(dist, before, out[a:b])
         # free this block's stacks before the next block forms its own
-        del diag, step_inv, before
+        del step_gain, before
         if frame is not None:
             del vinv_sup, v_sup
     if frame is not None:
@@ -613,8 +630,9 @@ def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None
     out[0] = eye
     tails = np.zeros(M + 1)
     f_prev = np.zeros((order, D, D), dtype=complex)  # f_n(t_{i-1}), n = 1..N
-    for a in range(1, M + 1, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, M + 1)
+    nodes = block_len(D * D)
+    for a in range(1, M + 1, nodes):
+        b = min(a + nodes, M + 1)
         diag = mem.diag(a, b)
         before = None if dist is None else out[a:b].copy()
         for i in range(a, b):

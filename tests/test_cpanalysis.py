@@ -414,3 +414,19 @@ def test_witness_found_for_raising_drift():
 def test_no_witness_for_diagonal_drift():
     grid = TimeGrid(2.0, 100)
     assert find_drift_cp_witness(const_drift(-0.5 * np.eye(2)), grid) is None
+
+
+@pytest.mark.parametrize("dim, calls", [(2, 2), (3, 7)])
+def test_node_certification_fills_the_entry_budget(monkeypatch, dim, calls):
+    # a block holds max(64, 5184 // d^4) Choi matrices: 324 nodes at d = 2, 64 at d = 3
+    traj = solve_family(random_kernel(103, dim=dim), TimeGrid(2.0, 400), "local-full")
+    blocks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        blocks.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    certify_trajectory(traj)
+    assert len(blocks) == calls and sum(blocks) == 401

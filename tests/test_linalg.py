@@ -10,6 +10,7 @@ from gkslmap.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     NotHermitianError,
+    block_len,
     dagger,
     frobenius,
     hermitian_eig,
@@ -124,3 +125,11 @@ def test_pauli_matrices():
     assert np.allclose(SIGMA_X @ SIGMA_Y - SIGMA_Y @ SIGMA_X, 2j * SIGMA_Z)
     assert np.allclose(SIGMA_PLUS @ SIGMA_MINUS + SIGMA_MINUS @ SIGMA_PLUS, np.eye(2))
     assert np.allclose(dagger(SIGMA_PLUS), SIGMA_MINUS)
+
+
+def test_block_len_is_an_entry_budget_with_a_floor_of_64_matrices():
+    assert block_len(16) == 324  # d = 2 superoperators
+    assert block_len(81) == block_len(256) == 64  # d = 3 and d = 4: the floor
+    assert block_len(16, 6) == 54  # nodes of a six-coupling Volterra block at d = 2
+    assert block_len(4, 12) == 108  # steps of a six-coupling (V, Vinv) block at d = 2
+    assert block_len(256, 100) == 1

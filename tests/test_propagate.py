@@ -36,6 +36,7 @@ from gkslmap.propagate import (
     _lattice,
     _memory,
     _qtable,
+    _step_blocks,
     family_distances,
     ordered_exponential_from_drift,
     solve_family,
@@ -836,3 +837,27 @@ def test_coupled_scan_holds_one_map_array():
         tracemalloc.stop()
     one = (grid.steps + 1) * len(gs) * k.dim**4 * 16
     assert one < peak < 2 * one
+
+
+@pytest.mark.parametrize("dim, calls", [(2, 2), (3, 7), (4, 7)])
+def test_volterra_step_inverses_fill_the_entry_budget(monkeypatch, dim, calls):
+    # a block holds max(64, 5184 // D^2) step inverses: 324 nodes at d = 2 and
+    # never fewer than 64, so 400 nodes take 2, 7 and 7 stacked inverses
+    stacked = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        if np.ndim(a) > 2:
+            stacked.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    solve_family(random_kernel(107, dim=dim), TimeGrid(2.0, 400), "nonlocal-full")
+    assert len(stacked) == calls
+    assert sum(shape[0] for shape in stacked) == 400
+
+
+def test_six_coupling_frame_march_at_d2_takes_four_blocks():
+    # (V, Vinv^T) of d = 2 at six couplings: 400 half-steps in blocks of 108
+    b = np.zeros((2, 801, 2, 2), dtype=complex)
+    assert [a for a, _ in _step_blocks(b, 0.005, 6)] == [0, 108, 216, 324]
