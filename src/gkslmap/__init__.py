@@ -3,8 +3,7 @@
 The package propagates dynamical maps for kernels of Lindblad form whose
 Hamiltonian and jump operators depend on two times under a memory integral,
 and certifies the results: Choi spectra, Kraus representations, divisibility,
-and the drift-operator conditions that decide when trajectories stay
-completely positive.
+and witness states of CP violations in drift-only evolutions.
 """
 
 from .cpanalysis import (
@@ -13,7 +12,6 @@ from .cpanalysis import (
     choi,
     cp_check,
     divisibility_check,
-    drift_strict_condition_check,
     find_drift_cp_witness,
     kraus_condition_check,
     kraus_extract,

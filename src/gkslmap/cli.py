@@ -9,13 +9,15 @@ of the resolved configuration, so identical configs reproduce byte-identical
 files.
 
 Two tables define the surface.  ``_OPTIONS`` declares each option once: its
-argparse keywords, the JSON types a config file may give it, its default and
-its help text.  ``_COMMANDS`` gives each subcommand its function, help text
+argparse keywords, the JSON types a config file may give it, its default,
+its help text and, where a value of the right type can still be wrong, its
+value check.  ``_COMMANDS`` gives each subcommand its function, help text
 and options in ``--help`` order; the parser is built from it, and
 :func:`main` resolves the chosen command's options (flag, else config file,
-else default) into one dict that the command receives.  Input documents are
-read by :func:`_load`, which tells a trajectory, a drift document and a
-kernel apart and rejects a kind the command does not take.
+else default) into one dict that the command receives; every key of a
+config file is checked, type and value, whatever the command.  Input
+documents are read by :func:`_load`, which tells a trajectory, a drift
+document and a kernel apart and rejects a kind the command does not take.
 """
 
 from __future__ import annotations
@@ -53,6 +55,20 @@ class _Option(NamedTuple):
     types: tuple  # JSON types a config file may give; () keeps the key out of config files
     default: object
     help: str
+    check: object = None  # raises ConfigError on a bad value of a good type
+
+
+def _check_eps_cp(eps) -> None:
+    if not (is_finite_number(eps) and eps >= 0):
+        raise ConfigError(f"eps_cp: expected a finite number >= 0, got {eps!r}")
+
+
+def _resolve_family(name) -> str:
+    """Family tag for a tag or an alias; anything else is a config error."""
+    fam = _FAMILY_ALIASES.get(name, name) if isinstance(name, str) else None
+    if fam not in FAMILY_TAGS:
+        raise ConfigError(f"unknown family {name!r}")
+    return fam
 
 
 # each option's flag is "--" + its key with "_" as "-"
@@ -62,13 +78,13 @@ _OPTIONS = {
     "T": _Option({"type": float}, (int, float), 2.0, "horizon (default 2.0)"),
     "steps": _Option({"type": int}, (int,), 400, "grid steps (default 400)"),
     "eps_cp": _Option({"type": float}, (int, float), DEFAULT_EPS_CP,
-                      "CP tolerance (default 1e-8)"),
+                      "CP tolerance (default 1e-8)", _check_eps_cp),
     "order": _Option({"type": int}, (int,), 8, "series order (default 8)"),
     "seed": _Option({"type": int}, (int,), 7, "seed recorded in provenance"),
     "out": _Option({}, (str,), ".", "output directory (default .)"),
     "config": _Option({}, (), None, "JSON config file (flags override)"),
     "family": _Option({"choices": _FAMILY_CHOICES}, (str,), "local-full",
-                      "trajectory family (default local-full)"),
+                      "trajectory family (default local-full)", _resolve_family),
     "divisibility": _Option({"action": "store_true"}, (bool,), False,
                             "also certify the intermediate maps"),
     "g_list": _Option({}, (str, list), None, "comma-separated couplings, e.g. 0.05,0.1,0.2,0.4"),
@@ -103,7 +119,11 @@ def _read_json(path: str):
 
 
 def _resolve(args: argparse.Namespace, keys) -> dict:
-    """The value of each option in ``keys``: its flag, else the config file, else its default."""
+    """The value of each option in ``keys``: its flag, else the config file, else its default.
+
+    Every key of the config file is checked, type and value, whether or not
+    the command reads it; so is every flag given.
+    """
     file_conf = {}
     if args.config:
         doc = _read_json(args.config)
@@ -118,6 +138,8 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
             if type(val) not in types:  # bool is an int to isinstance
                 names = " or ".join(t.__name__ for t in types)
                 raise ConfigError(f"{args.config}: {key}: expected {names}, got {val!r}")
+            if _OPTIONS[key].check:
+                _OPTIONS[key].check(val)
             if key in _PATH_OPTIONS and not Path(val).is_absolute():
                 val = str(base / val)
             file_conf[key] = val
@@ -125,10 +147,9 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
     for key in keys:
         if key != "config":
             flag = getattr(args, key)
+            if flag is not None and _OPTIONS[key].check:
+                _OPTIONS[key].check(flag)
             conf[key] = flag if flag is not None else file_conf.get(key, _OPTIONS[key].default)
-    eps = conf.get("eps_cp")
-    if eps is not None and not (is_finite_number(eps) and eps >= 0):
-        raise ConfigError(f"eps_cp: expected a finite number >= 0, got {eps!r}")
     return conf
 
 
@@ -137,14 +158,6 @@ def _grid_of(conf: dict) -> TimeGrid:
         return TimeGrid(float(conf["T"]), int(conf["steps"]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid grid parameters: {exc}") from exc
-
-
-def _resolve_family(name) -> str:
-    """Family tag for a tag or an alias; anything else is a config error."""
-    fam = _FAMILY_ALIASES.get(name, name) if isinstance(name, str) else None
-    if fam not in FAMILY_TAGS:
-        raise ConfigError(f"unknown family {name!r}")
-    return fam
 
 
 _KINDS = {  # document kind: its parser
@@ -274,7 +287,8 @@ def _cmd_counterexample(conf: dict) -> int:
     doc = {"kind": "cp-witness", "witness": None}
     if witness is not None:
         psi, phi = complex_to_doc(witness.psi), complex_to_doc(witness.phi)
-        doc["witness"] = {**vars(witness), "psi": psi, "phi": phi}
+        fields = {k: v for k, v in vars(witness).items() if v is not None}  # see DriftCPWitness
+        doc["witness"] = {**fields, "psi": psi, "phi": phi}
     _write(conf, {"witness.json": doc})
     return 0 if witness is None else 1
 

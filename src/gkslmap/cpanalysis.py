@@ -21,8 +21,10 @@ Blocks, because a call over all M + 1 nodes holds several (M+1, d^2, d^2)
 temporaries at once and raises the peak memory.  cp_check computes Choi
 eigenvalues only; kraus_extract computes the eigenvectors too.
 The Kraus condition is one cond, one inv and one (n, n, d, d) product
-K_j^{-1} K_k over all operators; the strict drift condition weights each
-grid-triangle point once.
+K_j^{-1} K_k over all operators.  The drift witness search tries a
+relative-phase ansatz first and falls back on the Choi spectrum of every
+node, so it finds a witness whenever the drift-only map fails to be CP at
+some node.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ __all__ = [
     "KrausConditionReport",
     "divisibility_check",
     "DivisibilityResult",
-    "drift_strict_condition_check",
-    "DriftConditionReport",
     "find_drift_cp_witness",
     "DriftCPWitness",
     "certify_trajectory",
@@ -69,7 +69,6 @@ DEFAULT_EPS_CP = 1e-8
 DEFAULT_COND_LIMIT = 1e12
 _KRAUS_CUTOFF = 1e-12  # Kraus weights kept: above this times max(trace, 1)
 _KRAUS_TOL = 1e-8  # Frobenius tolerance of the mutual-inverse Kraus condition
-_DRIFT_TOL = 1e-10  # drift diagonality and sign tolerance, relative to the integrals
 _N_AMPLITUDES = 64  # amplitudes |psi_n| swept by the witness search
 # An intermediate map comes from a linear solve whose relative error is of order
 # u cond(Lambda_m), u = machine epsilon; its Choi asymmetry up to
@@ -267,80 +266,17 @@ def divisibility_check(traj: MapTrajectory, eps_cp: float = DEFAULT_EPS_CP) -> D
 
 
 # ---------------------------------------------------------------------------
-# the strict condition on the drift operator
-
-
-@dataclass(frozen=True)
-class DriftConditionReport:
-    """Diagonality and sign report for a drift operator in a given basis.
-
-    ``verdict`` follows the resolved sign convention (integrated diagonal real
-    parts must be non-positive for the drift-only nonlocal map to stay CP);
-    the opposite literal reading is exposed alongside so reports never hide
-    the choice.
-    """
-
-    max_offdiagonal: float
-    diagonal_integrals: tuple  # complex, one per basis vector
-    is_diagonal: bool
-    nonpositive_reading_ok: bool  # resolved convention: Re integrals <= 0
-    nonnegative_reading_ok: bool  # opposite literal reading: Re integrals >= 0
-    verdict: bool
-    sign_convention: str = "integrated diagonal real parts must be non-positive"
-
-
-def drift_strict_condition_check(
-    drift: TwoTimeOperatorFunction,
-    grid: TimeGrid,
-    basis: np.ndarray | None = None,
-) -> DriftConditionReport:
-    """Sample the drift operator over the grid triangle: diagonality + sign rule.
-
-    ``basis`` holds orthonormal columns (default: the computational basis).
-    The double integral of the diagonal entries uses the composite trapezoid
-    rule on grid nodes.
-    """
-    basis = np.asarray(np.eye(drift.dim) if basis is None else basis, dtype=complex)
-    gram = basis.conj().T @ basis
-    if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10):
-        raise ValueError("basis columns are not orthonormal")
-    n = basis.shape[1]
-    in_basis = TwoTimeOperatorFunction.build(
-        n, [(p, basis.conj().T @ a @ basis) for p, a in drift.terms]
-    )
-    # the drift on the grid triangle t_j <= t_i, pairs ordered row by row
-    ts = grid.nodes()
-    i, j = np.tril_indices(grid.steps + 1)
-    m = in_basis(ts[i], ts[j])
-    max_off = float(np.max(np.abs(np.where(np.eye(n, dtype=bool), 0.0, m))))
-    # trapezoid in t' along row i times the trapezoid in t across the rows;
-    # row 0 spans no interval in t'
-    h = grid.h
-    outer = np.full(grid.steps + 1, h)
-    outer[0], outer[-1] = 0.0, 0.5 * h
-    wts = outer[i] * np.where((j == 0) | (j == i), 0.5 * h, h)
-    integrals = wts @ np.diagonal(m, axis1=1, axis2=2)
-    scale = max(1.0, float(np.max(np.abs(integrals))))
-    nonpos = bool(np.all(integrals.real <= _DRIFT_TOL * scale))
-    nonneg = bool(np.all(integrals.real >= -_DRIFT_TOL * scale))
-    is_diag = max_off <= _DRIFT_TOL
-    return DriftConditionReport(
-        max_offdiagonal=max_off,
-        diagonal_integrals=tuple(integrals.tolist()),
-        is_diagonal=is_diag,
-        nonpositive_reading_ok=nonpos,
-        nonnegative_reading_ok=nonneg,
-        verdict=bool(is_diag and nonpos),
-    )
-
-
-# ---------------------------------------------------------------------------
-# CP counterexamples from off-diagonal drift
+# CP counterexamples of the drift-only map
 
 
 @dataclass(frozen=True)
 class DriftCPWitness:
-    """A located CP violation of the drift-only nonlocal map."""
+    """A located CP violation of the drift-only nonlocal map.
+
+    The measure is <psi| (Lambda_t (x) id)(|phi><phi|) |psi>.  A witness of the
+    relative-phase ansatz carries its pair, phase and amplitude and no
+    method; one of the Choi fallback has those None and method "choi".
+    """
 
     t: float
     node: int
@@ -348,9 +284,10 @@ class DriftCPWitness:
     choi_lambda_min: float
     psi: np.ndarray = field(repr=False)  # doubled-space unit vector
     phi: np.ndarray = field(repr=False)  # doubled-space unit vector
-    pair: tuple = (0, 1)  # (n, l) levels carrying the relative phase
-    phase: float = 0.0
-    amplitude: float = 0.0  # |psi_n|
+    pair: tuple | None = (0, 1)  # (n, l) levels carrying the relative phase
+    phase: float | None = 0.0
+    amplitude: float | None = 0.0  # |psi_n|
+    method: str | None = None
 
 
 def _max_offdiagonal_entry(drift: TwoTimeOperatorFunction, grid: TimeGrid):
@@ -367,31 +304,13 @@ def _max_offdiagonal_entry(drift: TwoTimeOperatorFunction, grid: TimeGrid):
     return mag[k, a, b], (int(a), int(b)), m[k, a, b]
 
 
-def find_drift_cp_witness(
-    drift: TwoTimeOperatorFunction, grid: TimeGrid, eps_cp: float = DEFAULT_EPS_CP
-) -> DriftCPWitness | None:
-    """Search the two-level relative-phase ansatz for a CP violation.
-
-    Mirrors the analytic construction for off-diagonal drift: |u> =
-    a|n> + b e^{i theta}|l> with (l, n) the strongest off-diagonal drift
-    element A_ln and theta swept around the negated and shifted phases of
-    A_ln; |Phi> ranges over computational basis states (the ancilla factor
-    rides along, so the measure reduces to <u| Lambda_t(|x><x|) |u>).
-    Returns the first node with measure < -10 eps_cp, cross-validated against
-    the Choi spectrum, or None when the drift has no off-diagonal element or
-    the sweep finds nothing.  The measure is evaluated over (node, x,
-    amplitude, phase) for a block of nodes at a time, as many as
-    :func:`~gkslmap.linalg.block_len` allows for the maps; the first hit in
-    node-then-x order wins.
-    """
-    located = _max_offdiagonal_entry(drift, grid)
-    if located is None:
-        return None
+def _relative_phase_witness(traj: MapTrajectory, located, eps_cp: float):
+    """The first node where the relative-phase ansatz on the entry ``located`` reads
+    a measure < -10 eps_cp, or None (see :func:`find_drift_cp_witness`)."""
     _, (l, n), entry = located
     phi_ln = float(np.angle(entry))
-    d = drift.dim
-    traj = solve_nonlocal_from_drift(drift, grid)
-    ts = grid.nodes()
+    d = traj.dim
+    ts = traj.grid.nodes()
     phases = np.array(
         [-phi_ln, math.pi - phi_ln, -phi_ln + math.pi / 2.0, -phi_ln - math.pi / 2.0]
     )
@@ -402,7 +321,7 @@ def find_drift_cp_witness(
     # Lambda_t(|x><x|) is column x (d + 1) of the map, and its (i, j) entry is row i + d j
     xcols = np.arange(d) * (d + 1)
     nodes = block_len(d**4)
-    for start in range(1, grid.steps + 1, nodes):
+    for start in range(1, traj.grid.steps + 1, nodes):
         out = traj.maps[start : start + nodes][:, :, xcols, None, None]
         vals = (  # over (node, x, amplitude, phase)
             (a_grid**2) * out[:, n * (d + 1)].real
@@ -436,6 +355,61 @@ def find_drift_cp_witness(
             amplitude=a,
         )
     return None
+
+
+def _choi_witness(traj: MapTrajectory, eps_cp: float):
+    """The first node whose Choi lambda_min < -eps_cp d, or None.
+
+    psi is the Choi eigenvector of lambda_min and phi the maximally entangled
+    state sum_i |ii> / sqrt(d), so the measure is <psi|C|psi> / d = lambda_min / d.
+    """
+    d, maps = traj.dim, traj.maps
+    _, lam = _blockwise(lambda s: cp_check(choi(maps[s]), eps_cp), maps, "node")
+    hits = np.flatnonzero(lam < -eps_cp * d)
+    if not len(hits):
+        return None
+    m = int(hits[0])
+    eig = hermitian_eig(choi(maps[m]))
+    lam_min = float(eig.eigenvalues[0])
+    return DriftCPWitness(
+        t=float(traj.grid.nodes()[m]),
+        node=m,
+        measure_value=lam_min / d,
+        choi_lambda_min=lam_min,
+        psi=eig.eigenvectors[:, 0],
+        phi=np.eye(d, dtype=complex).reshape(d * d) / math.sqrt(d),
+        pair=None,
+        phase=None,
+        amplitude=None,
+        method="choi",
+    )
+
+
+def find_drift_cp_witness(
+    drift: TwoTimeOperatorFunction, grid: TimeGrid, eps_cp: float = DEFAULT_EPS_CP
+) -> DriftCPWitness | None:
+    """Locate a CP violation of the drift-only nonlocal map, or return None.
+
+    First the two-level relative-phase ansatz, which mirrors the analytic
+    construction for off-diagonal drift: |u> = a|n> + b e^{i theta}|l> with
+    (l, n) the strongest off-diagonal drift element A_ln and theta swept
+    around the negated and shifted phases of A_ln; |Phi> ranges over
+    computational basis states (the ancilla factor rides along, so the
+    measure reduces to <u| Lambda_t(|x><x|) |u>).  It reports the first node
+    with measure < -10 eps_cp, cross-validated against the Choi spectrum.
+    The measure is evaluated over (node, x, amplitude, phase) for a block of
+    nodes at a time, as many as :func:`~gkslmap.linalg.block_len` allows for
+    the maps; the first hit in node-then-x order wins.
+
+    When the drift has no off-diagonal element or the ansatz finds nothing,
+    the Choi spectrum of every node decides: the first node with
+    lambda_min < -eps_cp d gives the witness of :func:`_choi_witness`.
+    Returns None only when every node's map is CP by that rule.
+    """
+    traj = solve_nonlocal_from_drift(drift, grid)
+    located = _max_offdiagonal_entry(drift, grid)
+    witness = None if located is None else _relative_phase_witness(traj, located, eps_cp)
+    return witness if witness is not None else _choi_witness(traj, eps_cp)
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,21 @@ the O(M^2) direct convolution.  The nonlocal memory sums are trapezoid sums over
 read from the same terms, so they too take O(M) memory per term.
 
 Every ODE family is linear, dy/dt = B(t) y, so a classical 4th-order
-Runge-Kutta step is a fixed polynomial in B at its three stage nodes.  One
-builder, :func:`_step_blocks`, forms those step matrices for a block of steps
-in a few stacked products, and the march does one product per step.  The state
-is the map (local families and the transform route), the pair (V, Vinv^T)
-(drift frame) or the triangular stack of series terms (local series, stepped
-by the parts of each degree).  Every nonlocal family goes through one memory
-core, built by :func:`_memory` inside its march: the nested-trapezoid memory
-sum at node i, stacked over the normal-form terms of the kernel's distinct
-profiles (terms with equal profiles are merged first, their superoperators
+Runge-Kutta step is a fixed polynomial in B at its three stage nodes.  The
+map marches (local families and the transform route, :func:`_march`) form
+it in stage form, three stacked products per step (:func:`_stage_steps`),
+and advance the maps by a prefix product over chunks of _CHUNK steps
+(:func:`_chunked_product`), so a march makes one sequential product per
+chunk, not per step.  The drift frame's pair (V, Vinv^T)
+(:func:`_frame_march`) and the triangular stack of local series terms
+(:func:`_local_series`) keep the polynomial's parts of each degree
+(:func:`_step_blocks`), six stacked products per step, and one product per
+step: the series steps order n by the part of degree p from order n - p,
+and a scan scales the frame's parts instead of forming them per coupling.
+Every nonlocal family goes through one memory core, built by
+:func:`_memory` inside its march: the nested-trapezoid memory sum at node i,
+stacked over the normal-form terms of the kernel's distinct profiles
+(terms with equal profiles are merged first, their superoperators
 summed).  A term whose conv factors are constant or exponential,
 c(tau) = C e^{a tau}, keeps a running history sum stepped exactly by
 e^{a h}, at O(D^2) per step; a table's terms all do, with a = 0.  A term with
@@ -56,11 +62,13 @@ iterated-integral series.
 A kernel carries its coupling only as an overall g^2, and both parts of its
 split are linear in it, so the kernel at g is s = g^2 times the kernel at
 g = 1.  Every family marches along a leading coupling axis of W such scales
-(:func:`_family_march`): the Runge-Kutta step matrix at scale s is
-1 + sum_p s^p R_p, the parts R_p formed once and scaled (the drift frame
-(V, Vinv) too); the Volterra histories march node-major side by side, each
-with its own step matrices A_i and E_i, formed from the scaled diagonal; the
-order-n term of a series scales as s^n, so it is marched once, at s = 1.
+(:func:`_family_march`): a map march forms s B block by block for each
+scale and its stage-form step matrices from that, so a step matrix and the
+chunks do not depend on W; the drift frame's step matrix at scale s is
+1 + sum_p s^p R_p, the parts R_p formed once and scaled; the Volterra
+histories march node-major side by side, each with its own step matrices A_i
+and E_i, formed from the scaled diagonal; the order-n term of a series
+scales as s^n, so it is marched once, at s = 1.
 Stacked work goes in blocks of at least 64 matrices over every leading axis,
 W included, and as many more as fit in 64 d = 3 superoperators' entries
 (:func:`~gkslmap.linalg.block_len`).  A single solve is the width-1
@@ -104,6 +112,9 @@ _REFINE = 4
 
 # The coupling axis of a single solve: one kernel at scale 1.
 _UNIT = np.ones(1)
+
+# Steps per chunk of the map march's prefix product (:func:`_chunked_product`).
+_CHUNK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -261,39 +272,95 @@ def _raise_distance(dist: np.ndarray, before: np.ndarray, after: np.ndarray) -> 
     np.maximum(dist, np.sqrt(gap.max(axis=0)), out=dist)
 
 
+def _stage_steps(b: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Classical Runge-Kutta step matrices of the linear dy/dt = B(t) y, in stage form.
+
+    ``b`` holds B on the half-step lattice along axis 0, so step m draws on
+    B0, Bm, B1 = b[2m], b[2m + 1], b[2m + 2] and takes y to
+
+        (1 + h/6 (B0 + 2 K2 + 2 K3 + K4)) y,
+        K2 = Bm (1 + h/2 B0),  K3 = Bm (1 + h/2 K2),  K4 = B1 (1 + h K3),
+
+    the same polynomial as :func:`_step_blocks`'s parts in three stacked
+    products instead of six.  Writes the step matrices into ``out`` and
+    returns it.
+    """
+    b0, bm, b1 = b[:-1:2], b[1::2], b[2::2]
+    eye = np.eye(b.shape[-1])
+    k = bm @ (eye + (0.5 * h) * b0)
+    acc = b0 + 2.0 * k
+    k = bm @ (eye + (0.5 * h) * k)
+    acc += 2.0 * k
+    k = b1 @ (eye + h * k)
+    acc += k
+    np.multiply(h / 6.0, acc, out=out)
+    out += eye
+    return out
+
+
+def _chunked_product(r: np.ndarray, n: int, y: np.ndarray) -> None:
+    """y[j + 1] = r_j ... r_0 y[0] for j < n, by a prefix product over chunks of steps.
+
+    ``r`` has shape (chunks, L, ...) and holds step matrix r_j at
+    r[j // L, j % L] for j < n; ``y`` has n + 1 states.  Within each chunk
+    the partial products p[c, i] = r[c, i] ... r[c, 0] take one stacked
+    product per chunk position.  Each chunk then takes one product that
+    carries the state from its start to its end, and one stacked product
+    (two with a short last chunk) takes each start to the chunk's inner
+    states.
+    """
+    chunks, L = r.shape[:2]
+    last = n - (chunks - 1) * L  # steps in the last chunk
+    p = np.empty_like(r)
+    p[:, 0] = r[:, 0]
+    for i in range(1, L):
+        c = chunks if i < last else chunks - 1
+        np.matmul(r[:c, i], p[:c, i - 1], out=p[:c, i])
+    for c in range(chunks):
+        steps = L if c < chunks - 1 else last
+        np.matmul(p[c, steps - 1], y[c * L], out=y[c * L + steps])
+    full = n // L  # chunks of L steps
+    inner = y[1 : full * L + 1].reshape((full, L) + y.shape[1:])[:, :-1]
+    np.matmul(p[:full, :-1], y[0 : full * L : L, None].copy(), out=inner)
+    if full < chunks:
+        np.matmul(p[full, : last - 1], y[full * L], out=y[full * L + 1 : n])
+
+
 def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, dist=None) -> np.ndarray:
     """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s.
 
-    ``b`` is as for :func:`_step_blocks`; its leading axes march side by side,
-    behind a leading axis of the W scales.  R_p has degree p in B, so the step
-    matrix at scale s is 1 + sum_p s^p R_p: the parts are formed once from
-    ``b`` and scaled, and each step is one stacked product.  Returns ``out``,
-    shape (steps + 1, W, *b.shape[:-3], D, D), the identity and the state
-    after every step (allocated when None).
+    ``b`` holds B on the half-step lattice, shape (2M + 1, D, D).  The steps
+    go in blocks, each a multiple of _CHUNK steps long and as long as
+    :func:`~gkslmap.linalg.block_len` allows for W couplings.  A block forms
+    s B for each coupling (skipped at one unit scale, see :func:`_is_unit`)
+    and the step matrices in stage form (:func:`_stage_steps`), then
+    advances the states by a chunked prefix product (:func:`_chunked_product`).
+    Chunks start at multiples of _CHUNK steps, so neither a step matrix nor
+    the order of a state's products depends on W or on the block length: a
+    single solve is the width-1 case.  Returns ``out``, shape
+    (M + 1, W, D, D), the identity and the state after every step
+    (allocated when None).
 
     With ``dist`` (shape (W,)), ``out`` holds another family's states on the
     same nodes, and each block of them is compared with the new states before
     they replace it (:func:`_raise_distance`).
     """
-    n = (b.shape[-3] - 1) // 2
-    w = len(scales)
-    eye = np.eye(b.shape[-1], dtype=complex)
+    n = (len(b) - 1) // 2
+    w, D = len(scales), b.shape[-1]
     if out is None:
-        out = np.empty((n + 1, w) + b.shape[:-3] + eye.shape, dtype=complex)
-    out[0] = eye
-    s = None if _is_unit(scales) else np.reshape(scales, (w,) + (1,) * b.ndim)
-    y = out if s is not None else out[:, 0]  # one unit scale: no coupling axis
-    for a, parts in _step_blocks(b, h, w):
-        if s is None:
-            r = eye + parts[0] + parts[1] + parts[2] + parts[3]
-        else:
-            r = eye + s * parts[0] + s**2 * parts[1] + s**3 * parts[2] + s**4 * parts[3]
-        m1 = a + r.shape[-3]
-        before = None if dist is None else y[a + 1 : m1 + 1].copy()
-        for m in range(a, m1):
-            np.matmul(r[..., m - a, :, :], y[m], out=y[m + 1])
+        out = np.empty((n + 1, w, D, D), dtype=complex)
+    out[0] = np.eye(D)
+    s = None if _is_unit(scales) else np.reshape(scales, (w, 1, 1))
+    steps = max(1, block_len(D * D, w) // _CHUNK) * _CHUNK
+    for a in range(0, n, steps):
+        m1 = min(a + steps, n)
+        blk = b[2 * a : 2 * m1 + 1, None]
+        r = np.empty((-(-(m1 - a) // _CHUNK) * _CHUNK, w, D, D), dtype=complex)
+        _stage_steps(blk if s is None else s * blk, h, r[: m1 - a])
+        before = None if dist is None else out[a + 1 : m1 + 1].copy()
+        _chunked_product(r.reshape((-1, _CHUNK) + r.shape[1:]), m1 - a, out[a : m1 + 1])
         if dist is not None:
-            _raise_distance(dist, before, y[a + 1 : m1 + 1])
+            _raise_distance(dist, before, out[a + 1 : m1 + 1])
     return out
 
 
@@ -310,6 +377,35 @@ def solve_local(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
 # ordered exponential of the drift operator
 
 
+def _frame_march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT) -> np.ndarray:
+    """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s, by degree parts.
+
+    ``b`` is as for :func:`_step_blocks`; its leading axes march side by side,
+    behind a leading axis of the W scales.  R_p has degree p in B, so the step
+    matrix at scale s is 1 + sum_p s^p R_p: the parts are formed once from
+    ``b`` and scaled, and each step is one stacked product.  This suits the
+    drift frame, the stacked pair (V, Vinv^T) of d x d matrices: the parts
+    cost six products per step for all W couplings, where the stage form of
+    :func:`_march` would cost three per coupling.  Returns the identity and
+    the state after every step, shape (steps + 1, W, *b.shape[:-3], D, D).
+    """
+    n = (b.shape[-3] - 1) // 2
+    w = len(scales)
+    eye = np.eye(b.shape[-1], dtype=complex)
+    out = np.empty((n + 1, w) + b.shape[:-3] + eye.shape, dtype=complex)
+    out[0] = eye
+    s = None if _is_unit(scales) else np.reshape(scales, (w,) + (1,) * b.ndim)
+    y = out if s is not None else out[:, 0]  # one unit scale: no coupling axis
+    for a, parts in _step_blocks(b, h, w):
+        if s is None:
+            r = eye + parts[0] + parts[1] + parts[2] + parts[3]
+        else:
+            r = eye + s * parts[0] + s**2 * parts[1] + s**3 * parts[2] + s**4 * parts[3]
+        for m in range(a, a + r.shape[-3]):
+            np.matmul(r[..., m - a, :, :], y[m], out=y[m + 1])
+    return out
+
+
 def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid, scales=_UNIT):
     """March V' = -s A_int(t) V and Vinv' = +s Vinv A_int(t) at step h/2, per scale s.
 
@@ -318,7 +414,7 @@ def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid, 
     """
     w_fine = _lattice(drift.terms, drift.dim, grid)
     # Vinv is marched as its transpose: (Vinv^T)' = A_int^T Vinv^T
-    vv = _march(np.stack([-w_fine, w_fine.transpose(0, 2, 1)]), grid.h / 2.0, scales)
+    vv = _frame_march(np.stack([-w_fine, w_fine.transpose(0, 2, 1)]), grid.h / 2.0, scales)
     return vv[:, :, 0], vv[:, :, 1].swapaxes(-1, -2)
 
 
@@ -665,8 +761,9 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     """One march of ``family``, a tag of FAMILY_TAGS, for the kernels s K, s in ``scales``.
 
     ``split`` is the split of K.  Both of its parts are linear in K, so the
-    kernel at scale s has s times its parts: the memory sums, drift frames and
-    Runge-Kutta step parts are formed once and scaled per s, and the order-n
+    kernel at scale s has s times its parts: the memory sums and the drift
+    frames' Runge-Kutta step parts are formed once and scaled per s, a map
+    march scales each block of its generator per s, and the order-n
     term of a series truncated at ``order`` is weighted by s^n.  Returns
     march(out=None, dist=None) -> (out, meta), which fills out[:, n] (``out``
     of shape (M + 1, W, D, D), allocated once the march's own tables are

@@ -14,7 +14,8 @@ with::
 
 A change that reorders floating-point sums leaves the artifacts close but not
 byte-identical.  For it, ``python tests/cli_sweep.py --compare A B`` requires
-identical logs (exit codes, stdout, stderr), certify verdicts (``all_cp``,
+identical logs (exit codes, stdout, stderr), the same JSON artifacts on both
+sides, certify verdicts (``all_cp``,
 per-node verdicts, divisibility statuses) and g-scan couplings, prints the
 worst relative map difference per trajectory family and the worst g-scan
 distance difference relative to the scan's largest distance, and exits 1 when
@@ -224,7 +225,10 @@ def compare(a: Path, b: Path) -> int:
         if log.read_text() != (b / "logs" / log.name).read_text():
             bad.append(f"log {log.name}")
     gaps, scan_gaps = {}, {}
-    for path in sorted(a.glob("runs/*/*.json")):
+    runs = [{p.relative_to(root) for p in root.glob("runs/*/*.json")} for root in (a, b)]
+    for side, only in ((a, runs[0] - runs[1]), (b, runs[1] - runs[0])):
+        bad.extend(f"only in {side}: {path}" for path in sorted(only))
+    for path in sorted(a / p for p in runs[0] & runs[1]):
         x, y = (json.loads(p.read_text()) for p in (path, b / path.relative_to(a)))
         if path.name == "cp_report.json":
             div = (x.get("divisibility") or {}, y.get("divisibility") or {})

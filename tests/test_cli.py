@@ -200,6 +200,20 @@ def test_counterexample_finds_witness(tmp_path):
     assert w["measure_value"] < -1e-7
     assert w["choi_lambda_min"] < -1e-7
     assert len(w["psi"]) == 4 and len(w["psi"][0]) == 2
+    assert "method" not in w and "pair" in w  # the relative-phase ansatz
+
+
+def test_counterexample_finds_witness_for_diagonal_drift_by_choi_spectrum(tmp_path):
+    # A = diag(-0.5, 0): no off-diagonal entry for the ansatz, yet not CP from node 4
+    drift = write_drift(tmp_path / "diag.json", np.diag([-0.5, 0.0]))
+    out = tmp_path / "run"
+    code = main(["counterexample", "--kernel", drift, "--T", "2.0", "--steps", "200",
+                 "--out", str(out)])
+    assert code == 1
+    w = json.loads((out / "witness.json").read_text())["witness"]
+    assert w["method"] == "choi" and w["node"] == 4
+    assert w["measure_value"] < -1e-8  # below -eps_cp
+    assert not {"pair", "phase", "amplitude"} & set(w)
 
 
 def test_counterexample_diagonal_drift_finds_nothing(tmp_path):
@@ -555,6 +569,27 @@ def test_config_value_of_wrong_type_is_config_error(
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "config" and named in err["message"].replace(str(conf), "")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "gscan", "counterexample", "convolution",
+                                     "validate"])
+@pytest.mark.parametrize("key, value, message", [
+    ("eps_cp", -1, "eps_cp: expected a finite number >= 0, got -1"),
+    ("family", "sideways", "unknown family 'sideways'"),
+])
+def test_config_value_is_checked_whether_or_not_the_command_reads_it(
+    tmp_path, kernel_file, capsys, command, key, value, message
+):
+    # tests/cli_sweep.py's config-gscan-eps-cp-negative and config-gscan-family-unknown
+    conf = tmp_path / "conf.json"
+    base = {"kernel": kernel_file, "T": 0.5, "steps": 10, "g_list": [0.1, 0.2, 0.4, 0.8]}
+    conf.write_text(json.dumps({**base, key: value}))
+    out = tmp_path / "run"
+    argv = [command, "--config", str(conf)] + (["--out", str(out)] if command != "validate" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == {"type": "config", "message": message}
+    assert not out.exists() and not captured.out
 
 
 def test_deeply_nested_json_is_a_config_error_naming_the_file(tmp_path, kernel_file, capsys):

@@ -14,7 +14,6 @@ from gkslmap.cpanalysis import (
     choi,
     cp_check,
     divisibility_check,
-    drift_strict_condition_check,
     find_drift_cp_witness,
     kraus_condition_check,
     kraus_extract,
@@ -32,7 +31,7 @@ from gkslmap.linalg import (
     vectorize,
 )
 from gkslmap.profiles import ConstantProfile, ExpProfile
-from gkslmap.propagate import solve_family, solve_local
+from gkslmap.propagate import solve_family, solve_local, solve_nonlocal_from_drift
 from gkslmap.trajectory import MapTrajectory, TimeGrid
 from oracles import unvectorize
 
@@ -293,51 +292,6 @@ def const_drift(mat):
     return TwoTimeOperatorFunction.build(2, [(ConstantProfile(1.0), np.asarray(mat, complex))])
 
 
-def test_strict_condition_diagonal_and_sign_readings():
-    grid = TimeGrid(1.0, 20)
-    off = drift_strict_condition_check(const_drift(SIGMA_X), grid)
-    assert not off.is_diagonal
-    assert off.max_offdiagonal == pytest.approx(1.0)
-    assert not off.verdict
-
-    ok = drift_strict_condition_check(const_drift(-0.5 * np.eye(2)), grid)
-    assert ok.is_diagonal and ok.verdict
-    assert ok.nonpositive_reading_ok and not ok.nonnegative_reading_ok
-    assert all(z.real < 0 for z in ok.diagonal_integrals)
-
-    flipped = drift_strict_condition_check(const_drift(0.5 * np.eye(2)), grid)
-    assert flipped.is_diagonal and not flipped.verdict
-    assert flipped.nonnegative_reading_ok
-
-
-def test_strict_condition_respects_chosen_basis():
-    grid = TimeGrid(1.0, 10)
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    report = drift_strict_condition_check(const_drift(SIGMA_X), grid, basis=h)
-    assert report.is_diagonal  # sigma_x is diagonal in the Hadamard basis
-    with pytest.raises(ValueError):
-        drift_strict_condition_check(const_drift(SIGMA_X), grid, basis=np.ones((2, 2)))
-
-
-def strict_condition_reference(drift, grid, basis):
-    """The point-by-point loop: (max off-diagonal, diagonal integrals) over the grid triangle."""
-    ts = grid.nodes()
-    h = grid.h
-    max_off = 0.0
-    diag_rows = np.zeros((grid.steps + 1, basis.shape[1]), dtype=complex)
-    for i in range(grid.steps + 1):
-        for j in range(i + 1):
-            m = basis.conj().T @ drift(ts[i], ts[j]) @ basis
-            off = m - np.diag(np.diag(m))
-            max_off = max(max_off, float(np.max(np.abs(off))))
-            wgt = 0.5 * h if j in (0, i) else h
-            diag_rows[i] += wgt * np.diag(m)
-    diag_rows[0] = 0.0
-    wts = np.full(grid.steps + 1, h)
-    wts[0] = wts[-1] = 0.5 * h
-    return max_off, [complex(np.sum(wts * diag_rows[:, n])) for n in range(basis.shape[1])]
-
-
 def max_offdiagonal_reference(drift, grid):
     """The point-by-point search of the largest off-diagonal entry on the coarse triangle."""
     ts = np.linspace(0.0, grid.T, 9)
@@ -367,23 +321,25 @@ def reference_drift(source, key):
 
 
 @pytest.mark.parametrize("source, key", DRIFTS)
-def test_strict_condition_matches_pointwise_reference(source, key, rng):
-    drift = reference_drift(source, key)
-    grid = TimeGrid(1.5, 40)
-    q, _ = np.linalg.qr(random_operator(rng, drift.dim))
-    for basis in (np.eye(drift.dim, dtype=complex), q, q[:, :1]):
-        report = drift_strict_condition_check(drift, grid, basis=basis)
-        max_off, integrals = strict_condition_reference(drift, grid, basis)
-        assert abs(report.max_offdiagonal - max_off) <= 1e-12 * max(1.0, max_off)
-        scale = max(1.0, max(abs(z) for z in integrals))
-        assert np.max(np.abs(np.array(report.diagonal_integrals) - integrals)) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("source, key", DRIFTS)
 def test_max_offdiagonal_entry_matches_pointwise_reference(source, key):
     drift = reference_drift(source, key)
     grid = TimeGrid(2.0, 10)
     assert _max_offdiagonal_entry(drift, grid) == max_offdiagonal_reference(drift, grid)
+
+
+@pytest.mark.parametrize("source, key", DRIFTS)
+def test_a_witness_is_found_exactly_when_some_node_is_not_cp(source, key):
+    # the ansatz's measure is a diagonal entry of the Choi matrix, never below
+    # its lambda_min, so it cannot fire on a CP map; the Choi fallback fires on
+    # every map that is not
+    drift = reference_drift(source, key)
+    grid = TimeGrid(1.5, 40)
+    report = certify_trajectory(solve_nonlocal_from_drift(drift, grid))
+    w = find_drift_cp_witness(drift, grid)
+    assert (w is None) == report.all_cp
+    if w is not None:
+        assert w.node >= report.first_violation
+        assert report.verdicts[w.node] == "not-CP"
 
 
 def test_witness_found_for_offdiagonal_drift():
@@ -414,6 +370,35 @@ def test_witness_found_for_raising_drift():
 def test_no_witness_for_diagonal_drift():
     grid = TimeGrid(2.0, 100)
     assert find_drift_cp_witness(const_drift(-0.5 * np.eye(2)), grid) is None
+
+
+def test_choi_fallback_finds_the_first_non_cp_node_of_a_diagonal_drift():
+    # A = diag(-0.5, 0) is a Schur multiplier with x_00 = cosh t, x_11 = 1 and
+    # x_01 = cosh(t / sqrt 2), not CP at any t > 0; the ansatz needs an
+    # off-diagonal entry, so the Choi spectrum finds the witness
+    grid = TimeGrid(2.0, 200)
+    drift = const_drift(np.diag([-0.5, 0.0]))
+    traj = solve_nonlocal_from_drift(drift, grid)
+    report = certify_trajectory(traj)
+    w = find_drift_cp_witness(drift, grid)
+    assert w is not None and w.method == "choi"
+    assert w.pair is None and w.phase is None and w.amplitude is None
+    assert w.node == report.first_violation == 4
+    assert w.t == report.times[4]
+    assert w.choi_lambda_min == pytest.approx(report.lambda_mins[4], rel=1e-12)
+    assert w.measure_value == w.choi_lambda_min / 2 < -1e-8
+    assert abs(np.linalg.norm(w.psi) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(w.phi) - 1.0) < 1e-12
+    out = apply_extended(traj.maps[w.node], np.outer(w.phi, w.phi.conj()))
+    val = float(np.real(w.psi.conj() @ out @ w.psi))
+    assert val == pytest.approx(w.measure_value, rel=1e-9)
+
+
+def test_offdiagonal_witnesses_come_from_the_ansatz():
+    grid = TimeGrid(2.0, 200)
+    for mat in (SIGMA_X, SIGMA_PLUS):
+        w = find_drift_cp_witness(const_drift(mat), grid)
+        assert w.method is None and w.pair in ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("dim, calls", [(2, 2), (3, 7)])

@@ -34,6 +34,7 @@ from gkslmap.propagate import (
     _family_march,
     _fine_nodes,
     _lattice,
+    _march,
     _memory,
     _qtable,
     _step_blocks,
@@ -724,7 +725,8 @@ def test_edge_kernel_weak_matches_per_table_reference():
 # the step-matrix marches against the per-step Runge-Kutta reference
 
 
-@pytest.mark.parametrize("steps", CORE_STEPS)
+# 337 steps span two d = 2 blocks of the map march and end in a short chunk
+@pytest.mark.parametrize("steps", CORE_STEPS + (337,))
 def test_step_matrix_marches_match_per_step_reference(corpus, steps):
     grid = TimeGrid(2.0, steps)
     for k in list(corpus) + extra_kernels():
@@ -861,3 +863,19 @@ def test_six_coupling_frame_march_at_d2_takes_four_blocks():
     # (V, Vinv^T) of d = 2 at six couplings: 400 half-steps in blocks of 108
     b = np.zeros((2, 801, 2, 2), dtype=complex)
     assert [a for a, _ in _step_blocks(b, 0.005, 6)] == [0, 108, 216, 324]
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_map_march_at_unit_scale_is_the_single_solve_bit_for_bit_at_any_width(dim):
+    # chunks start at multiples of the chunk length whatever the block length,
+    # which the coupling count sets (320 steps of d = 2 at W = 1, 48 at W = 6),
+    # so every state takes the same products in the same order; any other
+    # chunking reorders them, which shows only in the last bits
+    rng = np.random.default_rng(41)
+    D = dim * dim
+    shape = (2 * 337 + 1, D, D)
+    b = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    single = _march(b, 0.006)[:, 0]
+    for scales in ([0.5, 1.0], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]):
+        assert np.array_equal(_march(b, 0.006, np.array(scales))[:, 1], single), len(scales)
+
