@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .cpanalysis import DEFAULT_EPS_CP, certify_trajectory, find_drift_cp_witness, trace_deviation
-from .experiments import convolution_case, g_scan
+from .experiments import convolution_case, g_scan, scan_couplings, scan_pair
 from .kernel import GKSLKernel, load_drift_spec, load_kernel_spec, split_kernel
 from .propagate import solve_family
 from .serialize import (
@@ -71,6 +71,27 @@ def _resolve_family(name) -> str:
     return fam
 
 
+def _g_list(raw) -> list:
+    """The couplings of a comma-separated str or a list of numbers, by g_scan's rules."""
+    field = "--g-list" if isinstance(raw, str) else "g_list"
+    items = [x for x in raw.split(",") if x.strip()] if isinstance(raw, str) else raw
+    if field == "g_list" and any(isinstance(x, (bool, str)) for x in items):
+        raise ConfigError(f"g_list: expected numbers, got {raw!r}")
+    try:
+        gs = [float(x) for x in items]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+    return scan_couplings(gs)
+
+
+def _pair(raw) -> tuple:
+    """The two family tags of a comma-separated str or a list, by g_scan's rules."""
+    pair = raw.split(",") if isinstance(raw, str) else list(raw)
+    if len(pair) != 2:
+        raise ConfigError(f"pair must name two families, got {pair!r}")
+    return scan_pair([_resolve_family(p) for p in pair])
+
+
 # each option's flag is "--" + its key with "_" as "-"
 _OPTIONS = {
     "kernel": _Option({}, (str,), None, "kernel (or drift) JSON file"),
@@ -87,9 +108,11 @@ _OPTIONS = {
                       "trajectory family (default local-full)", _resolve_family),
     "divisibility": _Option({"action": "store_true"}, (bool,), False,
                             "also certify the intermediate maps"),
-    "g_list": _Option({}, (str, list), None, "comma-separated couplings, e.g. 0.05,0.1,0.2,0.4"),
+    "g_list": _Option({}, (str, list), None, "comma-separated couplings, e.g. 0.05,0.1,0.2,0.4",
+                      _g_list),
     "pair": _Option({}, (str, list), "nonlocal-full,weak-nonlocal-full",
-                    "two families, comma-separated (default nonlocal-full,weak-nonlocal-full)"),
+                    "two families, comma-separated (default nonlocal-full,weak-nonlocal-full)",
+                    _pair),
 }
 _PATH_OPTIONS = ("kernel", "trajectory", "out")  # resolved against a config file's directory
 
@@ -258,22 +281,10 @@ def _cmd_certify(conf: dict) -> int:
 def _cmd_gscan(conf: dict) -> int:
     grid = _grid_of(conf)
     k = _load(conf, "kernel", ("kernel",), "a kernel file")
-    raw = conf["g_list"]  # a str from the flag or a config file, or a config file's list
-    if raw is None:
+    if conf["g_list"] is None:  # a str from the flag or a config file, or a config file's list
         raise ConfigError("a g list is required (--g-list)")
-    field = "--g-list" if isinstance(raw, str) else "g_list"
-    items = [x for x in raw.split(",") if x.strip()] if isinstance(raw, str) else raw
-    if field == "g_list" and any(isinstance(x, (bool, str)) for x in items):
-        raise ConfigError(f"g_list: expected numbers, got {raw!r}")
-    try:
-        gs = [float(x) for x in items]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
-    pair = conf["pair"].split(",") if isinstance(conf["pair"], str) else list(conf["pair"])
-    if len(pair) != 2:
-        raise ConfigError(f"pair must name two families, got {pair!r}")
-    pair = [_resolve_family(p) for p in pair]
-    result = g_scan(k, grid, gs, pair=tuple(pair), order=int(conf["order"]))
+    gs, pair = _g_list(conf["g_list"]), _pair(conf["pair"])
+    result = g_scan(k, grid, gs, pair=pair, order=int(conf["order"]))
     _write(conf, {"gscan.json": result.to_doc(), "gscan.csv": result.csv_text()})
     return 0
 

@@ -46,6 +46,8 @@ __all__ = [
     "GScanResult",
     "RedfieldModel",
     "g_scan",
+    "scan_couplings",
+    "scan_pair",
     "pair_distance",
     "redfield_kernel",
     "convolution_case",
@@ -189,6 +191,30 @@ def pair_distance(k: GKSLKernel, grid: TimeGrid, pair, order: int = 8) -> float:
     return float(family_distances(k, grid, pair, [k.coupling], order)[0])
 
 
+def scan_couplings(g_list) -> list:
+    """The couplings of a g scan as floats; ValueError unless there are at least four,
+    strictly increasing, finite and positive, spanning a ratio of at least 8."""
+    gs = [float(g) for g in g_list]
+    if len(gs) < 4:
+        raise ValueError(f"g_list needs >= 4 points, got {len(gs)}")
+    if not all(0 < g < math.inf for g in gs):
+        raise ValueError("g_list entries must be finite and positive")
+    if any(b <= a for a, b in zip(gs, gs[1:])):
+        raise ValueError("g_list must be strictly increasing")
+    # 8 is the widest window the weak regime tolerates in practice; a full
+    # decade is better when the large-g end still converges
+    if gs[-1] / gs[0] < 8.0:
+        raise ValueError(f"g_list must span at least a ratio of 8, got {gs[-1] / gs[0]:.3g}")
+    return gs
+
+
+def scan_pair(pair) -> tuple:
+    """The two families of a g scan as a tuple; ValueError if they are one family."""
+    if pair[0] == pair[1]:
+        raise ValueError("pair must name two distinct families")
+    return tuple(pair)
+
+
 def _scan_points(k: GKSLKernel, grid: TimeGrid, gs, pair, order: int) -> list:
     """The pair distance at every coupling, or the solver error that stopped it.
 
@@ -220,16 +246,13 @@ def g_scan(
 ) -> GScanResult:
     """Distance-vs-coupling scan with a least-squares log-log slope fit.
 
-    Requires at least four strictly increasing, finite, positive couplings
-    spanning a ratio of at least 8 (the widest window the weak regime
-    tolerates in practice; a full decade is better when the large-g end still
-    converges).
     The kernel carries g only as an overall g^2, so each family of the pair
     is solved once for all couplings, side by side; the scan then holds one
     (M + 1) x couplings x D^2 array, the first family's maps overwritten node
-    block by node block by the second's once their distance is taken.  An
-    unknown family, a series ``order`` below 1 or a kernel that does not
-    cover grid.T raise ValueError before anything is solved.
+    block by node block by the second's once their distance is taken.  Bad
+    couplings or pair (:func:`scan_couplings`, :func:`scan_pair`), an unknown
+    family, a series ``order`` below 1 or a kernel that does not cover grid.T
+    raise ValueError before anything is solved.
     Per-point solver failures and non-finite distances are recorded and
     excluded from the fit rather than aborting the scan; when they leave
     fewer than two points the scan raises RuntimeError (a solver failure, not
@@ -247,19 +270,8 @@ def g_scan(
     g = 0.0125 and drops the local slope on [0.0125, 0.025] to 3.57, which
     sets the low end of a usable g list.
     """
-    gs = [float(g) for g in g_list]
-    if len(gs) < 4:
-        raise ValueError(f"g_list needs >= 4 points, got {len(gs)}")
-    if not all(0 < g < math.inf for g in gs):
-        raise ValueError("g_list entries must be finite and positive")
-    if any(b <= a for a, b in zip(gs, gs[1:])):
-        raise ValueError("g_list must be strictly increasing")
-    if gs[-1] / gs[0] < 8.0:
-        raise ValueError(
-            f"g_list must span at least a ratio of 8, got {gs[-1] / gs[0]:.3g}"
-        )
-    if pair[0] == pair[1]:
-        raise ValueError("pair must name two distinct families")
+    gs = scan_couplings(g_list)
+    scan_pair(pair)
     distances = []
     failures = []
     kept_g = []

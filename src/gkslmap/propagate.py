@@ -39,7 +39,7 @@ and advance the maps by a prefix product over chunks of _CHUNK steps
 chunk, not per step.  The drift frame's pair (V, Vinv^T)
 (:func:`_frame_march`) and the triangular stack of local series terms
 (:func:`_local_series`) keep the polynomial's parts of each degree
-(:func:`_step_blocks`), six stacked products per step, and one product per
+(:func:`_step_parts`), six stacked products per step, and one product per
 step: the series steps order n by the part of degree p from order n - p,
 and a scan scales the frame's parts instead of forming them per coupling.
 Every nonlocal family goes through one memory core, built by
@@ -72,11 +72,13 @@ scales as s^n, so it is marched once, at s = 1.
 Stacked work goes in blocks of at least 64 matrices over every leading axis,
 W included, and as many more as fit in 64 d = 3 superoperators' entries
 (:func:`~gkslmap.linalg.block_len`).  A single solve is the width-1
-case, at scale 1 on the kernel's own split.  A coupling scan
+case, at scale 1 on the kernel's own split.  Every march writes its nodes
+in the blocks of one helper (:func:`_blocks`), which can show each written
+block and its old contents to a visitor.  A coupling scan
 (:func:`family_distances`) marches each family of its pair once for all
 couplings, drift frames first; the second family marches in the first
-family's output array and takes the distance at each block of nodes before
-it replaces them, so the scan holds one (M + 1) W D^2 array.
+family's output array, visited by the distance (:func:`_raise_distance`),
+so the scan holds one (M + 1) W D^2 array.
 """
 
 from __future__ import annotations
@@ -202,8 +204,8 @@ def _local_generator(split: KernelSplit, grid: TimeGrid, part: str) -> np.ndarra
     return _lattice(_part_terms(split, part), split.dim * split.dim, grid, stride=2)
 
 
-def _march_meta(gen_final: np.ndarray, grid: TimeGrid) -> dict:
-    hg = grid.h * float(np.linalg.norm(gen_final))
+def _march_meta(gen_final: np.ndarray, h: float) -> dict:
+    hg = h * float(np.linalg.norm(gen_final))
     meta = {"h_times_gen_norm": hg}
     if hg > 1.0:
         meta["stepsize_warning"] = True
@@ -221,7 +223,7 @@ def _sandwich_stack(a: np.ndarray) -> np.ndarray:
 # Runge-Kutta step matrices
 
 
-def _step_blocks(b: np.ndarray, h: float, width: int = 1):
+def _step_parts(b: np.ndarray, h: float):
     """Classical Runge-Kutta step matrices of the linear dy/dt = B(t) y, by degree.
 
     ``b`` holds B on the half-step lattice along axis -3, so step m draws on
@@ -231,22 +233,16 @@ def _step_blocks(b: np.ndarray, h: float, width: int = 1):
         R1 = h/6 (B0 + 4 Bm + B1)          R3 = h^3/12 (Bm Bm B0 + B1 Bm Bm)
         R2 = h^2/6 (Bm B0 + Bm Bm + B1 Bm)  R4 = h^4/24 B1 Bm Bm B0
 
-    Yields (first step, (R1, R2, R3, R4)) per block of steps.  A block's step
-    matrices, over ``b``'s leading axes and the ``width`` couplings a caller
-    spreads each block over, number as :func:`~gkslmap.linalg.block_len` allows.
+    Returns (R1, R2, R3, R4), stacked over the steps along axis -3.
     """
-    n = (b.shape[-3] - 1) // 2
-    steps = block_len(b.shape[-1] ** 2, width * int(np.prod(b.shape[:-3])))
-    for a in range(0, n, steps):
-        blk = b[..., 2 * a : 2 * min(a + steps, n) + 1, :, :]
-        b0, bm, b1 = blk[..., :-1:2, :, :], blk[..., 1::2, :, :], blk[..., 2::2, :, :]
-        mb0, b1m = bm @ b0, b1 @ bm
-        yield a, (
-            (h / 6.0) * (b0 + 4.0 * bm + b1),
-            (h * h / 6.0) * (mb0 + bm @ bm + b1m),
-            (h**3 / 12.0) * (bm @ mb0 + b1m @ bm),
-            (h**4 / 24.0) * (b1m @ mb0),
-        )
+    b0, bm, b1 = b[..., :-1:2, :, :], b[..., 1::2, :, :], b[..., 2::2, :, :]
+    mb0, b1m = bm @ b0, b1 @ bm
+    return (
+        (h / 6.0) * (b0 + 4.0 * bm + b1),
+        (h * h / 6.0) * (mb0 + bm @ bm + b1m),
+        (h**3 / 12.0) * (bm @ mb0 + b1m @ bm),
+        (h**4 / 24.0) * (b1m @ mb0),
+    )
 
 
 def _is_unit(scales: np.ndarray) -> bool:
@@ -259,14 +255,30 @@ def _is_unit(scales: np.ndarray) -> bool:
     return len(scales) == 1 and scales[0] == 1.0
 
 
-def _raise_distance(dist: np.ndarray, before: np.ndarray, after: np.ndarray) -> None:
-    """Raise dist[n] to the largest Frobenius norm of after - before at coupling n.
+def _blocks(out: np.ndarray, start: int, size: int, visit=None):
+    """Spans [a, b) of ``out``'s nodes from ``start``, ``size`` nodes each, for a march to write.
 
-    ``before`` and ``after`` hold a block of nodes, shape (nodes, W, D, D);
-    ``before`` is overwritten by the difference, so no other block-sized array
-    is formed.  A non-finite gap makes dist[n] NaN for good.
+    With ``visit``, each span's old contents are copied before it is yielded,
+    and visit(out[a:b], old) is called when the march asks for the next span
+    or the end.
     """
-    diff = np.subtract(after, before, out=before)
+    for a in range(start, len(out), size):
+        b = min(a + size, len(out))
+        old = None if visit is None else out[a:b].copy()
+        yield a, b
+        if visit is not None:
+            visit(out[a:b], old)
+            del old  # before the next span's copy
+
+
+def _raise_distance(dist: np.ndarray, new: np.ndarray, old: np.ndarray) -> None:
+    """Raise dist[n] to the largest Frobenius norm of new - old at coupling n.
+
+    A visitor of :func:`_blocks` over spans of shape (nodes, W, D, D); ``old``
+    is overwritten by the difference, so no other span-sized array is formed.
+    A non-finite gap makes dist[n] NaN for good.
+    """
+    diff = np.subtract(new, old, out=old)
     re, im = diff.real, diff.imag
     gap = np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
     np.maximum(dist, np.sqrt(gap.max(axis=0)), out=dist)
@@ -281,7 +293,7 @@ def _stage_steps(b: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         (1 + h/6 (B0 + 2 K2 + 2 K3 + K4)) y,
         K2 = Bm (1 + h/2 B0),  K3 = Bm (1 + h/2 K2),  K4 = B1 (1 + h K3),
 
-    the same polynomial as :func:`_step_blocks`'s parts in three stacked
+    the same polynomial as :func:`_step_parts`'s parts in three stacked
     products instead of six.  Writes the step matrices into ``out`` and
     returns it.
     """
@@ -326,7 +338,7 @@ def _chunked_product(r: np.ndarray, n: int, y: np.ndarray) -> None:
         np.matmul(p[full, : last - 1], y[full * L], out=y[full * L + 1 : n])
 
 
-def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, dist=None) -> np.ndarray:
+def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, visit=None):
     """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s.
 
     ``b`` holds B on the half-step lattice, shape (2M + 1, D, D).  The steps
@@ -337,13 +349,10 @@ def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, dist=N
     advances the states by a chunked prefix product (:func:`_chunked_product`).
     Chunks start at multiples of _CHUNK steps, so neither a step matrix nor
     the order of a state's products depends on W or on the block length: a
-    single solve is the width-1 case.  Returns ``out``, shape
-    (M + 1, W, D, D), the identity and the state after every step
-    (allocated when None).
-
-    With ``dist`` (shape (W,)), ``out`` holds another family's states on the
-    same nodes, and each block of them is compared with the new states before
-    they replace it (:func:`_raise_distance`).
+    single solve is the width-1 case.  Returns (out, meta): ``out``, shape
+    (M + 1, W, D, D), holds the identity and the state after every step
+    (allocated when None), its blocks of nodes taken from :func:`_blocks`
+    and passed to ``visit``; meta holds h |B(t_M)|.
     """
     n = (len(b) - 1) // 2
     w, D = len(scales), b.shape[-1]
@@ -352,16 +361,12 @@ def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, dist=N
     out[0] = np.eye(D)
     s = None if _is_unit(scales) else np.reshape(scales, (w, 1, 1))
     steps = max(1, block_len(D * D, w) // _CHUNK) * _CHUNK
-    for a in range(0, n, steps):
-        m1 = min(a + steps, n)
-        blk = b[2 * a : 2 * m1 + 1, None]
-        r = np.empty((-(-(m1 - a) // _CHUNK) * _CHUNK, w, D, D), dtype=complex)
-        _stage_steps(blk if s is None else s * blk, h, r[: m1 - a])
-        before = None if dist is None else out[a + 1 : m1 + 1].copy()
-        _chunked_product(r.reshape((-1, _CHUNK) + r.shape[1:]), m1 - a, out[a : m1 + 1])
-        if dist is not None:
-            _raise_distance(dist, before, out[a + 1 : m1 + 1])
-    return out
+    for a, end in _blocks(out, 1, steps, visit):  # steps a - 1 .. end - 2
+        blk = b[2 * a - 2 : 2 * end - 1, None]
+        r = np.empty((-(-(end - a) // _CHUNK) * _CHUNK, w, D, D), dtype=complex)
+        _stage_steps(blk if s is None else s * blk, h, r[: end - a])
+        _chunked_product(r.reshape((-1, _CHUNK) + r.shape[1:]), end - a, out[a - 1 : end])
+    return out, _march_meta(b[-1], h)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +385,7 @@ def solve_local(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
 def _frame_march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT) -> np.ndarray:
     """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s, by degree parts.
 
-    ``b`` is as for :func:`_step_blocks`; its leading axes march side by side,
+    ``b`` is as for :func:`_step_parts`; its leading axes march side by side,
     behind a leading axis of the W scales.  R_p has degree p in B, so the step
     matrix at scale s is 1 + sum_p s^p R_p: the parts are formed once from
     ``b`` and scaled, and each step is one stacked product.  This suits the
@@ -396,13 +401,14 @@ def _frame_march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT) -> np.ndar
     out[0] = eye
     s = None if _is_unit(scales) else np.reshape(scales, (w,) + (1,) * b.ndim)
     y = out if s is not None else out[:, 0]  # one unit scale: no coupling axis
-    for a, parts in _step_blocks(b, h, w):
+    for a, end in _blocks(out, 1, block_len(eye.size, w * int(np.prod(b.shape[:-3])))):
+        parts = _step_parts(b[..., 2 * a - 2 : 2 * end - 1, :, :], h)
         if s is None:
             r = eye + parts[0] + parts[1] + parts[2] + parts[3]
         else:
             r = eye + s * parts[0] + s**2 * parts[1] + s**3 * parts[2] + s**4 * parts[3]
-        for m in range(a, a + r.shape[-3]):
-            np.matmul(r[..., m - a, :, :], y[m], out=y[m + 1])
+        for m in range(a, end):
+            np.matmul(r[..., m - a, :, :], y[m - 1], out=y[m])
     return out
 
 
@@ -446,8 +452,8 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
     v_half, vinv_half = (x[:, 0] for x in _ordered_exponential_tables(split.drift_op, grid))
     v_sup = _sandwich_stack(v_half)
     g_hat = _sandwich_stack(vinv_half) @ _local_generator(split, grid, "jump") @ v_sup
-    maps = v_sup[::2] @ _march(g_hat, grid.h)[:, 0]
-    meta = _march_meta(g_hat[-1], grid)
+    out, meta = _march(g_hat, grid.h)
+    maps = v_sup[::2] @ out[:, 0]
     meta["engine"] = "transform"
     return MapTrajectory(grid=grid, dim=k.dim, family="local-full", maps=maps, meta=meta)
 
@@ -550,7 +556,7 @@ def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
     return _Memory(diag, row, final, nr < n_p)
 
 
-def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=None):
+def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit=None):
     """Implicit trapezoidal march of dX/dt = int_0^t s K(t,s') X(s') ds' per scale s.
 
     K is the sum of the (profile, D x D matrix) ``terms``, its memory summed by
@@ -579,9 +585,8 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
     diag_i is conjugated to Vinv_sup[i] diag_i V_sup[i], E_i takes the
     pull-back of the lab-frame row, E_i = (h/2) s A_i Vinv_sup[i], and
     X_i = V_sup[i] Xhat_i, with the sandwich superoperators formed per block.
-    ``out`` ends up holding the lab-frame maps X.  With ``dist``, ``out``
-    holds another family's maps on entry, compared with the new ones block by
-    block before they replace them (:func:`_raise_distance`).  Returns
+    ``out`` ends up holding the lab-frame maps X; its blocks of nodes come
+    from :func:`_blocks` and go to ``visit`` once written.  Returns
     (out, meta).
     """
     M, h = grid.steps, grid.h
@@ -597,9 +602,7 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
     g, m = gm[:, :D], gm[:, D:]
     g[...] = eye
     x = None if frame is None else np.empty((W, D, D), dtype=complex)  # Xhat_i
-    nodes = block_len(D * D, W)
-    for a in range(1, M + 1, nodes):
-        b = min(a + nodes, M + 1)
+    for a, b in _blocks(out, 1, block_len(D * D, W), visit):
         diag = mem.diag(a, b)[:, None]
         if s is not None:
             diag = s * diag
@@ -613,7 +616,6 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
         if frame is not None:
             gain[...] = gain @ vinv_sup
         del diag, step, gain
-        before = None if dist is None else out[a:b].copy()
         for i in range(a, b):
             mem.row(i, flat[i - 1], flat, out=m)
             xi = out[i] if frame is None else x
@@ -622,15 +624,13 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, dist=
                 np.matmul(v_sup[i - a], xi, out=out[i])
             np.subtract(xi, g, out=g)  # g_i = X_i + (X_i - g_{i-1})
             g += xi
-        if dist is not None:
-            _raise_distance(dist, before, out[a:b])
         # free this block's stacks before the next block forms its own
-        del step_gain, before
+        del step_gain
         if frame is not None:
             del vinv_sup, v_sup
     if frame is not None:
         return out, {"engine": "drift-frame"}
-    return out, _march_meta(mem.final(), grid)
+    return out, _march_meta(mem.final(), h)
 
 
 def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> MapTrajectory:
@@ -664,15 +664,15 @@ def _series_meta(order: int, tails) -> dict:
     return {"order": int(order), "tail_norm": tail_norm, "tail_max": float(np.max(tails))}
 
 
-def _local_series(g_half: np.ndarray, h: float, order: int, scales, out=None, dist=None):
+def _local_series(g_half: np.ndarray, h: float, order: int, scales, out=None, visit=None):
     """Per-node sums sum_n s^n P_n of the triangular stack dP_n/dt = G(t) P_{n-1}, per scale s.
 
-    P_n has degree n in G, so the stack is marched once, at scale 1; ``out``
-    and ``dist`` are as for :func:`_march`.  Also returns the Frobenius norm of
-    the scale-1 order-N term (the truncation diagnostic).  A step takes P_n to
-    sum_{p <= 4} R_p P_{n-p} with R_p the degree-p part of the plain march's
-    step matrix (R_0 = 1), so the full sum telescopes to the plain discrete
-    solution up to the truncated tail.
+    P_n has degree n in G, so the stack is marched once, at scale 1; ``out``,
+    ``visit`` and the meta's h |G(t_M)| are as for :func:`_march`.  The meta
+    also holds the Frobenius norm of the scale-1 order-N term at every node
+    (the truncation diagnostic).  A step takes P_n to sum_{p <= 4} R_p P_{n-p}
+    with R_p the degree-p part of the plain march's step matrix (R_0 = 1), so
+    the full sum telescopes to the plain discrete solution up to the truncated tail.
     """
     D = g_half.shape[1]
     total = _series_total(scales, order)
@@ -682,22 +682,19 @@ def _local_series(g_half: np.ndarray, h: float, order: int, scales, out=None, di
     y[0] = np.eye(D)
     out[0] = total(y)
     tails = [np.linalg.norm(y[order])]
-    for a, parts in _step_blocks(g_half, h):
-        m1 = a + parts[0].shape[0]
-        before = None if dist is None else out[a + 1 : m1 + 1].copy()
-        for m in range(a, m1):
+    for a, b in _blocks(out, 1, block_len(D * D), visit):
+        parts = _step_parts(g_half[2 * a - 2 : 2 * b - 1], h)
+        for i in range(a, b):  # step i - 1
             new = y.copy()
             for p, part in enumerate(parts, 1):
-                new[p:] += part[m - a] @ y[:-p]
+                new[p:] += part[i - a] @ y[:-p]
             y = new
-            out[m + 1] = total(y)
+            out[i] = total(y)
             tails.append(np.linalg.norm(y[order]))
-        if dist is not None:
-            _raise_distance(dist, before, out[a + 1 : m1 + 1])
-    return out, tails
+    return out, {**_march_meta(g_half[-1], h), **_series_meta(order, tails)}
 
 
-def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None, dist=None):
+def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None, visit=None):
     """Iterate the nested-trapezoid integral operator: R_n = Q(R_{n-1}), R_0 = 1.
 
     Q applies the memory rows of the (profile, D x D matrix) ``terms`` to the
@@ -707,7 +704,7 @@ def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None
     steps its trapezoid sum in turn, since R_n(t_i) needs R_{n-1}(t_i).  The
     core's recurrences read only the newest node of each history; the
     (M + 1) N D^2 array of every node is kept only when a term takes rows.
-    R_n scales as s^n, and the scales and ``out`` are as for
+    R_n scales as s^n, and the scales, ``out`` and ``visit`` are as for
     :func:`_local_series`.  Returns (out, meta), the order-N tail in meta.
     """
     M, h = grid.steps, grid.h
@@ -726,11 +723,8 @@ def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None
     out[0] = eye
     tails = np.zeros(M + 1)
     f_prev = np.zeros((order, D, D), dtype=complex)  # f_n(t_{i-1}), n = 1..N
-    nodes = block_len(D * D)
-    for a in range(1, M + 1, nodes):
-        b = min(a + nodes, M + 1)
+    for a, b in _blocks(out, 1, block_len(D * D), visit):
         diag = mem.diag(a, b)
-        before = None if dist is None else out[a:b].copy()
         for i in range(a, b):
             partial = mem.row(i, newest, hist)
             for n in range(1, order + 1):
@@ -741,8 +735,6 @@ def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None
                 hist[i] = newest
             out[i] = total(r)
             tails[i] = np.linalg.norm(r[order])
-        if dist is not None:
-            _raise_distance(dist, before, out[a:b])
     return out, _series_meta(order, tails)
 
 
@@ -765,12 +757,12 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     frames' Runge-Kutta step parts are formed once and scaled per s, a map
     march scales each block of its generator per s, and the order-n
     term of a series truncated at ``order`` is weighted by s^n.  Returns
-    march(out=None, dist=None) -> (out, meta), which fills out[:, n] (``out``
+    march(out=None, visit=None) -> (out, meta), which fills out[:, n] (``out``
     of shape (M + 1, W, D, D), allocated once the march's own tables are
-    built) with the maps at scale scales[n]; see :func:`_march` for ``dist``.
-    The weak families' drift frames are marched here, before any map march.
-    weak-local-drift forms its maps at once, so with ``dist`` it compares
-    them with ``out`` at the end, overwriting ``out``.
+    built) with the maps at scale scales[n], a block of nodes at a time, and
+    passes each block to ``visit`` once it is written (:func:`_blocks`).
+    The weak families' drift frames are marched here, before any map march;
+    weak-local-drift writes the sandwich of V block by block.
 
     The families, G_t = int_0^t K(t, s) ds of the part K = J - D, J or -D:
 
@@ -793,12 +785,13 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
         if kind == "weak-nonlocal":
             return functools.partial(_volterra, split.jump_part.terms, grid, D, scales, (vinv, v))
 
-        def sandwich(out=None, dist=None):
-            maps = _sandwich_stack(v)
-            if dist is not None:
-                _raise_distance(dist, out, maps)
+        def sandwich(out=None, visit=None):
+            if out is None:
+                out = np.empty((grid.steps + 1, len(scales), D, D), dtype=complex)
+            for a, b in _blocks(out, 0, block_len(D * D, len(scales)), visit):
+                out[a:b] = _sandwich_stack(v[a:b])
             defect = float(np.max(frobenius(v @ vinv - np.eye(split.dim))))
-            return maps, {"inversion_defect": defect}
+            return out, {"inversion_defect": defect}
 
         return sandwich
     if kind == "nonlocal":
@@ -806,13 +799,11 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     if kind == "series-nonlocal":
         return functools.partial(_nonlocal_series, _part_terms(split, part), grid, D, order, scales)
 
-    def march(out=None, dist=None):
+    def march(out=None, visit=None):
         g_half = _local_generator(split, grid, part)
-        meta = _march_meta(g_half[-1], grid)
         if kind == "local":
-            return _march(g_half, grid.h, scales, out, dist), meta
-        out, tails = _local_series(g_half, grid.h, order, scales, out, dist)
-        return out, {**meta, **_series_meta(order, tails)}
+            return _march(g_half, grid.h, scales, out, visit)
+        return _local_series(g_half, grid.h, order, scales, out, visit)
 
     return march
 
@@ -845,5 +836,5 @@ def family_distances(k: GKSLKernel, grid: TimeGrid, pair, g_values, order: int =
     first, second = [_family_march(split, grid, family, scales, order) for family in pair]
     out, _ = first()
     dist = np.zeros(len(scales))
-    second(out, dist)
+    second(out, functools.partial(_raise_distance, dist))
     return dist

@@ -102,6 +102,8 @@ def main_sweep(outdir: Path) -> None:
         ("gscan-weak-local", "local-drift,weak-local-drift", ()),
         ("gscan-series", "local-full,series-local-full", ("--g-list", "0.2,0.4,0.8,1.6")),
         ("gscan-order-0", "local-full,series-local-full", ("--order", "0")),
+        ("gscan-map", "nonlocal-full,local-full", ()),
+        ("gscan-series-nonlocal", "nonlocal-jump,series-nonlocal-jump", ()),
     ):
         run(case, "gscan", "--config", "configs/gscan.json", "--pair", pair, *extra,
             "--out", f"runs/{case}")

@@ -576,11 +576,19 @@ def test_config_value_of_wrong_type_is_config_error(
 @pytest.mark.parametrize("key, value, message", [
     ("eps_cp", -1, "eps_cp: expected a finite number >= 0, got -1"),
     ("family", "sideways", "unknown family 'sideways'"),
+    ("g_list", [True, 2, 4, 8], "g_list: expected numbers, got [True, 2, 4, 8]"),
+    ("g_list", [{}], "g_list: float() argument must be a string or a real number, not 'dict'"),
+    ("g_list", "nan,0.1,0.2", "g_list needs >= 4 points, got 3"),
+    ("g_list", [0.1, 0.2, 0.3, 0.4], "g_list must span at least a ratio of 8, got 4"),
+    ("g_list", [1, 2, 4, 10**400], "g_list: int too large to convert to float"),
+    ("pair", "local-full", "pair must name two families, got ['local-full']"),
+    ("pair", ["weak", "weak-nonlocal-full"], "pair must name two distinct families"),
 ])
 def test_config_value_is_checked_whether_or_not_the_command_reads_it(
     tmp_path, kernel_file, capsys, command, key, value, message
 ):
-    # tests/cli_sweep.py's config-gscan-eps-cp-negative and config-gscan-family-unknown
+    # tests/cli_sweep.py's config-<command>-eps-cp-negative, -family-unknown,
+    # -g-list-bool, -g-list-object, -g-list-string-nan and -pair-one
     conf = tmp_path / "conf.json"
     base = {"kernel": kernel_file, "T": 0.5, "steps": 10, "g_list": [0.1, 0.2, 0.4, 0.8]}
     conf.write_text(json.dumps({**base, key: value}))

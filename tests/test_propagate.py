@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gkslmap import propagate
 from gkslmap.cpanalysis import trace_deviation
 from gkslmap.experiments import coherence_revival_kernel, g_scan, random_kernel
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
@@ -37,7 +38,7 @@ from gkslmap.propagate import (
     _march,
     _memory,
     _qtable,
-    _step_blocks,
+    _frame_march,
     family_distances,
     ordered_exponential_from_drift,
     solve_family,
@@ -823,13 +824,22 @@ def test_series_and_weak_local_pairs_scan_in_one_march(pair):
         assert g_scan(k, SCAN_GRID, SCAN_GS, pair=pair).distances == tuple(got)
 
 
-def test_coupled_scan_holds_one_map_array():
+# one pair per march kind of the second family: Volterra (drift frame), map,
+# local series and sandwich.  (nonlocal-jump, series-nonlocal-jump) is left
+# out: its gaussian memory keeps every node of the order-N history, the
+# (M + 1) N D^2 array `hist` of _nonlocal_series, so it holds more than one
+@pytest.mark.parametrize(
+    "pair",
+    [("nonlocal-full", "weak-nonlocal-full"), ("nonlocal-full", "local-full"),
+     ("local-full", "series-local-full"), ("local-drift", "weak-local-drift")],
+    ids=",".join,
+)
+def test_coupled_scan_holds_one_map_array(pair):
     # the second family's march overwrites the first family's maps, so the
     # scan holds one (M + 1) W D^2 array, its drift frame and per-block stacks
     k = random_kernel(101, dim=3)
     grid = TimeGrid(2.0, 400)
     gs = (0.05, 0.08, 0.13, 0.2, 0.3, 0.4)
-    pair = ("nonlocal-full", "weak-nonlocal-full")
     family_distances(k, grid, pair, gs)
     tracemalloc.start()
     try:
@@ -839,6 +849,35 @@ def test_coupled_scan_holds_one_map_array():
         tracemalloc.stop()
     one = (grid.steps + 1) * len(gs) * k.dim**4 * 16
     assert one < peak < 2 * one
+
+
+@pytest.mark.parametrize("width", (1, 3))
+@pytest.mark.parametrize("family", FAMILY_TAGS)
+def test_every_march_visits_each_block_it_writes_once(family, width):
+    # d = 3 at M = 150 takes several blocks in every march, a short one last;
+    # a march that drops its last visit leaves the last nodes uncovered
+    k = scan_kernels()[1]
+    grid = TimeGrid(2.0, 150)
+    scales = np.ones(1) if width == 1 else np.square(SCAN_GS[:width])
+    rng = np.random.default_rng(43)
+    shape = (grid.steps + 1, width, k.dim**2, k.dim**2)
+    out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    held = out.copy()
+    seen = []
+
+    def visit(new, old):
+        a = (new.ctypes.data - out.ctypes.data) // out.strides[0]
+        assert np.shares_memory(new, out) and new.shape == old.shape
+        seen.append((a, a + len(new), new.copy(), old.copy()))
+
+    march = _family_march(split_kernel(k.with_coupling(1.0)), grid, family, scales, 8)
+    maps, _ = march(out, visit)
+    assert maps is out and len(seen) > 2
+    starts, ends = zip(*[(a, b) for a, b, _, _ in seen])
+    assert starts[0] in (0, 1) and ends[-1] == grid.steps + 1, (starts, ends)
+    assert starts[1:] == ends[:-1] and all(a < b for a, b in zip(starts, ends)), (starts, ends)
+    for a, b, new, old in seen:
+        assert np.array_equal(new, maps[a:b]) and np.array_equal(old, held[a:b]), (a, b)
 
 
 @pytest.mark.parametrize("dim, calls", [(2, 2), (3, 7), (4, 7)])
@@ -859,10 +898,14 @@ def test_volterra_step_inverses_fill_the_entry_budget(monkeypatch, dim, calls):
     assert sum(shape[0] for shape in stacked) == 400
 
 
-def test_six_coupling_frame_march_at_d2_takes_four_blocks():
+def test_six_coupling_frame_march_at_d2_takes_four_blocks(monkeypatch):
     # (V, Vinv^T) of d = 2 at six couplings: 400 half-steps in blocks of 108
-    b = np.zeros((2, 801, 2, 2), dtype=complex)
-    assert [a for a, _ in _step_blocks(b, 0.005, 6)] == [0, 108, 216, 324]
+    steps = []
+    parts = propagate._step_parts
+    monkeypatch.setattr(propagate, "_step_parts",
+                        lambda b, h: steps.append(b.shape[-3] // 2) or parts(b, h))
+    _frame_march(np.zeros((2, 801, 2, 2), dtype=complex), 0.005, np.ones(6))
+    assert steps == [108, 108, 108, 76]
 
 
 @pytest.mark.parametrize("dim", (2, 3))
@@ -875,7 +918,7 @@ def test_map_march_at_unit_scale_is_the_single_solve_bit_for_bit_at_any_width(di
     D = dim * dim
     shape = (2 * 337 + 1, D, D)
     b = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    single = _march(b, 0.006)[:, 0]
+    single = _march(b, 0.006)[0][:, 0]
     for scales in ([0.5, 1.0], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]):
-        assert np.array_equal(_march(b, 0.006, np.array(scales))[:, 1], single), len(scales)
+        assert np.array_equal(_march(b, 0.006, np.array(scales))[0][:, 1], single), len(scales)
 
