@@ -41,7 +41,7 @@ chunk, not per step.  The drift frame's pair (V, Vinv^T)
 (:func:`_local_series`) keep the polynomial's parts of each degree
 (:func:`_step_parts`), six stacked products per step, and one product per
 step: the series steps order n by the part of degree p from order n - p,
-and a scan scales the frame's parts instead of forming them per coupling.
+and a scan forms the frame's products of B once for all its step lengths.
 Every nonlocal family goes through one memory core, built by
 :func:`_memory` inside its march: the nested-trapezoid memory sum at node i,
 stacked over the normal-form terms of the kernel's distinct profiles
@@ -62,13 +62,14 @@ iterated-integral series.
 A kernel carries its coupling only as an overall g^2, and both parts of its
 split are linear in it, so the kernel at g is s = g^2 times the kernel at
 g = 1.  Every family marches along a leading coupling axis of W such scales
-(:func:`_family_march`): a map march forms s B block by block for each
-scale and its stage-form step matrices from that, so a step matrix and the
-chunks do not depend on W; the drift frame's step matrix at scale s is
-1 + sum_p s^p R_p, the parts R_p formed once and scaled; the Volterra
-histories march node-major side by side, each with its own step matrices A_i
-and E_i, formed from the scaled diagonal; the order-n term of a series
-scales as s^n, so it is marched once, at s = 1.
+(:func:`_family_march`).  A Runge-Kutta step of dy/dt = s B(t) y with step h
+is the step of dy/dt = B(t) y with step s h, at the same stage times, so a
+map march or a drift frame at coupling g takes step g^2 h on the g = 1
+generator: it forms neither g^2 B nor scaled parts R_p, and a step matrix
+and the chunks do not depend on W.  The Volterra histories march node-major
+side by side, each with its own step matrices A_i and E_i, whose two step
+constants (h/2 and h^2/4) carry s; the order-n term of a series scales as
+s^n, so it is marched once, at s = 1.
 Stacked work goes in blocks of at least 64 matrices over every leading axis,
 W included, and as many more as fit in 64 d = 3 superoperators' entries
 (:func:`~gkslmap.linalg.block_len`).  A single solve is the width-1
@@ -223,7 +224,7 @@ def _sandwich_stack(a: np.ndarray) -> np.ndarray:
 # Runge-Kutta step matrices
 
 
-def _step_parts(b: np.ndarray, h: float):
+def _step_parts(b: np.ndarray, h):
     """Classical Runge-Kutta step matrices of the linear dy/dt = B(t) y, by degree.
 
     ``b`` holds B on the half-step lattice along axis -3, so step m draws on
@@ -233,7 +234,9 @@ def _step_parts(b: np.ndarray, h: float):
         R1 = h/6 (B0 + 4 Bm + B1)          R3 = h^3/12 (Bm Bm B0 + B1 Bm Bm)
         R2 = h^2/6 (Bm B0 + Bm Bm + B1 Bm)  R4 = h^4/24 B1 Bm Bm B0
 
-    Returns (R1, R2, R3, R4), stacked over the steps along axis -3.
+    The products of B are formed once; an array ``h`` of step lengths, one
+    per coupling, broadcasts in front of them.  Returns (R1, R2, R3, R4),
+    stacked over the steps along axis -3.
     """
     b0, bm, b1 = b[..., :-1:2, :, :], b[..., 1::2, :, :], b[..., 2::2, :, :]
     mb0, b1m = bm @ b0, b1 @ bm
@@ -243,16 +246,6 @@ def _step_parts(b: np.ndarray, h: float):
         (h**3 / 12.0) * (bm @ mb0 + b1m @ bm),
         (h**4 / 24.0) * (b1m @ mb0),
     )
-
-
-def _is_unit(scales: np.ndarray) -> bool:
-    """True for the coupling axis of a single solve, one scale of 1.
-
-    Such a march skips the scaling.  That is not only cheaper: a complex
-    product with 1.0 can turn an imaginary part of -0.0 into +0.0, and single
-    solves keep their bits.
-    """
-    return len(scales) == 1 and scales[0] == 1.0
 
 
 def _blocks(out: np.ndarray, start: int, size: int, visit=None):
@@ -284,7 +277,7 @@ def _raise_distance(dist: np.ndarray, new: np.ndarray, old: np.ndarray) -> None:
     np.maximum(dist, np.sqrt(gap.max(axis=0)), out=dist)
 
 
-def _stage_steps(b: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+def _stage_steps(b: np.ndarray, h, out: np.ndarray) -> np.ndarray:
     """Classical Runge-Kutta step matrices of the linear dy/dt = B(t) y, in stage form.
 
     ``b`` holds B on the half-step lattice along axis 0, so step m draws on
@@ -294,8 +287,9 @@ def _stage_steps(b: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         K2 = Bm (1 + h/2 B0),  K3 = Bm (1 + h/2 K2),  K4 = B1 (1 + h K3),
 
     the same polynomial as :func:`_step_parts`'s parts in three stacked
-    products instead of six.  Writes the step matrices into ``out`` and
-    returns it.
+    products instead of six.  An array ``h`` of step lengths, one per
+    coupling, broadcasts against ``b``'s leading axes.  Writes the step
+    matrices into ``out`` and returns it.
     """
     b0, bm, b1 = b[:-1:2], b[1::2], b[2::2]
     eye = np.eye(b.shape[-1])
@@ -341,12 +335,13 @@ def _chunked_product(r: np.ndarray, n: int, y: np.ndarray) -> None:
 def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, visit=None):
     """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s.
 
-    ``b`` holds B on the half-step lattice, shape (2M + 1, D, D).  The steps
+    ``b`` holds B on the half-step lattice, shape (2M + 1, D, D).  The march
+    at scale s is the march of B at step s h, so it forms no s B.  The steps
     go in blocks, each a multiple of _CHUNK steps long and as long as
     :func:`~gkslmap.linalg.block_len` allows for W couplings.  A block forms
-    s B for each coupling (skipped at one unit scale, see :func:`_is_unit`)
-    and the step matrices in stage form (:func:`_stage_steps`), then
-    advances the states by a chunked prefix product (:func:`_chunked_product`).
+    the step matrices in stage form (:func:`_stage_steps`) at the W step
+    lengths, then advances the states by a chunked prefix product
+    (:func:`_chunked_product`).
     Chunks start at multiples of _CHUNK steps, so neither a step matrix nor
     the order of a state's products depends on W or on the block length: a
     single solve is the width-1 case.  Returns (out, meta): ``out``, shape
@@ -359,12 +354,11 @@ def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, visit=
     if out is None:
         out = np.empty((n + 1, w, D, D), dtype=complex)
     out[0] = np.eye(D)
-    s = None if _is_unit(scales) else np.reshape(scales, (w, 1, 1))
+    hs = h * np.reshape(scales, (w, 1, 1))
     steps = max(1, block_len(D * D, w) // _CHUNK) * _CHUNK
     for a, end in _blocks(out, 1, steps, visit):  # steps a - 1 .. end - 2
-        blk = b[2 * a - 2 : 2 * end - 1, None]
         r = np.empty((-(-(end - a) // _CHUNK) * _CHUNK, w, D, D), dtype=complex)
-        _stage_steps(blk if s is None else s * blk, h, r[: end - a])
+        _stage_steps(b[2 * a - 2 : 2 * end - 1, None], hs, r[: end - a])
         _chunked_product(r.reshape((-1, _CHUNK) + r.shape[1:]), end - a, out[a - 1 : end])
     return out, _march_meta(b[-1], h)
 
@@ -386,34 +380,31 @@ def _frame_march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT) -> np.ndar
     """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s, by degree parts.
 
     ``b`` is as for :func:`_step_parts`; its leading axes march side by side,
-    behind a leading axis of the W scales.  R_p has degree p in B, so the step
-    matrix at scale s is 1 + sum_p s^p R_p: the parts are formed once from
-    ``b`` and scaled, and each step is one stacked product.  This suits the
-    drift frame, the stacked pair (V, Vinv^T) of d x d matrices: the parts
-    cost six products per step for all W couplings, where the stage form of
-    :func:`_march` would cost three per coupling.  Returns the identity and
-    the state after every step, shape (steps + 1, W, *b.shape[:-3], D, D).
+    behind a leading axis of the W scales.  The march at scale s is the march
+    of B at step s h: the parts' products of B are formed once per block, the
+    W step lengths broadcast in front of them, and each step is one stacked
+    product.  This suits the drift frame, the stacked pair (V, Vinv^T) of
+    d x d matrices: the parts cost six products per step for all W couplings,
+    where the stage form of :func:`_march` would cost three per coupling.
+    Returns the identity and the state after every step, shape
+    (steps + 1, W, *b.shape[:-3], D, D).
     """
     n = (b.shape[-3] - 1) // 2
     w = len(scales)
     eye = np.eye(b.shape[-1], dtype=complex)
     out = np.empty((n + 1, w) + b.shape[:-3] + eye.shape, dtype=complex)
     out[0] = eye
-    s = None if _is_unit(scales) else np.reshape(scales, (w,) + (1,) * b.ndim)
-    y = out if s is not None else out[:, 0]  # one unit scale: no coupling axis
+    hs = h * np.reshape(scales, (w,) + (1,) * b.ndim)
     for a, end in _blocks(out, 1, block_len(eye.size, w * int(np.prod(b.shape[:-3])))):
-        parts = _step_parts(b[..., 2 * a - 2 : 2 * end - 1, :, :], h)
-        if s is None:
-            r = eye + parts[0] + parts[1] + parts[2] + parts[3]
-        else:
-            r = eye + s * parts[0] + s**2 * parts[1] + s**3 * parts[2] + s**4 * parts[3]
+        r1, r2, r3, r4 = _step_parts(b[..., 2 * a - 2 : 2 * end - 1, :, :], hs)
+        r = eye + r1 + r2 + r3 + r4
         for m in range(a, end):
-            np.matmul(r[..., m - a, :, :], y[m - 1], out=y[m])
+            np.matmul(r[..., m - a, :, :], out[m - 1], out=out[m])
     return out
 
 
 def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid, scales=_UNIT):
-    """March V' = -s A_int(t) V and Vinv' = +s Vinv A_int(t) at step h/2, per scale s.
+    """March V' = -s A_int(t) V and Vinv' = +s Vinv A_int(t) per s: the s = 1 march at step s h/2.
 
     A_int is tabulated on the h/4 lattice so every stage lands on a lattice
     point.  Returns (V, Vinv) on the h/2 lattice, shape (2M + 1, W, d, d).
@@ -579,9 +570,11 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit
 
     The W histories march node-major in ``out``, shape (M + 1, W, D, D)
     (allocated when None, after the memory core), and history n takes the
-    memory of K scaled by scales[n]: its A_i and E_i are its own.  With
-    ``frame`` = (Vinv, V), the d x d frame operators on grid nodes, shape
-    (M + 1, W, d, d), the march runs in the drift frame on Xhat = Vinv_sup X:
+    memory of K scaled by scales[n]: its A_i and E_i are its own, and s
+    enters only their step constants (h/2) s and (h^2/4) s, so diag_i is
+    never scaled.  With ``frame`` = (Vinv, V), the d x d frame
+    operators on grid nodes, shape (M + 1, W, d, d), the march runs in the
+    drift frame on Xhat = Vinv_sup X:
     diag_i is conjugated to Vinv_sup[i] diag_i V_sup[i], E_i takes the
     pull-back of the lab-frame row, E_i = (h/2) s A_i Vinv_sup[i], and
     X_i = V_sup[i] Xhat_i, with the sandwich superoperators formed per block.
@@ -592,7 +585,7 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit
     M, h = grid.steps, grid.h
     W = len(scales)
     mem = _memory(terms, grid, D, W)
-    s = None if _is_unit(scales) else np.reshape(scales, (W, 1, 1))
+    hs = h * np.reshape(scales, (W, 1, 1))
     eye = np.eye(D, dtype=complex)
     if out is None:
         out = np.empty((M + 1, W, D, D), dtype=complex)
@@ -604,15 +597,13 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit
     x = None if frame is None else np.empty((W, D, D), dtype=complex)  # Xhat_i
     for a, b in _blocks(out, 1, block_len(D * D, W), visit):
         diag = mem.diag(a, b)[:, None]
-        if s is not None:
-            diag = s * diag
         if frame is not None:
             vinv_sup, v_sup = (_sandwich_stack(f[a:b]) for f in frame)
             diag = vinv_sup @ diag @ v_sup
-        step_gain = np.empty(diag.shape[:-1] + (2 * D,), dtype=complex)  # [A_i E_i]
+        step_gain = np.empty((b - a, W, D, 2 * D), dtype=complex)  # [A_i E_i]
         step, gain = step_gain[..., :D], step_gain[..., D:]
-        step[...] = np.linalg.inv(eye - 0.25 * h * h * diag)
-        np.multiply(0.5 * h if s is None else 0.5 * h * s, step, out=gain)
+        step[...] = np.linalg.inv(eye - (0.25 * h * hs) * diag)
+        np.multiply(0.5 * hs, step, out=gain)
         if frame is not None:
             gain[...] = gain @ vinv_sup
         del diag, step, gain
@@ -652,8 +643,8 @@ def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) ->
 
 
 def _series_total(scales: np.ndarray, order: int):
-    """y -> (sum_n s^n y[n] for s in ``scales``); y.sum(axis=0) at one unit scale (see _is_unit)."""
-    if _is_unit(scales):
+    """y -> (sum_n s^n y[n] for s in ``scales``); at one scale of 1, the plain sum over orders."""
+    if len(scales) == 1 and scales[0] == 1.0:
         return lambda y: y.sum(axis=0)
     powers = np.power.outer(scales, np.arange(order + 1))
     return lambda y: np.tensordot(powers, y, 1)
@@ -753,10 +744,10 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     """One march of ``family``, a tag of FAMILY_TAGS, for the kernels s K, s in ``scales``.
 
     ``split`` is the split of K.  Both of its parts are linear in K, so the
-    kernel at scale s has s times its parts: the memory sums and the drift
-    frames' Runge-Kutta step parts are formed once and scaled per s, a map
-    march scales each block of its generator per s, and the order-n
-    term of a series truncated at ``order`` is weighted by s^n.  Returns
+    kernel at scale s has s times its parts: a map march and the drift
+    frames march the generator of K at step s h, the Volterra step constants
+    carry s while the memory sums are formed once, and the order-n term of a
+    series truncated at ``order`` is weighted by s^n.  Returns
     march(out=None, visit=None) -> (out, meta), which fills out[:, n] (``out``
     of shape (M + 1, W, D, D), allocated once the march's own tables are
     built) with the maps at scale scales[n], a block of nodes at a time, and

@@ -17,9 +17,11 @@ byte-identical.  For it, ``python tests/cli_sweep.py --compare A B`` requires
 identical logs (exit codes, stdout, stderr), the same JSON artifacts on both
 sides, certify verdicts (``all_cp``,
 per-node verdicts, divisibility statuses) and g-scan couplings, prints the
-worst relative map difference per trajectory family and the worst g-scan
-distance difference relative to the scan's largest distance, and exits 1 when
-anything required differs.
+worst relative map difference per trajectory family and, per g-scan, the
+worst absolute distance difference, the scan's largest distance and their
+ratio (a scan whose distances are all at rounding level can show a large
+ratio for a tiny absolute change), and exits 1 when anything required
+differs.
 
 The file name keeps pytest from collecting it.
 """
@@ -246,12 +248,13 @@ def compare(a: Path, b: Path) -> int:
                 bad.append(f"g list {path.parent.name}")
                 continue
             dx, dy = (np.array(d["distance"], dtype=float) for d in (x, y))
-            scale = np.max(dx) if np.max(dx) > 0.0 else 1.0
-            scan_gaps[path.parent.name] = float(np.max(np.abs(dx - dy)) / scale)
+            gap, top = float(np.max(np.abs(dx - dy))), float(np.max(dx))
+            scan_gaps[path.parent.name] = (gap, top, gap / top if top > 0.0 else gap)
     for family, gap in sorted(gaps.items()):
         print(f"{family:22s} worst relative map difference {gap:.2e}")
-    for case, gap in sorted(scan_gaps.items()):
-        print(f"{case:22s} worst distance difference / largest distance {gap:.2e}")
+    for case, (gap, top, rel) in sorted(scan_gaps.items()):
+        print(f"{case:22s} worst distance difference {gap:.2e}, largest distance {top:.2e}, "
+              f"ratio {rel:.2e}")
     for item in bad:
         print(f"DIFFERS: {item}")
     return 1 if bad else 0
