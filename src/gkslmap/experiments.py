@@ -219,10 +219,11 @@ def _scan_points(k: GKSLKernel, grid: TimeGrid, gs, pair, order: int) -> list:
     """The pair distance at every coupling, or the solver error that stopped it.
 
     Each family of the pair takes one march for all couplings
-    (:func:`~gkslmap.propagate.family_distances`).  A stacked step inverse
-    raises for every coupling at once, so when that march fails the scan is
-    redone one coupling at a time and each failure is pinned to its own
-    coupling.
+    (:func:`~gkslmap.propagate.family_distances`).  A Volterra coupling whose
+    step series is out of its bound takes a stacked step inverse, and a
+    singular one raises for every coupling at once, so when that march fails
+    the scan is redone one coupling at a time and each failure is pinned to
+    its own coupling.
     """
     try:
         return [float(x) for x in family_distances(k, grid, pair, gs, order)]

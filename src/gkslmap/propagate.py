@@ -42,6 +42,7 @@ chunk, not per step.  The drift frame's pair (V, Vinv^T)
 (:func:`_step_parts`), six stacked products per step, and one product per
 step: the series steps order n by the part of degree p from order n - p,
 and a scan forms the frame's products of B once for all its step lengths.
+The frame marches in real form, B embedded as [[Re, -Im], [Im, Re]].
 Every nonlocal family goes through one memory core, built by
 :func:`_memory` inside its march: the nested-trapezoid memory sum at node i,
 stacked over the normal-form terms of the kernel's distinct profiles
@@ -54,10 +55,13 @@ from three node vectors, so no (M + 1)^2 table exists.  The implicit
 trapezoidal Volterra march (:func:`_volterra`) solves its per-step fixed
 point exactly, in the lab frame or, for the weak family, in the drift frame:
 per node, one product of the step matrices [A_i E_i], formed per block of
-nodes, with the march state stacked over the memory row.  The nonlocal series
-steps the histories of all its orders together and integrates them by a
-cumulative trapezoid, so the march is the literal sum of the discrete
-iterated-integral series.
+nodes, with the march state stacked over the memory row.
+A_i = (1 - c diag_i)^{-1} is summed as a Neumann series whose powers of
+diag_i all couplings share, where a bound on that series puts it within u/2
+of the inverse (:func:`_step_matrices`); elsewhere it is inverted.  The
+nonlocal series steps the histories of all its orders together and
+integrates them by a cumulative trapezoid, so the march is the literal sum
+of the discrete iterated-integral series.
 
 A kernel carries its coupling only as an overall g^2, and both parts of its
 split are linear in it, so the kernel at g is s = g^2 times the kernel at
@@ -386,20 +390,34 @@ def _frame_march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT) -> np.ndar
     product.  This suits the drift frame, the stacked pair (V, Vinv^T) of
     d x d matrices: the parts cost six products per step for all W couplings,
     where the stage form of :func:`_march` would cost three per coupling.
-    Returns the identity and the state after every step, shape
-    (steps + 1, W, *b.shape[:-3], D, D).
+    The march runs in real form, since tiny real products are cheaper than
+    complex ones: each block embeds its B as [[Re B, -Im B], [Im B, Re B]],
+    the states are real [Re Y; Im Y] planes of one block, and the block's
+    states are written into the complex output.  Returns the identity and the
+    state after every step, shape (steps + 1, W, *b.shape[:-3], D, D).
     """
-    n = (b.shape[-3] - 1) // 2
-    w = len(scales)
-    eye = np.eye(b.shape[-1], dtype=complex)
-    out = np.empty((n + 1, w) + b.shape[:-3] + eye.shape, dtype=complex)
-    out[0] = eye
-    hs = h * np.reshape(scales, (w,) + (1,) * b.ndim)
-    for a, end in _blocks(out, 1, block_len(eye.size, w * int(np.prod(b.shape[:-3])))):
-        r1, r2, r3, r4 = _step_parts(b[..., 2 * a - 2 : 2 * end - 1, :, :], hs)
+    n, d = (b.shape[-3] - 1) // 2, b.shape[-1]
+    lead = (len(scales),) + b.shape[:-3]
+    out = np.empty((n + 1,) + lead + (d, d), dtype=complex)
+    out[0] = np.eye(d)
+    hs = h * np.reshape(scales, lead[:1] + (1,) * b.ndim)
+    eye = np.eye(2 * d)
+    size = block_len(d * d, int(np.prod(lead)))
+    y = np.empty((size + 1,) + lead + (2 * d, d))  # y[j] = [Re; Im] of the block's j-th state
+    y[0] = eye[:, :d]
+    for a, end in _blocks(out, 1, size):
+        blk = b[..., 2 * a - 2 : 2 * end - 1, :, :]
+        real = np.empty(blk.shape[:-2] + eye.shape)
+        real[..., :d, :d] = real[..., d:, d:] = blk.real
+        real[..., d:, :d] = blk.imag
+        np.negative(blk.imag, out=real[..., :d, d:])
+        r1, r2, r3, r4 = _step_parts(real, hs)
         r = eye + r1 + r2 + r3 + r4
-        for m in range(a, end):
-            np.matmul(r[..., m - a, :, :], out[m - 1], out=out[m])
+        for j in range(end - a):
+            np.matmul(r[..., j, :, :], y[j], out=y[j + 1])
+        out[a:end].real = y[1 : end - a + 1, ..., :d, :]
+        out[a:end].imag = y[1 : end - a + 1, ..., d:, :]
+        y[0] = y[end - a]
     return out
 
 
@@ -407,12 +425,34 @@ def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid, 
     """March V' = -s A_int(t) V and Vinv' = +s Vinv A_int(t) per s: the s = 1 march at step s h/2.
 
     A_int is tabulated on the h/4 lattice so every stage lands on a lattice
-    point.  Returns (V, Vinv) on the h/2 lattice, shape (2M + 1, W, d, d).
+    point; both tables march as one stack in real form (:func:`_frame_march`).
+    Returns (V, Vinv) on the h/2 lattice, shape (2M + 1, W, d, d).
     """
     w_fine = _lattice(drift.terms, drift.dim, grid)
     # Vinv is marched as its transpose: (Vinv^T)' = A_int^T Vinv^T
     vv = _frame_march(np.stack([-w_fine, w_fine.transpose(0, 2, 1)]), grid.h / 2.0, scales)
     return vv[:, :, 0], vv[:, :, 1].swapaxes(-1, -2)
+
+
+_Frame = namedtuple("_Frame", "vinv v kappa defect")
+
+
+def _drift_frame(drift: TwoTimeOperatorFunction, grid: TimeGrid, scales) -> _Frame:
+    """The drift frame (Vinv, V) on grid nodes per coupling, shape (M + 1, W, d, d), and its bounds.
+
+    ``kappa`` holds max_i ||Vinv_i||_F^2 ||V_i||_F^2 and ``defect`` the
+    inversion defect max_i ||V_i Vinv_i - 1||_F, one per coupling: the
+    Volterra step series' frame guard reads both, and weak-local-drift
+    reports the defect.  The node arrays are copies, so the half-lattice
+    tables are freed.
+    """
+    v_half, vinv_half = _ordered_exponential_tables(drift, grid, scales)
+    vinv, v = vinv_half[::2].copy(), v_half[::2].copy()
+    del v_half, vinv_half
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN bounds take the inverse
+        kappa = np.max(np.square(frobenius(vinv) * frobenius(v)), axis=0)
+        defect = np.max(frobenius(v @ vinv - np.eye(drift.dim)), axis=0)
+    return _Frame(vinv, v, kappa, defect)
 
 
 def ordered_exponential_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> OrderedExponential:
@@ -453,7 +493,7 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
 # nonlocal (Volterra) families
 
 
-_Memory = namedtuple("_Memory", "diag row final takes_rows")
+_Memory = namedtuple("_Memory", "diag row final takes_rows bound")
 
 
 def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
@@ -479,7 +519,9 @@ def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
       h [S_0 S_1 ...] with it;
     * ``final()`` is the node-trapezoid generator at t_M,
       sum_k (weights [h/2, h, ..., h, h/2] . c_k(t_M, .)) S_k;
-    * ``takes_rows`` is true when some term takes rows.
+    * ``takes_rows`` is true when some term takes rows;
+    * ``bound`` is sum_k max_i |c_k(t_i, t_i)| ||S_k||_F, a bound on every
+      ||diag_i||_F.
 
     A term c(t - s) f(t) g(s) whose c(tau) = C e^{a tau} (constant or
     exponential, and c = 1 for every term of a table) takes no rows: it keeps
@@ -544,7 +586,88 @@ def _memory(terms, grid: TimeGrid, D: int, width: int) -> _Memory:
         w_last[0] = w_last[-1] = 0.5 * h
         return np.einsum("k,kab->ab", rows(n - 1) @ w_last, s)
 
-    return _Memory(diag, row, final, nr < n_p)
+    bound = float(np.abs(cdiag).max(axis=1, initial=0.0) @ np.linalg.norm(s, axis=(1, 2)))
+    return _Memory(diag, row, final, nr < n_p, bound)
+
+
+# The Volterra step matrices' Neumann series: a coupling with eps = c ||K||
+# above _SERIES_EPS, or whose bound needs more than _SERIES_TERMS terms,
+# takes the inverse instead.
+_SERIES_EPS = 1.0 / 64.0
+_SERIES_TERMS = 16
+_U = np.finfo(float).eps
+
+
+def _series_orders(eps, frame=None) -> np.ndarray:
+    """Terms P_n of each coupling's step series, 0 for a coupling that takes the inverse.
+
+    eps_n bounds ||c_n K_i||_F.  In the lab frame (no ``frame``) the series
+    sum_{p <= P} (c_n K_i)^p differs from (1 - c_n K_i)^{-1} by at most
+    eps^{P+1} (1 + eps)/(1 - eps) relative (the Neumann-series lemma), and
+    P_n is the least P that makes this u/2.  In the drift frame (a
+    :class:`_Frame`) the step matrix 1 + Vinv_sup (A_i - 1) V_sup misses the
+    inverse of the conjugated K_i by at most kappa (spread eps^2/(1 - eps
+    (1 + spread))^2 plus that tail), where kappa_n = max_i ||Vinv_i||_F^2
+    ||V_i||_F^2 and spread = delta (2 sqrt(d) + delta) bounds
+    ||V_sup Vinv_sup - 1||_F for the inversion defect delta; P_n is the least
+    P that makes the sum u/2.  Each coupling is decided from its own numbers
+    only, so its step matrices do not depend on the other couplings of its
+    scan.
+    """
+    kappa, spread = 1.0, 0.0
+    if frame is not None:
+        kappa, spread = frame.kappa, frame.defect * (2.0 * np.sqrt(frame.v.shape[-1]) + frame.defect)
+    eps, kappa, spread = np.broadcast_arrays(np.asarray(eps, dtype=float), kappa, spread)
+    orders = np.zeros(len(eps), dtype=int)
+    for n, (e, k, sp) in enumerate(zip(eps, kappa, spread)):
+        gap = 1.0 - e * (1.0 + sp)
+        room = 0.5 * _U / k - sp * e * e / gap**2 if gap > 0.0 else 0.0
+        if not (e <= _SERIES_EPS and room > 0.0):  # NaN fails too
+            continue
+        tail = e * e * (1.0 + e) / (1.0 - e)  # the bound for P = 1
+        for p in range(1, _SERIES_TERMS + 1):
+            if tail <= room:
+                orders[n] = p
+                break
+            tail *= e
+    return orders
+
+
+def _step_matrices(diag: np.ndarray, c: np.ndarray, orders: np.ndarray, sups=None) -> np.ndarray:
+    """Volterra step matrices A_i = (1 - c_n K_i)^{-1} of a block of nodes, per coupling n.
+
+    ``diag`` stacks K_i over the block's nodes, shape (nodes, D, D), and ``c``
+    holds c_n, shape (W, 1, 1).  A coupling with orders[n] = P > 0 takes the
+    series 1 + sum_{p <= P} c_n^p K_i^p (:func:`_series_orders`), summed by
+    Horner in c_n: the powers K_i^p are formed once for every coupling, and a
+    coupling joins the sum at its own top term, so its bits do not depend on
+    the others.  A coupling with orders[n] = 0 takes np.linalg.inv.  With
+    ``sups`` = (Vinv_sup, V_sup), shape (nodes, W, D, D), the step is taken in
+    the drift frame, where K_i reads Vinv_sup K_i V_sup: a series coupling
+    takes 1 + Vinv_sup (A_i - 1) V_sup from the lab series A_i.  Returns
+    the (nodes, W, D, D) stack.
+    """
+    eye = np.eye(diag.shape[-1])
+    acc = np.full((len(diag), len(orders)) + diag.shape[1:], -0.0, dtype=complex)
+    top = int(np.max(orders))
+    if top:
+        powers = [diag]
+        for _ in range(1, top):
+            powers.append(powers[-1] @ diag)
+        flat = acc.view(float)  # c_n is real: scale the real and imaginary parts
+        for p in range(top, 0, -1):  # -0.0 + x is x, so a coupling starts at c^P K^P
+            mask = (orders >= p)[:, None, None]
+            mask = True if mask.all() else mask
+            np.add(acc, powers[p - 1][:, None], out=acc, where=mask)
+            np.multiply(flat, c, out=flat, where=mask)
+        if sups is not None:
+            acc = sups[0] @ acc @ sups[1]
+    acc += eye
+    inverse = orders == 0
+    if inverse.any():
+        k = diag[:, None] if sups is None else sups[0][:, inverse] @ diag[:, None] @ sups[1][:, inverse]
+        acc[:, inverse] = np.linalg.inv(eye - c[inverse] * k)
+    return acc
 
 
 def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit=None):
@@ -562,7 +685,11 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit
     with A_i = (1 - (h^2/4) s diag_i)^{-1} and E_i = (h/2) s A_i, one product
     of [A_i E_i] with g_{i-1} stacked over m_i.  A_i and E_i are formed as
     stacks, a block of nodes at a time, as many as
-    :func:`~gkslmap.linalg.block_len` allows for W matrices per node.  The
+    :func:`~gkslmap.linalg.block_len` allows for W matrices per node
+    (:func:`_step_matrices`).  A_i is the Neumann series of the inverse, its
+    powers of diag_i shared by all couplings, wherever the series is within
+    u/2 of it; the core's ``bound`` on ||diag_i||_F gives each coupling's
+    terms, or sends it to np.linalg.inv (:func:`_series_orders`).  The
     resulting discrete solution satisfies X = 1 + Q X with Q the nested
     trapezoid integral operator — the same Q the nonlocal series iterates.
     Exponential, constant and tabulated memory costs O(D^2) per term and step
@@ -572,12 +699,15 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit
     (allocated when None, after the memory core), and history n takes the
     memory of K scaled by scales[n]: its A_i and E_i are its own, and s
     enters only their step constants (h/2) s and (h^2/4) s, so diag_i is
-    never scaled.  With ``frame`` = (Vinv, V), the d x d frame
-    operators on grid nodes, shape (M + 1, W, d, d), the march runs in the
-    drift frame on Xhat = Vinv_sup X:
-    diag_i is conjugated to Vinv_sup[i] diag_i V_sup[i], E_i takes the
-    pull-back of the lab-frame row, E_i = (h/2) s A_i Vinv_sup[i], and
-    X_i = V_sup[i] Xhat_i, with the sandwich superoperators formed per block.
+    never scaled.  With ``frame``, a :class:`_Frame` of the d x d frame
+    operators on grid nodes, shape (M + 1, W, d, d), and their bounds, the
+    march runs in the drift frame on Xhat = Vinv_sup X: diag_i is conjugated
+    to Vinv_sup[i] diag_i V_sup[i], so a series coupling takes
+    A_i = 1 + Vinv_sup[i] (Alab_i - 1) V_sup[i] from the lab-frame series
+    Alab_i while the frame's inversion defect and conditioning allow it; E_i
+    takes the pull-back of the lab-frame row, E_i = (h/2) s A_i Vinv_sup[i],
+    and X_i = V_sup[i] Xhat_i, with the sandwich superoperators formed per
+    block.
     ``out`` ends up holding the lab-frame maps X; its blocks of nodes come
     from :func:`_blocks` and go to ``visit`` once written.  Returns
     (out, meta).
@@ -595,30 +725,27 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit
     g, m = gm[:, :D], gm[:, D:]
     g[...] = eye
     x = None if frame is None else np.empty((W, D, D), dtype=complex)  # Xhat_i
+    c = 0.25 * h * hs
+    orders = _series_orders(c.ravel() * mem.bound, frame)
     for a, b in _blocks(out, 1, block_len(D * D, W), visit):
-        diag = mem.diag(a, b)[:, None]
-        if frame is not None:
-            vinv_sup, v_sup = (_sandwich_stack(f[a:b]) for f in frame)
-            diag = vinv_sup @ diag @ v_sup
+        sups = None if frame is None else [_sandwich_stack(f[a:b]) for f in frame[:2]]
         step_gain = np.empty((b - a, W, D, 2 * D), dtype=complex)  # [A_i E_i]
         step, gain = step_gain[..., :D], step_gain[..., D:]
-        step[...] = np.linalg.inv(eye - (0.25 * h * hs) * diag)
+        step[...] = _step_matrices(mem.diag(a, b), c, orders, sups)
         np.multiply(0.5 * hs, step, out=gain)
         if frame is not None:
-            gain[...] = gain @ vinv_sup
-        del diag, step, gain
+            gain[...] = gain @ sups[0]
+        del step, gain
         for i in range(a, b):
             mem.row(i, flat[i - 1], flat, out=m)
             xi = out[i] if frame is None else x
             np.matmul(step_gain[i - a], gm, out=xi)
             if frame is not None:
-                np.matmul(v_sup[i - a], xi, out=out[i])
+                np.matmul(sups[1][i - a], xi, out=out[i])
             np.subtract(xi, g, out=g)  # g_i = X_i + (X_i - g_{i-1})
             g += xi
         # free this block's stacks before the next block forms its own
-        del step_gain
-        if frame is not None:
-            del vinv_sup, v_sup
+        del step_gain, sups
     if frame is not None:
         return out, {"engine": "drift-frame"}
     return out, _march_meta(mem.final(), h)
@@ -770,19 +897,16 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     D = split.dim * split.dim
     kind, _, part = family.rpartition("-")
     if kind.startswith("weak"):
-        v_half, vinv_half = _ordered_exponential_tables(split.drift_op, grid, scales)
-        # copies on grid nodes, so the half-lattice tables are freed
-        vinv, v = vinv_half[::2].copy(), v_half[::2].copy()
+        frame = _drift_frame(split.drift_op, grid, scales)
         if kind == "weak-nonlocal":
-            return functools.partial(_volterra, split.jump_part.terms, grid, D, scales, (vinv, v))
+            return functools.partial(_volterra, split.jump_part.terms, grid, D, scales, frame)
 
         def sandwich(out=None, visit=None):
             if out is None:
                 out = np.empty((grid.steps + 1, len(scales), D, D), dtype=complex)
             for a, b in _blocks(out, 0, block_len(D * D, len(scales)), visit):
-                out[a:b] = _sandwich_stack(v[a:b])
-            defect = float(np.max(frobenius(v @ vinv - np.eye(split.dim))))
-            return out, {"inversion_defect": defect}
+                out[a:b] = _sandwich_stack(frame.v[a:b])
+            return out, {"inversion_defect": float(np.max(frame.defect))}
 
         return sandwich
     if kind == "nonlocal":

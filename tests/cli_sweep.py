@@ -221,6 +221,13 @@ def main_sweep(outdir: Path) -> None:
                                                  "steps": 40, "family": "nonlocal-full"})
         run(f"config-solve-ok-{name}", "solve", "--config", path, "--out", f"runs/config-ok-{name}")
 
+    # a coupling strong enough on a coarse grid that the Volterra step
+    # matrices leave their series bounds and are inverted
+    strong = write_fault("strong-coupling", edited(kernel, lambda d: d.update(coupling_g=5.0)))
+    for fam in ("nonlocal-full", "weak-nonlocal-full"):
+        run(f"solve-strong-coupling-{fam}", "solve", "--kernel", strong, "--steps", "20",
+            "--family", fam, "--out", f"runs/strong-coupling-{fam}")
+
 
 def compare(a: Path, b: Path) -> int:
     """Compare two sweeps: logs, certify verdicts and g lists must match; report gaps."""

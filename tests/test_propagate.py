@@ -882,20 +882,17 @@ def test_every_march_visits_each_block_it_writes_once(family, width):
 
 @pytest.mark.parametrize("dim, calls", [(2, 2), (3, 7), (4, 7)])
 def test_volterra_step_inverses_fill_the_entry_budget(monkeypatch, dim, calls):
-    # a block holds max(64, 5184 // D^2) step inverses: 324 nodes at d = 2 and
-    # never fewer than 64, so 400 nodes take 2, 7 and 7 stacked inverses
-    stacked = []
-    inv = np.linalg.inv
-
-    def counting_inv(a):
-        if np.ndim(a) > 2:
-            stacked.append(np.shape(a))
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    # a block holds max(64, 5184 // D^2) step matrices: 324 nodes at d = 2 and
+    # never fewer than 64, so 400 nodes take 2, 7 and 7 blocks; at g = 1 on
+    # this grid every step matrix is a series, so nothing is inverted
+    blocks, inverted = [], []
+    build, inv = propagate._step_matrices, np.linalg.inv
+    monkeypatch.setattr(propagate, "_step_matrices",
+                        lambda diag, *args: blocks.append(len(diag)) or build(diag, *args))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.shape(a)) or inv(a))
     solve_family(random_kernel(107, dim=dim), TimeGrid(2.0, 400), "nonlocal-full")
-    assert len(stacked) == calls
-    assert sum(shape[0] for shape in stacked) == 400
+    assert len(blocks) == calls and sum(blocks) == 400
+    assert not inverted
 
 
 def test_six_coupling_frame_march_at_d2_takes_four_blocks(monkeypatch):
@@ -954,3 +951,85 @@ def test_map_march_at_unit_scale_is_the_single_solve_bit_for_bit_at_any_width(di
     for scales in ([0.5, 1.0], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]):
         assert same_bits(_march(b, 0.006, np.array(scales))[0][:, 1], single), len(scales)
 
+
+# ---------------------------------------------------------------------------
+# Volterra step matrices: shared-power series and the inverse fallback
+
+
+def step_orders(k, grid, gs):
+    """{"lab" | "frame": the per-coupling series terms the scan's two Volterra marches take}."""
+    seen = {}
+    build = propagate._step_matrices
+
+    def spy(diag, c, orders, sups=None):
+        seen["lab" if sups is None else "frame"] = tuple(orders)
+        return build(diag, c, orders, sups)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_step_matrices", spy)
+        family_distances(k, grid, ("nonlocal-full", "weak-nonlocal-full"), gs)
+    return seen
+
+
+MIXED_GRID = TimeGrid(2.0, 20)
+MIXED_GS = (0.1, 1.0, 2.0)
+
+
+def test_a_scan_mixing_series_and_inverse_steps_keeps_its_gates():
+    # on this coarse grid the lab step at g = 2 has eps > 1/64 and takes the
+    # inverse, and the drift frame fails the defect guard at g = 1 and g = 2
+    k = scan_kernels()[0]
+    orders = step_orders(k, MIXED_GRID, MIXED_GS)
+    assert orders["lab"][0] > 0 and orders["lab"][1] > 0 and orders["lab"][2] == 0, orders
+    assert orders["frame"][0] > 0 and orders["frame"][1:] == (0, 0), orders
+    scales = np.square(MIXED_GS)
+    for family in ("nonlocal-full", "weak-nonlocal-full"):
+        maps = _family_march(split_kernel(k), MIXED_GRID, family, scales, 8)()[0]
+        assert same_bits(maps[:, 1], solve_family(k, MIXED_GRID, family).maps), family
+        for n, g in enumerate(MIXED_GS):
+            kg = k.with_coupling(g)
+            if family == "nonlocal-full":
+                ref = dense_nonlocal(part_terms(kg)["full"], MIXED_GRID, k.dim)
+            else:
+                ref = per_table_weak(kg, MIXED_GRID)
+            if np.all(np.isfinite(ref)):
+                assert rel_gap(maps[:, n], ref) <= 1e-12, (family, g)
+    pair = ("nonlocal-full", "weak-nonlocal-full")
+    ref = np.array([solved_pair_distance(k.with_coupling(g), MIXED_GRID, pair) for g in MIXED_GS])
+    got = family_distances(k, MIXED_GRID, pair, MIXED_GS)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-11
+
+
+@pytest.mark.parametrize("g", (1.0, 8.0))
+def test_step_matrices_match_the_inverse(corpus, g):
+    # the lab series runs at both couplings; the drift frame's at g = 1 only
+    grid = TimeGrid(2.0, 400)
+    c = np.full((1, 1, 1), 0.25 * grid.h * grid.h * g * g)
+    for k in corpus:
+        split = split_kernel(k.with_coupling(1.0))
+        frame = propagate._drift_frame(split.drift_op, grid, np.array([g * g]))
+        for part, fr in (("full", None), ("jump", frame)):
+            mem = _memory(propagate._part_terms(split, part), grid, k.dim**2, 1)
+            orders = propagate._series_orders(c.ravel() * mem.bound, fr)
+            assert orders[0] > 0 or (fr is not None and g > 1.0), (part, g)
+            for a in range(0, grid.steps + 1, 100):
+                b = min(a + 100, grid.steps + 1)
+                diag = mem.diag(a, b)
+                sups = None if fr is None else [propagate._sandwich_stack(f[a:b]) for f in fr[:2]]
+                got = propagate._step_matrices(diag, c, orders, sups)
+                conj = diag[:, None] if fr is None else sups[0] @ diag[:, None] @ sups[1]
+                ref = np.linalg.inv(np.eye(k.dim**2) - c * conj)
+                gap = np.linalg.norm(got - ref, axis=(2, 3)) / np.linalg.norm(ref, axis=(2, 3))
+                assert np.max(gap) <= 1e-14, (part, g, np.max(gap))
+
+
+def test_the_frame_guard_sends_a_non_convergent_frame_to_the_inverse(bench_corpus):
+    # benchmark corpus kernel 6 at g = 8 marches a drift frame whose V Vinv
+    # misses 1 by about 3e-5, far above what the frame series can absorb
+    grid = TimeGrid(2.0, 400)
+    split = split_kernel(bench_corpus[6].with_coupling(1.0))
+    frame = propagate._drift_frame(split.drift_op, grid, np.array([64.0, 1.0]))
+    bound = _memory(split.jump_part.terms, grid, 4, 1).bound
+    orders = propagate._series_orders(0.25 * grid.h**2 * np.array([64.0, 1.0]) * bound, frame)
+    assert frame.defect[0] > 1e-5 and orders[0] == 0
+    assert orders[1] > 0
