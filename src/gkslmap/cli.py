@@ -121,10 +121,6 @@ class ConfigError(ValueError):
     """Anything wrong with inputs before solving starts (exit 2)."""
 
 
-class SolverError(Exception):
-    """Numerical failure while solving (exit 3)."""
-
-
 def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(canonical_dumps({"error": {"type": kind, "message": message}}) + "\n")
 
@@ -245,10 +241,6 @@ def _cmd_solve(conf: dict) -> int:
     conf["family"] = family
     k = _load(conf, "kernel", ("kernel",), "a kernel file")
     traj = solve_family(k, grid, family, order=int(conf["order"]))
-    finite = np.isfinite(traj.maps).all(axis=(1, 2))
-    if not finite.all():
-        first = float(traj.grid.nodes()[np.argmin(finite)])
-        raise SolverError(f"{family} solve produced non-finite map entries (first at t = {first!r})")
     norms = np.linalg.norm(traj.maps, axis=(1, 2))
     csv = trajectory_csv(traj, {"map_norm": norms, "trace_dev": trace_deviation(traj.maps)})
     _write(conf, {"trajectory.json": traj.to_doc(), "trajectory.csv": csv})
@@ -370,7 +362,7 @@ def main(argv=None) -> int:
     try:
         return func(conf := _resolve(args, keys))
     # before ValueError: numpy's LinAlgError is a ValueError
-    except (SolverError, np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         _emit_error("solver", str(exc))
         return 3
     except MemoryError:  # the request, not the solver: fewer steps or a lower order fit

@@ -178,15 +178,11 @@ class GScanResult:
         )
 
 
-# a solve that fails at one scan point fails that point, not the scan (bad
-# input raises ValueError before anything marches)
-_POINT_ERRORS = (FloatingPointError, np.linalg.LinAlgError)
-
-
 def pair_distance(k: GKSLKernel, grid: TimeGrid, pair, order: int = 8) -> float:
     """Sup-over-nodes Frobenius distance between two families on one kernel.
 
-    The one-coupling case of :func:`~gkslmap.propagate.family_distances`.
+    The one-coupling case of :func:`~gkslmap.propagate.family_distances`: NaN
+    or inf, not an error, when a family's maps are not finite.
     """
     return float(family_distances(k, grid, pair, [k.coupling], order)[0])
 
@@ -215,29 +211,6 @@ def scan_pair(pair) -> tuple:
     return tuple(pair)
 
 
-def _scan_points(k: GKSLKernel, grid: TimeGrid, gs, pair, order: int) -> list:
-    """The pair distance at every coupling, or the solver error that stopped it.
-
-    Each family of the pair takes one march for all couplings
-    (:func:`~gkslmap.propagate.family_distances`).  A Volterra coupling whose
-    step series is out of its bound takes a stacked step inverse, and a
-    singular one raises for every coupling at once, so when that march fails
-    the scan is redone one coupling at a time and each failure is pinned to
-    its own coupling.
-    """
-    try:
-        return [float(x) for x in family_distances(k, grid, pair, gs, order)]
-    except _POINT_ERRORS:
-        pass
-    points = []
-    for g in gs:
-        try:
-            points.append(pair_distance(k.with_coupling(g), grid, pair, order=order))
-        except _POINT_ERRORS as exc:
-            points.append(exc)
-    return points
-
-
 def g_scan(
     k: GKSLKernel,
     grid: TimeGrid,
@@ -253,15 +226,16 @@ def g_scan(
     block by node block by the second's once their distance is taken.  Bad
     couplings or pair (:func:`scan_couplings`, :func:`scan_pair`), an unknown
     family, a series ``order`` below 1 or a kernel that does not cover grid.T
-    raise ValueError before anything is solved.
-    Per-point solver failures and non-finite distances are recorded and
-    excluded from the fit rather than aborting the scan; when they leave
-    fewer than two points the scan raises RuntimeError (a solver failure, not
-    bad input).  A distance of exactly 0 (two families that agree) is kept in
-    the result but left out of the log-log fit; with fewer than two nonzero
-    distances the slope, intercept and residual are None.  ``local_slopes`` holds the log-log
-    slope between each pair of consecutive fitted couplings, so a bend the
-    fit averages out stays visible.
+    raise ValueError before anything is solved.  A coupling whose solve fails,
+    such as one with a singular Volterra step, marches as a NaN column and
+    gets a NaN distance; a non-finite distance is that point's failure, left
+    out of the fit.  When failures leave fewer than two points the scan raises
+    RuntimeError (a solver failure, not bad input).  A distance of exactly 0
+    (two families that agree) is kept in the result but left out of the
+    log-log fit; with fewer than two nonzero distances the slope, intercept
+    and residual are None.  ``local_slopes`` holds the log-log slope between
+    each pair of consecutive fitted couplings, so a bend the fit averages out
+    stays visible.
 
     Small-g limit: two families discretize their shared O(g^2) term
     differently (local-full on the refined Runge-Kutta lattice, nonlocal-full
@@ -276,10 +250,8 @@ def g_scan(
     distances = []
     failures = []
     kept_g = []
-    for g, dist in zip(gs, _scan_points(k, grid, gs, pair, order)):
-        if isinstance(dist, Exception):
-            failures.append((g, str(dist)))
-        elif not math.isfinite(dist):
+    for g, dist in zip(gs, map(float, family_distances(k, grid, pair, gs, order))):
+        if not math.isfinite(dist):
             failures.append((g, f"the pair distance is not finite ({dist!r})"))
         else:
             distances.append(dist)

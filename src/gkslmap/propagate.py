@@ -84,6 +84,10 @@ block and its old contents to a visitor.  A coupling scan
 couplings, drift frames first; the second family marches in the first
 family's output array, visited by the distance (:func:`_raise_distance`),
 so the scan holds one (M + 1) W D^2 array.
+A march neither raises nor warns on its numerics (``np.errstate(all="ignore")``);
+a singular Volterra step makes its coupling NaN.  One judge (:func:`_judged`)
+raises FloatingPointError on a solve's non-finite map entry or meta number;
+a scan's failed coupling has a NaN distance.
 """
 
 from __future__ import annotations
@@ -444,14 +448,13 @@ def _drift_frame(drift: TwoTimeOperatorFunction, grid: TimeGrid, scales) -> _Fra
     inversion defect max_i ||V_i Vinv_i - 1||_F, one per coupling: the
     Volterra step series' frame guard reads both, and weak-local-drift
     reports the defect.  The node arrays are copies, so the half-lattice
-    tables are freed.
+    tables are freed.  An overflowed frame's inf or NaN bounds take the inverse.
     """
     v_half, vinv_half = _ordered_exponential_tables(drift, grid, scales)
     vinv, v = vinv_half[::2].copy(), v_half[::2].copy()
     del v_half, vinv_half
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN bounds take the inverse
-        kappa = np.max(np.square(frobenius(vinv) * frobenius(v)), axis=0)
-        defect = np.max(frobenius(v @ vinv - np.eye(drift.dim)), axis=0)
+    kappa = np.max(np.square(frobenius(vinv) * frobenius(v)), axis=0)
+    defect = np.max(frobenius(v @ vinv - np.eye(drift.dim)), axis=0)
     return _Frame(vinv, v, kappa, defect)
 
 
@@ -467,6 +470,7 @@ def ordered_exponential_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGri
 # transform route for the local full equation
 
 
+@np.errstate(all="ignore")
 def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
     """Local full solve in the drift frame.
 
@@ -486,7 +490,7 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
     out, meta = _march(g_hat, grid.h)
     maps = v_sup[::2] @ out[:, 0]
     meta["engine"] = "transform"
-    return MapTrajectory(grid=grid, dim=k.dim, family="local-full", maps=maps, meta=meta)
+    return _judged(MapTrajectory(grid=grid, dim=k.dim, family="local-full", maps=maps, meta=meta))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +645,9 @@ def _step_matrices(diag: np.ndarray, c: np.ndarray, orders: np.ndarray, sups=Non
     series 1 + sum_{p <= P} c_n^p K_i^p (:func:`_series_orders`), summed by
     Horner in c_n: the powers K_i^p are formed once for every coupling, and a
     coupling joins the sum at its own top term, so its bits do not depend on
-    the others.  A coupling with orders[n] = 0 takes np.linalg.inv.  With
+    the others.  A coupling with orders[n] = 0 takes np.linalg.inv, stacked,
+    or, when one is singular, matrix by matrix (the same bits), NaN from a
+    coupling's first singular matrix on.  With
     ``sups`` = (Vinv_sup, V_sup), shape (nodes, W, D, D), the step is taken in
     the drift frame, where K_i reads Vinv_sup K_i V_sup: a series coupling
     takes 1 + Vinv_sup (A_i - 1) V_sup from the lab series A_i.  Returns
@@ -666,7 +672,18 @@ def _step_matrices(diag: np.ndarray, c: np.ndarray, orders: np.ndarray, sups=Non
     inverse = orders == 0
     if inverse.any():
         k = diag[:, None] if sups is None else sups[0][:, inverse] @ diag[:, None] @ sups[1][:, inverse]
-        acc[:, inverse] = np.linalg.inv(eye - c[inverse] * k)
+        lhs = eye - c[inverse] * k
+        try:
+            acc[:, inverse] = np.linalg.inv(lhs)
+        except np.linalg.LinAlgError:
+            inv = np.full_like(lhs, np.nan)
+            for n in range(lhs.shape[1]):
+                for i in range(len(lhs)):
+                    try:
+                        inv[i, n] = np.linalg.inv(lhs[i, n])
+                    except np.linalg.LinAlgError:
+                        break
+            acc[:, inverse] = inv
     return acc
 
 
@@ -751,6 +768,7 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit
     return out, _march_meta(mem.final(), h)
 
 
+@np.errstate(all="ignore")
 def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) -> MapTrajectory:
     """Nonlocal drift-only trajectory for an arbitrary drift-operator function A.
 
@@ -760,8 +778,8 @@ def solve_nonlocal_from_drift(drift: TwoTimeOperatorFunction, grid: TimeGrid) ->
     terms = [(p, -s) for p, s in drift_superop_terms(drift)]
     out, meta = _volterra(terms, grid, drift.dim**2, _UNIT)
     meta["source"] = "drift-operator"
-    return MapTrajectory(
-        grid=grid, dim=drift.dim, family="nonlocal-drift", maps=out[:, 0], meta=meta
+    return _judged(
+        MapTrajectory(grid=grid, dim=drift.dim, family="nonlocal-drift", maps=out[:, 0], meta=meta)
     )
 
 
@@ -923,14 +941,31 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     return march
 
 
+def _judged(traj: MapTrajectory) -> MapTrajectory:
+    """``traj``, unless a map entry or a number in its meta is not finite: FloatingPointError."""
+    if not np.isfinite(traj.maps.view(float)).all():
+        finite = np.isfinite(traj.maps).all(axis=(1, 2))
+        first = float(traj.grid.nodes()[np.argmin(finite)])
+        raise FloatingPointError(
+            f"{traj.family} solve produced non-finite map entries (first at t = {first!r})"
+        )
+    for key, val in traj.meta.items():
+        if not isinstance(val, str) and not np.isfinite(val).all():
+            raise FloatingPointError(f"{traj.family} solve produced non-finite meta.{key}")
+    return traj
+
+
+@np.errstate(all="ignore")
 def solve_family(k: GKSLKernel, grid: TimeGrid, family: str, order: int = 8) -> MapTrajectory:
-    """The width-1 march of :func:`_family_march` at scale 1 on the split of k."""
+    """The width-1 march of :func:`_family_march` at scale 1 on the split of k, judged
+    (:func:`_judged`); bad input raises ValueError before anything marches."""
     _check_family(family, order)
     k.check_horizon(grid.T)
     out, meta = _family_march(split_kernel(k), grid, family, _UNIT, order)()
-    return MapTrajectory(grid=grid, dim=k.dim, family=family, maps=out[:, 0], meta=meta)
+    return _judged(MapTrajectory(grid=grid, dim=k.dim, family=family, maps=out[:, 0], meta=meta))
 
 
+@np.errstate(all="ignore")
 def family_distances(k: GKSLKernel, grid: TimeGrid, pair, g_values, order: int = 8) -> np.ndarray:
     """Sup-over-nodes Frobenius distance between two families at every coupling.
 
@@ -940,8 +975,8 @@ def family_distances(k: GKSLKernel, grid: TimeGrid, pair, g_values, order: int =
     first; then the first family fills an (M + 1, W, D, D) array, and the
     second marches in that same array, taking the distance at each block of
     nodes before it replaces them, so the scan holds one such array.  Returns
-    the W distances in the order of ``g_values``; a non-finite solve gives NaN
-    or inf.
+    the W distances in the order of ``g_values``; a coupling whose maps are
+    not finite, such as one with a singular Volterra step, gets NaN or inf.
     """
     for family in pair:
         _check_family(family, order)

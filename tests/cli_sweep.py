@@ -228,6 +228,16 @@ def main_sweep(outdir: Path) -> None:
         run(f"solve-strong-coupling-{fam}", "solve", "--kernel", strong, "--steps", "20",
             "--family", fam, "--out", f"runs/strong-coupling-{fam}")
 
+    # a coupling at which the drift frame overflows: each solve exits 3 with
+    # one JSON error line, and a scan fails only its singular coupling
+    diverging = write_fault("diverging-coupling",
+                            edited(kernel, lambda d: d.update(coupling_g=30.0)))
+    for fam in ("weak-local-drift", "weak-nonlocal-full"):
+        run(f"solve-diverging-coupling-{fam}", "solve", "--kernel", diverging, "--steps", "20",
+            "--family", fam, "--out", f"runs/diverging-coupling-{fam}")
+    run("gscan-singular-coupling", "gscan", "--kernel", "configs/dephasing_kernel.json",
+        "--steps", "40", "--g-list", "1,2,5,10,100", "--out", "runs/gscan-singular-coupling")
+
 
 def compare(a: Path, b: Path) -> int:
     """Compare two sweeps: logs, certify verdicts and g lists must match; report gaps."""

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -755,6 +758,44 @@ def test_non_finite_solve_exits_three(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "solver" and "non-finite" in err["message"]
     assert not (out / "trajectory.json").exists()
+
+
+def strong_dephasing(tmp_path, g):
+    """The shipped dephasing kernel at coupling g, written to tmp_path."""
+    path = tmp_path / f"dephasing-g{g}.json"
+    doc = json.loads((CONFIGS / "dephasing_kernel.json").read_text())
+    path.write_text(json.dumps({**doc, "coupling_g": g}))
+    return str(path)
+
+
+def test_diverging_drift_frame_solve_exits_three(tmp_path, capsys):
+    # at g = 30 the drift frame overflows: the sandwich maps stay finite, the
+    # inversion defect does not
+    out = tmp_path / "run"
+    code = main(["solve", "--kernel", strong_dephasing(tmp_path, 30), "--steps", "20",
+                 "--family", "weak-local-drift", "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "solver",
+                   "message": "weak-local-drift solve produced non-finite meta.inversion_defect"}
+    assert not (out / "trajectory.json").exists()
+
+
+@pytest.mark.parametrize("family, message", [
+    ("weak-local-drift", "weak-local-drift solve produced non-finite meta.inversion_defect"),
+    ("weak-nonlocal-full",
+     "weak-nonlocal-full solve produced non-finite map entries (first at t = 1.8)"),
+])
+def test_failed_solve_prints_only_its_error_line(tmp_path, family, message):
+    # numpy's warnings would name the installed source path and line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["solve", "--kernel", strong_dephasing(tmp_path, 30), "--steps", "20",
+            "--family", family, "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-m", "gkslmap.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 3
+    assert proc.stderr == canonical_dumps({"error": {"type": "solver", "message": message}}) + "\n"
 
 
 def test_gscan_with_all_solves_failing_exits_three(tmp_path, kernel_file, capsys):

@@ -1,5 +1,7 @@
 """Coupling scans, Redfield kernels, the convolution case, corpus generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gkslmap.experiments import (
     random_kernel,
     redfield_kernel,
 )
+from gkslmap import propagate
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction
 from gkslmap.linalg import SIGMA_X, SIGMA_Z
 from gkslmap.profiles import (
@@ -100,25 +103,28 @@ def test_g_scan_keeps_zero_distances_out_of_the_fit(monkeypatch):
     assert res.local_slopes == pytest.approx((4.0, 4.0))
 
 
-def test_g_scan_redoes_a_failed_coupled_march_one_coupling_at_a_time():
-    # at M = 40 the dephasing kernel's step matrix turns singular at g = 100
+def test_g_scan_fails_a_singular_coupling_as_a_nan_column(monkeypatch):
+    # at M = 40 the dephasing kernel's weak-nonlocal-full step turns singular at g = 100
     k = dephasing_kernel(g=0.8)
     grid = TimeGrid(2.0, 40)
     gs = [1.0, 2.0, 5.0, 10.0, 100.0]
     pair = ("nonlocal-full", "weak-nonlocal-full")
-    with np.errstate(all="ignore"):
-        with pytest.raises(np.linalg.LinAlgError):
-            family_distances(k, grid, pair, gs)  # the stacked inverse fails for all
+    marches = []
+    march = propagate._family_march
+    monkeypatch.setattr(propagate, "_family_march", lambda *a: marches.append(a[2]) or march(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a march neither raises nor warns on its numerics
         res = g_scan(k, grid, gs, pair=pair)
-        failures, kept = [], []
-        for g in gs:
-            try:
-                kept.append((g, pair_distance(k.with_coupling(g), grid, pair)))
-            except np.linalg.LinAlgError as exc:
-                failures.append((g, str(exc)))
-    assert failures == [(100.0, "Singular matrix")]
-    assert res.failures == tuple(failures)
-    assert tuple(zip(res.g_values, res.distances)) == tuple(kept)
+        assert marches == list(pair)  # one march per family, no redo per coupling
+        dist = family_distances(k, grid, pair, gs)
+        singles = [pair_distance(k.with_coupling(g), grid, pair) for g in gs[:-1]]
+        with pytest.raises(FloatingPointError) as exc:
+            solve_family(k.with_coupling(100.0), grid, "weak-nonlocal-full")
+    assert np.isnan(dist[-1]) and dist[:-1].tolist() == singles
+    assert res.failures == ((100.0, "the pair distance is not finite (nan)"),)
+    assert res.g_values == tuple(gs[:-1]) and res.distances == tuple(singles)
+    msg = "weak-nonlocal-full solve produced non-finite map entries (first at t = 0.55)"
+    assert str(exc.value) == msg
 
 
 def test_g_scan_records_non_finite_distances_as_failures(monkeypatch):

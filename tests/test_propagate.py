@@ -1023,6 +1023,17 @@ def test_step_matrices_match_the_inverse(corpus, g):
                 assert np.max(gap) <= 1e-14, (part, g, np.max(gap))
 
 
+def test_a_singular_step_makes_its_coupling_nan_from_that_node_on():
+    # diag_i = (i / 8) 1: 1 - c diag_i is singular at node 4 for c = 2 only, and
+    # nodes 5..7 invert again; the c = 0.5 coupling takes a three-term series
+    diag = (np.arange(8.0) / 8.0)[:, None, None] * np.eye(4, dtype=complex)
+    c = np.array([1.0, 2.0, 0.5]).reshape(3, 1, 1)
+    got = propagate._step_matrices(diag, c, np.array([0, 0, 3]))
+    assert np.isfinite(got[:4, 1]).all() and np.isnan(got[4:, 1]).all()
+    healthy = propagate._step_matrices(diag, c[[0, 2]], np.array([0, 3]))
+    assert np.array_equal(got[:, [0, 2]], healthy)
+
+
 def test_the_frame_guard_sends_a_non_convergent_frame_to_the_inverse(bench_corpus):
     # benchmark corpus kernel 6 at g = 8 marches a drift frame whose V Vinv
     # misses 1 by about 3e-5, far above what the frame series can absorb
