@@ -358,18 +358,15 @@ def _relative_phase_witness(traj: MapTrajectory, located, eps_cp: float):
 
 
 def _choi_witness(traj: MapTrajectory, eps_cp: float):
-    """The first node whose Choi lambda_min < -eps_cp d, or None.
+    """The first node whose Choi lambda_min < -eps_cp d (:func:`certify_trajectory`), or None.
 
     psi is the Choi eigenvector of lambda_min and phi the maximally entangled
     state sum_i |ii> / sqrt(d), so the measure is <psi|C|psi> / d = lambda_min / d.
     """
-    d, maps = traj.dim, traj.maps
-    _, lam = _blockwise(lambda s: cp_check(choi(maps[s]), eps_cp), maps, "node")
-    hits = np.flatnonzero(lam < -eps_cp * d)
-    if not len(hits):
+    d, m = traj.dim, certify_trajectory(traj, eps_cp).first_violation
+    if m is None:
         return None
-    m = int(hits[0])
-    eig = hermitian_eig(choi(maps[m]))
+    eig = hermitian_eig(choi(traj.maps[m]))
     lam_min = float(eig.eigenvalues[0])
     return DriftCPWitness(
         t=float(traj.grid.nodes()[m]),
@@ -494,9 +491,9 @@ def certify_trajectory(
         family=traj.family,
         dim=traj.dim,
         eps_cp=eps_cp,
-        times=tuple(float(t) for t in traj.grid.nodes()),
+        times=tuple(traj.grid.nodes().tolist()),
         lambda_mins=tuple(lam.tolist()),
         trace_devs=tuple(devs.tolist()),
-        verdicts=tuple("CP" if c else "not-CP" for c in ok),
+        verdicts=tuple(np.where(ok, "CP", "not-CP").tolist()),
         divisibility=div,
     )

@@ -31,18 +31,19 @@ the O(M^2) direct convolution.  The nonlocal memory sums are trapezoid sums over
 read from the same terms, so they too take O(M) memory per term.
 
 Every ODE family is linear, dy/dt = B(t) y, so a classical 4th-order
-Runge-Kutta step is a fixed polynomial in B at its three stage nodes.  The
-map marches (local families and the transform route, :func:`_march`) form
-it in stage form, three stacked products per step (:func:`_stage_steps`),
-and advance the maps by a prefix product over chunks of _CHUNK steps
-(:func:`_chunked_product`), so a march makes one sequential product per
-chunk, not per step.  The drift frame's pair (V, Vinv^T)
-(:func:`_frame_march`) and the triangular stack of local series terms
-(:func:`_local_series`) keep the polynomial's parts of each degree
-(:func:`_step_parts`), six stacked products per step, and one product per
-step: the series steps order n by the part of degree p from order n - p,
-and a scan forms the frame's products of B once for all its step lengths.
-The frame marches in real form, B embedded as [[Re, -Im], [Im, Re]].
+Runge-Kutta step is a fixed polynomial in B at its three stage nodes.  One
+driver (:func:`_march`) marches both the maps of the local families and
+the transform route and the drift frame's pair (V, Vinv^T): a builder forms
+a span's step matrices, and a prefix product over chunks of _CHUNK steps
+(:func:`_chunked_product`) advances the states, so a march makes one
+sequential product per chunk, not per step.  The maps build the stage form,
+three stacked products per step (:func:`_stage_steps`).  The frame sums the
+polynomial's parts of each degree (:func:`_step_parts`), six stacked
+products per step formed once for all its step lengths, in real form, B
+embedded as [[Re, -Im], [Im, Re]] (:func:`_real_form`).  The one other
+Runge-Kutta loop, the triangular stack of local series terms
+(:func:`_local_series`), keeps the parts apart, since its step acts on a
+stack of orders: order n steps by the part of degree p from order n - p.
 Every nonlocal family goes through one memory core, built by
 :func:`_memory` inside its march: the nested-trapezoid memory sum at node i,
 stacked over the normal-form terms of the kernel's distinct profiles
@@ -221,6 +222,14 @@ def _march_meta(gen_final: np.ndarray, h: float) -> dict:
     return meta
 
 
+def _maps(n: int, w: int, D: int, out=None) -> np.ndarray:
+    """``out``, or a new (n, W, D, D) map array, with the identity at node 0."""
+    if out is None:
+        out = np.empty((n, w, D, D), dtype=complex)
+    out[0] = np.eye(D)
+    return out
+
+
 def _sandwich_stack(a: np.ndarray) -> np.ndarray:
     """Superoperators of rho -> a rho a^dag, i.e. kron(conj(a), a), over a's leading axes."""
     d = a.shape[-1]
@@ -235,7 +244,7 @@ def _sandwich_stack(a: np.ndarray) -> np.ndarray:
 def _step_parts(b: np.ndarray, h):
     """Classical Runge-Kutta step matrices of the linear dy/dt = B(t) y, by degree.
 
-    ``b`` holds B on the half-step lattice along axis -3, so step m draws on
+    ``b`` holds B on the half-step lattice along axis 0, so step m draws on
     B0, Bm, B1 = b[2m], b[2m + 1], b[2m + 2] and takes y to
     (1 + R1 + R2 + R3 + R4) y, R_p of degree p in B:
 
@@ -243,10 +252,10 @@ def _step_parts(b: np.ndarray, h):
         R2 = h^2/6 (Bm B0 + Bm Bm + B1 Bm)  R4 = h^4/24 B1 Bm Bm B0
 
     The products of B are formed once; an array ``h`` of step lengths, one
-    per coupling, broadcasts in front of them.  Returns (R1, R2, R3, R4),
-    stacked over the steps along axis -3.
+    per coupling, broadcasts against ``b``'s other leading axes.  Returns
+    (R1, R2, R3, R4), stacked over the steps along axis 0.
     """
-    b0, bm, b1 = b[..., :-1:2, :, :], b[..., 1::2, :, :], b[..., 2::2, :, :]
+    b0, bm, b1 = b[:-1:2], b[1::2], b[2::2]
     mb0, b1m = bm @ b0, b1 @ bm
     return (
         (h / 6.0) * (b0 + 4.0 * bm + b1),
@@ -254,6 +263,14 @@ def _step_parts(b: np.ndarray, h):
         (h**3 / 12.0) * (bm @ mb0 + b1m @ bm),
         (h**4 / 24.0) * (b1m @ mb0),
     )
+
+
+def _summed_parts(b: np.ndarray, h, out: np.ndarray) -> None:
+    """Writes the step matrices 1 + R1 + R2 + R3 + R4 of :func:`_step_parts` into ``out``."""
+    r1, *rest = _step_parts(b, h)
+    np.add(np.eye(b.shape[-1]), r1, out=out)
+    for r in rest:
+        out += r
 
 
 def _blocks(out: np.ndarray, start: int, size: int, visit=None):
@@ -285,7 +302,7 @@ def _raise_distance(dist: np.ndarray, new: np.ndarray, old: np.ndarray) -> None:
     np.maximum(dist, np.sqrt(gap.max(axis=0)), out=dist)
 
 
-def _stage_steps(b: np.ndarray, h, out: np.ndarray) -> np.ndarray:
+def _stage_steps(b: np.ndarray, h, out: np.ndarray) -> None:
     """Classical Runge-Kutta step matrices of the linear dy/dt = B(t) y, in stage form.
 
     ``b`` holds B on the half-step lattice along axis 0, so step m draws on
@@ -297,7 +314,7 @@ def _stage_steps(b: np.ndarray, h, out: np.ndarray) -> np.ndarray:
     the same polynomial as :func:`_step_parts`'s parts in three stacked
     products instead of six.  An array ``h`` of step lengths, one per
     coupling, broadcasts against ``b``'s leading axes.  Writes the step
-    matrices into ``out`` and returns it.
+    matrices into ``out``.
     """
     b0, bm, b1 = b[:-1:2], b[1::2], b[2::2]
     eye = np.eye(b.shape[-1])
@@ -309,7 +326,6 @@ def _stage_steps(b: np.ndarray, h, out: np.ndarray) -> np.ndarray:
     acc += k
     np.multiply(h / 6.0, acc, out=out)
     out += eye
-    return out
 
 
 def _chunked_product(r: np.ndarray, n: int, y: np.ndarray) -> None:
@@ -340,35 +356,30 @@ def _chunked_product(r: np.ndarray, n: int, y: np.ndarray) -> None:
         np.matmul(p[full, : last - 1], y[full * L], out=y[full * L + 1 : n])
 
 
-def _march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT, out=None, visit=None):
-    """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s.
+def _march(b: np.ndarray, hs: np.ndarray, steps, out: np.ndarray, visit=None) -> None:
+    """Runge-Kutta march of dY/dt = B(t) Y at each of the W step lengths ``hs``, in ``out``.
 
-    ``b`` holds B on the half-step lattice, shape (2M + 1, D, D).  The march
-    at scale s is the march of B at step s h, so it forms no s B.  The steps
-    go in blocks, each a multiple of _CHUNK steps long and as long as
-    :func:`~gkslmap.linalg.block_len` allows for W couplings.  A block forms
-    the step matrices in stage form (:func:`_stage_steps`) at the W step
-    lengths, then advances the states by a chunked prefix product
-    (:func:`_chunked_product`).
-    Chunks start at multiples of _CHUNK steps, so neither a step matrix nor
-    the order of a state's products depends on W or on the block length: a
-    single solve is the width-1 case.  Returns (out, meta): ``out``, shape
-    (M + 1, W, D, D), holds the identity and the state after every step
-    (allocated when None), its blocks of nodes taken from :func:`_blocks`
-    and passed to ``visit``; meta holds h |B(t_M)|.
+    ``b`` holds B on the half-step lattice, shape (2M + 1, ..., S, S); its
+    middle axes march side by side.  ``out``, shape (M + 1, W, ..., S, n),
+    holds the initial states at node 0 and gets the state after every step,
+    so coupling s is the s = 1 generator marched at step s h.  The nodes go
+    span by span (:func:`_blocks`, which shows each to ``visit``), each span
+    a multiple of _CHUNK steps and as long as
+    :func:`~gkslmap.linalg.block_len` allows for out's n x n matrices.
+    ``steps(b, hs, r)`` writes a span's step matrices into ``r``, the step
+    lengths broadcast in front of b's middle axes, and a chunked prefix
+    product (:func:`_chunked_product`) advances the states.  Chunks start at
+    multiples of _CHUNK steps, so neither a step matrix nor the order of a
+    state's products depends on W or on the span length: a single solve is
+    the width-1 case.
     """
-    n = (len(b) - 1) // 2
-    w, D = len(scales), b.shape[-1]
-    if out is None:
-        out = np.empty((n + 1, w, D, D), dtype=complex)
-    out[0] = np.eye(D)
-    hs = h * np.reshape(scales, (w, 1, 1))
-    steps = max(1, block_len(D * D, w) // _CHUNK) * _CHUNK
-    for a, end in _blocks(out, 1, steps, visit):  # steps a - 1 .. end - 2
-        r = np.empty((-(-(end - a) // _CHUNK) * _CHUNK, w, D, D), dtype=complex)
-        _stage_steps(b[2 * a - 2 : 2 * end - 1, None], hs, r[: end - a])
+    hs = np.reshape(hs, (-1,) + (1,) * (b.ndim - 1))
+    lead = out.shape[1:-2]
+    size = max(1, block_len(out.shape[-1] ** 2, int(np.prod(lead))) // _CHUNK) * _CHUNK
+    for a, end in _blocks(out, 1, size, visit):  # steps a - 1 .. end - 2
+        r = np.empty((-(-(end - a) // _CHUNK) * _CHUNK,) + lead + b.shape[-2:], dtype=b.dtype)
+        steps(b[2 * a - 2 : 2 * end - 1, None], hs, r[: end - a])
         _chunked_product(r.reshape((-1, _CHUNK) + r.shape[1:]), end - a, out[a - 1 : end])
-    return out, _march_meta(b[-1], h)
 
 
 # ---------------------------------------------------------------------------
@@ -384,57 +395,37 @@ def solve_local(k: GKSLKernel, grid: TimeGrid) -> MapTrajectory:
 # ordered exponential of the drift operator
 
 
-def _frame_march(b: np.ndarray, h: float, scales: np.ndarray = _UNIT) -> np.ndarray:
-    """Runge-Kutta march of dY/dt = s B(t) Y from the identity for every scale s, by degree parts.
-
-    ``b`` is as for :func:`_step_parts`; its leading axes march side by side,
-    behind a leading axis of the W scales.  The march at scale s is the march
-    of B at step s h: the parts' products of B are formed once per block, the
-    W step lengths broadcast in front of them, and each step is one stacked
-    product.  This suits the drift frame, the stacked pair (V, Vinv^T) of
-    d x d matrices: the parts cost six products per step for all W couplings,
-    where the stage form of :func:`_march` would cost three per coupling.
-    The march runs in real form, since tiny real products are cheaper than
-    complex ones: each block embeds its B as [[Re B, -Im B], [Im B, Re B]],
-    the states are real [Re Y; Im Y] planes of one block, and the block's
-    states are written into the complex output.  Returns the identity and the
-    state after every step, shape (steps + 1, W, *b.shape[:-3], D, D).
-    """
-    n, d = (b.shape[-3] - 1) // 2, b.shape[-1]
-    lead = (len(scales),) + b.shape[:-3]
-    out = np.empty((n + 1,) + lead + (d, d), dtype=complex)
-    out[0] = np.eye(d)
-    hs = h * np.reshape(scales, lead[:1] + (1,) * b.ndim)
-    eye = np.eye(2 * d)
-    size = block_len(d * d, int(np.prod(lead)))
-    y = np.empty((size + 1,) + lead + (2 * d, d))  # y[j] = [Re; Im] of the block's j-th state
-    y[0] = eye[:, :d]
-    for a, end in _blocks(out, 1, size):
-        blk = b[..., 2 * a - 2 : 2 * end - 1, :, :]
-        real = np.empty(blk.shape[:-2] + eye.shape)
-        real[..., :d, :d] = real[..., d:, d:] = blk.real
-        real[..., d:, :d] = blk.imag
-        np.negative(blk.imag, out=real[..., :d, d:])
-        r1, r2, r3, r4 = _step_parts(real, hs)
-        r = eye + r1 + r2 + r3 + r4
-        for j in range(end - a):
-            np.matmul(r[..., j, :, :], y[j], out=y[j + 1])
-        out[a:end].real = y[1 : end - a + 1, ..., :d, :]
-        out[a:end].imag = y[1 : end - a + 1, ..., d:, :]
-        y[0] = y[end - a]
-    return out
+def _real_form(b: np.ndarray) -> np.ndarray:
+    """[[Re b, -Im b], [Im b, Re b]] over b's leading axes: b acting on real columns [Re y; Im y]."""
+    d = b.shape[-1]
+    real = np.empty(b.shape[:-2] + (2 * d, 2 * d))
+    real[..., :d, :d] = real[..., d:, d:] = b.real
+    real[..., d:, :d] = b.imag
+    np.negative(b.imag, out=real[..., :d, d:])
+    return real
 
 
 def _ordered_exponential_tables(drift: TwoTimeOperatorFunction, grid: TimeGrid, scales=_UNIT):
     """March V' = -s A_int(t) V and Vinv' = +s Vinv A_int(t) per s: the s = 1 march at step s h/2.
 
     A_int is tabulated on the h/4 lattice so every stage lands on a lattice
-    point; both tables march as one stack in real form (:func:`_frame_march`).
-    Returns (V, Vinv) on the h/2 lattice, shape (2M + 1, W, d, d).
+    point.  Both tables march as one stack (V, Vinv^T) in one :func:`_march`
+    by the summed degree parts (:func:`_summed_parts`), whose products of
+    A_int are formed once for all W step lengths.  The march runs in real
+    form, since tiny real products are cheaper than complex ones: the lattice
+    is embedded once (:func:`_real_form`) and the states are real columns
+    [Re; Im], copied into complex tables at the end.  Returns (V, Vinv) on
+    the h/2 lattice, shape (2M + 1, W, d, d).
     """
-    w_fine = _lattice(drift.terms, drift.dim, grid)
+    d = drift.dim
+    w_fine = _lattice(drift.terms, d, grid)
     # Vinv is marched as its transpose: (Vinv^T)' = A_int^T Vinv^T
-    vv = _frame_march(np.stack([-w_fine, w_fine.transpose(0, 2, 1)]), grid.h / 2.0, scales)
+    real = _real_form(np.stack([-w_fine, w_fine.transpose(0, 2, 1)], axis=1))
+    y = np.empty((2 * grid.steps + 1, len(scales), 2, 2 * d, d))
+    y[0] = np.eye(2 * d)[:, :d]
+    _march(real, (0.5 * grid.h) * np.asarray(scales), _summed_parts, y)
+    vv = np.empty(y.shape[:-2] + (d, d), dtype=complex)
+    vv.real, vv.imag = y[..., :d, :], y[..., d:, :]
     return vv[:, :, 0], vv[:, :, 1].swapaxes(-1, -2)
 
 
@@ -487,9 +478,10 @@ def solve_local_full_via_transform(k: GKSLKernel, grid: TimeGrid) -> MapTrajecto
     v_half, vinv_half = (x[:, 0] for x in _ordered_exponential_tables(split.drift_op, grid))
     v_sup = _sandwich_stack(v_half)
     g_hat = _sandwich_stack(vinv_half) @ _local_generator(split, grid, "jump") @ v_sup
-    out, meta = _march(g_hat, grid.h)
+    out = _maps(grid.steps + 1, 1, g_hat.shape[-1])
+    _march(g_hat, grid.h * _UNIT, _stage_steps, out)
     maps = v_sup[::2] @ out[:, 0]
-    meta["engine"] = "transform"
+    meta = {**_march_meta(g_hat[-1], grid.h), "engine": "transform"}
     return _judged(MapTrajectory(grid=grid, dim=k.dim, family="local-full", maps=maps, meta=meta))
 
 
@@ -734,9 +726,7 @@ def _volterra(terms, grid: TimeGrid, D: int, scales, frame=None, out=None, visit
     mem = _memory(terms, grid, D, W)
     hs = h * np.reshape(scales, (W, 1, 1))
     eye = np.eye(D, dtype=complex)
-    if out is None:
-        out = np.empty((M + 1, W, D, D), dtype=complex)
-    out[0] = eye
+    out = _maps(M + 1, W, D, out)
     flat = out.reshape(M + 1, W * D * D)
     gm = np.empty((W, 2 * D, D), dtype=complex)  # g_{i-1} stacked over m_i
     g, m = gm[:, :D], gm[:, D:]
@@ -803,12 +793,13 @@ def _series_meta(order: int, tails) -> dict:
 def _local_series(g_half: np.ndarray, h: float, order: int, scales, out=None, visit=None):
     """Per-node sums sum_n s^n P_n of the triangular stack dP_n/dt = G(t) P_{n-1}, per scale s.
 
-    P_n has degree n in G, so the stack is marched once, at scale 1; ``out``,
-    ``visit`` and the meta's h |G(t_M)| are as for :func:`_march`.  The meta
-    also holds the Frobenius norm of the scale-1 order-N term at every node
-    (the truncation diagnostic).  A step takes P_n to sum_{p <= 4} R_p P_{n-p}
-    with R_p the degree-p part of the plain march's step matrix (R_0 = 1), so
-    the full sum telescopes to the plain discrete solution up to the truncated tail.
+    P_n has degree n in G, so the stack is marched once, at scale 1; ``out``
+    (allocated when None) and ``visit`` are as for :func:`_family_march`.
+    The meta holds h |G(t_M)| and the Frobenius norm of the scale-1 order-N
+    term at every node (the truncation diagnostic).  A step takes P_n to
+    sum_{p <= 4} R_p P_{n-p} with R_p the degree-p part of the plain march's
+    step matrix (R_0 = 1), so the full sum telescopes to the plain discrete
+    solution up to the truncated tail.
     """
     D = g_half.shape[1]
     total = _series_total(scales, order)
@@ -846,17 +837,14 @@ def _nonlocal_series(terms, grid: TimeGrid, D: int, order: int, scales, out=None
     M, h = grid.steps, grid.h
     mem = _memory(terms, grid, D, order)
     total = _series_total(scales, order)
-    eye = np.eye(D, dtype=complex)
     r = np.zeros((order + 1, D, D), dtype=complex)  # r[n] = R_n at the newest node
-    r[0] = eye
+    r[0] = np.eye(D)
     newest = r[:order].reshape(order * D * D)  # a view: R_0..R_{N-1} side by side
     hist = None
     if mem.takes_rows:
         hist = np.empty((M + 1, order * D * D), dtype=complex)  # hist[j] = R_0..R_{N-1} at t_j
         hist[0] = newest
-    if out is None:
-        out = np.empty((M + 1, len(scales), D, D), dtype=complex)
-    out[0] = eye
+    out = _maps(M + 1, len(scales), D, out)
     tails = np.zeros(M + 1)
     f_prev = np.zeros((order, D, D), dtype=complex)  # f_n(t_{i-1}), n = 1..N
     for a, b in _blocks(out, 1, block_len(D * D), visit):
@@ -892,7 +880,8 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     kernel at scale s has s times its parts: a map march and the drift
     frames march the generator of K at step s h, the Volterra step constants
     carry s while the memory sums are formed once, and the order-n term of a
-    series truncated at ``order`` is weighted by s^n.  Returns
+    series truncated at ``order`` is weighted by s^n; a map march and the
+    drift frames share one Runge-Kutta driver (:func:`_march`).  Returns
     march(out=None, visit=None) -> (out, meta), which fills out[:, n] (``out``
     of shape (M + 1, W, D, D), allocated once the march's own tables are
     built) with the maps at scale scales[n], a block of nodes at a time, and
@@ -935,7 +924,9 @@ def _family_march(split: KernelSplit, grid: TimeGrid, family: str, scales, order
     def march(out=None, visit=None):
         g_half = _local_generator(split, grid, part)
         if kind == "local":
-            return _march(g_half, grid.h, scales, out, visit)
+            out = _maps(grid.steps + 1, len(scales), D, out)
+            _march(g_half, grid.h * scales, _stage_steps, out, visit)
+            return out, _march_meta(g_half[-1], grid.h)
         return _local_series(g_half, grid.h, order, scales, out, visit)
 
     return march

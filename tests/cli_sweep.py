@@ -13,15 +13,18 @@ with::
     diff -r /tmp/sweep-a /tmp/sweep-b
 
 A change that reorders floating-point sums leaves the artifacts close but not
-byte-identical.  For it, ``python tests/cli_sweep.py --compare A B`` requires
-identical logs (exit codes, stdout, stderr), the same JSON artifacts on both
-sides, certify verdicts (``all_cp``,
-per-node verdicts, divisibility statuses) and g-scan couplings, prints the
-worst relative map difference per trajectory family and, per g-scan, the
-worst absolute distance difference, the scan's largest distance and their
-ratio (a scan whose distances are all at rounding level can show a large
-ratio for a tiny absolute change), and exits 1 when anything required
-differs.
+byte-identical.  For it, ``python tests/cli_sweep.py --compare A B`` requires,
+for the cases both sweeps ran, identical logs (exit codes, stdout, stderr),
+the same JSON artifacts, certify verdicts (``all_cp``, per-node verdicts,
+divisibility statuses), g-scan couplings and trajectory ``meta`` keys and
+non-numeric entries.  It prints the worst relative map difference and the
+worst relative difference of the numeric ``meta`` entries (with its key) per
+trajectory family and, per g-scan, the worst absolute distance difference,
+the scan's largest distance and their ratio (a scan whose distances are all
+at rounding level can show a large ratio for a tiny absolute change).  A
+case only one sweep ran (its log, and the run directory holding its
+artifacts) is listed as added (only in B) or removed (only in A), not as a
+difference.  It exits 1 when anything required differs.
 
 The file name keeps pytest from collecting it.
 """
@@ -239,16 +242,44 @@ def main_sweep(outdir: Path) -> None:
         "--steps", "40", "--g-list", "1,2,5,10,100", "--out", "runs/gscan-singular-coupling")
 
 
+def meta_gap(x: dict, y: dict):
+    """(worst relative difference, its key) over the numeric entries of two meta blocks,
+    or None when their keys or non-numeric entries differ."""
+    if x.keys() != y.keys():
+        return None
+    worst = (0.0, None)
+    for key in x:
+        if isinstance(x[key], (str, bool)) or isinstance(y[key], (str, bool)):
+            if x[key] != y[key]:
+                return None
+            continue
+        vx, vy = np.array(x[key], dtype=float), np.array(y[key], dtype=float)
+        if vx.shape != vy.shape:
+            return None
+        scale = np.maximum(np.abs(vx), np.abs(vy))
+        rel = float(np.max(np.abs(vx - vy) / np.where(scale > 0.0, scale, 1.0), initial=0.0))
+        if rel > worst[0]:
+            worst = (rel, key)
+    return worst
+
+
 def compare(a: Path, b: Path) -> int:
     """Compare two sweeps: logs, certify verdicts and g lists must match; report gaps."""
-    bad = []
-    for log in sorted((a / "logs").iterdir()):
-        if log.read_text() != (b / "logs" / log.name).read_text():
-            bad.append(f"log {log.name}")
-    gaps, scan_gaps = {}, {}
+    bad, changed = [], []
+    logs = [{p.name for p in (root / "logs").iterdir()} for root in (a, b)]
+    for log in sorted(logs[0] & logs[1]):
+        if (a / "logs" / log).read_text() != (b / "logs" / log).read_text():
+            bad.append(f"log {log}")
     runs = [{p.relative_to(root) for p in root.glob("runs/*/*.json")} for root in (a, b)]
-    for side, only in ((a, runs[0] - runs[1]), (b, runs[1] - runs[0])):
-        bad.extend(f"only in {side}: {path}" for path in sorted(only))
+    dirs = [{p.parts[1] for p in side} for side in runs]
+    for word, side, mine, other in (("removed", a, 0, 1), ("added", b, 1, 0)):
+        changed.extend(f"{word} case {Path(log).stem}" for log in sorted(logs[mine] - logs[other]))
+        for path in sorted(runs[mine] - runs[other]):
+            if path.parts[1] in dirs[other]:  # a run both sweeps made, short of a file
+                bad.append(f"only in {side}: {path}")
+            else:
+                changed.append(f"{word} artifact {path}")
+    gaps, meta_gaps, scan_gaps = {}, {}, {}
     for path in sorted(a / p for p in runs[0] & runs[1]):
         x, y = (json.loads(p.read_text()) for p in (path, b / path.relative_to(a)))
         if path.name == "cp_report.json":
@@ -260,6 +291,12 @@ def compare(a: Path, b: Path) -> int:
             mx, my = (np.array(d["maps"], dtype=float) for d in (x, y))
             gap = float(np.max(np.abs(mx - my)) / np.max(np.abs(mx)))
             gaps[x["family"]] = max(gaps.get(x["family"], 0.0), gap)
+            meta = meta_gap(x["meta"], y["meta"])
+            if meta is None:
+                bad.append(f"meta {path.parent.name}")
+            else:
+                meta_gaps[x["family"]] = max(meta_gaps.get(x["family"], meta), meta,
+                                             key=lambda g: g[0])
         elif path.name == "gscan.json":
             if x["g"] != y["g"]:
                 bad.append(f"g list {path.parent.name}")
@@ -268,10 +305,14 @@ def compare(a: Path, b: Path) -> int:
             gap, top = float(np.max(np.abs(dx - dy))), float(np.max(dx))
             scan_gaps[path.parent.name] = (gap, top, gap / top if top > 0.0 else gap)
     for family, gap in sorted(gaps.items()):
-        print(f"{family:22s} worst relative map difference {gap:.2e}")
+        rel, key = meta_gaps.get(family, (0.0, None))
+        print(f"{family:22s} worst relative map difference {gap:.2e}, "
+              f"meta {rel:.2e}" + (f" ({key})" if key else ""))
     for case, (gap, top, rel) in sorted(scan_gaps.items()):
         print(f"{case:22s} worst distance difference {gap:.2e}, largest distance {top:.2e}, "
               f"ratio {rel:.2e}")
+    for item in changed:
+        print(item)
     for item in bad:
         print(f"DIFFERS: {item}")
     return 1 if bad else 0

@@ -3,8 +3,9 @@
 The solvers work from the separable form of :func:`gkslmap.kernel.split_kernel`
 on O(M) tables and rows; the first references evaluate the kernel directly,
 one (t, t') at a time, or sum the generator lattice one term at a time.  The Runge-Kutta references march stage by stage.
-The last section holds criterion 1's closed form and two helpers that only
-the tests use.
+The last section holds closed forms (criterion 1's jump series, and the
+exact maps of two exponential-memory models, dephasing and Barnett-Stenholm
+amplitude damping) and two helpers that only the tests use.
 """
 
 import math
@@ -12,7 +13,8 @@ import math
 import numpy as np
 
 from gkslmap.kernel import GKSLKernel, TwoTimeOperatorFunction, split_kernel
-from gkslmap.linalg import dagger, sandwich_superop
+from gkslmap.linalg import SIGMA_MINUS, dagger, sandwich_superop
+from gkslmap.profiles import ExpProfile
 from gkslmap.propagate import (
     _REFINE,
     _fine_nodes,
@@ -175,6 +177,66 @@ def jump_exponential_series(l_op: np.ndarray, t: float, rho: np.ndarray, order: 
         term = l_op @ term @ ld
         out = out + (t**n / math.factorial(n)) * term
     return out
+
+
+def damped_cosine(a: float, b: float, t) -> np.ndarray:
+    """The solution of y'' + a y' + b y = 0 with y(0) = 1 and y'(0) = 0, at the times ``t``.
+
+    With w = sqrt(a^2/4 - b), complex when the motion oscillates,
+    y = e^{-a t/2} (cosh(w t) + a/(2w) sinh(w t)), and e^{-a t/2} (1 + a t/2)
+    at w = 0.
+    """
+    t = np.asarray(t, dtype=float)
+    w = np.sqrt(complex(0.25 * a * a - b))
+    if w == 0.0:
+        return np.exp(-0.5 * a * t) * (1.0 + 0.5 * a * t)
+    return (np.exp(-0.5 * a * t) * (np.cosh(w * t) + (0.5 * a / w) * np.sinh(w * t))).real
+
+
+def dephasing_maps(kappa: float, g: float, ts) -> np.ndarray:
+    """Exact maps of ``experiments.dephasing_kernel(kappa, g)``'s nonlocal-full equation.
+
+    The jump operator e^{-kappa tau} sigma_z enters the kernel squared, so the
+    coherence obeys x' = -2 g^2 int_0^t e^{-2 kappa (t - s)} x(s) ds, that is
+    x'' + 2 kappa x' + 2 g^2 x = 0 with x(0) = 1 and x'(0) = 0, while the
+    populations stay.  The map is the Schur multiplier rho_ab -> x_ab rho_ab,
+    x_00 = x_11 = 1 and x_01 = x_10 = x: CP exactly while |x| <= 1, and the
+    interval map from t_m to t_(m+1) is CP exactly when |x(t_(m+1))| <= |x(t_m)|.
+    """
+    x = damped_cosine(2.0 * kappa, 2.0 * g * g, ts)
+    maps = np.zeros((len(x), 4, 4), dtype=complex)
+    maps[:, 0, 0] = maps[:, 3, 3] = 1.0
+    maps[:, 1, 1] = maps[:, 2, 2] = x
+    return maps
+
+
+def barnett_stenholm_kernel(gamma: float, kappa: float) -> GKSLKernel:
+    """Amplitude damping with exponential memory (Barnett & Stenholm, PRA 64, 033808, 2001).
+
+    The jump operator is sigma_- = |0><1| with the profile e^{-kappa tau / 2},
+    which enters the kernel squared, at coupling sqrt(gamma kappa).
+    """
+    jump = TwoTimeOperatorFunction.build(2, [(ExpProfile(-0.5 * kappa), SIGMA_MINUS)])
+    return GKSLKernel.build(2, jump_ops=[jump], coupling=math.sqrt(gamma * kappa))
+
+
+def barnett_stenholm_maps(gamma: float, kappa: float, ts) -> np.ndarray:
+    """Exact maps of :func:`barnett_stenholm_kernel`'s nonlocal-full equation.
+
+    The excited population p and the coherence c solve p'' + kappa p' +
+    gamma kappa p = 0 and c'' + kappa c' + (gamma kappa / 2) c = 0 with
+    p(0) = c(0) = 1 and p'(0) = c'(0) = 0, and the trace is kept: rho_11 ->
+    p rho_11, rho_00 -> rho_00 + (1 - p) rho_11, rho_01 -> c rho_01 and
+    rho_10 -> c rho_10.  Superoperators act on column-stacked rho.
+    """
+    p = damped_cosine(kappa, gamma * kappa, ts)
+    c = damped_cosine(kappa, 0.5 * gamma * kappa, ts)
+    maps = np.zeros((len(p), 4, 4), dtype=complex)
+    maps[:, 0, 0] = 1.0
+    maps[:, 0, 3] = 1.0 - p
+    maps[:, 3, 3] = p
+    maps[:, 1, 1] = maps[:, 2, 2] = c
+    return maps
 
 
 def unvectorize(v, dim: int | None = None) -> np.ndarray:

@@ -36,9 +36,12 @@ from gkslmap.propagate import (
     _fine_nodes,
     _lattice,
     _march,
+    _maps,
     _memory,
     _qtable,
-    _frame_march,
+    _real_form,
+    _stage_steps,
+    _summed_parts,
     family_distances,
     ordered_exponential_from_drift,
     solve_family,
@@ -895,14 +898,31 @@ def test_volterra_step_inverses_fill_the_entry_budget(monkeypatch, dim, calls):
     assert not inverted
 
 
+def map_march(b, hs):
+    """The maps of :func:`_march` in stage form from the identity, one column per step length."""
+    out = _maps((len(b) + 1) // 2, len(hs), b.shape[-1])
+    _march(b, np.asarray(hs), _stage_steps, out)
+    return out
+
+
+def frame_march(pair, hs):
+    """The (V, Vinv^T) stack of :func:`_march` by summed parts in real form, as complex (..., W, 2, d, d)."""
+    d = pair.shape[-1]
+    y = np.empty(((pair.shape[1] + 1) // 2, len(hs), 2, 2 * d, d))
+    y[0] = np.eye(2 * d)[:, :d]
+    _march(_real_form(pair.swapaxes(0, 1)), np.asarray(hs), _summed_parts, y)
+    return y[..., :d, :] + 1j * y[..., d:, :]
+
+
 def test_six_coupling_frame_march_at_d2_takes_four_blocks(monkeypatch):
-    # (V, Vinv^T) of d = 2 at six couplings: 400 half-steps in blocks of 108
+    # (V, Vinv^T) of d = 2 at six couplings: 400 half-steps in blocks of 104,
+    # block_len's 108 rounded down to whole chunks
     steps = []
     parts = propagate._step_parts
     monkeypatch.setattr(propagate, "_step_parts",
-                        lambda b, h: steps.append(b.shape[-3] // 2) or parts(b, h))
-    _frame_march(np.zeros((2, 801, 2, 2), dtype=complex), 0.005, np.ones(6))
-    assert steps == [108, 108, 108, 76]
+                        lambda b, h: steps.append(b.shape[0] // 2) or parts(b, h))
+    frame_march(np.zeros((2, 801, 2, 2), dtype=complex), 0.005 * np.ones(6))
+    assert steps == [104, 104, 104, 88]
 
 
 def same_bits(a, b):
@@ -923,8 +943,9 @@ def test_a_scaled_march_is_the_unit_march_at_step_h_times_s_bit_for_bit(dim):
         return 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     b, pair = draw(2 * 97 + 1, dim * dim, dim * dim), draw(2, 2 * 97 + 1, 2, 2)
-    assert same_bits(_march(b, h, [0.5, s])[0][:, 1], _march(b, h * s)[0][:, 0])
-    assert same_bits(_frame_march(pair, h, [0.5, s])[:, 1], _frame_march(pair, h * s)[:, 0])
+    hs = h * np.array([0.5, s])
+    assert same_bits(map_march(b, hs)[:, 1], map_march(b, [h * s])[:, 0])
+    assert same_bits(frame_march(pair, hs)[:, 1], frame_march(pair, [h * s])[:, 0])
 
 
 @pytest.mark.parametrize("family", [f for f in FAMILY_TAGS if not f.startswith("series")])
@@ -947,9 +968,9 @@ def test_map_march_at_unit_scale_is_the_single_solve_bit_for_bit_at_any_width(di
     D = dim * dim
     shape = (2 * 337 + 1, D, D)
     b = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    single = _march(b, 0.006)[0][:, 0]
+    single = map_march(b, [0.006])[:, 0]
     for scales in ([0.5, 1.0], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]):
-        assert same_bits(_march(b, 0.006, np.array(scales))[0][:, 1], single), len(scales)
+        assert same_bits(map_march(b, 0.006 * np.array(scales))[:, 1], single), len(scales)
 
 
 # ---------------------------------------------------------------------------
