@@ -232,30 +232,28 @@ def divisibility_check(traj: MapTrajectory, eps_cp: float = DEFAULT_EPS_CP) -> D
     DEFAULT_COND_LIMIT, or when the Choi matrix C of X fails the Hermiticity
     guard by an asymmetry within _SOLVE_ASYM_C * u * cond(Lambda_m) * ||C||_F,
     which the solve's rounding explains.  A larger asymmetry is an error
-    naming the interval.
+    naming the interval.  Each block of intervals is one pass: cond, solve,
+    Choi matrix, asymmetry and rounding rule, then one cp_check, in which an
+    interval the rule explains reads C = 1, its verdict discarded.
     """
     a, b = traj.maps[:-1], traj.maps[1:]
-    (conds,) = _blockwise(lambda s: (np.linalg.cond(a[s]),), a, "interval")
-    solvable = np.isfinite(conds) & (conds <= DEFAULT_COND_LIMIT)
     eye = np.eye(a.shape[-1])
-    rounding = _SOLVE_ASYM_C * np.finfo(float).eps * conds
+    rounding = _SOLVE_ASYM_C * np.finfo(float).eps
 
     def intermediate_cp(s):
+        cond = np.linalg.cond(a[s])
+        solvable = np.isfinite(cond) & (cond <= DEFAULT_COND_LIMIT)
         # X a = b  <=>  a^T X^T = b^T; unsolvable intervals get X = 1, discarded below
-        keep = solvable[s, None, None]
+        keep = solvable[:, None, None]
         at = np.where(keep, np.swapaxes(a[s], 1, 2), eye)
         bt = np.where(keep, np.swapaxes(b[s], 1, 2), eye)
         c = choi(np.swapaxes(np.linalg.solve(at, bt), 1, 2))
-        try:
-            return (*cp_check(c, eps_cp), np.zeros(len(c), dtype=bool))
-        except NotHermitianError:
-            asym, scale = frobenius(c - np.swapaxes(c.conj(), 1, 2)), frobenius(c)
-            explained = (asym > _HERMITIAN_RTOL * scale) & (asym <= rounding[s] * scale)
-            # an explained interval is checked on C = 1 instead, its verdict discarded below
-            return (*cp_check(np.where(explained[:, None, None], eye, c), eps_cp), explained)
+        asym, scale = frobenius(c - np.swapaxes(c.conj(), 1, 2)), frobenius(c)
+        explained = (asym > _HERMITIAN_RTOL * scale) & (asym <= rounding * cond * scale)
+        ok, lam = cp_check(np.where(explained[:, None, None], eye, c), eps_cp)
+        return cond, solvable & ~explained, ok, lam
 
-    ok, lam, explained = _blockwise(intermediate_cp, a, "interval")
-    good = solvable & ~explained
+    conds, good, ok, lam = _blockwise(intermediate_cp, a, "interval")
     return DivisibilityResult(
         statuses=tuple(
             ("CP" if c else "not-CP") if g else "indeterminate" for g, c in zip(good, ok)

@@ -252,25 +252,26 @@ def _step_parts(b: np.ndarray, h):
         R2 = h^2/6 (Bm B0 + Bm Bm + B1 Bm)  R4 = h^4/24 B1 Bm Bm B0
 
     The products of B are formed once; an array ``h`` of step lengths, one
-    per coupling, broadcasts against ``b``'s other leading axes.  Returns
-    (R1, R2, R3, R4), stacked over the steps along axis 0.
+    per coupling, broadcasts against ``b``'s other leading axes.  A generator:
+    yields R1, R2, R3, R4 in turn, each stacked over the steps along axis 0
+    and formed only when asked for, so a caller that drops each part before
+    asking for the next holds one at a time.
     """
     b0, bm, b1 = b[:-1:2], b[1::2], b[2::2]
+    yield (h / 6.0) * (b0 + 4.0 * bm + b1)
     mb0, b1m = bm @ b0, b1 @ bm
-    return (
-        (h / 6.0) * (b0 + 4.0 * bm + b1),
-        (h * h / 6.0) * (mb0 + bm @ bm + b1m),
-        (h**3 / 12.0) * (bm @ mb0 + b1m @ bm),
-        (h**4 / 24.0) * (b1m @ mb0),
-    )
+    yield (h * h / 6.0) * (mb0 + bm @ bm + b1m)
+    yield (h**3 / 12.0) * (bm @ mb0 + b1m @ bm)
+    yield (h**4 / 24.0) * (b1m @ mb0)
 
 
 def _summed_parts(b: np.ndarray, h, out: np.ndarray) -> None:
-    """Writes the step matrices 1 + R1 + R2 + R3 + R4 of :func:`_step_parts` into ``out``."""
-    r1, *rest = _step_parts(b, h)
-    np.add(np.eye(b.shape[-1]), r1, out=out)
-    for r in rest:
-        out += r
+    """Writes the step matrices 1 + R1 + R2 + R3 + R4 of :func:`_step_parts` into ``out``,
+    adding each part as it is formed, so no two parts are held at once."""
+    out[...] = np.eye(b.shape[-1])
+    for part in _step_parts(b, h):
+        out += part
+        del part  # before the next part is formed
 
 
 def _blocks(out: np.ndarray, start: int, size: int, visit=None):
@@ -608,25 +609,22 @@ def _series_orders(eps, frame=None) -> np.ndarray:
     ||V_sup Vinv_sup - 1||_F for the inversion defect delta; P_n is the least
     P that makes the sum u/2.  Each coupling is decided from its own numbers
     only, so its step matrices do not depend on the other couplings of its
-    scan.
+    scan.  The decision is one array pass: the tails for P = 1.._SERIES_TERMS
+    are a cumulative product over P, the products a term-by-term loop takes,
+    and P_n is the first that fits.
     """
     kappa, spread = 1.0, 0.0
     if frame is not None:
         kappa, spread = frame.kappa, frame.defect * (2.0 * np.sqrt(frame.v.shape[-1]) + frame.defect)
     eps, kappa, spread = np.broadcast_arrays(np.asarray(eps, dtype=float), kappa, spread)
-    orders = np.zeros(len(eps), dtype=int)
-    for n, (e, k, sp) in enumerate(zip(eps, kappa, spread)):
-        gap = 1.0 - e * (1.0 + sp)
-        room = 0.5 * _U / k - sp * e * e / gap**2 if gap > 0.0 else 0.0
-        if not (e <= _SERIES_EPS and room > 0.0):  # NaN fails too
-            continue
-        tail = e * e * (1.0 + e) / (1.0 - e)  # the bound for P = 1
-        for p in range(1, _SERIES_TERMS + 1):
-            if tail <= room:
-                orders[n] = p
-                break
-            tail *= e
-    return orders
+    with np.errstate(all="ignore"):  # NaN, inf and gap <= 0 are decided below
+        gap = 1.0 - eps * (1.0 + spread)
+        room = np.where(gap > 0.0, 0.5 * _U / kappa - spread * eps * eps / gap**2, 0.0)
+        tails = np.repeat(eps[:, None], _SERIES_TERMS, axis=1)
+        tails[:, 0] = eps * eps * (1.0 + eps) / (1.0 - eps)  # the bound for P = 1
+        fits = np.cumprod(tails, axis=1) <= room[:, None]
+    fits &= ((eps <= _SERIES_EPS) & (room > 0.0))[:, None]  # NaN fails too
+    return np.where(fits.any(axis=1), np.argmax(fits, axis=1) + 1, 0)
 
 
 def _step_matrices(diag: np.ndarray, c: np.ndarray, orders: np.ndarray, sups=None) -> np.ndarray:
@@ -637,9 +635,10 @@ def _step_matrices(diag: np.ndarray, c: np.ndarray, orders: np.ndarray, sups=Non
     series 1 + sum_{p <= P} c_n^p K_i^p (:func:`_series_orders`), summed by
     Horner in c_n: the powers K_i^p are formed once for every coupling, and a
     coupling joins the sum at its own top term, so its bits do not depend on
-    the others.  A coupling with orders[n] = 0 takes np.linalg.inv, stacked,
-    or, when one is singular, matrix by matrix (the same bits), NaN from a
-    coupling's first singular matrix on.  With
+    the others.  A coupling with orders[n] = 0 takes np.linalg.inv, stacked.
+    A singular matrix is found by its zero LU pivot, which gives
+    np.linalg.slogdet's sign 0 exactly where inv would raise; it is inverted
+    as 1, and its coupling is NaN from that node of the block on.  With
     ``sups`` = (Vinv_sup, V_sup), shape (nodes, W, D, D), the step is taken in
     the drift frame, where K_i reads Vinv_sup K_i V_sup: a series coupling
     takes 1 + Vinv_sup (A_i - 1) V_sup from the lab series A_i.  Returns
@@ -665,17 +664,11 @@ def _step_matrices(diag: np.ndarray, c: np.ndarray, orders: np.ndarray, sups=Non
     if inverse.any():
         k = diag[:, None] if sups is None else sups[0][:, inverse] @ diag[:, None] @ sups[1][:, inverse]
         lhs = eye - c[inverse] * k
-        try:
-            acc[:, inverse] = np.linalg.inv(lhs)
-        except np.linalg.LinAlgError:
-            inv = np.full_like(lhs, np.nan)
-            for n in range(lhs.shape[1]):
-                for i in range(len(lhs)):
-                    try:
-                        inv[i, n] = np.linalg.inv(lhs[i, n])
-                    except np.linalg.LinAlgError:
-                        break
-            acc[:, inverse] = inv
+        singular = np.linalg.slogdet(lhs)[0] == 0
+        lhs[singular] = eye
+        inv = np.linalg.inv(lhs)
+        inv[np.logical_or.accumulate(singular, axis=0)] = np.nan
+        acc[:, inverse] = inv
     return acc
 
 
@@ -810,7 +803,7 @@ def _local_series(g_half: np.ndarray, h: float, order: int, scales, out=None, vi
     out[0] = total(y)
     tails = [np.linalg.norm(y[order])]
     for a, b in _blocks(out, 1, block_len(D * D), visit):
-        parts = _step_parts(g_half[2 * a - 2 : 2 * b - 1], h)
+        parts = tuple(_step_parts(g_half[2 * a - 2 : 2 * b - 1], h))
         for i in range(a, b):  # step i - 1
             new = y.copy()
             for p, part in enumerate(parts, 1):

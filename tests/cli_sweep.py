@@ -15,16 +15,17 @@ with::
 A change that reorders floating-point sums leaves the artifacts close but not
 byte-identical.  For it, ``python tests/cli_sweep.py --compare A B`` requires,
 for the cases both sweeps ran, identical logs (exit codes, stdout, stderr),
-the same JSON artifacts, certify verdicts (``all_cp``, per-node verdicts,
-divisibility statuses), g-scan couplings and trajectory ``meta`` keys and
-non-numeric entries.  It prints the worst relative map difference and the
-worst relative difference of the numeric ``meta`` entries (with its key) per
-trajectory family and, per g-scan, the worst absolute distance difference,
-the scan's largest distance and their ratio (a scan whose distances are all
-at rounding level can show a large ratio for a tiny absolute change).  A
-case only one sweep ran (its log, and the run directory holding its
-artifacts) is listed as added (only in B) or removed (only in A), not as a
-difference.  It exits 1 when anything required differs.
+the same set of JSON and CSV artifacts, certify verdicts (``all_cp``,
+per-node verdicts, divisibility statuses), g-scan couplings and trajectory
+``meta`` keys and non-numeric entries, and byte-identical CSV artifacts
+wherever their JSON twin is byte-identical.  It prints the worst relative
+map difference and the worst relative difference of the numeric ``meta``
+entries (with its key) per trajectory family and, per g-scan, the worst
+absolute distance difference, the scan's largest distance and their ratio (a
+scan whose distances are all at rounding level can show a large ratio for a
+tiny absolute change).  A case only one sweep ran (its log, and the run
+directory holding its artifacts) is listed as added (only in B) or removed
+(only in A), not as a difference.  It exits 1 when anything required differs.
 
 The file name keeps pytest from collecting it.
 """
@@ -242,6 +243,10 @@ def main_sweep(outdir: Path) -> None:
         "--steps", "40", "--g-list", "1,2,5,10,100", "--out", "runs/gscan-singular-coupling")
 
 
+# the JSON artifact a CSV artifact is written from, where its stem differs
+CSV_TWINS = {"convolution_full.csv": "convolution.json"}
+
+
 def meta_gap(x: dict, y: dict):
     """(worst relative difference, its key) over the numeric entries of two meta blocks,
     or None when their keys or non-numeric entries differ."""
@@ -270,7 +275,8 @@ def compare(a: Path, b: Path) -> int:
     for log in sorted(logs[0] & logs[1]):
         if (a / "logs" / log).read_text() != (b / "logs" / log).read_text():
             bad.append(f"log {log}")
-    runs = [{p.relative_to(root) for p in root.glob("runs/*/*.json")} for root in (a, b)]
+    runs = [{p.relative_to(root) for ext in ("json", "csv") for p in root.glob(f"runs/*/*.{ext}")}
+            for root in (a, b)]
     dirs = [{p.parts[1] for p in side} for side in runs]
     for word, side, mine, other in (("removed", a, 0, 1), ("added", b, 1, 0)):
         changed.extend(f"{word} case {Path(log).stem}" for log in sorted(logs[mine] - logs[other]))
@@ -279,8 +285,13 @@ def compare(a: Path, b: Path) -> int:
                 bad.append(f"only in {side}: {path}")
             else:
                 changed.append(f"{word} artifact {path}")
+    for path in sorted(a / p for p in runs[0] & runs[1] if p.suffix == ".csv"):
+        twin = path.with_name(CSV_TWINS.get(path.name, path.stem + ".json"))
+        if (b / path.relative_to(a)).read_bytes() != path.read_bytes() and (
+                not twin.exists() or (b / twin.relative_to(a)).read_bytes() == twin.read_bytes()):
+            bad.append(f"csv {path.relative_to(a)} (its JSON twin is identical)")
     gaps, meta_gaps, scan_gaps = {}, {}, {}
-    for path in sorted(a / p for p in runs[0] & runs[1]):
+    for path in sorted(a / p for p in runs[0] & runs[1] if p.suffix == ".json"):
         x, y = (json.loads(p.read_text()) for p in (path, b / path.relative_to(a)))
         if path.name == "cp_report.json":
             div = (x.get("divisibility") or {}, y.get("divisibility") or {})

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gkslmap import cpanalysis
 from gkslmap.cpanalysis import (
     CPReport,
     _max_offdiagonal_entry,
@@ -253,6 +254,32 @@ def test_divisibility_names_the_interval_whose_asymmetry_conditioning_cannot_exp
     traj = MapTrajectory(grid=TimeGrid(1.0, 1), dim=2, family="local-full", maps=maps)
     with pytest.raises(ValueError, match="^interval 0: .*not Hermitian"):
         divisibility_check(traj)
+
+
+def test_divisibility_names_an_unexplained_interval_past_the_first_block():
+    # d = 2 takes 324 intervals a block, so interval 350 lies in the second;
+    # naming it by its index within the block would say interval 26
+    traj = dephasing_trajectory(steps=400)
+    maps = traj.maps.copy()
+    maps[351] = sandwich_superop(SIGMA_X, SIGMA_Z)  # rho -> X rho Z
+    bad = MapTrajectory(grid=traj.grid, dim=2, family=traj.family, maps=maps)
+    with pytest.raises(ValueError, match="^interval 350: .*not Hermitian"):
+        divisibility_check(bad)
+
+
+@pytest.mark.parametrize("dim, blocks", [(2, 2), (3, 7)])
+def test_divisibility_takes_one_pass_of_one_cond_per_block(monkeypatch, dim, blocks):
+    # 400 intervals: 324 a block at d = 2, 64 at d = 3; cond, solve and the
+    # Choi spectrum of a block are taken together, in one blockwise pass
+    traj = solve_family(random_kernel(103, dim=dim), TimeGrid(2.0, 400), "local-full")
+    passes, conds = [], []
+    blockwise, cond = cpanalysis._blockwise, np.linalg.cond
+    monkeypatch.setattr(cpanalysis, "_blockwise",
+                        lambda fn, maps, what: passes.append(what) or blockwise(fn, maps, what))
+    monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(len(a)) or cond(a))
+    res = divisibility_check(traj)
+    assert passes == ["interval"] and len(conds) == blocks and sum(conds) == 400
+    assert len(res.statuses) == 400
 
 
 def test_trace_deviation(rng):

@@ -854,6 +854,28 @@ def test_coupled_scan_holds_one_map_array(pair):
     assert one < peak < 2 * one
 
 
+@pytest.mark.parametrize(
+    "pair", [("nonlocal-full", "weak-nonlocal-full"), ("local-drift", "weak-local-drift")],
+    ids=",".join,
+)
+def test_weak_scan_at_d2_sums_the_frame_parts_one_at_a_time(pair):
+    # at d = 2 the drift frame's tables weigh as much as the maps, so the scan
+    # holds about three map arrays; a frame span that held its four degree
+    # parts at once, not one after another, would put it at 3.5
+    k = random_kernel(101, dim=2)
+    grid = TimeGrid(2.0, 400)
+    gs = (0.05, 0.08, 0.13, 0.2, 0.3, 0.4)
+    family_distances(k, grid, pair, gs)
+    tracemalloc.start()
+    try:
+        family_distances(k, grid, pair, gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = (grid.steps + 1) * len(gs) * k.dim**4 * 16
+    assert peak < 3.25 * one, f"peak {peak / one:.2f} map arrays"
+
+
 @pytest.mark.parametrize("width", (1, 3))
 @pytest.mark.parametrize("family", FAMILY_TAGS)
 def test_every_march_visits_each_block_it_writes_once(family, width):
@@ -1065,3 +1087,102 @@ def test_the_frame_guard_sends_a_non_convergent_frame_to_the_inverse(bench_corpu
     orders = propagate._series_orders(0.25 * grid.h**2 * np.array([64.0, 1.0]) * bound, frame)
     assert frame.defect[0] > 1e-5 and orders[0] == 0
     assert orders[1] > 0
+
+
+def series_orders_reference(eps, frame=None):
+    """The term-by-term loop: per coupling, the first P <= 16 whose tail bound fits the room."""
+    kappa, spread = 1.0, 0.0
+    if frame is not None:
+        kappa, spread = frame.kappa, frame.defect * (2.0 * np.sqrt(frame.v.shape[-1]) + frame.defect)
+    eps, kappa, spread = np.broadcast_arrays(np.asarray(eps, dtype=float), kappa, spread)
+    orders = np.zeros(len(eps), dtype=int)
+    for n, (e, k, sp) in enumerate(zip(eps, kappa, spread)):
+        gap = 1.0 - e * (1.0 + sp)
+        room = 0.5 * np.finfo(float).eps / k - sp * e * e / gap**2 if gap > 0.0 else 0.0
+        if not (e <= 1.0 / 64.0 and room > 0.0):
+            continue
+        tail = e * e * (1.0 + e) / (1.0 - e)
+        for p in range(1, 17):
+            if tail <= room:
+                orders[n] = p
+                break
+            tail *= e
+    return orders
+
+
+def test_series_orders_match_a_term_by_term_loop():
+    # eps from 1e-9 to 2, kappa up to 1e16 (a room so small that 16 terms
+    # fall short), the boundary eps = 1/64, and NaN and inf in every input
+    rng = np.random.default_rng(59)
+    special = np.array([np.nan, np.inf, -np.inf, 1.0 / 64.0, 0.0, 1.0])
+
+    def draw(n, low, high):
+        x = 10.0 ** rng.uniform(low, high, n)
+        pick = rng.random(n) < 0.1
+        x[pick] = rng.choice(special, pick.sum())
+        return x
+
+    seen, draws = set(), 0
+    for trial in range(4000):
+        w = int(rng.integers(1, 11))
+        eps, frame = draw(w, -9.0, 0.3), None
+        if trial % 2:
+            d = int(rng.choice([2, 3]))
+            frame = propagate._Frame(None, np.zeros((1, w, d, d)), draw(w, 0.0, 16.0),
+                                     draw(w, -17.0, -2.0))
+        with np.errstate(all="ignore"):
+            ref = series_orders_reference(eps, frame)
+        got = propagate._series_orders(eps, frame)
+        assert np.array_equal(got, ref), (eps, frame)
+        seen.update(ref.tolist())
+        draws += w
+    # eps = 1/64 takes 8 terms at kappa = 1, and every count up to 16 and then
+    # the inverse as kappa grows to 1e16
+    kappa = np.logspace(0.0, 16.0, 161)
+    frame = propagate._Frame(None, np.zeros((1, 161, 2, 2)), kappa, np.zeros(161))
+    ref = series_orders_reference(np.full(161, 1.0 / 64.0), frame)
+    assert np.array_equal(propagate._series_orders(np.full(161, 1.0 / 64.0), frame), ref)
+    assert draws > 20000 and seen | set(ref.tolist()) == set(range(17)), sorted(seen)
+
+
+def inverse_steps_reference(lhs):
+    """Matrix by matrix np.linalg.inv over (nodes, W) stacks: NaN from a coupling's first
+    singular matrix on."""
+    inv = np.full_like(lhs, np.nan)
+    for n in range(lhs.shape[1]):
+        for i in range(len(lhs)):
+            try:
+                inv[i, n] = np.linalg.inv(lhs[i, n])
+            except np.linalg.LinAlgError:
+                break
+    return inv
+
+
+def test_inverse_steps_match_a_matrix_by_matrix_inverse_bit_for_bit():
+    # an exactly singular step at c = 1: the zero matrix, an integer matrix with
+    # a zero column, or an integer rank-one matrix; some stacks hold NaN instead
+    rng = np.random.default_rng(61)
+    singular = 0
+    for trial in range(300):
+        nodes, w, D = int(rng.integers(1, 70)), int(rng.integers(1, 7)), int(rng.choice([4, 9, 16]))
+        diag = rng.standard_normal((nodes, D, D)) + 1j * rng.standard_normal((nodes, D, D))
+        c = rng.uniform(0.01, 1.0, (w, 1, 1))
+        kind = trial % 5
+        if kind < 3:
+            i, n = rng.integers(nodes), rng.integers(w)
+            lhs = np.zeros((D, D), dtype=complex)
+            if kind == 1:
+                lhs[...] = rng.integers(-3, 4, (D, D)) + 1j * rng.integers(-3, 4, (D, D))
+                lhs[:, rng.integers(D)] = 0.0
+            elif kind == 2:
+                u, v = rng.integers(-3, 4, (2, D, 1))
+                lhs[...] = u @ v.T
+            c[n], diag[i] = 1.0, np.eye(D) - lhs
+        elif kind == 3:
+            diag[rng.integers(nodes), rng.integers(D), rng.integers(D)] = np.nan
+        ref = inverse_steps_reference(np.eye(D) - c * diag[:, None])
+        singular += int(np.isnan(ref).any() and kind < 3)
+        with np.errstate(all="ignore"):
+            got = propagate._step_matrices(diag, c, np.zeros(w, dtype=int))
+        assert got.tobytes() == ref.tobytes(), trial
+    assert singular > 150
